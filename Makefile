@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report batch-check fit-check serve-check dist-check compiled-check sweep-check mv-check docs-check quickstart experiments results check-artifacts all
+.PHONY: test bench bench-report bench-smoke batch-check fit-check serve-check dist-check compiled-check sweep-check mv-check docs-check quickstart experiments results check-artifacts all
 
 ## tier-1 gate: unit/property/integration tests + benchmark harness
 test:
@@ -23,9 +23,16 @@ bench:
 bench-report:
 	$(PYTHON) tools/bench_record.py
 
+## smoke-run every BENCHMARK.json workload (small inputs, untraced and
+## traced): each must pass its output checks -- table1's includes the
+## ECTS/EDSC accuracies of the per-row walk -- and print exactly the
+## declared metric names (run by CI on every push)
+bench-smoke:
+	$(PYTHON) perfbench/check_names.py
+
 ## batched-inference drift gate: batch-vs-per-row equivalence suite plus the
-## >= 5x full-test-set speedup benchmark and the Reliable/LDG batched-vs-
-## per-row record (run by CI on every push)
+## >= 5x full-test-set speedup benchmarks (ECTS, EDSC-CHE/KDE) and the
+## Reliable/LDG batched-vs-per-row record (run by CI on every push)
 batch-check:
 	$(PYTHON) -m pytest tests/test_batch_predict.py benchmarks/test_bench_batch_predict.py benchmarks/test_bench_reliable.py -q
 

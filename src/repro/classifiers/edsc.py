@@ -25,9 +25,10 @@ Training has three stages:
    precision, recall and earliness (how early in the exemplar the match
    happens), and greedily selected until every training exemplar is covered.
 
-Prediction slides every selected shapelet over the observed prefix; the first
-shapelet (in utility order) that matches within its threshold triggers the
-classification.
+Prediction needs one number per selected shapelet and exemplar: the prefix
+length at which the shapelet first matches, i.e. the end of the first window
+within its threshold.  A prefix triggers once any shapelet has matched inside
+it, and the matched shapelet of highest utility decides the class.
 
 Simplifications relative to the original publication: candidates are
 subsampled rather than exhaustively enumerated, and the utility function is
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
+from repro.classifiers.base import BaseEarlyClassifier, BatchCheckpoint, PartialPrediction
 
 __all__ = ["EDSCClassifier", "Shapelet"]
 
@@ -146,12 +147,20 @@ def _best_match_distances(
 
     cand_sq = np.sum(cand_flat * cand_flat, axis=1)[:, None]
     win_sq = np.sum(flat * flat, axis=1)[None, :]
+    # Two full-size buffers: the GEMM output, doubled in place (exact), and
+    # the squared distances, clamped and rooted in place.  The grouping
+    # (cand_sq + win_sq) - 2 * cross must not change: the learned thresholds,
+    # and so the selected shapelets, depend on its last bits.
     cross = cand_flat @ flat.T
-    squared = np.maximum(cand_sq + win_sq - 2.0 * cross, 0.0)
-    distances = np.sqrt(squared).reshape(candidates.shape[0], n_series, n_windows)
+    cross *= 2.0
+    distances = np.add(cand_sq, win_sq)
+    distances -= cross
+    np.maximum(distances, 0.0, out=distances)
+    np.sqrt(distances, out=distances)
+    distances = distances.reshape(candidates.shape[0], n_series, n_windows)
 
     best_positions = np.argmin(distances, axis=2)
-    best = np.min(distances, axis=2)
+    best = np.take_along_axis(distances, best_positions[:, :, None], axis=2)[:, :, 0]
     # Convert a start position into the sample index at which the whole
     # shapelet has been observed.
     return best, best_positions + window
@@ -755,52 +764,89 @@ class EDSCClassifier(BaseEarlyClassifier):
         return selected if selected else ranked[:1]
 
     # ------------------------------------------------------------ prediction
+    def _first_match_lengths(self, data: np.ndarray) -> np.ndarray:
+        """Prefix length at which each shapelet first matches each row.
+
+        ``first[k, i]`` is the end index of the first window of row ``i``
+        within shapelet ``k``'s threshold, i.e. the shortest prefix of the
+        row on which the shapelet fires, or ``data.shape[1] + 1`` when no
+        window matches (always so for a shapelet longer than the rows).  Each
+        shapelet costs one ``(rows, windows, m[, d])`` reduction, summed per
+        window exactly as on a single prefix, so a batch of one row and a
+        batch of many agree bit for bit.
+        """
+        n_rows, length = data.shape[0], data.shape[1]
+        never = length + 1
+        first = np.full((len(self.shapelets_), n_rows), never, dtype=np.intp)
+        for k, shapelet in enumerate(self.shapelets_):
+            window = shapelet.length
+            if window > length:
+                continue
+            diffs = _sliding_windows(data, window) - shapelet.values
+            sq = np.sum(diffs * diffs, axis=tuple(range(2, diffs.ndim)))
+            # sqrt is monotone, so the best match within a prefix is within
+            # the threshold exactly when some window of that prefix is.
+            hit = np.sqrt(sq) <= shapelet.threshold
+            first[k] = np.where(hit.any(axis=1), np.argmax(hit, axis=1) + window, never)
+        return first
+
+    def _partial_prediction(self, first: np.ndarray, length: int) -> PartialPrediction:
+        """The prediction at prefix ``length`` from one row's first-match lengths.
+
+        Among the shapelets matched by ``length``, the one with the highest
+        utility decides; on a utility tie the earliest in ``shapelets_``
+        order wins (``argmax`` returns the first maximum).
+        """
+        fired = np.flatnonzero(first <= length)
+        if fired.size == 0:
+            uniform = 1.0 / len(self.classes_)
+            return PartialPrediction(
+                label=self._fallback_label,
+                ready=False,
+                confidence=uniform,
+                prefix_length=length,
+                probabilities={cls: uniform for cls in self.classes_},
+            )
+        utilities = [self.shapelets_[k].utility for k in fired]
+        shapelet = self.shapelets_[fired[int(np.argmax(utilities))]]
+        confidence = shapelet.precision
+        rest = (1.0 - confidence) / (len(self.classes_) - 1)
+        return PartialPrediction(
+            label=shapelet.label,
+            ready=True,
+            confidence=confidence,
+            prefix_length=length,
+            probabilities={
+                cls: confidence if cls == shapelet.label else rest
+                for cls in self.classes_
+            },
+        )
+
     def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
         """Classify a prefix; ready as soon as any learned shapelet matches it."""
         arr = self._validate_prefix(prefix)
-        length = arr.shape[0]
-        best: tuple[float, Shapelet] | None = None
-        for shapelet in self.shapelets_:
-            if shapelet.length > length:
-                continue
-            distance = self._best_match_in_prefix(shapelet.values, arr)
-            if distance <= shapelet.threshold:
-                score = shapelet.utility
-                if best is None or score > best[0]:
-                    best = (score, shapelet)
-        if best is not None:
-            shapelet = best[1]
-            confidence = shapelet.precision
-            probabilities = {cls: 0.0 for cls in self.classes_}
-            probabilities[shapelet.label] = confidence
-            others = [cls for cls in self.classes_ if cls != shapelet.label]
-            for cls in others:
-                probabilities[cls] = (1.0 - confidence) / len(others)
-            return PartialPrediction(
-                label=shapelet.label,
-                ready=True,
-                confidence=confidence,
-                prefix_length=length,
-                probabilities=probabilities,
-            )
-        uniform = 1.0 / len(self.classes_)
-        return PartialPrediction(
-            label=self._fallback_label,
-            ready=False,
-            confidence=uniform,
-            prefix_length=length,
-            probabilities={cls: uniform for cls in self.classes_},
+        return self._partial_prediction(
+            self._first_match_lengths(arr[None])[:, 0], arr.shape[0]
         )
 
-    @staticmethod
-    def _best_match_in_prefix(shapelet_values: np.ndarray, prefix: np.ndarray) -> float:
-        windows = _sliding_windows(prefix[None], shapelet_values.shape[0])[0]
-        diffs = windows - shapelet_values[None]
-        # Channel-summed on (n_windows, window, n_channels) windows; the
-        # univariate 2-D case reduces over the single trailing axis exactly
-        # as before.
-        sq = np.sum(diffs * diffs, axis=tuple(range(1, diffs.ndim)))
-        return float(np.sqrt(np.min(sq)))
+    def _batch_partial_evaluators(self, data: np.ndarray) -> list[BatchCheckpoint]:
+        """Checkpoints answered from first-match lengths computed once per batch.
+
+        A row is ready at the first checkpoint at or after its earliest
+        match; ``partial`` assembles the decision there exactly as
+        :meth:`predict_partial` does.
+        """
+        first = self._first_match_lengths(data)
+        earliest = first.min(axis=0, initial=data.shape[1] + 1)
+
+        def make(length: int) -> BatchCheckpoint:
+            return BatchCheckpoint(
+                length=length,
+                partial=lambda i: self._partial_prediction(first[:, i], length),
+                ready=lambda rows: earliest[rows] <= length,
+            )
+
+        return [make(length) for length in self.checkpoints() if length <= data.shape[1]]
 
     def checkpoints(self) -> list[int]:
         """Prefix lengths evaluated at prediction time."""

@@ -19,12 +19,15 @@ real drift (ECTS is immune: its kernel is bit-identical to the reference).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
 from repro.classifiers.ecdire import ECDIREClassifier
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
+from repro.classifiers.edsc import EDSCClassifier
 from repro.classifiers.full import FixedTruncationClassifier, FullLengthClassifier
 from repro.classifiers.reliable import LDGReliableEarlyClassifier, ReliableEarlyClassifier
 from repro.classifiers.teaser import TEASERClassifier
@@ -54,7 +57,16 @@ BATCHED_CLASSIFIERS = {
     "fixed-truncation": lambda: FixedTruncationClassifier(),
     "reliable": lambda: ReliableEarlyClassifier(**RELIABLE_FAST),
     "ldg": lambda: LDGReliableEarlyClassifier(n_local=8, **RELIABLE_FAST),
+    "edsc-che": lambda: EDSCClassifier(
+        threshold_method="che", position_step=6, max_candidates_per_class=60
+    ),
+    "edsc-kde": lambda: EDSCClassifier(
+        threshold_method="kde", position_step=6, max_candidates_per_class=60
+    ),
 }
+
+#: Shapelet classifiers: the batched walk reads first-match lengths.
+SHAPELET_CLASSIFIERS = ("edsc-che", "edsc-kde")
 
 #: Monte Carlo classifiers: their noise is owned by each (row, checkpoint),
 #: so an outcome must not depend on call history or batch composition.
@@ -116,6 +128,36 @@ class TestPredictEarlyBatchEquivalence:
         train, test = gunpoint_small
         model = ProbabilityThresholdClassifier(min_length=5).fit(train.series, train.labels)
         _assert_histories_match(model, test.series[:6])
+
+    @pytest.mark.parametrize("name", SHAPELET_CLASSIFIERS)
+    @pytest.mark.parametrize("znorm", ["znormalized", "raw"])
+    def test_shapelet_keep_history_matches_per_row(
+        self, name, znorm, gunpoint_small, gunpoint_small_raw
+    ):
+        train, test = gunpoint_small if znorm == "znormalized" else gunpoint_small_raw
+        model = BATCHED_CLASSIFIERS[name]().fit(train.series, train.labels)
+        _assert_histories_match(model, test.series[:6])
+
+    @pytest.mark.parametrize("name", SHAPELET_CLASSIFIERS)
+    def test_shapelet_longer_than_the_batch_never_fires(self, name, gunpoint_small):
+        train, test = gunpoint_small
+        model = BATCHED_CLASSIFIERS[name]().fit(train.series, train.labels)
+        short = test.series[:, :-1]
+        without = model.predict_early_batch(short)
+        # A full-length shapelet that matches anything and outranks the rest.
+        model.shapelets_.append(
+            dataclasses.replace(
+                model.shapelets_[0],
+                values=train.series[0],
+                threshold=np.inf,
+                utility=2.0,
+                precision=0.5,
+            )
+        )
+        assert np.all(model._first_match_lengths(short)[-1] > short.shape[1])
+        batched = model.predict_early_batch(short)
+        _assert_outcomes_match(batched, [model.predict_early(row) for row in short])
+        _assert_outcomes_match(batched, without)
 
     def test_fallback_path_without_override(self, gunpoint_small):
         """Classifiers without a batched override ride the per-row reference."""

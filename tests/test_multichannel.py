@@ -194,6 +194,27 @@ CLASSIFIERS = [
 ]
 
 
+@pytest.mark.parametrize("method", ["che", "kde"])
+def test_edsc_batched_walk_matches_per_row_d3(method):
+    """EDSC's first-match lengths batch (n, L, 3) rows like one prefix at a time."""
+    dataset = make_multichannel_cbf_dataset(n_per_class=8, length=48, n_channels=3)
+    train = dataset.subset(range(0, dataset.series.shape[0], 2))
+    test = dataset.subset(range(1, dataset.series.shape[0], 2))
+    model = EDSCClassifier(
+        threshold_method=method, position_step=6, max_candidates_per_class=40
+    ).fit(train.series, train.labels)
+    batched = model.predict_early_batch(test.series)
+    assert any(outcome.triggered for outcome in batched)
+    for got, row in zip(batched, test.series):
+        want = model.predict_early(row)
+        assert (got.label, got.trigger_length, got.triggered, got.confidence) == (
+            want.label,
+            want.trigger_length,
+            want.triggered,
+            want.confidence,
+        )
+
+
 class TestTrailingSingletonBitEquality:
     """(n, L, 1) must be indistinguishable from the legacy (n, L) layout."""
 

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.classifiers.ects import ECTSClassifier
+from repro.classifiers.edsc import EDSCClassifier
 from repro.classifiers.reliable import ReliableEarlyClassifier
 from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
@@ -54,6 +55,12 @@ def threshold_classifier(tiny_two_class):
 def ects_classifier(tiny_two_class):
     series, labels = tiny_two_class
     return ECTSClassifier(min_support=0.0, checkpoint_step=4).fit(series, labels)
+
+
+@pytest.fixture(scope="module")
+def edsc_classifier(tiny_two_class):
+    series, labels = tiny_two_class
+    return EDSCClassifier(threshold_method="che").fit(series, labels)
 
 
 @pytest.fixture(scope="module")
@@ -116,34 +123,37 @@ def _interleaved_push(engine, streams, seed, flush_probability=0.3, max_chunk=50
 @pytest.mark.parametrize("normalization", ["none", "window", "causal"])
 @pytest.mark.parametrize("refractory", [0, 25])
 def test_engine_matches_per_stream_sessions(
-    threshold_classifier, ects_classifier, normalization, refractory
+    threshold_classifier, ects_classifier, edsc_classifier, normalization, refractory
 ):
     """Batched multi-tenant alarms == per-stream session alarms, field by field.
 
     Two tenants share one model (so the scheduler genuinely coalesces them
-    into one batch), a third runs a different classifier; chunks arrive
-    interleaved with random sizes and mid-stream flushes.
+    into one batch), two more run different classifiers; chunks arrive
+    interleaved with random sizes and mid-stream flushes.  Serving flushes
+    take each classifier's batched walk, sessions its per-row walk.
     """
     config = TenantConfig(stride=7, normalization=normalization, refractory=refractory)
+    models = {
+        "acme": threshold_classifier,
+        "globex": threshold_classifier,
+        "initech": ects_classifier,
+        "hooli": edsc_classifier,
+    }
     registry = ModelRegistry()
-    registry.register("acme", threshold_classifier, config)
-    registry.register("globex", threshold_classifier, config)
-    registry.register("initech", ects_classifier, config)
+    for tenant, model in models.items():
+        registry.register(tenant, model, config)
     engine = ServingEngine(registry)
 
     rng = np.random.default_rng(11)
-    keys = [(tenant, s) for tenant in ("acme", "globex", "initech") for s in range(5)]
+    keys = [(tenant, s) for tenant in models for s in range(5)]
     streams = _make_streams(rng, keys)
     _interleaved_push(engine, streams, seed=23)
     served = {key: engine.finalize_stream(*key) for key in streams}
 
-    for (tenant, _), values in streams.items():
-        classifier = registry_model = (
-            ects_classifier if tenant == "initech" else threshold_classifier
-        )
-        resolved = config.resolve(registry_model)
-        reference = _session_reference(classifier, values, resolved)
-        assert_alarms_equivalent(reference, served[(tenant, _)])
+    for key, values in streams.items():
+        model = models[key[0]]
+        reference = _session_reference(model, values, config.resolve(model))
+        assert_alarms_equivalent(reference, served[key])
 
 
 def test_engine_matches_sessions_for_stateful_trigger(teaser_classifier):
