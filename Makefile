@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke batch-check fit-check serve-check dist-check compiled-check sweep-check mv-check docs-check quickstart experiments results check-artifacts all
+.PHONY: test bench bench-report bench-smoke batch-check fit-check serve-check dist-check sweep-check mv-check docs-check quickstart experiments results check-artifacts all
 
 ## tier-1 gate: unit/property/integration tests + benchmark harness
 test:
@@ -55,15 +55,7 @@ serve-check:
 ## keep its >= 5x win on the Table-1-scale DTW 1-NN benchmark (run by CI on
 ## every push)
 dist-check:
-	$(PYTHON) -m pytest tests/test_distance_backends.py tests/test_compiled_backend.py benchmarks/test_bench_dtw_prune.py benchmarks/test_bench_compiled.py -q
-
-## compiled-tier drift gate: the same distance gate with the numba-JIT
-## backend requested process-wide; with numba installed the compiled cascade
-## must stay bit-identical to the reference and >= 5x faster than the pruned
-## numpy cascade, without numba it must fall back to "pruned" transparently
-## (run by CI in both configurations)
-compiled-check:
-	REPRO_BACKEND=compiled $(PYTHON) -m pytest tests/test_distance_backends.py tests/test_compiled_backend.py benchmarks/test_bench_dtw_prune.py benchmarks/test_bench_compiled.py -q
+	$(PYTHON) -m pytest tests/test_distance_backends.py benchmarks/test_bench_dtw_prune.py -q
 
 ## out-of-core/resume drift gate: memory-budget chunking must stay
 ## bit-identical, the sharded format must round-trip + verify, the work-queue

@@ -11,8 +11,8 @@ every ``test_bench_<name>.py`` module a machine-readable
 ``results/bench/BENCH_<name>.json`` record (per-test outcomes and wall-clock
 durations, plus whatever a benchmark reports through the ``bench_metrics``
 fixture -- speedups, component timings, pruning rates).  The records carry the
-git SHA and the resolved distance backend, so runs are comparable across
-commits and across the interpreted/compiled tiers.
+git SHA and the active distance backend, so runs are comparable across
+commits and backends.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ def bench_metrics(request):
     """A dict a benchmark fills with metrics bound for its ``BENCH_*.json``.
 
     Whatever is in the dict at teardown is merged into the test's entry, so
-    metrics recorded before a ``pytest.skip`` (e.g. the measured fallback
-    timings of a compiled benchmark running without numba) still land in the
-    record.
+    metrics recorded before a ``pytest.skip`` or a failed assertion still
+    land in the record.
     """
     metrics: dict = {}
     yield metrics

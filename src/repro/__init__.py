@@ -33,12 +33,7 @@ The package is organised in layers (see DESIGN.md for the full inventory):
 """
 
 from repro._version import __version__
-from repro.distance.backends import (
-    active_backend,
-    backend_resolution,
-    set_backend,
-    use_backend,
-)
+from repro.distance.backends import active_backend, set_backend, use_backend
 from repro.distance.engine import (
     PrefixDistanceEngine,
     PrefixDTWEngine,
@@ -63,7 +58,6 @@ __all__ = [
     "ragged_prefix_distances",
     "pairwise_prefix_distances",
     "active_backend",
-    "backend_resolution",
     "set_backend",
     "use_backend",
 ]

@@ -194,14 +194,6 @@ class BaseEarlyClassifier(ABC):
         self._train_length: int | None = None
         self._train_channels: int = 1
 
-    def __setstate__(self, state: dict) -> None:
-        # Models pickled before the multichannel data model existed (the
-        # experiment prepare cache, the serving registry's warm reload)
-        # carry no channel attribute; they were fitted on 2-D data, so
-        # they are univariate by construction.
-        state.setdefault("_train_channels", 1)
-        self.__dict__.update(state)
-
     # ------------------------------------------------------------ fitting
     @abstractmethod
     def fit(self, series: np.ndarray, labels: Sequence) -> "BaseEarlyClassifier":
@@ -266,15 +258,9 @@ class BaseEarlyClassifier(ABC):
 
     @property
     def n_channels_(self) -> int:
-        """Number of channels of the training exemplars (1 for univariate).
-
-        Models unpickled from caches written before the multichannel data
-        model existed (the experiment prepare cache, the serving registry's
-        warm reload) carry no channel attribute; they were fitted on 2-D
-        data, so they are univariate by construction.
-        """
+        """Number of channels of the training exemplars (1 for univariate)."""
         self._require_fitted()
-        return getattr(self, "_train_channels", 1)
+        return self._train_channels
 
     @property
     def is_fitted(self) -> bool:

@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.data.ucr_format import UCRDataset
-from repro.memory import resolve_block_bytes
+from repro.memory import get_memory_budget
 
 __all__ = [
     "SHARD_SCHEMA_VERSION",
@@ -55,13 +55,9 @@ __all__ = [
     "write_shards",
 ]
 
-#: Bump when the on-disk layout changes incompatibly.  Version 2 added the
-#: ``n_channels`` manifest field (multichannel ``(n, L, d)`` shards); version
-#: 1 manifests are still readable and imply ``n_channels = 1``.
+#: Bump when the on-disk layout changes incompatibly; :meth:`ShardedDataset.open`
+#: reads this version only.
 SHARD_SCHEMA_VERSION = 2
-
-#: Schema versions :meth:`ShardedDataset.open` accepts.
-_READABLE_SCHEMA_VERSIONS = (1, 2)
 
 #: Default number of exemplars per shard when the caller does not choose.
 DEFAULT_SHARD_EXEMPLARS = 256
@@ -365,10 +361,10 @@ class ShardedDataset:
             raise FileNotFoundError(f"{root} does not contain {_MANIFEST}") from error
         if manifest.get("format") != "repro-shards":
             raise ValueError(f"{path} is not a repro shard manifest")
-        if manifest.get("schema_version") not in _READABLE_SCHEMA_VERSIONS:
+        if manifest.get("schema_version") != SHARD_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported shard schema {manifest.get('schema_version')!r} "
-                f"(this build reads {_READABLE_SCHEMA_VERSIONS})"
+                f"(this build reads {SHARD_SCHEMA_VERSION})"
             )
         return cls(root, manifest)
 
@@ -387,8 +383,8 @@ class ShardedDataset:
 
     @property
     def n_channels(self) -> int:
-        """Channels per sample; version-1 manifests imply univariate data."""
-        return int(self._manifest.get("n_channels", 1))
+        """Channels per sample (1 for univariate data)."""
+        return int(self._manifest["n_channels"])
 
     @property
     def znormalized(self) -> bool:
@@ -477,14 +473,14 @@ class ShardedDataset:
         """Yield ``(series, labels)`` blocks bounded by the memory budget.
 
         ``max_rows`` caps rows per block explicitly; by default the cap is
-        derived from :func:`repro.memory.resolve_block_bytes` so a sweep
+        derived from :func:`repro.memory.get_memory_budget` so a sweep
         under ``REPRO_MAX_BLOCK_BYTES`` never stages more than one budget's
         worth of exemplars at a time.  Blocks never span shards, so each
         yield touches exactly one memmap.
         """
         if max_rows is None:
             max_rows = max(
-                1, resolve_block_bytes() // (self.series_length * self.n_channels * 8)
+                1, get_memory_budget() // (self.series_length * self.n_channels * 8)
             )
         if max_rows < 1:
             raise ValueError("max_rows must be >= 1")

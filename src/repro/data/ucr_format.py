@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.distance.znorm import is_znormalized, znormalize
-from repro.memory import resolve_block_bytes
+from repro.memory import get_memory_budget
 
 __all__ = ["UCRDataset", "train_test_split"]
 
@@ -36,7 +36,7 @@ def _require_finite(series: np.ndarray) -> None:
     # the chunk (values read + bool temporary) inside the budget.  A row is
     # every element of one exemplar: L for univariate, L * d for multichannel.
     row_bytes = max(1, int(np.prod(series.shape[1:]))) * 9
-    rows = max(1, resolve_block_bytes() // row_bytes)
+    rows = max(1, get_memory_budget() // row_bytes)
     for start in range(0, series.shape[0], rows):
         if not np.all(np.isfinite(series[start : start + rows])):
             raise ValueError("series contains non-finite values")

@@ -20,21 +20,14 @@ Everything the ETSC algorithms and the meaningfulness analyses rest on:
 * :mod:`repro.distance.neighbors` -- 1-NN / k-NN classifiers over any of the
   above distances, including a batched prefix-sweep prediction path.
 * :mod:`repro.distance.backends` -- the pluggable backend layer: the
-  ``REPRO_BACKEND`` switch between the dense float64 reference path, the
+  ``REPRO_BACKEND`` switch between the dense float64 reference path and the
   UCR-suite-style pruned DTW search (LB_Kim -> LB_Keogh in both envelope
-  directions -> early-abandoning DP) and the numba-compiled tier, all
-  bit-identical in float64 mode.
-* :mod:`repro.distance.kernels` -- the optional numba-JIT kernels behind
-  ``REPRO_BACKEND=compiled`` (falls back to ``"pruned"`` transparently when
-  numba is not installed; see :func:`repro.distance.backends.backend_resolution`).
+  directions -> early-abandoning DP), bit-identical in float64 mode.
 """
 
 from repro.distance.backends import (
-    BackendResolution,
     DTWSearchStats,
     active_backend,
-    backend_resolution,
-    compiled_dtw_nearest_neighbors,
     pruned_dtw_nearest_neighbors,
     set_backend,
     use_backend,
@@ -86,14 +79,11 @@ __all__ = [
     "lb_kim",
     "lb_keogh",
     "DTWSearchStats",
-    "BackendResolution",
     "EnvelopeCache",
     "active_backend",
-    "backend_resolution",
     "set_backend",
     "use_backend",
     "pruned_dtw_nearest_neighbors",
-    "compiled_dtw_nearest_neighbors",
     "dtw_nearest_neighbors",
     "znormalize",
     "znormalize_prefix",

@@ -28,18 +28,12 @@ change:
      running k-th-best distance abandoning a pair as soon as two
      consecutive anti-diagonals prove its cost can no longer matter.
 
-* ``"compiled"`` -- the same cascade *driver*, with every stage's numbers
-  produced by the numba-JIT kernels of :mod:`repro.distance.kernels`
-  (scalar per-pair early abandoning, ``prange`` threading over pairs,
-  chunks sized by the :mod:`repro.memory` budget).  numba is strictly
-  optional (the ``[compiled]`` extra): when the JIT tier cannot engage, the
-  request transparently falls back to ``"pruned"`` with a single
-  :class:`RuntimeWarning`, and :func:`backend_resolution` reports which
-  tier actually ran (as does ``DTWSearchStats.backend``).
-
 The backend is selected by the ``REPRO_BACKEND`` environment variable (or
-programmatically via :func:`set_backend` / :func:`use_backend`); every entry
-point also takes an explicit ``backend=`` argument that wins over both.
+programmatically via :func:`set_backend` / :func:`use_backend`);
+:func:`repro.distance.engine.dtw_nearest_neighbors` also takes an explicit
+``backend=`` argument that wins over both.  Both backends reject non-finite
+input: a NaN or infinite sample has no meaningful DTW distance, and the
+cascade's bounds cannot order it.
 
 **Equivalence contract.**  In the default float64 mode the pruned backend
 returns neighbour indices and distances *bit-identical* to the reference:
@@ -57,7 +51,6 @@ is held to ``<= 1e-5``.
 from __future__ import annotations
 
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
@@ -65,27 +58,24 @@ from typing import Iterator
 import numpy as np
 
 from repro.distance.dtw import _resolve_band, dtw_band_envelopes, lb_keogh, lb_kim
-from repro.memory import resolve_block_bytes
+from repro.memory import get_memory_budget
 
 __all__ = [
     "BACKENDS",
     "BACKEND_ENV_VAR",
-    "BackendResolution",
     "DTWSearchStats",
     "active_backend",
-    "backend_resolution",
     "resolve_backend",
     "set_backend",
     "use_backend",
     "pruned_dtw_nearest_neighbors",
-    "compiled_dtw_nearest_neighbors",
 ]
 
 #: Environment variable naming the active distance backend.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Recognised backend names.
-BACKENDS = ("reference", "pruned", "compiled")
+BACKENDS = ("reference", "pruned")
 
 #: Relative slack applied to pruning/abandoning thresholds in float64 mode.
 #: A lower bound and the dynamic program sum the same non-negative terms in
@@ -160,61 +150,6 @@ def resolve_backend(backend: str | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class BackendResolution:
-    """What a backend request resolves to *right now* (the introspection hook).
-
-    ``requested`` is the name selection lands on (explicit argument >
-    :func:`set_backend` > ``REPRO_BACKEND`` > ``"reference"``); ``resolved``
-    is the tier that will actually run.  They differ in exactly one case:
-    ``"compiled"`` requested while the JIT tier cannot engage, in which case
-    ``resolved == "pruned"`` and ``reason`` says why (numba missing/broken,
-    or :func:`repro.distance.kernels.force_availability` forcing it off).
-    """
-
-    requested: str
-    resolved: str
-    compiled_available: bool
-    reason: str | None = None
-
-
-def backend_resolution(backend: str | None = None) -> BackendResolution:
-    """Resolve a backend request to the tier that will actually run.
-
-    Never warns and never mutates state -- tests and stats reporting use it
-    to learn (and record) whether ``"compiled"`` really means the JIT tier
-    or the transparent ``"pruned"`` fallback.
-    """
-    from repro.distance import kernels
-
-    requested = resolve_backend(backend)
-    compiled_ok = kernels.available()
-    if requested != "compiled" or compiled_ok:
-        return BackendResolution(requested, requested, compiled_ok)
-    return BackendResolution(requested, "pruned", False, kernels.unavailable_reason())
-
-
-#: One-shot flag: the compiled->pruned fallback warns once per process, not
-#: once per call (a search over a big sweep would otherwise drown the log).
-_FALLBACK_WARNED = False
-
-
-def _warn_compiled_fallback(reason: str | None) -> None:
-    global _FALLBACK_WARNED
-    if _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED = True
-    warnings.warn(
-        f"the 'compiled' distance backend is unavailable "
-        f"({reason or 'numba is not installed'}); falling back to the "
-        f"'pruned' numpy cascade. Install the [compiled] extra "
-        f"(pip install repro[compiled]) for the JIT tier. "
-        f"This warning is emitted once per process.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-@dataclass(frozen=True)
 class DTWSearchStats:
     """Where the candidate pairs of one pruned 1-NN/k-NN search were answered.
 
@@ -224,9 +159,9 @@ class DTWSearchStats:
     it: ``dp_abandoned`` is the subset of ``dp_computed`` stopped early by
     the running-best threshold, and ``lb_keogh_query_pruned`` the subset of
     ``lb_keogh_pruned`` killed by the query-side envelope bound (pairs the
-    train-side bound had not already answered).  ``backend`` names the tier
-    that actually ran (``"pruned"`` when a ``"compiled"`` request fell
-    back), so sweeps and benchmarks can record what they really measured.
+    train-side bound had not already answered).  ``backend`` names the
+    backend that ran the search, so sweeps and benchmarks can record what
+    they really measured.
     """
 
     n_pairs: int
@@ -261,7 +196,14 @@ def _as_batch(arr: np.ndarray, what: str) -> np.ndarray:
         # (n, L, 1) is univariate in disguise: squeeze so the legacy 2-D
         # code paths (and their bit-exact guarantees) apply verbatim.
         out = out[:, :, 0]
+    _require_finite(out, what)
     return out
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Reject NaN/inf samples, which have no DTW distance to rank (both backends)."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite values")
 
 
 #: A chunk is compacted (abandoned pairs dropped from the working set) once
@@ -380,7 +322,6 @@ def pruned_dtw_nearest_neighbors(
     dtype: np.dtype | type = np.float64,
     return_stats: bool = False,
     chunk_pairs: int = _DP_CHUNK_PAIRS,
-    max_block_bytes: int | None = None,
     envelope_cache: object | None = None,
 ) -> (
     tuple[np.ndarray, np.ndarray]
@@ -414,12 +355,9 @@ def pruned_dtw_nearest_neighbors(
         Also return a :class:`DTWSearchStats` with the per-stage pruning
         counts (the benchmark's pruning-rate metric).
     chunk_pairs:
-        Survivor pairs per early-abandoning wavefront call.
-    max_block_bytes:
-        Byte budget for the gathered LB_Keogh temporaries; ``None``
-        (default) resolves the unified :mod:`repro.memory` budget
-        (``set_memory_budget`` > ``REPRO_MAX_BLOCK_BYTES`` > 64 MiB), an
-        explicit value is a deprecated per-call override that still wins.
+        Survivor pairs per early-abandoning wavefront call.  The gathered
+        LB_Keogh temporaries are chunked against the :mod:`repro.memory`
+        budget.
     envelope_cache:
         Optional :class:`repro.distance.dtw.EnvelopeCache`; when given, the
         train-side band envelopes are fetched from (and stored into) it
@@ -431,108 +369,6 @@ def pruned_dtw_nearest_neighbors(
     (indices, distances[, stats]):
         ``(n_queries, k)`` neighbour indices (closest first) and their DTW
         distances.
-    """
-    return _cascade_search(
-        queries,
-        train,
-        window=window,
-        n_neighbors=n_neighbors,
-        dtype=dtype,
-        return_stats=return_stats,
-        chunk_pairs=chunk_pairs,
-        max_block_bytes=max_block_bytes,
-        envelope_cache=envelope_cache,
-        kernels=None,
-        backend_label="pruned",
-    )
-
-
-def compiled_dtw_nearest_neighbors(
-    queries: np.ndarray,
-    train: np.ndarray,
-    window: int | float | None = None,
-    n_neighbors: int = 1,
-    dtype: np.dtype | type = np.float64,
-    return_stats: bool = False,
-    chunk_pairs: int | None = None,
-    max_block_bytes: int | None = None,
-    envelope_cache: object | None = None,
-) -> (
-    tuple[np.ndarray, np.ndarray]
-    | tuple[np.ndarray, np.ndarray, DTWSearchStats]
-):
-    """The cascade of :func:`pruned_dtw_nearest_neighbors` on the JIT kernels.
-
-    Same cascade driver, same slack-guarded thresholds, same lexicographic
-    ``(distance, index)`` top-k -- but every stage's numbers come from the
-    numba kernels in :mod:`repro.distance.kernels`, with ``prange`` threading
-    over pairs and the DP chunk sized from the :mod:`repro.memory` budget
-    (``chunk_pairs=None``, the default, selects that sizing; an explicit
-    value overrides it).  Float64 results are bit-identical to both other
-    tiers.
-
-    When the JIT tier cannot engage (numba missing or broken, or forced off
-    via :func:`repro.distance.kernels.force_availability`), the call warns
-    once per process and transparently delegates to the pruned numpy
-    cascade; the returned ``DTWSearchStats.backend`` then says ``"pruned"``
-    and :func:`backend_resolution` explains why.
-    """
-    from repro.distance import kernels
-
-    if not kernels.available():
-        _warn_compiled_fallback(kernels.unavailable_reason())
-        return pruned_dtw_nearest_neighbors(
-            queries,
-            train,
-            window=window,
-            n_neighbors=n_neighbors,
-            dtype=dtype,
-            return_stats=return_stats,
-            chunk_pairs=_DP_CHUNK_PAIRS if chunk_pairs is None else chunk_pairs,
-            max_block_bytes=max_block_bytes,
-            envelope_cache=envelope_cache,
-        )
-    from repro.distance.kernels import cascade
-
-    return _cascade_search(
-        queries,
-        train,
-        window=window,
-        n_neighbors=n_neighbors,
-        dtype=dtype,
-        return_stats=return_stats,
-        chunk_pairs=chunk_pairs,
-        max_block_bytes=max_block_bytes,
-        envelope_cache=envelope_cache,
-        kernels=cascade,
-        backend_label="compiled",
-    )
-
-
-def _cascade_search(
-    queries: np.ndarray,
-    train: np.ndarray,
-    *,
-    window: int | float | None,
-    n_neighbors: int,
-    dtype: np.dtype | type,
-    return_stats: bool,
-    chunk_pairs: int | None,
-    max_block_bytes: int | None,
-    envelope_cache: object | None,
-    kernels,
-    backend_label: str,
-) -> (
-    tuple[np.ndarray, np.ndarray]
-    | tuple[np.ndarray, np.ndarray, DTWSearchStats]
-):
-    """The shared cascade driver behind the pruned and compiled tiers.
-
-    ``kernels`` is ``None`` for the interpreted numpy stages or the
-    :mod:`repro.distance.kernels.cascade` facade for the JIT ones; the
-    driver itself (seeding, thresholds, chunking, top-k bookkeeping, stats)
-    is tier-independent, which is what keeps the two tiers' results -- and
-    any future bound added here -- identical by construction.
     """
     q = _as_batch(queries, "queries")
     t = _as_batch(train, "train")
@@ -548,16 +384,10 @@ def _cascade_search(
     k = int(n_neighbors)
     if not 1 <= k <= n_train:
         raise ValueError(f"n_neighbors must be in [1, {n_train}], got {n_neighbors}")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
+    block_bytes = get_memory_budget()
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError("dtype must be float32 or float64")
-    if chunk_pairs is None:
-        chunk_pairs = (
-            kernels.dp_pair_chunk(n, m, channels, dt.itemsize, block_bytes)
-            if kernels is not None
-            else _DP_CHUNK_PAIRS
-        )
     if chunk_pairs < 1:
         raise ValueError("chunk_pairs must be >= 1")
     slack = PRUNE_SLACK if dt == np.dtype(np.float64) else PRUNE_SLACK_F32
@@ -575,12 +405,9 @@ def _cascade_search(
     def run_pairs(rows: np.ndarray, cols: np.ndarray, thresholds: np.ndarray) -> None:
         nonlocal dp_computed, dp_abandoned
         dp_computed += rows.shape[0]
-        if kernels is not None:
-            sq, abandoned = kernels.run_dp_batch(q_dp[rows], t_dp[cols], band, thresholds)
-        else:
-            sq, abandoned = _banded_costs_with_abandon(
-                q_dp[rows], t_dp[cols], band, thresholds
-            )
+        sq, abandoned = _banded_costs_with_abandon(
+            q_dp[rows], t_dp[cols], band, thresholds
+        )
         dp_abandoned += int(abandoned.sum())
         dist = np.sqrt(sq)
         computed[rows, cols] = True
@@ -593,7 +420,7 @@ def _cascade_search(
             return np.where(np.isfinite(kth), kth * kth * (1.0 + slack), np.inf)
 
     # --- stage 0: LB_Kim over all pairs, and k seed DPs per query ----------
-    kim = kernels.run_lb_kim(q, t) if kernels is not None else lb_kim(q, t)
+    kim = lb_kim(q, t)
     seed_cols = np.argsort(kim, axis=1, kind="stable")[:, :k]
     seed_rows = np.repeat(np.arange(n_q), k)
     seed_flat = seed_cols.ravel()
@@ -618,11 +445,7 @@ def _cascade_search(
         series_idx: np.ndarray,
         envelope_idx: np.ndarray,
     ) -> np.ndarray:
-        """Per-pair envelope bound, either direction (see lb_keogh_pairs)."""
-        if kernels is not None:
-            return kernels.run_lb_keogh_pairs(
-                series, lower, upper, series_idx, envelope_idx
-            )
+        """Per-pair envelope bound, in either envelope direction."""
         length = series.shape[1]
         out = np.empty(series_idx.shape[0])
         chunk = max(1, int(block_bytes // (max(length, 1) * channels * 8 * 2)))
@@ -689,6 +512,6 @@ def _cascade_search(
         dp_abandoned=dp_abandoned,
         dp_computed=dp_computed,
         lb_keogh_query_pruned=lb_keogh_query_pruned,
-        backend=backend_label,
+        backend="pruned",
     )
     return indices, distances, stats

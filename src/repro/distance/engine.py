@@ -72,14 +72,12 @@ import numpy as np
 
 from repro.distance.backends import (
     DTWSearchStats,
-    _warn_compiled_fallback,
-    backend_resolution,
-    compiled_dtw_nearest_neighbors,
+    _require_finite,
     pruned_dtw_nearest_neighbors,
     resolve_backend,
 )
 from repro.distance.dtw import EnvelopeCache, _resolve_band, _wavefront_accumulated_cost
-from repro.memory import resolve_block_bytes
+from repro.memory import get_memory_budget
 
 __all__ = [
     "PrefixDistanceEngine",
@@ -97,25 +95,6 @@ __all__ = [
 #: engine across many samples at once (bounds the (n_q, block, n_train)
 #: temporary to a few megabytes for realistic sizes).
 _BLOCK = 64
-
-
-def _compiled_kernels(backend: str | None = None):
-    """The kernels facade iff the resolved backend is a *working* compiled tier.
-
-    Returns ``None`` for the other backends -- and for a ``"compiled"``
-    request that cannot engage, in which case the once-per-process fallback
-    warning fires and the caller proceeds on its interpreted path (which is
-    bit-identical, so the fallback is purely a throughput downgrade).
-    """
-    res = backend_resolution(backend)
-    if res.requested != "compiled":
-        return None
-    if res.resolved != "compiled":
-        _warn_compiled_fallback(res.reason)
-        return None
-    from repro.distance.kernels import cascade
-
-    return cascade
 
 
 def _validated_lengths(lengths: Sequence[int], max_length: int) -> list[int]:
@@ -522,7 +501,6 @@ def batch_prefix_distances(
     train: np.ndarray,
     lengths: Sequence[int],
     squared: bool = False,
-    max_block_bytes: int | None = None,
 ) -> np.ndarray:
     """All (query, train, prefix-length) Euclidean distances in one shot.
 
@@ -535,7 +513,10 @@ def batch_prefix_distances(
     lookup into that running sum.  The accumulation is the *exact* term
     sequence the per-row :class:`PrefixSweep` adds one sample at a time, so
     the two paths agree to the last bit on the dominant single-step walk and
-    to ``<= 1e-10`` always (the equivalence tests pin both).
+    to ``<= 1e-10`` always (the equivalence tests pin both).  Queries are
+    processed in chunks whose ``(chunk, n_train, max(lengths))`` float64
+    temporary fits the :mod:`repro.memory` budget, so arbitrarily large test
+    sets run in bounded memory.
 
     Parameters
     ----------
@@ -550,13 +531,6 @@ def batch_prefix_distances(
     squared:
         Return squared distances (saves the square root when only the
         neighbour *ordering* matters).
-    max_block_bytes:
-        Upper bound on the ``(chunk, n_train, max(lengths))`` float64
-        temporary; queries are processed in chunks sized to respect it, so
-        arbitrarily large test sets run in bounded memory.  ``None``
-        (default) resolves the unified :mod:`repro.memory` budget
-        (``set_memory_budget`` > ``REPRO_MAX_BLOCK_BYTES`` > 64 MiB); an
-        explicit value is a deprecated per-call override that still wins.
 
     Returns
     -------
@@ -575,7 +549,7 @@ def batch_prefix_distances(
         )
     if arr.shape[1] < 1:
         raise ValueError("queries must contain at least one sample")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
+    block_bytes = get_memory_budget()
     lengths = _validated_lengths(lengths, arr.shape[1])
     arr, _ = _flatten_time_major(arr)
     # Time prefix t <-> flat prefix t * d of the time-major flattening; the
@@ -584,18 +558,6 @@ def batch_prefix_distances(
     full = lengths[-1] * channels
     n_queries, n_train = arr.shape[0], train.shape[0]
     columns = np.asarray(lengths) * channels - 1
-
-    kernels = _compiled_kernels()
-    if kernels is not None:
-        # The scalar kernel advances one running sum per pair in exactly
-        # np.cumsum's sequential term order, so this route is bit-identical
-        # to the blocked path below (and allocates no (chunk, n_train, L)
-        # tensor at all).
-        out = kernels.run_batch_prefix(arr, train, columns)
-        if not squared:
-            np.sqrt(out, out=out)
-        return out
-
     out = np.empty((len(lengths), n_queries, n_train))
     chunk = max(1, int(block_bytes // (n_train * full * 8)))
     train_prefix = train[None, :, :full]
@@ -616,7 +578,6 @@ def ragged_prefix_distances(
     train: np.ndarray,
     lengths: Sequence[int],
     squared: bool = False,
-    max_block_bytes: int | None = None,
 ) -> np.ndarray:
     """Prefix distances of many queries, each at its *own* prefix length.
 
@@ -633,7 +594,9 @@ def ragged_prefix_distances(
     The accumulation is the same ``(q_t - x_t)^2`` term sequence the
     incremental :class:`PrefixSweep` adds one sample at a time, so the two
     agree to float round-off (``<= 1e-10`` in the equivalence tests; bit-for-
-    bit when the sweep advances one sample per step).
+    bit when the sweep advances one sample per step).  Queries are chunked so
+    the ``(chunk, n_train, L)`` float64 temporary fits the
+    :mod:`repro.memory` budget.
 
     Parameters
     ----------
@@ -652,9 +615,6 @@ def ragged_prefix_distances(
         (not necessarily sorted or distinct).
     squared:
         Return squared distances (the neighbour ordering is the same).
-    max_block_bytes:
-        Upper bound on the ``(chunk, n_train, L)`` float64 temporary;
-        ``None`` resolves the unified :mod:`repro.memory` budget.
 
     Returns
     -------
@@ -680,7 +640,7 @@ def ragged_prefix_distances(
         )
     if arr.shape[1] < 1:
         raise ValueError("queries must contain at least one sample")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
+    block_bytes = get_memory_budget()
     per_row = np.asarray([int(v) for v in lengths], dtype=np.intp)
     if per_row.shape[0] != arr.shape[0]:
         raise ValueError("need exactly one prefix length per query row")
@@ -691,12 +651,6 @@ def ragged_prefix_distances(
     n_queries, n_train = arr.shape[0], train.shape[0]
     out = np.empty((n_queries, n_train))
     if n_queries == 0:
-        return out
-    kernels = _compiled_kernels()
-    if kernels is not None:
-        out = kernels.run_ragged_prefix(arr, train, per_row * channels - 1)
-        if not squared:
-            np.sqrt(out, out=out)
         return out
     full = int(per_row.max()) * channels
     chunk = max(1, int(block_bytes // (n_train * full * 8)))
@@ -719,9 +673,7 @@ def dtw_pairwise_distances(
     queries: np.ndarray,
     train: np.ndarray,
     window: int | float | None = None,
-    max_block_bytes: int | None = None,
     dtype: np.dtype | type = np.float64,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Banded DTW distance of every query to every training series in one pass.
 
@@ -750,17 +702,10 @@ def dtw_pairwise_distances(
         :func:`~repro.distance.dtw.dtw_distance`: ``None`` unconstrained, an
         ``int`` an absolute width, a float in [0, 1] a fraction of the longer
         length.  All pairs share one shape, hence one resolved band.
-    max_block_bytes:
-        Upper bound on the per-chunk cost tensors; queries are chunked so
-        arbitrarily large batches run in bounded memory.  ``None`` resolves
-        the unified :mod:`repro.memory` budget.
     dtype:
         Accumulation dtype of the dynamic program: ``np.float64`` (default,
         bit-identical to the scalar reference) or ``np.float32`` (halves the
         working set; distances within ~1e-5 relative on realistic data).
-    backend:
-        Explicit backend name overriding ``REPRO_BACKEND``; ``None`` defers
-        to it.
 
     Returns
     -------
@@ -771,23 +716,18 @@ def dtw_pairwise_distances(
     Notes
     -----
     A *pairwise matrix* is dense by definition -- every entry is demanded --
-    so there is nothing here for a lower bound to prune, and the
-    ``"reference"`` and ``"pruned"`` backends share this one numpy kernel.
-    Under ``"compiled"`` the matrix instead runs through the JIT dense
-    kernel (:func:`repro.distance.kernels.dtw_kernels.banded_matrix_costs`;
-    same per-cell recurrence, float64 results bit-identical, ``prange`` over
-    queries instead of a shared wavefront), falling back here with the usual
-    once-per-process warning when numba is unavailable.  The backend switch
-    matters most for :func:`dtw_nearest_neighbors`, where only the k
-    smallest entries per row survive and most pairs can be answered without
-    the dynamic program.
+    so there is nothing here for a lower bound to prune, and both backends
+    share this one numpy kernel.  Queries are chunked so the per-chunk cost
+    tensors fit the :mod:`repro.memory` budget.  The backend switch matters
+    for :func:`dtw_nearest_neighbors`, where only the k smallest entries per
+    row survive and most pairs can be answered without the dynamic program.
     """
     train = _as_train_tensor(train)
     channels = train.shape[2] if train.ndim == 3 else 1
     arr = _as_query_tensor(queries, channels)
     if arr.shape[1] < 1:
         raise ValueError("queries must contain at least one sample")
-    block_bytes = resolve_block_bytes(max_block_bytes, deprecated_knob="max_block_bytes")
+    block_bytes = get_memory_budget()
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError("dtype must be float32 or float64")
@@ -796,12 +736,6 @@ def dtw_pairwise_distances(
     n_queries, n_train = arr.shape[0], train.shape[0]
     arr_dp = arr.astype(dt, copy=False)
     train_dp = train.astype(dt, copy=False)
-
-    kernels = _compiled_kernels(backend)
-    if kernels is not None:
-        out_sq = kernels.run_dense_matrix(arr_dp, train_dp, band)
-        return np.sqrt(out_sq, out=out_sq)
-
     out = np.empty((n_queries, n_train))
     # Working set per query: the (n_train, n, m) squared-cost tensor (built
     # per channel for multichannel input, so one extra diff temporary) plus
@@ -856,7 +790,6 @@ def dtw_nearest_neighbors(
     backend: str | None = None,
     dtype: np.dtype | type = np.float64,
     return_stats: bool = False,
-    max_block_bytes: int | None = None,
     envelope_cache: EnvelopeCache | None = None,
 ) -> (
     tuple[np.ndarray, np.ndarray]
@@ -866,16 +799,13 @@ def dtw_nearest_neighbors(
 
     The single entry point every DTW 1-NN consumer should call: the
     ``"reference"`` backend evaluates the dense
-    :func:`dtw_pairwise_distances` matrix and stable-selects per row, the
-    ``"pruned"`` backend answers most pairs with the
+    :func:`dtw_pairwise_distances` matrix and stable-selects per row, and
+    the ``"pruned"`` backend answers most pairs with the
     LB_Kim -> LB_Keogh -> early-abandoning-DP cascade of
-    :func:`repro.distance.backends.pruned_dtw_nearest_neighbors`, and the
-    ``"compiled"`` backend runs that same cascade on the numba kernels
-    (:func:`repro.distance.backends.compiled_dtw_nearest_neighbors`, which
-    falls back to ``"pruned"`` with one warning when numba is unavailable).
-    In float64 mode all tiers return bit-identical indices and distances
-    (the equivalence suite pins this), so the backend is purely a throughput
-    choice.
+    :func:`repro.distance.backends.pruned_dtw_nearest_neighbors`.  In
+    float64 mode both return bit-identical indices and distances (the
+    equivalence suite pins this), so the backend is purely a throughput
+    choice.  Both raise ``ValueError`` on non-finite input.
 
     Parameters
     ----------
@@ -895,12 +825,9 @@ def dtw_nearest_neighbors(
     return_stats:
         Also return a :class:`repro.distance.backends.DTWSearchStats`.  The
         reference backend reports a fully dense search (pruning rate 0).
-    max_block_bytes:
-        Byte budget forwarded to the underlying kernels (``None`` resolves
-        the unified :mod:`repro.memory` budget there).
     envelope_cache:
         Optional :class:`repro.distance.dtw.EnvelopeCache` forwarded to the
-        cascade backends so the train-side envelopes are computed once per
+        pruned cascade so the train-side envelopes are computed once per
         training set instead of once per call (ignored by ``"reference"``,
         which uses no envelopes).
 
@@ -919,28 +846,11 @@ def dtw_nearest_neighbors(
             n_neighbors=n_neighbors,
             dtype=dtype,
             return_stats=return_stats,
-            max_block_bytes=max_block_bytes,
             envelope_cache=envelope_cache,
         )
-    if name == "compiled":
-        return compiled_dtw_nearest_neighbors(
-            queries,
-            train,
-            window=window,
-            n_neighbors=n_neighbors,
-            dtype=dtype,
-            return_stats=return_stats,
-            max_block_bytes=max_block_bytes,
-            envelope_cache=envelope_cache,
-        )
-    distances = dtw_pairwise_distances(
-        queries,
-        train,
-        window=window,
-        max_block_bytes=max_block_bytes,
-        dtype=dtype,
-        backend="reference",
-    )
+    _require_finite(np.asarray(queries, dtype=float), "queries")
+    _require_finite(np.asarray(train, dtype=float), "train")
+    distances = dtw_pairwise_distances(queries, train, window=window, dtype=dtype)
     k = int(n_neighbors)
     if not 1 <= k <= distances.shape[1]:
         raise ValueError(

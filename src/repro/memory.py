@@ -1,68 +1,42 @@
 """One global memory budget for every chunked kernel in the package.
 
-Before this module existed each blocked kernel carried its own ad-hoc byte
-knob with its own default: ``max_block_bytes`` on
-:func:`repro.distance.engine.batch_prefix_distances` /
-:func:`~repro.distance.engine.ragged_prefix_distances` /
-:func:`~repro.distance.engine.dtw_pairwise_distances`, another
-``max_block_bytes`` on the pruned backend's LB_Keogh stage, and
-``max_prefix_sweep_bytes`` on
-:class:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier`.  Capping a
-sweep's working set meant finding and tuning three uncoordinated defaults.
+The blocked kernels -- :func:`repro.distance.engine.batch_prefix_distances`,
+:func:`~repro.distance.engine.ragged_prefix_distances`,
+:func:`~repro.distance.engine.dtw_pairwise_distances`, the pruned backend's
+LB_Keogh stage, the stacked sweep of
+:meth:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier.predict_prefixes`
+and the chunked finiteness scan and batch iteration of the data layer -- all
+size their chunks against one budget, read by :func:`get_memory_budget` with
+a strict precedence order:
 
-Now there is one budget, resolved by :func:`resolve_block_bytes` with a
-strict precedence order:
-
-1. **per-call** -- an explicit ``max_block_bytes=`` / ``max_prefix_sweep_bytes=``
-   argument always wins (the knobs remain as deprecated shims);
-2. **process-wide** -- :func:`set_memory_budget` (or the
+1. **process-wide** -- :func:`set_memory_budget` (or the
    :func:`memory_budget` context manager);
-3. **environment** -- the ``REPRO_MAX_BLOCK_BYTES`` variable, read at call
+2. **environment** -- the ``REPRO_MAX_BLOCK_BYTES`` variable, read at call
    time so a scheduler can cap its worker processes without touching code;
-4. **default** -- :data:`DEFAULT_MAX_BLOCK_BYTES` (64 MiB), the historical
-   value of every knob this module replaces, so behaviour without any
-   configuration is unchanged bit for bit.
+3. **default** -- :data:`DEFAULT_MAX_BLOCK_BYTES` (64 MiB).
 
 The budget bounds the *temporary working set* of one kernel invocation (the
 blocked ``(chunk, n_train, L)`` tensors), not the total RSS of the process:
 inputs, outputs and the interpreter itself are on top.  Chunking never
 changes results -- the equivalence tests pin chunked output bit-identical
 to unchunked for every budgeted kernel.
-
-**Threads.**  The compiled kernel tier (:mod:`repro.distance.kernels`)
-threads its ``prange`` regions; :func:`get_thread_count` resolves how many
-workers it may use, with the same precedence shape as the byte budget
-(:func:`set_thread_count` > ``REPRO_NUM_THREADS`` > ``os.cpu_count()``).
-The two knobs interact deliberately: the byte budget sizes the *gathered
-chunk* one kernel call works on (shared by all threads -- per-thread state
-in the compiled DP is a few rolling diagonals, not a chunk copy), and the
-cascade floors its chunk at the thread count so a tiny budget can never
-starve workers.  Capping threads therefore never changes results, only how
-many cores chew on the same budget-sized chunk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-import warnings
 from typing import Iterator
 
 __all__ = [
     "DEFAULT_MAX_BLOCK_BYTES",
     "MEMORY_BUDGET_ENV_VAR",
-    "THREAD_COUNT_ENV_VAR",
     "get_memory_budget",
-    "get_thread_count",
     "memory_budget",
-    "resolve_block_bytes",
-    "resolve_thread_count",
     "set_memory_budget",
-    "set_thread_count",
 ]
 
-#: Fallback byte budget when nothing else is configured -- the historical
-#: default (64 MiB) shared by every knob this module unifies.
+#: Fallback byte budget when nothing else is configured.
 DEFAULT_MAX_BLOCK_BYTES = 64 * 2**20
 
 #: Environment variable consulted (at call time) when no process-wide budget
@@ -88,8 +62,7 @@ def set_memory_budget(max_block_bytes: int | None) -> None:
     """Install (or with ``None`` clear) the process-wide block-byte budget.
 
     The budget caps the chunked temporaries of every budgeted kernel in the
-    process; per-call arguments still override it.  Raises ``ValueError``
-    for non-positive values.
+    process.  Raises ``ValueError`` for non-positive values.
     """
     global _BUDGET
     if max_block_bytes is None:
@@ -99,7 +72,7 @@ def set_memory_budget(max_block_bytes: int | None) -> None:
 
 
 def get_memory_budget() -> int:
-    """The budget a kernel called with no per-call override will use now.
+    """The byte budget a kernel invocation chunks against right now.
 
     Resolution order: :func:`set_memory_budget` value, then the
     ``REPRO_MAX_BLOCK_BYTES`` environment variable, then
@@ -129,79 +102,3 @@ def memory_budget(max_block_bytes: int) -> Iterator[int]:
         yield get_memory_budget()
     finally:
         _BUDGET = previous
-
-
-#: Environment variable capping the compiled tier's ``prange`` worker count.
-THREAD_COUNT_ENV_VAR = "REPRO_NUM_THREADS"
-
-#: Process-wide thread cap installed by :func:`set_thread_count`; ``None``
-#: defers to the environment variable / CPU count.
-_THREADS: int | None = None
-
-
-def set_thread_count(n_threads: int | None) -> None:
-    """Install (or with ``None`` clear) the process-wide kernel thread cap."""
-    global _THREADS
-    if n_threads is None:
-        _THREADS = None
-        return
-    _THREADS = _validated(n_threads, "thread count")
-
-
-def get_thread_count() -> int:
-    """Worker threads the compiled kernels may use right now.
-
-    Resolution order: :func:`set_thread_count`, then the
-    ``REPRO_NUM_THREADS`` environment variable (read at call time, so a
-    scheduler can pin its worker processes to one core each), then
-    ``os.cpu_count()`` (at least 1).  A malformed environment value raises
-    ``ValueError`` rather than being silently ignored.
-    """
-    if _THREADS is not None:
-        return _THREADS
-    raw = os.environ.get(THREAD_COUNT_ENV_VAR)
-    if raw is not None and raw.strip():
-        return _validated(raw.strip(), f"environment variable {THREAD_COUNT_ENV_VAR}")
-    return max(1, os.cpu_count() or 1)
-
-
-def resolve_thread_count(per_call: int | None = None) -> int:
-    """An explicit per-call thread count if given, else :func:`get_thread_count`."""
-    if per_call is None:
-        return get_thread_count()
-    return _validated(per_call, "thread count")
-
-
-def resolve_block_bytes(
-    per_call: int | None = None,
-    *,
-    deprecated_knob: str | None = None,
-) -> int:
-    """The byte budget one kernel invocation should chunk against.
-
-    Parameters
-    ----------
-    per_call:
-        An explicit per-call override (highest precedence), or ``None`` to
-        resolve through the process-wide budget, the environment variable
-        and the default, in that order.
-    deprecated_knob:
-        Name of the legacy per-call knob the override arrived through.  When
-        given and ``per_call`` is not ``None``, a :class:`DeprecationWarning`
-        is emitted pointing callers at :func:`set_memory_budget` /
-        ``REPRO_MAX_BLOCK_BYTES``; the override is honoured regardless (it
-        is the documented highest-precedence level).
-    """
-    if per_call is None:
-        return get_memory_budget()
-    value = _validated(per_call, deprecated_knob or "max_block_bytes")
-    if deprecated_knob is not None:
-        warnings.warn(
-            f"the per-call {deprecated_knob!r} knob is deprecated; prefer the "
-            f"unified budget (repro.memory.set_memory_budget or the "
-            f"{MEMORY_BUDGET_ENV_VAR} environment variable). The explicit "
-            f"value still takes precedence.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return value

@@ -14,7 +14,7 @@ from repro.data.shards import (
     synthesize_sharded_archive,
     write_shards,
 )
-from repro.data.ucr_like import make_cbf_dataset
+from repro.data.ucr_like import make_cbf_dataset, make_multichannel_cbf_dataset
 from repro.memory import memory_budget
 
 
@@ -132,6 +132,18 @@ class TestLaziness:
         )
         np.testing.assert_array_equal(
             np.concatenate([labels for _, labels in batches]), dataset.labels
+        )
+
+    def test_iter_batches_budget_counts_every_channel(self, tmp_path):
+        dataset = make_multichannel_cbf_dataset(n_per_class=4, length=40)
+        assert dataset.n_channels > 1
+        sharded = write_shards(dataset, tmp_path / "mv", shard_exemplars=5)
+        row_bytes = dataset.series_length * dataset.n_channels * 8
+        with memory_budget(2 * row_bytes):
+            batches = list(sharded.iter_batches())
+        assert max(series.shape[0] for series, _ in batches) == 2
+        np.testing.assert_array_equal(
+            np.concatenate([series for series, _ in batches]), dataset.series
         )
 
     def test_iter_shards_covers_everything(self, dataset, sharded):

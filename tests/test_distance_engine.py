@@ -25,6 +25,7 @@ from repro.distance.engine import (
 )
 from repro.distance.euclidean import euclidean_distance, pairwise_euclidean
 from repro.distance.znorm import znormalize
+from repro.memory import memory_budget
 
 TOLERANCE = 1e-10
 
@@ -209,9 +210,8 @@ class TestBatchPrefixDistances:
         lengths = [5, 40]
         whole = batch_prefix_distances(queries, train, lengths)
         # A budget this small forces one-query chunks.
-        chunked = batch_prefix_distances(
-            queries, train, lengths, max_block_bytes=train.shape[0] * 60 * 8
-        )
+        with memory_budget(train.shape[0] * 60 * 8):
+            chunked = batch_prefix_distances(queries, train, lengths)
         assert np.array_equal(whole, chunked)
 
     def test_squared_flag(self, walks):
@@ -240,8 +240,6 @@ class TestBatchPrefixDistances:
             batch_prefix_distances(queries, train, [0])
         with pytest.raises(ValueError):
             batch_prefix_distances(queries, train, [61])
-        with pytest.raises(ValueError):
-            batch_prefix_distances(queries, train, [5], max_block_bytes=0)
         with pytest.raises(ValueError):
             batch_prefix_distances(np.empty((2, 0)), train, [1])
 
@@ -348,9 +346,8 @@ class TestDTWPairwiseDistances:
         queries = rng.standard_normal((7, 24))
         train = rng.standard_normal((3, 30))
         whole = dtw_pairwise_distances(queries, train, window=0.5)
-        chunked = dtw_pairwise_distances(
-            queries, train, window=0.5, max_block_bytes=1
-        )
+        with memory_budget(1):
+            chunked = dtw_pairwise_distances(queries, train, window=0.5)
         np.testing.assert_array_equal(whole, chunked)
 
     def test_zero_band_equal_lengths_is_euclidean(self):
@@ -369,7 +366,5 @@ class TestDTWPairwiseDistances:
             dtw_pairwise_distances(np.zeros((2, 2, 2)), train)
         with pytest.raises(ValueError):
             dtw_pairwise_distances(np.zeros((2, 0)), train)
-        with pytest.raises(ValueError):
-            dtw_pairwise_distances(np.zeros((2, 5)), train, max_block_bytes=0)
         with pytest.raises(ValueError):
             dtw_pairwise_distances(np.zeros((2, 5)), train, window=1.5)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.distance import neighbors
 from repro.distance.dtw import dtw_distance
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
+from repro.memory import MEMORY_BUDGET_ENV_VAR, memory_budget, set_memory_budget
 
 
 class TestFitValidation:
@@ -162,8 +164,8 @@ class TestVectorisedVote:
         lengths = list(range(1, series.shape[1] + 1))
         stacked = model.predict_prefixes(queries, lengths)
         # A one-matrix budget forces the incremental streaming path.
-        model.max_prefix_sweep_bytes = queries.shape[0] * series[::2].shape[0] * 8
-        streamed = model.predict_prefixes(queries, lengths)
+        with memory_budget(queries.shape[0] * series[::2].shape[0] * 8):
+            streamed = model.predict_prefixes(queries, lengths)
         assert np.array_equal(stacked, streamed)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -176,6 +178,70 @@ class TestVectorisedVote:
         queries = series[1::2]
         by_prefix = model.predict_prefixes(queries, [series.shape[1]])[0]
         assert np.array_equal(by_prefix, model.predict(queries))
+
+
+class TestPrefixSweepBudget:
+    """predict_prefixes stacks every length's matrix only within the budget.
+
+    The decision reads the process budget at predict time: the stacked
+    ``(n_lengths, n_queries, n_train)`` float64 array is built when it fits,
+    and one matrix at a time is streamed otherwise.
+    """
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        monkeypatch.delenv(MEMORY_BUDGET_ENV_VAR, raising=False)
+        set_memory_budget(None)
+        taken = []
+        stacked, streamed = neighbors.batch_prefix_distances, neighbors.iter_prefix_distances
+
+        def spy_stacked(*args, **kwargs):
+            taken.append("stacked")
+            return stacked(*args, **kwargs)
+
+        def spy_streamed(*args, **kwargs):
+            taken.append("streamed")
+            return streamed(*args, **kwargs)
+
+        monkeypatch.setattr(neighbors, "batch_prefix_distances", spy_stacked)
+        monkeypatch.setattr(neighbors, "iter_prefix_distances", spy_streamed)
+        yield taken
+        set_memory_budget(None)
+
+    @pytest.fixture
+    def sweep(self, tiny_two_class):
+        series, labels = tiny_two_class
+        train, queries = series[::2], series[1::2]
+        lengths = [5, 10, 20, series.shape[1]]
+        model = KNeighborsTimeSeriesClassifier(n_neighbors=3).fit(train, labels[::2])
+        stacked_bytes = len(lengths) * queries.shape[0] * train.shape[0] * 8
+        return model, queries, lengths, stacked_bytes
+
+    @pytest.mark.parametrize("slack, path", [(0, "stacked"), (-1, "streamed")])
+    def test_path_switches_exactly_at_the_budget(self, paths, sweep, slack, path):
+        model, queries, lengths, stacked_bytes = sweep
+        expected = model.predict_prefixes(queries, lengths)
+        paths.clear()
+        with memory_budget(stacked_bytes + slack):
+            got = model.predict_prefixes(queries, lengths)
+        assert paths == [path]
+        assert np.array_equal(got, expected)
+
+    def test_budget_is_read_at_predict_time(self, paths, tiny_two_class):
+        series, labels = tiny_two_class
+        with memory_budget(8):
+            model = KNeighborsTimeSeriesClassifier().fit(series[::2], labels[::2])
+        model.predict_prefixes(series[1::2], [10, 20])
+        set_memory_budget(8)
+        model.predict_prefixes(series[1::2], [10, 20])
+        assert paths == ["stacked", "streamed"]
+
+    def test_environment_budget_reaches_the_sweep(self, paths, sweep, monkeypatch):
+        model, queries, lengths, stacked_bytes = sweep
+        expected = model.predict_prefixes(queries, lengths)
+        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, str(stacked_bytes - 1))
+        assert np.array_equal(model.predict_prefixes(queries, lengths), expected)
+        assert paths == ["stacked", "streamed"]
 
 
 class TestZeroDistanceVote:
@@ -282,39 +348,6 @@ class TestPredictProbaBatched:
         probas = model.predict_proba(series[:2])
         assert probas[0]["a"] == pytest.approx(1.0)
         assert probas[1]["b"] == pytest.approx(1.0)
-
-
-class TestMaxPrefixSweepBytesParameter:
-    def test_init_parameter_shadows_class_default(self, tiny_two_class):
-        default = KNeighborsTimeSeriesClassifier.max_prefix_sweep_bytes
-        model = KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=4096)
-        assert model.max_prefix_sweep_bytes == 4096
-        # The class default -- and therefore every other instance -- is
-        # untouched: the budget used to be a bare class attribute, so tuning
-        # one model silently retuned all of them.
-        assert KNeighborsTimeSeriesClassifier.max_prefix_sweep_bytes == default
-        assert KNeighborsTimeSeriesClassifier().max_prefix_sweep_bytes == default
-
-    def test_default_none_keeps_class_attribute(self):
-        model = KNeighborsTimeSeriesClassifier()
-        assert "max_prefix_sweep_bytes" not in vars(model)
-
-    def test_rejects_non_positive_budget(self):
-        with pytest.raises(ValueError):
-            KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=0)
-
-    def test_budget_parameter_forces_streaming_fallback(self, tiny_two_class):
-        series, labels = tiny_two_class
-        train, queries = series[::2], series[1::2]
-        lengths = list(range(1, series.shape[1] + 1))
-        stacked = KNeighborsTimeSeriesClassifier().fit(train, labels[::2])
-        tiny = KNeighborsTimeSeriesClassifier(
-            max_prefix_sweep_bytes=queries.shape[0] * train.shape[0] * 8
-        ).fit(train, labels[::2])
-        assert np.array_equal(
-            stacked.predict_prefixes(queries, lengths),
-            tiny.predict_prefixes(queries, lengths),
-        )
 
 
 class TestDTWMetricString:

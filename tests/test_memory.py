@@ -1,29 +1,34 @@
 """Tests for the unified memory budget (:mod:`repro.memory`).
 
-Covers the resolution precedence (per-call > process-wide > environment >
-default), the deprecation shims on the legacy per-call byte knobs, and --
-the load-bearing property -- that chunking against *any* budget leaves every
+Covers the resolution precedence (process-wide > environment > default),
+that the budget actually bounds each kernel's working set, and -- the
+load-bearing property -- that chunking against *any* budget leaves every
 budgeted kernel's output bit-identical to the unchunked computation.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import memory
-from repro.distance.backends import pruned_dtw_nearest_neighbors
+from repro.data.ucr_format import UCRDataset
+from repro.distance.backends import pruned_dtw_nearest_neighbors, use_backend
 from repro.distance.engine import (
     batch_prefix_distances,
+    dtw_nearest_neighbors,
     dtw_pairwise_distances,
     ragged_prefix_distances,
 )
+from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 from repro.memory import (
     DEFAULT_MAX_BLOCK_BYTES,
     MEMORY_BUDGET_ENV_VAR,
     get_memory_budget,
     memory_budget,
-    resolve_block_bytes,
     set_memory_budget,
 )
 
@@ -50,11 +55,6 @@ class TestPrecedence:
         monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "12345")
         set_memory_budget(999)
         assert get_memory_budget() == 999
-
-    def test_per_call_overrides_everything(self, monkeypatch):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "12345")
-        set_memory_budget(999)
-        assert resolve_block_bytes(7) == 7
 
     def test_clearing_restores_environment_resolution(self, monkeypatch):
         monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "4096")
@@ -83,10 +83,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV_VAR):
             get_memory_budget()
 
-    def test_non_positive_per_call_raises(self):
-        with pytest.raises(ValueError, match="positive"):
-            resolve_block_bytes(0)
-
 
 class TestContextManager:
     def test_budget_applies_inside_and_restores_after(self):
@@ -107,28 +103,6 @@ class TestContextManager:
             with memory_budget(60):
                 raise RuntimeError("boom")
         assert get_memory_budget() == 50
-
-
-class TestDeprecationShims:
-    def test_explicit_knob_warns_but_is_honoured(self):
-        queries = np.random.default_rng(0).normal(size=(4, 16))
-        train = np.random.default_rng(1).normal(size=(3, 16))
-        with pytest.warns(DeprecationWarning, match="max_block_bytes"):
-            chunked = batch_prefix_distances(queries, train, [16], max_block_bytes=64)
-        reference = batch_prefix_distances(queries, train, [16])
-        np.testing.assert_array_equal(chunked, reference)
-
-    def test_default_call_does_not_warn(self, recwarn):
-        queries = np.random.default_rng(0).normal(size=(4, 16))
-        train = np.random.default_rng(1).normal(size=(3, 16))
-        batch_prefix_distances(queries, train, [16])
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_classifier_knob_warns_at_construction(self):
-        from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
-
-        with pytest.warns(DeprecationWarning, match="max_prefix_sweep_bytes"):
-            KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=1024)
 
 
 class TestChunkingEquivalence:
@@ -189,3 +163,151 @@ class TestChunkingEquivalence:
         # (not be shadowed per-import elsewhere).
         set_memory_budget(4321)
         assert memory._BUDGET == 4321
+
+    @pytest.mark.parametrize("backend", ["reference", "pruned"])
+    def test_dtw_nearest_neighbors(self, backend):
+        with use_backend(backend):
+            ref_idx, ref_dist = dtw_nearest_neighbors(
+                self.queries, self.train, window=5, n_neighbors=3
+            )
+            with memory_budget(1024):
+                idx, dist = dtw_nearest_neighbors(
+                    self.queries, self.train, window=5, n_neighbors=3
+                )
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(dist, ref_dist)
+
+    def test_multichannel_batch_prefix_distances(self):
+        queries = self.rng.normal(size=(11, 20, 3))
+        train = self.rng.normal(size=(6, 20, 3))
+        reference = batch_prefix_distances(queries, train, [4, 20], squared=True)
+        with memory_budget(1024):
+            chunked = batch_prefix_distances(queries, train, [4, 20], squared=True)
+        np.testing.assert_array_equal(chunked, reference)
+
+    def test_multichannel_dtw_pairwise_distances(self):
+        queries = self.rng.normal(size=(9, 15, 2))
+        train = self.rng.normal(size=(4, 15, 2))
+        reference = dtw_pairwise_distances(queries, train, window=3)
+        with memory_budget(1024):
+            chunked = dtw_pairwise_distances(queries, train, window=3)
+        np.testing.assert_array_equal(chunked, reference)
+
+
+def _peak_traced_bytes(fn) -> int:
+    """Peak traced allocation while ``fn`` runs (NumPy buffers included)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestBudgetBoundsWorkingSet:
+    """A budget caps what a kernel allocates beyond its result, not just its chunk count.
+
+    Each case is sized so the unbudgeted temporary is many budgets large:
+    under the budget the peak must stay within the result plus a few
+    budgets, and without it the same bound must be exceeded (so the check
+    can fail).
+    """
+
+    rng = np.random.default_rng(7)
+
+    def _assert_bounded(self, fn, result_bytes: int, budget: int) -> None:
+        with memory_budget(budget):
+            bounded = _peak_traced_bytes(fn)
+        unbounded = _peak_traced_bytes(fn)
+        limit = result_bytes + 4 * budget
+        assert bounded <= limit < unbounded
+
+    def test_batch_prefix_distances(self):
+        queries = self.rng.normal(size=(200, 100))
+        train = self.rng.normal(size=(50, 100))
+        self._assert_bounded(
+            lambda: batch_prefix_distances(queries, train, [10, 50, 100]),
+            result_bytes=3 * 200 * 50 * 8,
+            budget=64 * 1024,
+        )
+
+    def test_ragged_prefix_distances(self):
+        queries = self.rng.normal(size=(200, 100))
+        train = self.rng.normal(size=(50, 100))
+        lengths = [1 + i % 100 for i in range(200)]
+        self._assert_bounded(
+            lambda: ragged_prefix_distances(queries, train, lengths),
+            result_bytes=200 * 50 * 8,
+            budget=64 * 1024,
+        )
+
+    def test_dtw_pairwise_distances(self):
+        # One query's cost tensors are ~220 KB, so a 512 KiB budget still
+        # admits a couple of queries per chunk.
+        queries = self.rng.normal(size=(40, 30))
+        train = self.rng.normal(size=(10, 30))
+        self._assert_bounded(
+            lambda: dtw_pairwise_distances(queries, train, window=5),
+            result_bytes=40 * 10 * 8,
+            budget=512 * 1024,
+        )
+
+    def test_dataset_finiteness_validation(self):
+        series = self.rng.normal(size=(4000, 100))
+        labels = np.zeros(4000)
+        self._assert_bounded(
+            lambda: UCRDataset(name="x", series=series, labels=labels),
+            result_bytes=0,
+            budget=16 * 1024,
+        )
+
+
+_BUDGETED_CALLS = {
+    "batch_prefix_distances": lambda q, t, **kw: batch_prefix_distances(
+        q, t, [10, 40], **kw
+    ),
+    "ragged_prefix_distances": lambda q, t, **kw: ragged_prefix_distances(
+        q, t, [5 + i for i in range(q.shape[0])], **kw
+    ),
+    "dtw_pairwise_distances": lambda q, t, **kw: dtw_pairwise_distances(
+        q, t, window=5, **kw
+    ),
+    "dtw_nearest_neighbors": lambda q, t, **kw: dtw_nearest_neighbors(
+        q, t, window=5, **kw
+    ),
+    "pruned_dtw_nearest_neighbors": lambda q, t, **kw: pruned_dtw_nearest_neighbors(
+        q, t, window=5, **kw
+    ),
+}
+
+
+class TestOneBudgetPerProcess:
+    """The budget is set per process or by environment, never per call."""
+
+    rng = np.random.default_rng(9)
+    queries = rng.normal(size=(6, 40))
+    train = rng.normal(size=(5, 40))
+
+    @pytest.mark.parametrize("name", sorted(_BUDGETED_CALLS))
+    def test_kernels_take_no_per_call_budget(self, name):
+        with pytest.raises(TypeError, match="max_block_bytes"):
+            _BUDGETED_CALLS[name](self.queries, self.train, max_block_bytes=1024)
+
+    def test_classifier_takes_no_sweep_budget(self):
+        with pytest.raises(TypeError, match="max_prefix_sweep_bytes"):
+            KNeighborsTimeSeriesClassifier(max_prefix_sweep_bytes=4096)
+        assert not hasattr(KNeighborsTimeSeriesClassifier, "max_prefix_sweep_bytes")
+
+    def test_budgeted_kernels_never_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in _BUDGETED_CALLS.values():
+                call(self.queries, self.train)
+            with memory_budget(512):
+                for call in _BUDGETED_CALLS.values():
+                    call(self.queries, self.train)

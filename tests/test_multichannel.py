@@ -14,7 +14,6 @@ Two guards hold the multichannel data model together:
 from __future__ import annotations
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -263,34 +262,8 @@ class TestTrailingSingletonBitEquality:
         assert np.array_equal(flat_dtw[1], cube_dtw[1])
 
 
-class TestPrePRPickleBackCompat:
-    def test_model_pickled_without_channel_attribute_is_univariate(self):
-        # Models unpickled from caches written before the multichannel data
-        # model (experiment prepare cache, serving warm reload) carry no
-        # _train_channels; they must read as univariate, not raise.
-        rng = np.random.default_rng(3)
-        model = ProbabilityThresholdClassifier(threshold=0.7, min_length=4)
-        series = rng.normal(size=(8, 16))
-        model.fit(series, np.repeat([0, 1], 4))
-
-        state = dict(pickle.loads(pickle.dumps(model)).__dict__)
-        del state["_train_channels"]  # what a pre-multichannel pickle holds
-        stale = ProbabilityThresholdClassifier.__new__(ProbabilityThresholdClassifier)
-        stale.__setstate__(state)  # the path pickle.loads takes
-
-        assert stale.n_channels_ == 1
-        outcome = stale.predict_early(series[0])
-        expected = model.predict_early(series[0])
-        assert (outcome.label, outcome.trigger_length) == (
-            expected.label,
-            expected.trigger_length,
-        )
-        stream = stale.open_stream()
-        stream.push(0.5)
-
-
 class TestShardBackCompat:
-    def test_version_1_manifest_reads_as_univariate(self, tmp_path):
+    def test_version_1_manifest_rejected(self, tmp_path):
         series = RNG.normal(size=(10, 8))
         labels = np.arange(10)
         write_shards((series, labels), tmp_path, shard_exemplars=4)
@@ -298,18 +271,12 @@ class TestShardBackCompat:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["schema_version"] == SHARD_SCHEMA_VERSION
 
-        # Rewrite the manifest as a pre-multichannel version-1 header: no
-        # n_channels field at all, exactly what existing shard dirs contain.
+        # A pre-multichannel version-1 header: no n_channels field at all.
         manifest["schema_version"] = 1
         del manifest["n_channels"]
         manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-        dataset = ShardedDataset.open(tmp_path)
-        assert dataset.n_channels == 1
-        assert dataset.series.shape == (10, 8)
-        assert dataset.series.ndim == 2
-        assert np.array_equal(np.asarray(dataset.series), series)
-        dataset.verify()  # hashes cover the data files, not the manifest
+        with pytest.raises(ValueError, match="unsupported shard schema 1"):
+            ShardedDataset.open(tmp_path)
 
     def test_multichannel_roundtrip_records_channels(self, tmp_path):
         dataset = make_multichannel_cbf_dataset(n_per_class=4, length=40)

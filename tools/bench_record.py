@@ -9,9 +9,8 @@ gives every ``benchmarks/test_bench_<name>.py`` module one JSON record under
   benchmark ``conftest.py`` hooks -- no per-benchmark code needed);
 * any explicit metrics a benchmark reports through its ``bench_metrics``
   fixture (speedups, component wall times, pruning rates, ...);
-* provenance: git SHA, Python/NumPy versions, and the distance-backend
-  resolution (requested vs actually-ran tier), so a record produced by a
-  numba-less fallback run can never be mistaken for a compiled-tier one.
+* provenance: git SHA, Python/NumPy versions, and the active distance
+  backend, so a record says which DTW search it measured.
 
 Run as a script to summarise whatever records exist::
 
@@ -63,20 +62,9 @@ def _environment() -> dict:
         env["numpy"] = numpy.__version__
     except Exception:  # pragma: no cover - numpy is a hard dependency
         pass
-    try:
-        from repro.distance.backends import backend_resolution
+    from repro.distance.backends import active_backend
 
-        res = backend_resolution()
-        env["backend"] = {
-            "requested": res.requested,
-            "resolved": res.resolved,
-            "compiled_available": res.compiled_available,
-            "reason": res.reason,
-        }
-    except Exception:
-        # Records must still be written when repro itself is broken --
-        # that is exactly when a durable trace matters most.
-        env["backend"] = None
+    env["backend"] = active_backend()
     return env
 
 
@@ -148,11 +136,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no BENCH_*.json records under {out_dir}")
         return 1
     for record in records:
-        backend = record.get("backend") or {}
         print(
             f"{record['benchmark']}  "
             f"(sha {str(record.get('git_sha'))[:12]}, "
-            f"backend {backend.get('resolved', '?')})"
+            f"backend {record.get('backend', '?')})"
         )
         for test_name, entry in sorted(record.get("tests", {}).items()):
             line = (
