@@ -10,8 +10,16 @@ each prefix owns its Monte Carlo noise, the two must give identical metrics.
 The record holds both sides' throughput in test rows per second, their
 ratio and the Monte Carlo sample count, at Table 1's full classifier
 settings on its 50-row GunPoint test split.  Each side is the median of
-``REPEATS`` timed evaluations.  No speedup is gated: the per-row walk shares
-the factored models, so the ratio measures only what batching adds.
+``REPEATS`` timed evaluations.  No speedup is gated: both walks run the same
+evaluator on the same class models, so the ratio measures only what
+batching adds.
+
+It also holds the class-model fits made while fitting the classifier and
+evaluating the split once batched, their total seconds and ``fits_per_s``,
+timed by wrapping ``_fit_gaussians``.  Reliable fits one Gaussian per class;
+LDG also refits them for every neighbour group at every checkpoint, which
+is why a class model keeps its covariance as diagonal plus low rank and
+never factors it at the series' length.
 """
 
 from __future__ import annotations
@@ -44,8 +52,29 @@ def _median_of(function):
     return statistics.median(seconds), result
 
 
+def _timed_class_model_fits(monkeypatch, name, train, test) -> tuple[int, float]:
+    """Class-model fits, and their seconds, in one fit and one batched evaluation."""
+    fit_gaussians = ReliableEarlyClassifier._fit_gaussians
+    fits = 0
+    seconds = 0.0
+
+    def timed_fit(self, data, labels):
+        nonlocal fits, seconds
+        started = time.perf_counter()
+        models = fit_gaussians(self, data, labels)
+        seconds += time.perf_counter() - started
+        fits += len(models)
+        return models
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ReliableEarlyClassifier, "_fit_gaussians", timed_fit)
+        model = CLASSIFIERS[name]().fit(train.series, train.labels)
+        evaluate_early_classifier(model, test.series, test.labels, batch=True)
+    return fits, seconds
+
+
 @pytest.mark.parametrize("name", sorted(CLASSIFIERS))
-def test_bench_reliable_batched_vs_per_row(name, bench_metrics):
+def test_bench_reliable_batched_vs_per_row(name, bench_metrics, monkeypatch):
     prepared = table1.prepare(n_test_per_class=25)
     train, test = prepared.train, prepared.test
     model = CLASSIFIERS[name]().fit(train.series, train.labels)
@@ -58,6 +87,7 @@ def test_bench_reliable_batched_vs_per_row(name, bench_metrics):
     )
 
     assert batched == perrow
+    fits, fit_seconds = _timed_class_model_fits(monkeypatch, name, train, test)
 
     n_rows = test.series.shape[0]
     bench_metrics.update(
@@ -69,4 +99,7 @@ def test_bench_reliable_batched_vs_per_row(name, bench_metrics):
         speedup=perrow_seconds / batch_seconds,
         accuracy=batched.accuracy,
         earliness=batched.earliness,
+        class_model_fits=fits,
+        class_model_fit_s=fit_seconds,
+        fits_per_s=fits / fit_seconds,
     )

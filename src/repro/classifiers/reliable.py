@@ -27,9 +27,10 @@ Implementation notes (the simplifications relative to the publication):
 
 Inference is organised around two properties:
 
-* every class covariance is factored once, and the prefix density, the
-  conditional suffix distribution and the density of every completion all
-  come from that factor (see :class:`_GaussianClassModel`);
+* every class covariance is diagonal plus low rank, ``D + U U^T``, and the
+  prefix density, the conditional suffix distribution and the density of
+  every completion come from a small core matrix per prefix length (see
+  :class:`_GaussianClassModel`);
 * the Monte Carlo noise of a prefix is drawn from its own generator, seeded
   with ``(random_state, digest of the prefix bytes, prefix length)``.  An
   answer therefore depends only on the fitted model and the prefix -- not on
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,95 +64,121 @@ _MC_BLOCK_BYTES = 2**20
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+class _Conditioned(NamedTuple):
+    """One class model's view of equal-length prefixes, one entry per prefix.
+
+    ``quadratic`` (``d^T D_p^-1 d``) and ``projection`` (``y``) are the
+    prefix's share of the density of each of its completions, in the
+    notation of :class:`_GaussianClassModel`.
+    """
+
+    log_density: np.ndarray
+    suffix_mean: np.ndarray
+    quadratic: np.ndarray
+    projection: np.ndarray
+
+
 @dataclass
 class _GaussianClassModel:
-    """Mean, regularised covariance and prior of one class, factored once.
+    """Mean, diagonal-plus-low-rank covariance and prior of one class.
 
-    ``chol`` is the lower Cholesky factor of ``covariance``.  Split at a
-    prefix length ``L`` it reads ``[[L11, 0], [L21, L22]]``, and every
-    quantity inference needs comes from it:
+    The covariance is ``D + U U^T``: ``diagonal`` holds ``D`` and ``factor``
+    is the ``n x r`` matrix ``U``.  Split at a prefix length ``L`` into
+    prefix rows ``p`` and suffix rows ``s``, the Woodbury identity gives
+    every quantity inference needs from the ``r x r`` core
+    ``K_p = I + U_p^T D_p^-1 U_p``:
 
-    * the prefix marginal ``N(mean[:L], covariance[:L, :L])`` has factor
-      ``L11``, so a prefix whitens to ``z_p = L11^-1 (x_p - mean[:L])``;
-    * the suffix given the prefix has mean ``mean[L:] + L21 z_p`` and
-      covariance ``L22 L22^T`` (the Schur complement);
-    * a completion ``[x_p, x_s]`` whitens to ``[z_p, L22^-1 (x_s - m_s)]``,
-      ``m_s`` being that conditional mean, so its full-length density needs
-      work on the suffix block only.
+    * the prefix marginal has quadratic form ``d^T D_p^-1 d - y^T K_p^-1 y``
+      and log-determinant ``sum(log D_p) + log det K_p``, for the residual
+      ``d = x_p - mean_p`` and ``y = U_p^T D_p^-1 d``;
+    * the suffix given the prefix has mean ``mean_s + U_s K_p^-1 y`` and
+      covariance ``D_s + U_s K_p^-1 U_s^T`` (the Schur complement);
+    * a completion ``[x_p, x_s]`` has full-length quadratic form
+      ``d^T D_p^-1 d + e^T D_s^-1 e - z^T K^-1 z``, with ``e = x_s - mean_s``,
+      ``z = y + U_s^T D_s^-1 e`` and ``K`` the full-length core, so its
+      prefix terms are shared by all its completions and each completion
+      costs ``O(suffix length x r)``.
 
-    The inverse factor ``chol_inv`` is lower triangular as well, with
-    leading block ``L11^-1`` and trailing block ``L22^-1`` at every ``L``,
-    so each whitening is one matrix product.  Inverting with NumPy rather
-    than solving with SciPy keeps the hot loop on one BLAS library: NumPy
-    and SciPy each bundle their own multi-threaded OpenBLAS, and
-    interleaving calls into the two pools ran the loop an order of
-    magnitude slower on a 2-CPU host.
+    The suffix sampler alone is dense: the lower Cholesky factor of the
+    Schur complement plus a small ridge.  It maps each prefix's standard
+    normal draws, one per suffix sample, to a completion, and keeping that
+    mapping keeps every Monte Carlo outcome.
     """
 
     label: object
     mean: np.ndarray
-    covariance: np.ndarray
+    diagonal: np.ndarray
+    factor: np.ndarray
     prior: float
-    chol: np.ndarray = field(init=False, repr=False)
-    chol_inv: np.ndarray = field(init=False, repr=False)
+    _cores: dict = field(init=False, default_factory=dict, repr=False)
     _samplers: dict = field(init=False, default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        self.chol = np.linalg.cholesky(self.covariance)
-        self.chol_inv = np.tril(np.linalg.inv(self.chol))
+    def _core(self, length: int) -> tuple[np.ndarray, float]:
+        """``K^-1`` and the covariance log-determinant of the leading ``length`` samples.
 
-    def _log_det(self, length: int) -> float:
-        """Log-determinant of the leading ``length x length`` covariance block."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.chol)[:length])))
+        Neither depends on the prefix values, so both are cached per length.
+        """
+        core = self._cores.get(length)
+        if core is None:
+            factor, diagonal = self.factor[:length], self.diagonal[:length]
+            inner = np.eye(factor.shape[1]) + factor.T @ (factor / diagonal[:, None])
+            log_det = float(np.sum(np.log(diagonal)) + np.linalg.slogdet(inner)[1])
+            core = self._cores[length] = (np.linalg.inv(inner), log_det)
+        return core
 
-    def whiten_prefix(self, prefixes: np.ndarray) -> np.ndarray:
-        """``L11^-1 (x_p - mean_p)`` for each row of ``prefixes``, as columns."""
+    def condition(self, prefixes: np.ndarray) -> _Conditioned:
+        """Prefix log densities and conditional suffix means, one per row of ``prefixes``."""
         length = prefixes.shape[1]
-        return self.chol_inv[:length, :length] @ (prefixes - self.mean[:length]).T
-
-    def log_density_prefix(self, whitened: np.ndarray) -> np.ndarray:
-        """Log density of the prefix marginal at each whitened prefix column."""
-        length = whitened.shape[0]
-        quadratic = np.einsum("ij,ij->j", whitened, whitened)
-        return -0.5 * (length * _LOG_2PI + self._log_det(length) + quadratic)
-
-    def conditional_mean(self, whitened: np.ndarray) -> np.ndarray:
-        """Mean of the unseen suffix given each whitened prefix, one row each."""
-        length = whitened.shape[0]
-        return self.mean[length:] + (self.chol[length:, :length] @ whitened).T
+        core_inv, log_det = self._core(length)
+        residual = prefixes - self.mean[:length]
+        scaled = residual / self.diagonal[:length]
+        quadratic = np.einsum("ij,ij->i", residual, scaled)
+        projection = scaled @ self.factor[:length]
+        weights = projection @ core_inv
+        marginal = quadratic - np.einsum("ij,ij->i", weights, projection)
+        return _Conditioned(
+            log_density=-0.5 * (length * _LOG_2PI + log_det + marginal),
+            suffix_mean=self.mean[length:] + weights @ self.factor[length:].T,
+            quadratic=quadratic,
+            projection=projection,
+        )
 
     def suffix_sampler(self, length: int) -> np.ndarray:
         """Lower factor of the conditional suffix covariance plus a small ridge.
 
-        The conditional covariance ``L22 L22^T`` does not depend on the
-        prefix values, so its factor is cached per prefix length.
+        The conditional covariance does not depend on the prefix values, so
+        its factor is cached per prefix length.
         """
         sampler = self._samplers.get(length)
         if sampler is None:
-            trailing = self.chol[length:, length:]
-            covariance = trailing @ trailing.T
-            ridge = 1e-6 * np.trace(self.covariance) / self.mean.shape[0]
-            covariance[np.diag_indices_from(covariance)] += ridge
+            core_inv, _ = self._core(length)
+            suffix = self.factor[length:]
+            trace = self.diagonal.sum() + np.sum(self.factor**2)
+            ridge = 1e-6 * trace / self.mean.shape[0]
+            covariance = suffix @ core_inv @ suffix.T + np.diag(self.diagonal[length:] + ridge)
             sampler = self._samplers[length] = np.linalg.cholesky(covariance)
         return sampler
 
     def log_density_completions(
-        self,
-        prefix_quadratic: np.ndarray,
-        suffixes: np.ndarray,
-        conditional_means: np.ndarray,
+        self, prefixes: _Conditioned, suffixes: np.ndarray, owner: np.ndarray
     ) -> np.ndarray:
-        """Full-length log density of completions of already-whitened prefixes.
+        """Full-length log density of completions of conditioned prefixes.
 
-        Row ``k`` of ``suffixes`` completes a prefix whose whitened squared
-        norm is ``prefix_quadratic[k]`` and whose conditional suffix mean
-        under this model is ``conditional_means[k]``.
+        Row ``k`` of ``suffixes`` completes prefix ``owner[k]`` of
+        ``prefixes``, which this model conditioned.
         """
         full = self.mean.shape[0]
         length = full - suffixes.shape[1]
-        whitened = self.chol_inv[length:, length:] @ (suffixes - conditional_means).T
-        quadratic = prefix_quadratic + np.einsum("ij,ij->j", whitened, whitened)
-        return -0.5 * (full * _LOG_2PI + self._log_det(full) + quadratic)
+        core_inv, log_det = self._core(full)
+        residual = suffixes - self.mean[length:]
+        scaled = residual / self.diagonal[length:]
+        projection = prefixes.projection[owner] + scaled @ self.factor[length:]
+        quadratic = (
+            prefixes.quadratic[owner]
+            + np.einsum("ij,ij->i", residual, scaled)
+            - np.einsum("ij,ij->i", projection @ core_inv, projection)
+        )
+        return -0.5 * (full * _LOG_2PI + log_det + quadratic)
 
 
 class ReliableEarlyClassifier(BaseEarlyClassifier):
@@ -224,7 +251,7 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
 
     # ------------------------------------------------------------ training
     def fit(self, series: np.ndarray, labels: Sequence) -> "ReliableEarlyClassifier":
-        """Learn one regularised Gaussian per class, each factored once."""
+        """Learn one regularised Gaussian per class."""
         data, label_arr = self._validate_training_data(series, labels)
         self._train = data
         self._labels = label_arr
@@ -235,27 +262,36 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
     def _fit_gaussians(
         self, data: np.ndarray, labels: np.ndarray
     ) -> list[_GaussianClassModel]:
+        """One Gaussian per class, its covariance shrunk towards the diagonal plus a ridge.
+
+        For ``m`` centred class rows ``Xc`` the biased sample covariance is
+        ``S = Xc^T Xc / m = R^T R / m``, ``R`` being the thin QR factor of
+        ``Xc``, so the shrunk covariance is ``D + U U^T`` with
+        ``D = shrinkage * diag(S) + ridge`` and
+        ``U = sqrt((1 - shrinkage) / m) R^T`` of rank at most ``min(m, n)``.
+        Shrinking keeps the trace, so the ridge is ``1e-3`` times the mean
+        sample variance.  A single-row class gets the identity plus the ridge.
+        """
         models = []
-        n_total = data.shape[0]
+        n_total, length = data.shape
         for cls in np.unique(labels):
             rows = data[labels == cls]
             mean = rows.mean(axis=0)
             if rows.shape[0] > 1:
-                cov = np.atleast_2d(np.cov(rows, rowvar=False, bias=True))
+                centred = rows - mean
+                variances = np.mean(centred**2, axis=0)
+                diagonal = self.shrinkage * variances + 1e-3 * variances.mean()
+                scale = np.sqrt((1.0 - self.shrinkage) / rows.shape[0])
+                factor = scale * np.linalg.qr(centred, mode="r").T
             else:
-                cov = np.eye(data.shape[1])
-            # Shrink towards the diagonal, then add a ridge, on the diagonal
-            # in place: LDG refits these for every neighbour group.
-            variances = np.diag(cov).copy()
-            cov = (1.0 - self.shrinkage) * cov
-            diagonal = np.diag_indices_from(cov)
-            cov[diagonal] += self.shrinkage * variances
-            cov[diagonal] += 1e-3 * np.trace(cov) / cov.shape[0]
+                diagonal = np.full(length, 1.0 + 1e-3)
+                factor = np.empty((length, 0))
             models.append(
                 _GaussianClassModel(
                     label=cls,
                     mean=mean,
-                    covariance=cov,
+                    diagonal=diagonal,
+                    factor=factor,
                     prior=rows.shape[0] / n_total,
                 )
             )
@@ -309,12 +345,9 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
         confidence = np.empty(n_rows)
         for rows, models in self._class_models(prefixes):
             group = prefixes[rows]
-            whitened = [model.whiten_prefix(group) for model in models]
+            conditioned = [model.condition(group) for model in models]
             log_joint = np.stack(
-                [
-                    model.log_density_prefix(z) + np.log(model.prior)
-                    for model, z in zip(models, whitened)
-                ],
+                [c.log_density + np.log(model.prior) for model, c in zip(models, conditioned)],
                 axis=1,
             )
             group_posteriors = self._posteriors(log_joint, length)
@@ -323,7 +356,7 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
                 confidence[rows] = group_posteriors.max(axis=1)
             else:
                 confidence[rows] = self._reliability(
-                    group, models, whitened, group_posteriors
+                    group, models, conditioned, group_posteriors
                 )
         ready = np.full(n_rows, complete) | (confidence >= 1.0 - self.tau)
         return posteriors, confidence, ready
@@ -332,7 +365,7 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
         self,
         prefixes: np.ndarray,
         models: list[_GaussianClassModel],
-        whitened: list[np.ndarray],
+        conditioned: list[_Conditioned],
         posteriors: np.ndarray,
     ) -> np.ndarray:
         """Monte Carlo estimate of P(full-data decision == prefix decision | prefix).
@@ -341,16 +374,14 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
         from class ``c``'s conditional distribution, completes its prefix
         with each, and scores every completion under every class model.
         Rows are processed in blocks of about ``_MC_BLOCK_BYTES`` of
-        completions, with one GEMM per class for the draws and one for the
-        densities.
+        completions, with one GEMM per class for the draws and one product
+        with the rank-``r`` factor per class for the densities.
         """
         n_rows, length = prefixes.shape
         suffix_dim = self.train_length_ - length
         n_classes = len(models)
         counts = np.rint(posteriors * self.n_monte_carlo).astype(np.intp)
         decisions = np.argmax(posteriors, axis=1)
-        means = [model.conditional_mean(z) for model, z in zip(models, whitened)]
-        quadratics = [np.einsum("ij,ij->j", z, z) for z in whitened]
         samplers = [model.suffix_sampler(length) for model in models]
         reliability = np.zeros(n_rows)
         block = max(1, _MC_BLOCK_BYTES // (8 * self.n_monte_carlo * suffix_dim))
@@ -369,14 +400,13 @@ class ReliableEarlyClassifier(BaseEarlyClassifier):
             suffixes = np.empty_like(noise)
             for c in range(n_classes):
                 drawn = source == c
-                suffixes[drawn] = means[c][owner[drawn]] + noise[drawn] @ samplers[c].T
+                suffix_mean = conditioned[c].suffix_mean[owner[drawn]]
+                suffixes[drawn] = suffix_mean + noise[drawn] @ samplers[c].T
             scores = np.stack(
                 [
-                    model.log_density_completions(
-                        quadratics[m][owner], suffixes, means[m][owner]
-                    )
+                    model.log_density_completions(view, suffixes, owner)
                     + np.log(model.prior)
-                    for m, model in enumerate(models)
+                    for model, view in zip(models, conditioned)
                 ]
             )
             agree = np.argmax(scores, axis=0) == decisions[owner]

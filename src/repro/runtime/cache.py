@@ -34,7 +34,8 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "PrepareCache", "UncacheablePar
 #: payload layout of the experiment modules, or the pickled layout of a
 #: fitted classifier the serving registry reloads, changes incompatibly).
 #: Version 2: Reliable/LDG class models carry their Cholesky factor.
-CACHE_SCHEMA_VERSION = 2
+#: Version 3: Reliable/LDG class models are diagonal-plus-low-rank.
+CACHE_SCHEMA_VERSION = 3
 
 #: Sentinel distinguishing "cache miss" from a legitimately-``None`` value.
 _MISS = object()

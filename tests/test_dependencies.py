@@ -7,6 +7,7 @@ each import statement that sits directly in a module body (not inside a
 function, a ``try`` or an ``if``) against the standard library, the
 package itself and the declared ``dependencies``.  Optional extras are
 imported lazily or behind ``try``, and that is what keeps them optional.
+CI installs the package itself, so its jobs get exactly these dependencies.
 """
 
 from __future__ import annotations
@@ -64,3 +65,17 @@ def test_every_unguarded_import_is_declared():
         "module-level imports of packages pyproject.toml does not declare: "
         f"{sorted(undeclared)}"
     )
+
+
+def test_ci_installs_the_package_not_a_hand_written_list():
+    """Every CI ``pip install`` installs ``.`` (with extras) from ``pyproject.toml``.
+
+    A hand-written package list drifts from the declared dependencies: a job
+    installing numpy alone cannot import ``repro.experiments``, which needs
+    scipy.
+    """
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    installs = re.findall(r"pip install (.+)", workflow)
+    assert installs, "no pip install step found in ci.yml"
+    for arguments in installs:
+        assert re.fullmatch(r"""(["']?)\.(\[[\w,-]+\])?\1""", arguments.strip()), arguments
