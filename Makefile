@@ -14,7 +14,7 @@ test:
 ## benchmarks only (one per paper artefact, plus the prefix-engine and
 ## batched-prediction speedups); every test_bench_<name>.py module also
 ## writes a machine-readable results/bench/BENCH_<name>.json record
-## (wall times, explicit metrics, git SHA, resolved distance backend)
+## (wall times, explicit metrics, git SHA, Python/NumPy versions)
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 	$(PYTHON) tools/bench_record.py
@@ -49,13 +49,13 @@ fit-check:
 serve-check:
 	$(PYTHON) -m pytest tests/test_serving.py benchmarks/test_bench_serving.py -q
 
-## distance-backend drift gate: the pruned UCR-suite cascade (LB_Kim ->
-## LB_Keogh -> early-abandoning banded DP) must stay bit-identical to the
-## dense reference wavefront across band specs, unequal lengths and k, and
-## keep its >= 5x win on the Table-1-scale DTW 1-NN benchmark (run by CI on
-## every push)
+## DTW search drift gate: the UCR-suite cascade (LB_Kim -> LB_Keogh ->
+## early-abandoning banded DP) must stay bit-identical to the dense wavefront
+## oracle in tests/oracles across band specs, unequal lengths and k, and keep
+## its >= 5x win on the Table-1-scale DTW 1-NN benchmark (run by CI on every
+## push)
 dist-check:
-	$(PYTHON) -m pytest tests/test_distance_backends.py benchmarks/test_bench_dtw_prune.py -q
+	$(PYTHON) -m pytest tests/test_dtw_search.py benchmarks/test_bench_dtw_prune.py -q
 
 ## out-of-core/resume drift gate: memory-budget chunking must stay
 ## bit-identical, the sharded format must round-trip + verify, the work-queue
@@ -68,9 +68,9 @@ sweep-check:
 ## multichannel drift gate: (n, L, 1) tensors must stay bit-identical to the
 ## legacy (n, L) layout (so every d=1 golden summary is byte-stable), every
 ## d > 1 kernel must match its naive per-channel Python-loop reference to
-## <= 1e-10 under both DTW backends, and the vectorised channel-summed
-## kernel must keep its >= 5x win over the per-channel loop on the 6-axis
-## Table-1-scale fit/predict workload (run by CI on every push)
+## <= 1e-10 (the DTW k-NN search its dense oracle), and the vectorised
+## channel-summed kernel must keep its >= 5x win over the per-channel loop on
+## the 6-axis Table-1-scale fit/predict workload (run by CI on every push)
 mv-check:
 	$(PYTHON) -m pytest tests/test_multichannel.py tests/test_experiments_golden.py benchmarks/test_bench_multichannel.py -q
 

@@ -11,8 +11,12 @@ every ``test_bench_<name>.py`` module a machine-readable
 ``results/bench/BENCH_<name>.json`` record (per-test outcomes and wall-clock
 durations, plus whatever a benchmark reports through the ``bench_metrics``
 fixture -- speedups, component timings, pruning rates).  The records carry the
-git SHA and the active distance backend, so runs are comparable across
-commits and backends.
+git SHA and the Python/platform/NumPy versions, so runs are comparable across
+commits.
+
+Speed gates time the library against the semantic oracles in
+``tests/oracles/``, which the ``sys.path`` insert below makes importable as
+``oracles``.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from pathlib import Path
 
 import pytest
 
-_TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
-if str(_TOOLS_DIR) not in sys.path:
-    sys.path.insert(0, str(_TOOLS_DIR))
+_REPO_ROOT = Path(__file__).resolve().parent.parent
+for _path in (_REPO_ROOT / "tools", _REPO_ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from bench_record import BenchRecorder  # noqa: E402
 

@@ -1,15 +1,16 @@
-"""Benchmark gate for the pruned DTW 1-NN backend.
+"""Benchmark gate for the DTW 1-NN lower-bound cascade.
 
 The paper's Table 1 yardstick is 1-NN on a GunPoint-scale split; the
-UCR-suite observation (Rakthanmanon et al., KDD 2013) is that most candidate
+UCR-suite observation (Rakthanmanon et al., KDD 2012) is that most candidate
 pairs of such a search never need the quadratic dynamic program -- a
 constant-time endpoint bound (LB_Kim), an envelope bound (LB_Keogh) and
 running-best early abandoning answer them first.  This gate times exactly
-that claim on our own kernels: the ``"pruned"`` backend against the dense
-anti-diagonal wavefront it replaces, on a z-normalised Table-1-scale DTW
-1-NN evaluation with a 10% band.
+that claim on our own kernels: :func:`repro.distance.dtw_search.dtw_nearest_neighbors`
+against the dense oracle (every pair through the anti-diagonal wavefront,
+then a stable per-row selection), on a z-normalised Table-1-scale DTW 1-NN
+evaluation with a 10% band.
 
-Equivalence comes first, speed second: the pruned search must return
+Equivalence comes first, speed second: the cascade must return
 *bit-identical* neighbour indices, distances and predicted labels before its
 >= 5x wall-clock win counts, and the reported pruning rate (the fraction of
 pairs answered without the DP) must show the cascade is actually doing the
@@ -23,9 +24,10 @@ import time
 import numpy as np
 
 from repro.data.gunpoint import GunPointGenerator
-from repro.distance.backends import pruned_dtw_nearest_neighbors
-from repro.distance.engine import _stable_k_smallest, dtw_pairwise_distances
+from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.znorm import znormalize
+
+from oracles.dtw import dense_dtw_nearest_neighbors
 
 REQUIRED_SPEEDUP = 5.0
 
@@ -60,11 +62,10 @@ def test_bench_pruned_dtw_nn_speedup(run_once, bench_metrics):
     test_series = znormalize(test.series)
 
     def dense_search():
-        distances = dtw_pairwise_distances(test_series, train_series, window=WINDOW)
-        return _stable_k_smallest(distances, 1)
+        return dense_dtw_nearest_neighbors(test_series, train_series, window=WINDOW)
 
     def pruned_search():
-        return pruned_dtw_nearest_neighbors(
+        return dtw_nearest_neighbors(
             test_series, train_series, window=WINDOW, return_stats=True
         )
 
@@ -95,7 +96,6 @@ def test_bench_pruned_dtw_nn_speedup(run_once, bench_metrics):
         pruned_seconds=pruned_seconds,
         pruning_rate=stats.pruning_rate,
         n_pairs=stats.n_pairs,
-        backend=stats.backend,
     )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"expected >= {REQUIRED_SPEEDUP:.0f}x on a "

@@ -39,8 +39,10 @@ import repro.classifiers.edsc as edsc_module
 from repro.classifiers.ects import ECTSClassifier
 from repro.classifiers.edsc import EDSCClassifier, _best_match_distances
 from repro.data.gunpoint import GunPointGenerator
-from repro.distance.dtw import _accumulated_cost_reference, _resolve_band
+from repro.distance.dtw import _resolve_band
 from repro.distance.engine import dtw_pairwise_distances
+
+from oracles.dtw import accumulated_cost_reference
 
 REQUIRED_SPEEDUP = 5.0
 
@@ -259,7 +261,7 @@ def test_bench_edsc_fit_equivalence_and_no_regression(run_once, bench_metrics, m
 def test_bench_dtw_pairwise_speedup(run_once):
     """Batched wavefront DTW vs one scalar dynamic program per pair.
 
-    The baseline runs the kept scalar double-loop reference
+    The baseline runs the scalar double-loop oracle from ``tests/oracles``
     (``dtw_distance`` itself now rides the wavefront kernel, so timing it
     would only measure batch amortisation, not the DP rewrite).
     """
@@ -274,7 +276,7 @@ def test_bench_dtw_pairwise_speedup(run_once):
             [
                 [
                     np.sqrt(
-                        _accumulated_cost_reference(q, t, band)[
+                        accumulated_cost_reference(q, t, band)[
                             TABLE1_LENGTH, TABLE1_LENGTH
                         ]
                     )

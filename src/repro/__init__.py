@@ -33,12 +33,10 @@ The package is organised in layers (see DESIGN.md for the full inventory):
 """
 
 from repro._version import __version__
-from repro.distance.backends import active_backend, set_backend, use_backend
+from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.engine import (
     PrefixDistanceEngine,
-    PrefixDTWEngine,
     batch_prefix_distances,
-    dtw_nearest_neighbors,
     dtw_pairwise_distances,
     ragged_prefix_distances,
     pairwise_prefix_distances,
@@ -51,13 +49,9 @@ from repro.distance.engine import (
 __all__ = [
     "__version__",
     "PrefixDistanceEngine",
-    "PrefixDTWEngine",
     "batch_prefix_distances",
     "dtw_nearest_neighbors",
     "dtw_pairwise_distances",
     "ragged_prefix_distances",
     "pairwise_prefix_distances",
-    "active_backend",
-    "set_backend",
-    "use_backend",
 ]

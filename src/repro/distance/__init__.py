@@ -13,30 +13,21 @@ Everything the ETSC algorithms and the meaningfulness analyses rest on:
   profiles (MASS-style, FFT based), used by the homophone search (Fig. 5), the
   chicken-template experiment (Fig. 8) and the streaming detector.
 * :mod:`repro.distance.engine` -- the incremental prefix-distance engine:
-  running squared-Euclidean partial sums (and DTW row reuse) that let a
-  prefix grow from length ``t`` to ``t + 1`` in O(n_train) instead of
-  O(n_train * t).  Every per-prefix-length sweep in the classifiers and
-  experiments rides on it.
+  running squared-Euclidean partial sums that let a prefix grow from length
+  ``t`` to ``t + 1`` in O(n_train) instead of O(n_train * t), plus the
+  batched all-pairs DTW matrix.  Every per-prefix-length sweep in the
+  classifiers and experiments rides on it.
 * :mod:`repro.distance.neighbors` -- 1-NN / k-NN classifiers over any of the
   above distances, including a batched prefix-sweep prediction path.
-* :mod:`repro.distance.backends` -- the pluggable backend layer: the
-  ``REPRO_BACKEND`` switch between the dense float64 reference path and the
-  UCR-suite-style pruned DTW search (LB_Kim -> LB_Keogh in both envelope
-  directions -> early-abandoning DP), bit-identical in float64 mode.
+* :mod:`repro.distance.dtw_search` -- DTW k-NN search through the
+  UCR-suite cascade (LB_Kim -> LB_Keogh in both envelope directions ->
+  early-abandoning DP), bit-identical to the dense all-pairs selection.
 """
 
-from repro.distance.backends import (
-    DTWSearchStats,
-    active_backend,
-    pruned_dtw_nearest_neighbors,
-    set_backend,
-    use_backend,
-)
+from repro.distance.dtw_search import DTWSearchStats, dtw_nearest_neighbors
 from repro.distance.engine import (
     PrefixDistanceEngine,
-    PrefixDTWEngine,
     batch_prefix_distances,
-    dtw_nearest_neighbors,
     dtw_pairwise_distances,
     ragged_prefix_distances,
     iter_prefix_distances,
@@ -80,10 +71,6 @@ __all__ = [
     "lb_keogh",
     "DTWSearchStats",
     "EnvelopeCache",
-    "active_backend",
-    "set_backend",
-    "use_backend",
-    "pruned_dtw_nearest_neighbors",
     "dtw_nearest_neighbors",
     "znormalize",
     "znormalize_prefix",
@@ -94,7 +81,6 @@ __all__ = [
     "top_k_nearest_subsequences",
     "DistanceProfileIndex",
     "PrefixDistanceEngine",
-    "PrefixDTWEngine",
     "batch_prefix_distances",
     "dtw_pairwise_distances",
     "ragged_prefix_distances",

@@ -8,8 +8,9 @@ only on diagonals ``d - 1`` and ``d - 2``, so the whole band slice of a
 diagonal updates in one array operation and the Python-level loop shrinks
 from the ``O(n * band)`` cells of the naive double loop to the ``n + m - 1``
 diagonals.  Each cell still performs exactly the recurrence of the scalar
-reference (kept as ``_accumulated_cost_reference``), so the costs -- and
-therefore :func:`dtw_distance` and :func:`dtw_path` -- are bit-identical.
+double loop (kept as the test oracle ``accumulated_cost_reference`` in
+``tests/oracles/dtw.py``), so the costs -- and therefore :func:`dtw_distance`
+and :func:`dtw_path` -- are bit-identical.
 The wavefront kernel also accepts a stack of cost tensors, which is what
 :func:`repro.distance.engine.dtw_pairwise_distances` uses to run every
 (query, train) pair of a batch through one shared wavefront.
@@ -138,43 +139,6 @@ def _accumulated_cost(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
     sq_cost = np.einsum("ijc,ijc->ij", diff, diff)
     return _wavefront_accumulated_cost(sq_cost, band)
-
-
-def _accumulated_cost_reference(a: np.ndarray, b: np.ndarray, band: int) -> np.ndarray:
-    """The scalar double-loop dynamic program (semantic reference).
-
-    Kept verbatim for the training-kernel equivalence tests, which pin the
-    wavefront kernel against it across band specifications and unequal
-    lengths.
-    """
-    n, m = a.shape[0], b.shape[0]
-    cost = np.full((n + 1, m + 1), np.inf)
-    cost[0, 0] = 0.0
-    if a.ndim == 1:
-        for i in range(1, n + 1):
-            j_start = max(1, i - band)
-            j_end = min(m, i + band)
-            ai = a[i - 1]
-            for j in range(j_start, j_end + 1):
-                d = ai - b[j - 1]
-                d = d * d
-                prev = min(cost[i - 1, j], cost[i, j - 1], cost[i - 1, j - 1])
-                cost[i, j] = d + prev
-        return cost
-    # Dependent multichannel DTW: per-cell cost is the channel-summed
-    # squared difference, everything else is the same recurrence.
-    for i in range(1, n + 1):
-        j_start = max(1, i - band)
-        j_end = min(m, i + band)
-        ai = a[i - 1]
-        for j in range(j_start, j_end + 1):
-            d = 0.0
-            for c in range(a.shape[1]):
-                delta = ai[c] - b[j - 1, c]
-                d += delta * delta
-            prev = min(cost[i - 1, j], cost[i, j - 1], cost[i - 1, j - 1])
-            cost[i, j] = d + prev
-    return cost
 
 
 def dtw_distance(a: np.ndarray, b: np.ndarray, window: int | float | None = None) -> float:

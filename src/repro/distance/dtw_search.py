@@ -1,92 +1,66 @@
-"""Pluggable distance backends: the ``REPRO_BACKEND`` switch and pruned DTW 1-NN.
+"""DTW k nearest neighbours through the UCR-suite lower-bound cascade.
 
 The paper's yardstick for every ETSC method is 1-NN with Euclidean/DTW, and
 its related-work discussion leans on the UCR-suite line of work
-[Rakthanmanon et al., KDD 2013] for how such searches run at scale: cheap
+[Rakthanmanon et al., KDD 2012] for how such searches run at scale: cheap
 lower bounds answer most candidates before the quadratic dynamic program
-ever runs.  This module makes that a *backend choice* rather than a code
-change:
+ever runs.  :func:`dtw_nearest_neighbors` is that search, in four stages:
 
-* ``"reference"`` -- the dense float64 NumPy path (the default and the
-  semantic oracle): every (query, train) pair through the shared
-  anti-diagonal wavefront of :func:`repro.distance.engine.dtw_pairwise_distances`.
-* ``"pruned"`` -- the UCR-suite-style cascade implemented here:
+1. **LB_Kim** (:func:`repro.distance.dtw.lb_kim`): constant-time endpoint
+   bound, one vectorised pass over all pairs.
+2. **LB_Keogh, train-side** (:func:`repro.distance.dtw.lb_keogh`):
+   envelope bound against band envelopes precomputed once per training
+   set (:func:`repro.distance.dtw.dtw_band_envelopes`, reusable across
+   calls through a :class:`repro.distance.dtw.EnvelopeCache`), evaluated
+   only for the pairs LB_Kim could not answer.
+3. **LB_Keogh, query-side**: the mirrored bound -- envelopes around each
+   *query*, held against the raw training samples -- computed only for
+   the survivors of the train-side prune; the cascade then prunes on the
+   maximum of all bounds.
+4. **Early-abandoning DP**: survivors run the *same* banded wavefront
+   recurrence, ordered by their best lower bound and chunked, with the
+   running k-th-best distance abandoning a pair as soon as two
+   consecutive anti-diagonals prove its cost can no longer matter.
 
-  1. **LB_Kim** (:func:`repro.distance.dtw.lb_kim`): constant-time endpoint
-     bound, one vectorised pass over all pairs.
-  2. **LB_Keogh, train-side** (:func:`repro.distance.dtw.lb_keogh`):
-     envelope bound against band envelopes precomputed once per training
-     set (:func:`repro.distance.dtw.dtw_band_envelopes`, reusable across
-     calls through a :class:`repro.distance.dtw.EnvelopeCache`), evaluated
-     only for the pairs LB_Kim could not answer.
-  3. **LB_Keogh, query-side**: the mirrored bound -- envelopes around each
-     *query*, held against the raw training samples -- computed only for
-     the survivors of the train-side prune; the cascade then prunes on the
-     maximum of all bounds.
-  4. **Early-abandoning DP**: survivors run the *same* banded wavefront
-     recurrence, ordered by their best lower bound and chunked, with the
-     running k-th-best distance abandoning a pair as soon as two
-     consecutive anti-diagonals prove its cost can no longer matter.
+Non-finite input is rejected: a NaN or infinite sample has no meaningful
+DTW distance, and the cascade's bounds cannot order it.
 
-The backend is selected by the ``REPRO_BACKEND`` environment variable (or
-programmatically via :func:`set_backend` / :func:`use_backend`);
-:func:`repro.distance.engine.dtw_nearest_neighbors` also takes an explicit
-``backend=`` argument that wins over both.  Both backends reject non-finite
-input: a NaN or infinite sample has no meaningful DTW distance, and the
-cascade's bounds cannot order it.
-
-**Equivalence contract.**  In the default float64 mode the pruned backend
-returns neighbour indices and distances *bit-identical* to the reference:
+**Equivalence contract.**  The returned neighbour indices and distances are
+*bit-identical* to stable-selecting the ``k`` smallest entries per row of
+the dense :func:`repro.distance.engine.dtw_pairwise_distances` matrix:
 survivors are evaluated by the identical wavefront recurrence (identical
 per-cell rounding), ties resolve by the same lowest-training-index rule, and
 pruning thresholds carry a relative slack (:data:`PRUNE_SLACK`) far above
 any possible summation-rounding disagreement between a lower bound and the
 dynamic program, so a candidate that could tie the k-th neighbour is always
-computed, never pruned.  ``tests/test_distance_backends.py`` pins this
-across band specs, unequal lengths and ``k``; the optional float32
-accumulation mode (``dtype=np.float32``) trades bit-equality for speed and
-is held to ``<= 1e-5``.
+computed, never pruned.  ``tests/test_dtw_search.py`` pins this against the
+dense oracle in ``tests/oracles/dtw.py`` across band specs, unequal lengths,
+ties and ``k``.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro.distance.dtw import _resolve_band, dtw_band_envelopes, lb_keogh, lb_kim
+from repro.distance.dtw import (
+    EnvelopeCache,
+    _resolve_band,
+    dtw_band_envelopes,
+    lb_kim,
+)
+from repro.distance.engine import _as_query_tensor, _as_train_tensor
 from repro.memory import get_memory_budget
 
-__all__ = [
-    "BACKENDS",
-    "BACKEND_ENV_VAR",
-    "DTWSearchStats",
-    "active_backend",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
-    "pruned_dtw_nearest_neighbors",
-]
+__all__ = ["DTWSearchStats", "dtw_nearest_neighbors"]
 
-#: Environment variable naming the active distance backend.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Recognised backend names.
-BACKENDS = ("reference", "pruned")
-
-#: Relative slack applied to pruning/abandoning thresholds in float64 mode.
-#: A lower bound and the dynamic program sum the same non-negative terms in
-#: different orders, so they can disagree by a few hundred ulps (~1e-13
-#: relative) on mathematically tied values; the slack keeps every candidate
-#: that could tie the k-th neighbour alive, preserving bit-identical results.
+#: Relative slack applied to pruning/abandoning thresholds.  A lower bound
+#: and the dynamic program sum the same non-negative terms in different
+#: orders, so they can disagree by a few hundred ulps (~1e-13 relative) on
+#: mathematically tied values; the slack keeps every candidate that could
+#: tie the k-th neighbour alive, preserving bit-identical results.
 PRUNE_SLACK = 1e-12
-
-#: Relative slack in float32 accumulation mode (matching its ~1e-6 relative
-#: rounding, with margin).
-PRUNE_SLACK_F32 = 1e-4
 
 #: Survivor pairs evaluated per early-abandoning wavefront call.  Small
 #: enough that the running k-th-best threshold refreshes between chunks
@@ -96,62 +70,9 @@ PRUNE_SLACK_F32 = 1e-4
 _DP_CHUNK_PAIRS = 512
 
 
-_BACKEND_OVERRIDE: str | None = None
-
-
-def _validated_backend(name: object) -> str:
-    label = str(name).strip().lower()
-    if label not in BACKENDS:
-        raise ValueError(
-            f"unknown distance backend {name!r}; choose from {BACKENDS} "
-            f"(set via the {BACKEND_ENV_VAR} environment variable, "
-            "set_backend(), or an explicit backend= argument)"
-        )
-    return label
-
-
-def active_backend() -> str:
-    """The currently selected backend name.
-
-    Resolution order: a programmatic :func:`set_backend` override, then the
-    ``REPRO_BACKEND`` environment variable, then ``"reference"``.
-    """
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    raw = os.environ.get(BACKEND_ENV_VAR)
-    if raw is None or not raw.strip():
-        return "reference"
-    return _validated_backend(raw)
-
-
-def set_backend(name: str | None) -> None:
-    """Select the backend for the whole process (``None`` restores env control)."""
-    global _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = None if name is None else _validated_backend(name)
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[str]:
-    """Context manager selecting a backend within a ``with`` block."""
-    global _BACKEND_OVERRIDE
-    previous = _BACKEND_OVERRIDE
-    set_backend(name)
-    try:
-        yield active_backend()
-    finally:
-        _BACKEND_OVERRIDE = previous
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """An explicit ``backend=`` argument if given, else :func:`active_backend`."""
-    if backend is None:
-        return active_backend()
-    return _validated_backend(backend)
-
-
 @dataclass(frozen=True)
 class DTWSearchStats:
-    """Where the candidate pairs of one pruned 1-NN/k-NN search were answered.
+    """Where the candidate pairs of one cascade k-NN search were answered.
 
     ``lb_kim_pruned + lb_keogh_pruned + dp_computed == n_pairs`` always
     holds: every pair is either killed by a lower bound or enters the
@@ -159,9 +80,7 @@ class DTWSearchStats:
     it: ``dp_abandoned`` is the subset of ``dp_computed`` stopped early by
     the running-best threshold, and ``lb_keogh_query_pruned`` the subset of
     ``lb_keogh_pruned`` killed by the query-side envelope bound (pairs the
-    train-side bound had not already answered).  ``backend`` names the
-    backend that ran the search, so sweeps and benchmarks can record what
-    they really measured.
+    train-side bound had not already answered).
     """
 
     n_pairs: int
@@ -170,7 +89,6 @@ class DTWSearchStats:
     dp_abandoned: int
     dp_computed: int
     lb_keogh_query_pruned: int = 0
-    backend: str = "pruned"
 
     @property
     def pruning_rate(self) -> float:
@@ -180,28 +98,8 @@ class DTWSearchStats:
         return 1.0 - self.dp_computed / self.n_pairs
 
 
-def _as_batch(arr: np.ndarray, what: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    if out.ndim == 1:
-        out = out[None, :]
-    if out.ndim not in (2, 3) or out.shape[0] < 1 or out.shape[1] < 1:
-        raise ValueError(
-            f"{what} must be a non-empty 1-D series, 2-D (n, length) batch, "
-            f"or 3-D (n, length, n_channels) multichannel batch; got shape "
-            f"{np.asarray(arr).shape}"
-        )
-    if out.ndim == 3 and out.shape[2] < 1:
-        raise ValueError(f"{what} must have at least one channel")
-    if out.ndim == 3 and out.shape[2] == 1:
-        # (n, L, 1) is univariate in disguise: squeeze so the legacy 2-D
-        # code paths (and their bit-exact guarantees) apply verbatim.
-        out = out[:, :, 0]
-    _require_finite(out, what)
-    return out
-
-
 def _require_finite(arr: np.ndarray, what: str) -> None:
-    """Reject NaN/inf samples, which have no DTW distance to rank (both backends)."""
+    """Reject NaN/inf samples, which have no DTW distance to rank."""
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
 
@@ -224,9 +122,8 @@ def _banded_costs_with_abandon(
     ``q_rows``/``t_rows`` are the already-gathered per-pair series (shapes
     ``(p, n)`` and ``(p, m)``, or ``(p, n, d)`` / ``(p, m, d)`` multichannel
     -- cell costs are then channel-summed, accumulated in the same channel
-    order as the dense reference so surviving costs stay bit-identical; any
-    float dtype -- float32 selects float32
-    accumulation).  Per cell the recurrence is exactly the one of
+    order as the dense reference so surviving costs stay bit-identical).
+    Per cell the recurrence is exactly the one of
     :func:`repro.distance.dtw._wavefront_accumulated_cost` (same elementwise
     operations in the same order, so surviving costs are bit-identical to the
     dense reference), but only the rolling last two anti-diagonals are kept
@@ -247,13 +144,12 @@ def _banded_costs_with_abandon(
     p, n = q_rows.shape[0], q_rows.shape[1]
     m = t_rows.shape[1]
     channels = q_rows.shape[2] if q_rows.ndim == 3 else 1
-    dt = q_rows.dtype
     out = np.full(p, np.inf)
     ids = np.arange(p)
     thr = np.asarray(thresholds_sq, dtype=float)
     # Diagonal d holds cost(i, d - i) at column i; d-2 then d-1, rolled.
-    prev2 = np.full((p, n + 1), np.inf, dtype=dt)
-    prev = np.full((p, n + 1), np.inf, dtype=dt)
+    prev2 = np.full((p, n + 1), np.inf)
+    prev = np.full((p, n + 1), np.inf)
     prev2[:, 0] = 0.0
     prev_min = np.full(p, np.inf)
     for d in range(2, n + m + 1):
@@ -261,7 +157,7 @@ def _banded_costs_with_abandon(
         i_hi = min(n, d - 1, (d + band) // 2)
         if i_lo > i_hi:
             continue
-        cur = np.full((ids.shape[0], n + 1), np.inf, dtype=dt)
+        cur = np.full((ids.shape[0], n + 1), np.inf)
         # cost(i-1, j) and cost(i, j-1) live on diagonal d-1 at columns
         # i-1 and i; cost(i-1, j-1) on d-2 at i-1.  All contiguous slices.
         best = np.minimum(prev[:, i_lo - 1 : i_hi], prev[:, i_lo : i_hi + 1])
@@ -314,50 +210,45 @@ def _insert_neighbor(
     best_i[row] = i_row[order]
 
 
-def pruned_dtw_nearest_neighbors(
+def dtw_nearest_neighbors(
     queries: np.ndarray,
     train: np.ndarray,
     window: int | float | None = None,
     n_neighbors: int = 1,
-    dtype: np.dtype | type = np.float64,
     return_stats: bool = False,
-    chunk_pairs: int = _DP_CHUNK_PAIRS,
-    envelope_cache: object | None = None,
+    envelope_cache: EnvelopeCache | None = None,
 ) -> (
     tuple[np.ndarray, np.ndarray]
     | tuple[np.ndarray, np.ndarray, DTWSearchStats]
 ):
-    """DTW k nearest neighbours through the cascading lower-bound pipeline.
+    """DTW k nearest neighbours of every query through the lower-bound cascade.
 
-    See the module docstring for the cascade.  In float64 mode (default) the
-    returned indices and distances are bit-identical to the dense reference
-    (:func:`repro.distance.engine.dtw_nearest_neighbors` with
-    ``backend="reference"``); ``dtype=np.float32`` selects float32
-    accumulation in the dynamic program (distances within ~1e-5 relative on
-    realistic data).
+    See the module docstring for the cascade and its equivalence contract:
+    indices and distances are bit-identical to stable-selecting the ``k``
+    smallest entries per row of
+    :func:`repro.distance.engine.dtw_pairwise_distances`.  Raises
+    ``ValueError`` on non-finite input.  The gathered LB_Keogh temporaries
+    are chunked against the :mod:`repro.memory` budget.
 
     Parameters
     ----------
     queries, train:
-        2-D arrays ``(n_queries, n)`` and ``(n_train, m)``, or 3-D
-        multichannel batches with matching channel counts (dependent DTW
-        with channel-summed costs); lengths may differ (DTW aligns them).
-        A 1-D query is promoted to a batch of one.
+        The input contract of
+        :func:`repro.distance.engine.dtw_pairwise_distances`: ``train`` is a
+        2-D ``(n_train, m)`` batch or a 3-D multichannel ``(n_train, m, d)``
+        batch (dependent DTW with channel-summed costs); ``queries`` a
+        matching ``(n_queries, n[, d])`` batch, which may be empty.  A single
+        1-D query (or ``(n, d)`` multichannel exemplar) is promoted to a
+        batch of one.  Lengths may differ (DTW aligns them).
     window:
         Sakoe-Chiba band spec with the semantics of
         :func:`repro.distance.dtw.dtw_distance`.
     n_neighbors:
         Number of neighbours per query (``k``), each sorted by
         ``(distance, training index)``.
-    dtype:
-        ``np.float64`` (bit-exact) or ``np.float32`` (fast accumulation).
     return_stats:
         Also return a :class:`DTWSearchStats` with the per-stage pruning
         counts (the benchmark's pruning-rate metric).
-    chunk_pairs:
-        Survivor pairs per early-abandoning wavefront call.  The gathered
-        LB_Keogh temporaries are chunked against the :mod:`repro.memory`
-        budget.
     envelope_cache:
         Optional :class:`repro.distance.dtw.EnvelopeCache`; when given, the
         train-side band envelopes are fetched from (and stored into) it
@@ -367,33 +258,23 @@ def pruned_dtw_nearest_neighbors(
     Returns
     -------
     (indices, distances[, stats]):
-        ``(n_queries, k)`` neighbour indices (closest first) and their DTW
-        distances.
+        ``(n_queries, k)`` neighbour indices (closest first) and their
+        float64 DTW distances.
     """
-    q = _as_batch(queries, "queries")
-    t = _as_batch(train, "train")
-    if q.ndim != t.ndim or q.shape[2:] != t.shape[2:]:
-        raise ValueError(
-            "queries and train must agree in rank and channel count "
-            "(trailing axis); got shapes "
-            f"{q.shape} and {t.shape}"
-        )
+    t = _as_train_tensor(train)
+    channels = t.shape[2] if t.ndim == 3 else 1
+    q = _as_query_tensor(queries, channels)
+    if q.shape[1] < 1:
+        raise ValueError("queries must contain at least one sample")
+    _require_finite(q, "queries")
+    _require_finite(t, "train")
     n_q, n = q.shape[0], q.shape[1]
     n_train, m = t.shape[0], t.shape[1]
-    channels = q.shape[2] if q.ndim == 3 else 1
     k = int(n_neighbors)
     if not 1 <= k <= n_train:
         raise ValueError(f"n_neighbors must be in [1, {n_train}], got {n_neighbors}")
     block_bytes = get_memory_budget()
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("dtype must be float32 or float64")
-    if chunk_pairs < 1:
-        raise ValueError("chunk_pairs must be >= 1")
-    slack = PRUNE_SLACK if dt == np.dtype(np.float64) else PRUNE_SLACK_F32
     band = _resolve_band(n, m, window)
-    q_dp = q.astype(dt, copy=False)
-    t_dp = t.astype(dt, copy=False)
 
     best_d = np.full((n_q, k), np.inf)
     best_i = np.full((n_q, k), n_train, dtype=np.intp)
@@ -405,9 +286,7 @@ def pruned_dtw_nearest_neighbors(
     def run_pairs(rows: np.ndarray, cols: np.ndarray, thresholds: np.ndarray) -> None:
         nonlocal dp_computed, dp_abandoned
         dp_computed += rows.shape[0]
-        sq, abandoned = _banded_costs_with_abandon(
-            q_dp[rows], t_dp[cols], band, thresholds
-        )
+        sq, abandoned = _banded_costs_with_abandon(q[rows], t[cols], band, thresholds)
         dp_abandoned += int(abandoned.sum())
         dist = np.sqrt(sq)
         computed[rows, cols] = True
@@ -417,15 +296,15 @@ def pruned_dtw_nearest_neighbors(
     def thresholds_for(rows: np.ndarray) -> np.ndarray:
         kth = best_d[rows, k - 1]
         with np.errstate(invalid="ignore"):
-            return np.where(np.isfinite(kth), kth * kth * (1.0 + slack), np.inf)
+            return np.where(np.isfinite(kth), kth * kth * (1.0 + PRUNE_SLACK), np.inf)
 
     # --- stage 0: LB_Kim over all pairs, and k seed DPs per query ----------
     kim = lb_kim(q, t)
     seed_cols = np.argsort(kim, axis=1, kind="stable")[:, :k]
     seed_rows = np.repeat(np.arange(n_q), k)
     seed_flat = seed_cols.ravel()
-    for start in range(0, seed_rows.shape[0], chunk_pairs):
-        stop = min(start + chunk_pairs, seed_rows.shape[0])
+    for start in range(0, seed_rows.shape[0], _DP_CHUNK_PAIRS):
+        stop = min(start + _DP_CHUNK_PAIRS, seed_rows.shape[0])
         run_pairs(
             seed_rows[start:stop],
             seed_flat[start:stop],
@@ -491,8 +370,8 @@ def pruned_dtw_nearest_neighbors(
     # --- stage 3: early-abandoning DP for survivors, best-bound first ------
     order = np.argsort(lb, kind="stable")
     rows, cols, lb = rows[order], cols[order], lb[order]
-    for start in range(0, rows.shape[0], chunk_pairs):
-        stop = min(start + chunk_pairs, rows.shape[0])
+    for start in range(0, rows.shape[0], _DP_CHUNK_PAIRS):
+        stop = min(start + _DP_CHUNK_PAIRS, rows.shape[0])
         chunk_rows = rows[start:stop]
         thr_now = thresholds_for(chunk_rows)
         still = lb[start:stop] <= thr_now
@@ -501,10 +380,8 @@ def pruned_dtw_nearest_neighbors(
             continue
         run_pairs(chunk_rows[still], cols[start:stop][still], thr_now[still])
 
-    distances = best_d.copy()
-    indices = best_i.copy()
     if not return_stats:
-        return indices, distances
+        return best_i, best_d
     stats = DTWSearchStats(
         n_pairs=n_pairs,
         lb_kim_pruned=lb_kim_pruned,
@@ -512,6 +389,5 @@ def pruned_dtw_nearest_neighbors(
         dp_abandoned=dp_abandoned,
         dp_computed=dp_computed,
         lb_keogh_query_pruned=lb_keogh_query_pruned,
-        backend="pruned",
     )
-    return indices, distances, stats
+    return best_i, best_d, stats

@@ -43,13 +43,11 @@ Four entry points:
   to bound the working set.  This is what the classifiers'
   ``predict_early_batch`` fast paths are built on.
 
-For DTW, :class:`PrefixDTWEngine` keeps one dynamic-programming row per
-training series so extending the query prefix by one sample costs
-``O(n_train * m)`` (``m`` the training length) instead of re-running the
-``O(t * m)`` recurrence from scratch, and
-:func:`dtw_pairwise_distances` is the batch entry point: every
+For DTW, :func:`dtw_pairwise_distances` is the batch entry point: every
 (query, train) pair of a test set rides one shared anti-diagonal wavefront
-DP, so DTW sits on the same engine surface as the Euclidean kernels.
+DP, so DTW sits on the same engine surface as the Euclidean kernels.  DTW
+k-NN search, which prunes most pairs before the dynamic program, lives in
+:mod:`repro.distance.dtw_search`.
 
 Multichannel series are first-class.  A training set may be 3-D
 ``(n_train, L, d)`` (axis 0 = series, axis 1 = time, axis 2 = channel) and
@@ -70,21 +68,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.distance.backends import (
-    DTWSearchStats,
-    _require_finite,
-    pruned_dtw_nearest_neighbors,
-    resolve_backend,
-)
-from repro.distance.dtw import EnvelopeCache, _resolve_band, _wavefront_accumulated_cost
+from repro.distance.dtw import _resolve_band, _wavefront_accumulated_cost
 from repro.memory import get_memory_budget
 
 __all__ = [
     "PrefixDistanceEngine",
     "PrefixSweep",
-    "PrefixDTWEngine",
     "batch_prefix_distances",
-    "dtw_nearest_neighbors",
     "dtw_pairwise_distances",
     "iter_prefix_distances",
     "pairwise_prefix_distances",
@@ -673,7 +663,6 @@ def dtw_pairwise_distances(
     queries: np.ndarray,
     train: np.ndarray,
     window: int | float | None = None,
-    dtype: np.dtype | type = np.float64,
 ) -> np.ndarray:
     """Banded DTW distance of every query to every training series in one pass.
 
@@ -702,10 +691,6 @@ def dtw_pairwise_distances(
         :func:`~repro.distance.dtw.dtw_distance`: ``None`` unconstrained, an
         ``int`` an absolute width, a float in [0, 1] a fraction of the longer
         length.  All pairs share one shape, hence one resolved band.
-    dtype:
-        Accumulation dtype of the dynamic program: ``np.float64`` (default,
-        bit-identical to the scalar reference) or ``np.float32`` (halves the
-        working set; distances within ~1e-5 relative on realistic data).
 
     Returns
     -------
@@ -716,11 +701,11 @@ def dtw_pairwise_distances(
     Notes
     -----
     A *pairwise matrix* is dense by definition -- every entry is demanded --
-    so there is nothing here for a lower bound to prune, and both backends
-    share this one numpy kernel.  Queries are chunked so the per-chunk cost
-    tensors fit the :mod:`repro.memory` budget.  The backend switch matters
-    for :func:`dtw_nearest_neighbors`, where only the k smallest entries per
-    row survive and most pairs can be answered without the dynamic program.
+    so there is nothing here for a lower bound to prune.  Queries are
+    chunked so the per-chunk cost tensors fit the :mod:`repro.memory`
+    budget.  When only the k smallest entries per row matter,
+    :func:`repro.distance.dtw_search.dtw_nearest_neighbors` answers most
+    pairs without the dynamic program and returns the same neighbours.
     """
     train = _as_train_tensor(train)
     channels = train.shape[2] if train.ndim == 3 else 1
@@ -728,40 +713,32 @@ def dtw_pairwise_distances(
     if arr.shape[1] < 1:
         raise ValueError("queries must contain at least one sample")
     block_bytes = get_memory_budget()
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError("dtype must be float32 or float64")
     n, m = arr.shape[1], train.shape[1]
     band = _resolve_band(n, m, window)
     n_queries, n_train = arr.shape[0], train.shape[0]
-    arr_dp = arr.astype(dt, copy=False)
-    train_dp = train.astype(dt, copy=False)
     out = np.empty((n_queries, n_train))
     # Working set per query: the (n_train, n, m) squared-cost tensor (built
     # per channel for multichannel input, so one extra diff temporary) plus
     # the (n_train, n + 1, m + 1) accumulated-cost tensor.
-    per_query = n_train * ((1 + min(channels, 2)) * n * m + (n + 1) * (m + 1)) * dt.itemsize
+    per_query = n_train * ((1 + min(channels, 2)) * n * m + (n + 1) * (m + 1)) * 8
     chunk = max(1, int(block_bytes // per_query))
     for start in range(0, n_queries, chunk):
         stop = min(start + chunk, n_queries)
         if channels == 1:
-            diff = arr_dp[start:stop, None, :, None] - train_dp[None, :, None, :]
+            diff = arr[start:stop, None, :, None] - train[None, :, None, :]
             np.square(diff, out=diff)
             cost = diff
         else:
             # Dependent DTW: accumulate the channel-summed squared cell cost
             # one channel at a time, so the temporary stays (chunk, n_train,
             # n, m) instead of carrying the channel axis into the wavefront.
-            cost = np.zeros((stop - start, n_train, n, m), dtype=dt)
+            cost = np.zeros((stop - start, n_train, n, m))
             for c in range(channels):
-                diff = (
-                    arr_dp[start:stop, None, :, c, None]
-                    - train_dp[None, :, None, :, c]
-                )
+                diff = arr[start:stop, None, :, c, None] - train[None, :, None, :, c]
                 np.square(diff, out=diff)
                 cost += diff
         cost = _wavefront_accumulated_cost(cost, band)
-        np.sqrt(cost[..., n, m], out=out[start:stop], casting="unsafe")
+        np.sqrt(cost[..., n, m], out=out[start:stop])
     return out
 
 
@@ -780,219 +757,3 @@ def _stable_k_smallest(
     else:
         idx = np.argsort(distances, axis=1, kind="stable")[:, :k]
     return idx, np.take_along_axis(distances, idx, axis=1)
-
-
-def dtw_nearest_neighbors(
-    queries: np.ndarray,
-    train: np.ndarray,
-    window: int | float | None = None,
-    n_neighbors: int = 1,
-    backend: str | None = None,
-    dtype: np.dtype | type = np.float64,
-    return_stats: bool = False,
-    envelope_cache: EnvelopeCache | None = None,
-) -> (
-    tuple[np.ndarray, np.ndarray]
-    | tuple[np.ndarray, np.ndarray, DTWSearchStats]
-):
-    """DTW k nearest neighbours of every query, routed through the backend layer.
-
-    The single entry point every DTW 1-NN consumer should call: the
-    ``"reference"`` backend evaluates the dense
-    :func:`dtw_pairwise_distances` matrix and stable-selects per row, and
-    the ``"pruned"`` backend answers most pairs with the
-    LB_Kim -> LB_Keogh -> early-abandoning-DP cascade of
-    :func:`repro.distance.backends.pruned_dtw_nearest_neighbors`.  In
-    float64 mode both return bit-identical indices and distances (the
-    equivalence suite pins this), so the backend is purely a throughput
-    choice.  Both raise ``ValueError`` on non-finite input.
-
-    Parameters
-    ----------
-    queries, train:
-        2-D arrays ``(n_queries, n)`` and ``(n_train, m)``; lengths may
-        differ.  A 1-D query is promoted to a batch of one.
-    window:
-        Sakoe-Chiba band spec with the semantics of
-        :func:`repro.distance.dtw.dtw_distance`.
-    n_neighbors:
-        Neighbours per query, each row sorted by ``(distance, index)``.
-    backend:
-        Explicit backend name, overriding ``REPRO_BACKEND`` /
-        :func:`repro.distance.backends.set_backend`; ``None`` defers to them.
-    dtype:
-        ``np.float64`` (bit-exact) or ``np.float32`` (fast accumulation).
-    return_stats:
-        Also return a :class:`repro.distance.backends.DTWSearchStats`.  The
-        reference backend reports a fully dense search (pruning rate 0).
-    envelope_cache:
-        Optional :class:`repro.distance.dtw.EnvelopeCache` forwarded to the
-        pruned cascade so the train-side envelopes are computed once per
-        training set instead of once per call (ignored by ``"reference"``,
-        which uses no envelopes).
-
-    Returns
-    -------
-    (indices, distances[, stats]):
-        ``(n_queries, k)`` neighbour indices (closest first) and their
-        float64 DTW distances.
-    """
-    name = resolve_backend(backend)
-    if name == "pruned":
-        return pruned_dtw_nearest_neighbors(
-            queries,
-            train,
-            window=window,
-            n_neighbors=n_neighbors,
-            dtype=dtype,
-            return_stats=return_stats,
-            envelope_cache=envelope_cache,
-        )
-    _require_finite(np.asarray(queries, dtype=float), "queries")
-    _require_finite(np.asarray(train, dtype=float), "train")
-    distances = dtw_pairwise_distances(queries, train, window=window, dtype=dtype)
-    k = int(n_neighbors)
-    if not 1 <= k <= distances.shape[1]:
-        raise ValueError(
-            f"n_neighbors must be in [1, {distances.shape[1]}], got {n_neighbors}"
-        )
-    idx, vals = _stable_k_smallest(distances, k)
-    if not return_stats:
-        return idx, vals
-    n_pairs = distances.size
-    stats = DTWSearchStats(
-        n_pairs=n_pairs,
-        lb_kim_pruned=0,
-        lb_keogh_pruned=0,
-        dp_abandoned=0,
-        dp_computed=n_pairs,
-        backend="reference",
-    )
-    return idx, vals, stats
-
-
-class PrefixDTWEngine:
-    """Incremental (unconstrained or fixed-band) DTW of a growing query prefix.
-
-    Appending one query sample appends one row to each training series'
-    dynamic program, reusing every previously computed row: the per-step cost
-    is ``O(n_train * m)`` instead of the ``O(t * m)`` of recomputing the
-    recurrence for the whole prefix.
-
-    Parameters
-    ----------
-    train:
-        2-D array ``(n_train, m)`` of reference series.
-    band:
-        Optional fixed Sakoe-Chiba band half-width applied to the *full*
-        alignment grid (``None`` means unconstrained, which matches
-        :func:`repro.distance.dtw.dtw_distance` with ``window=None`` exactly
-        at every prefix length).  A fixed band differs from the per-length
-        band :func:`~repro.distance.dtw.dtw_distance` derives, because that
-        band widens as the length difference ``|t - m|`` grows; the engine
-        documents rather than hides this, and the equivalence tests pin the
-        unconstrained case.
-    """
-
-    def __init__(self, train: np.ndarray, band: int | None = None) -> None:
-        # DTW aligns whole time steps, so the training tensor keeps its
-        # (optional) channel axis instead of being flattened.
-        self._train = _as_train_tensor(train)
-        self._channels = self._train.shape[2] if self._train.ndim == 3 else 1
-        if band is not None and band < 0:
-            raise ValueError("band must be >= 0 or None")
-        self.band = band
-        self._rows: np.ndarray | None = None
-        self._length = 0
-        self._envelope_cache: EnvelopeCache | None = None
-
-    @property
-    def envelope_cache(self) -> EnvelopeCache:
-        """Lazily created :class:`~repro.distance.dtw.EnvelopeCache` for this engine.
-
-        The engine pins a training set for its whole lifetime, so callers
-        that interleave incremental prefix walks with cascade searches
-        against the same series (the serving layer's confirm step) can hand
-        this cache to :func:`dtw_nearest_neighbors` and pay the envelope
-        sweep once.  Content-fingerprinted keys mean a different training
-        set can never be served stale envelopes.
-        """
-        if self._envelope_cache is None:
-            self._envelope_cache = EnvelopeCache()
-        return self._envelope_cache
-
-    @property
-    def n_channels(self) -> int:
-        """Channels per time step (1 for univariate training data)."""
-        return self._channels
-
-    @property
-    def length(self) -> int:
-        """Number of query samples consumed so far."""
-        return self._length
-
-    def start(self) -> "PrefixDTWEngine":
-        """Reset to an empty query prefix."""
-        n, m = self._train.shape[0], self._train.shape[1]
-        self._rows = np.full((n, m + 1), np.inf)
-        self._rows[:, 0] = 0.0
-        self._length = 0
-        return self
-
-    def append(self, value) -> np.ndarray:
-        """Extend the query by one sample; return DTW distances to every series.
-
-        Parameters
-        ----------
-        value:
-            The new query sample: a scalar for univariate training data, a
-            length-``n_channels`` vector for multichannel data (the dependent
-            DTW cell cost is then channel-summed).
-
-        Returns
-        -------
-        numpy.ndarray
-            1-D array of length ``n_train``: ``sqrt`` of the accumulated
-            squared cost of aligning the current prefix with each *full*
-            training series.
-        """
-        if self._rows is None:
-            raise RuntimeError("call start() before appending samples")
-        n, m = self._train.shape[0], self._train.shape[1]
-        i = self._length + 1
-        prev = self._rows
-        new = np.full((n, m + 1), np.inf)
-        # Row 0 of the DP corresponds to the empty prefix and is only valid
-        # at j == 0; after the first appended sample the boundary moves with us.
-        new[:, 0] = np.inf
-        if self.band is None:
-            j_start, j_end = 1, m
-        else:
-            j_start = max(1, i - self.band)
-            j_end = min(m, i + self.band)
-        if self._channels == 1:
-            diff = value - self._train
-            cost = diff * diff
-        else:
-            sample = np.asarray(value, dtype=float)
-            if sample.shape != (self._channels,):
-                raise ValueError(
-                    f"expected a length-{self._channels} channel vector per "
-                    f"time step, got shape {sample.shape}"
-                )
-            diff = sample[None, None, :] - self._train
-            cost = np.einsum("nmc,nmc->nm", diff, diff)
-        for j in range(j_start, j_end + 1):
-            best_prev = np.minimum(
-                np.minimum(prev[:, j], new[:, j - 1]), prev[:, j - 1]
-            )
-            new[:, j] = cost[:, j - 1] + best_prev
-        self._rows = new
-        self._length = i
-        return np.sqrt(new[:, m])
-
-    def distances(self) -> np.ndarray:
-        """DTW distances of the current prefix to every training series."""
-        if self._rows is None or self._length == 0:
-            raise RuntimeError("no query samples have been appended")
-        return np.sqrt(self._rows[:, self._train.shape[1]])

@@ -17,10 +17,10 @@ from repro.memory import get_memory_budget
 from repro.distance.engine import (
     _stable_k_smallest,
     batch_prefix_distances,
-    dtw_nearest_neighbors,
     iter_prefix_distances,
 )
 from repro.distance.dtw import EnvelopeCache
+from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.euclidean import pairwise_euclidean
 from repro.distance.znorm import EPSILON, znormalize
 
@@ -63,10 +63,10 @@ class KNeighborsTimeSeriesClassifier:
         standard for UCR-style evaluation).
     metric:
         The string ``"euclidean"`` (the default; uses a vectorised pairwise
-        computation), the string ``"dtw"`` (banded DTW routed through
-        :func:`repro.distance.engine.dtw_nearest_neighbors`, so it rides the
-        pruned lower-bound cascade whenever ``REPRO_BACKEND=pruned`` is
-        active), or any callable ``f(a, b) -> float``.
+        computation), the string ``"dtw"`` (banded DTW k-NN through the
+        lower-bound cascade of
+        :func:`repro.distance.dtw_search.dtw_nearest_neighbors`), or any
+        callable ``f(a, b) -> float``.
     znormalize_inputs:
         If ``True``, every training and query series is z-normalised before
         distances are computed.  Set to ``False`` to reproduce the "peeking"
@@ -206,10 +206,10 @@ class KNeighborsTimeSeriesClassifier:
 
         The single neighbour-finding path every prediction entry point sits
         on.  The ``"dtw"`` metric goes straight to
-        :func:`repro.distance.engine.dtw_nearest_neighbors` (and thereby the
-        active ``REPRO_BACKEND`` -- the pruned cascade never materialises the
-        dense matrix); everything else computes its ``(n_queries, n_train)``
-        matrix once and stable-selects per row.  Both rows come back sorted
+        :func:`repro.distance.dtw_search.dtw_nearest_neighbors`, whose
+        cascade never materialises the dense matrix; everything else
+        computes its ``(n_queries, n_train)`` matrix once and stable-selects
+        per row.  Both rows come back sorted
         by ``(distance, training index)``.
         """
         train, _ = self._require_fitted()
@@ -311,8 +311,8 @@ class KNeighborsTimeSeriesClassifier:
         The whole test set is answered from one :meth:`_neighbors_for` call:
         with the Euclidean metric that is one pairwise distance matrix for
         any ``n_neighbors``; with the ``"dtw"`` metric it is one
-        :func:`repro.distance.engine.dtw_nearest_neighbors` search riding
-        the active backend.  No per-query recomputation, no
+        :func:`repro.distance.dtw_search.dtw_nearest_neighbors` cascade
+        search.  No per-query recomputation, no
         re-normalisation of already-normalised queries.
         """
         queries = np.asarray(series, dtype=float)

@@ -1,19 +1,18 @@
 """Tests for the benchmark record writer (``tools/bench_record.py``).
 
-Every ``BENCH_<name>.json`` record names the distance backend its DTW
-searches ran under, read from :func:`repro.distance.backends.active_backend`
-when the record is written.
+Every ``BENCH_<name>.json`` record carries per-test outcomes, durations and
+explicit metrics, stamped with the git SHA and the Python/platform/NumPy
+versions it ran under.
 """
 
 from __future__ import annotations
 
-import json
+import platform
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-
-from repro.distance.backends import BACKEND_ENV_VAR, set_backend, use_backend
 
 _TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
 if str(_TOOLS_DIR) not in sys.path:
@@ -22,42 +21,11 @@ if str(_TOOLS_DIR) not in sys.path:
 import bench_record  # noqa: E402
 
 
-@pytest.fixture(autouse=True)
-def _clean_backend_state(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    set_backend(None)
-    yield
-    set_backend(None)
-
-
 @pytest.fixture
 def recorder(tmp_path):
     recorder = bench_record.BenchRecorder(tmp_path)
     recorder.record_test("demo", "test_case", "passed", 0.25)
     return recorder
-
-
-@pytest.mark.parametrize("backend", ["reference", "pruned"])
-def test_record_names_the_active_backend(recorder, backend):
-    with use_backend(backend):
-        (path,) = recorder.write()
-    record = json.loads(path.read_text())
-    assert record["backend"] == backend
-    assert "compiled_available" not in record
-
-
-def test_environment_selected_backend_is_recorded(recorder, monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV_VAR, "pruned")
-    (path,) = recorder.write()
-    assert json.loads(path.read_text())["backend"] == "pruned"
-
-
-def test_unknown_environment_backend_fails_the_write(recorder, monkeypatch, tmp_path):
-    # A misconfigured run must not leave a record claiming no backend.
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-    with pytest.raises(ValueError, match="unknown distance backend"):
-        recorder.write()
-    assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 def test_records_round_trip(recorder, tmp_path):
@@ -70,3 +38,44 @@ def test_records_round_trip(recorder, tmp_path):
         "seconds": 0.25,
         "metrics": {"speedup": 7.5},
     }
+    assert {"python", "platform", "numpy"} <= record.keys()
+    assert "backend" not in record
+
+
+def test_provenance_names_this_interpreter(recorder, tmp_path):
+    recorder.write()
+    (record,) = bench_record.load_records(tmp_path)
+    assert record["python"] == platform.python_version()
+    assert record["platform"] == platform.platform()
+    assert record["numpy"] == np.__version__
+
+
+def test_nothing_recorded_writes_nothing(tmp_path):
+    out_dir = tmp_path / "bench"
+    assert bench_record.BenchRecorder(out_dir).write() == []
+    assert not out_dir.exists()
+
+
+def test_one_record_per_module(recorder, tmp_path):
+    recorder.record_test("other", "test_b", "failed", 1.5)
+    recorder.record_metrics("other", "test_b", {"rate": 0.5})
+    recorder.record_metrics("other", "test_b", {"speedup": 3.0})
+    paths = recorder.write()
+    assert [p.name for p in paths] == ["BENCH_demo.json", "BENCH_other.json"]
+    records = bench_record.load_records(tmp_path)
+    assert [r["benchmark"] for r in records] == ["demo", "other"]
+    assert records[1]["tests"]["test_b"]["metrics"] == {"rate": 0.5, "speedup": 3.0}
+
+
+def test_summary_prints_each_test_and_its_metrics(recorder, tmp_path, capsys):
+    recorder.record_metrics("demo", "test_case", {"speedup": 7.54321, "n": 3})
+    recorder.write()
+    assert bench_record.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("demo  (sha ")
+    assert lines[1] == "  test_case: passed in 0.250s  [n=3, speedup=7.543]"
+
+
+def test_summary_without_records_fails(tmp_path, capsys):
+    assert bench_record.main([str(tmp_path)]) == 1
+    assert "no BENCH_*.json records" in capsys.readouterr().out

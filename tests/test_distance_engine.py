@@ -17,7 +17,6 @@ from repro.data.random_walk import smoothed_random_walk
 from repro.distance.dtw import dtw_distance
 from repro.distance.engine import (
     PrefixDistanceEngine,
-    PrefixDTWEngine,
     batch_prefix_distances,
     dtw_pairwise_distances,
     iter_prefix_distances,
@@ -242,41 +241,6 @@ class TestBatchPrefixDistances:
             batch_prefix_distances(queries, train, [61])
         with pytest.raises(ValueError):
             batch_prefix_distances(np.empty((2, 0)), train, [1])
-
-
-class TestPrefixDTWEngine:
-    def test_unconstrained_matches_naive_dtw(self):
-        rng = np.random.default_rng(3)
-        train = _random_walk_batch(rng, 4, 25)
-        query = smoothed_random_walk(25, smoothing=4, seed=99)
-        engine = PrefixDTWEngine(train).start()
-        for t in range(1, 26):
-            got = engine.append(query[t - 1])
-            for j in range(train.shape[0]):
-                want = dtw_distance(query[:t], train[j], window=None)
-                assert got[j] == pytest.approx(want, abs=TOLERANCE)
-
-    def test_distances_property_matches_last_append(self):
-        rng = np.random.default_rng(5)
-        train = _random_walk_batch(rng, 3, 15)
-        query = smoothed_random_walk(15, smoothing=4, seed=1)
-        engine = PrefixDTWEngine(train).start()
-        last = None
-        for value in query[:7]:
-            last = engine.append(value)
-        np.testing.assert_allclose(engine.distances(), last, atol=TOLERANCE)
-
-    def test_requires_start_and_samples(self):
-        engine = PrefixDTWEngine(np.ones((2, 5)))
-        with pytest.raises(RuntimeError):
-            engine.append(0.0)
-        engine.start()
-        with pytest.raises(RuntimeError):
-            engine.distances()
-
-    def test_rejects_negative_band(self):
-        with pytest.raises(ValueError):
-            PrefixDTWEngine(np.ones((2, 5)), band=-1)
 
 
 class TestRewiredCallers:

@@ -16,10 +16,9 @@ import pytest
 
 from repro import memory
 from repro.data.ucr_format import UCRDataset
-from repro.distance.backends import pruned_dtw_nearest_neighbors, use_backend
+from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.engine import (
     batch_prefix_distances,
-    dtw_nearest_neighbors,
     dtw_pairwise_distances,
     ragged_prefix_distances,
 )
@@ -31,6 +30,8 @@ from repro.memory import (
     memory_budget,
     set_memory_budget,
 )
+
+from oracles.dtw import dense_dtw_nearest_neighbors
 
 
 @pytest.fixture(autouse=True)
@@ -131,12 +132,10 @@ class TestChunkingEquivalence:
             chunked = dtw_pairwise_distances(self.queries, self.train, window=5)
         np.testing.assert_array_equal(chunked, reference)
 
-    def test_pruned_backend_lb_stage(self):
-        ref_idx, ref_dist = pruned_dtw_nearest_neighbors(
-            self.queries, self.train, window=5
-        )
+    def test_dtw_search_lb_stage(self):
+        ref_idx, ref_dist = dtw_nearest_neighbors(self.queries, self.train, window=5)
         with memory_budget(1024):
-            idx, dist = pruned_dtw_nearest_neighbors(self.queries, self.train, window=5)
+            idx, dist = dtw_nearest_neighbors(self.queries, self.train, window=5)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(dist, ref_dist)
 
@@ -164,16 +163,14 @@ class TestChunkingEquivalence:
         set_memory_budget(4321)
         assert memory._BUDGET == 4321
 
-    @pytest.mark.parametrize("backend", ["reference", "pruned"])
-    def test_dtw_nearest_neighbors(self, backend):
-        with use_backend(backend):
-            ref_idx, ref_dist = dtw_nearest_neighbors(
+    def test_dtw_nearest_neighbors(self):
+        ref_idx, ref_dist = dense_dtw_nearest_neighbors(
+            self.queries, self.train, window=5, n_neighbors=3
+        )
+        with memory_budget(1024):
+            idx, dist = dtw_nearest_neighbors(
                 self.queries, self.train, window=5, n_neighbors=3
             )
-            with memory_budget(1024):
-                idx, dist = dtw_nearest_neighbors(
-                    self.queries, self.train, window=5, n_neighbors=3
-                )
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(dist, ref_dist)
 
@@ -278,9 +275,6 @@ _BUDGETED_CALLS = {
         q, t, window=5, **kw
     ),
     "dtw_nearest_neighbors": lambda q, t, **kw: dtw_nearest_neighbors(
-        q, t, window=5, **kw
-    ),
-    "pruned_dtw_nearest_neighbors": lambda q, t, **kw: pruned_dtw_nearest_neighbors(
         q, t, window=5, **kw
     ),
 }

@@ -4,8 +4,8 @@ Two guards hold the multichannel data model together:
 
 * every vectorised ``d > 1`` kernel is pinned to a naive per-channel Python
   loop (channel-summed squared differences, per-channel z-norm statistics,
-  dependent DTW with channel-summed cell costs) to ``<= 1e-10`` -- under the
-  reference *and* pruned DTW backends;
+  dependent DTW with channel-summed cell costs) to ``<= 1e-10``, and the
+  DTW k-NN search bit-identical to its dense oracle;
 * every classifier and normalisation mode produces bit-identical results on
   a ``(n, L, 1)`` tensor and the legacy 2-D ``(n, L)`` layout, so golden
   summaries cannot drift from the univariate seed.
@@ -25,13 +25,12 @@ from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.shards import SHARD_SCHEMA_VERSION, ShardedDataset, write_shards
 from repro.data.ucr_like import make_multichannel_cbf_dataset
 from repro.distance.dtw import dtw_distance
-from repro.distance.engine import (
-    batch_prefix_distances,
-    dtw_nearest_neighbors,
-    ragged_prefix_distances,
-)
+from repro.distance.dtw_search import dtw_nearest_neighbors
+from repro.distance.engine import batch_prefix_distances, ragged_prefix_distances
 from repro.distance.znorm import causal_znormalize, znormalize
 from repro.streaming.online import RunningCausalStats, causal_znormalize_batch
+
+from oracles.dtw import dense_dtw_nearest_neighbors
 
 RNG = np.random.default_rng(20260808)
 
@@ -116,30 +115,24 @@ class TestDependentDTWNaive:
         b = RNG.normal(size=(14, 2))
         assert abs(dtw_distance(a, b) - _naive_dtw(a, b, None)) <= ATOL
 
-    @pytest.mark.parametrize("backend", ["reference", "pruned"])
-    def test_nearest_neighbors_match_naive_under_both_backends(self, backend):
+    def test_nearest_neighbors_match_naive(self):
         queries = RNG.normal(size=(3, 10, 3))
         train = RNG.normal(size=(6, 10, 3))
         window = 3
-        idx, dist = dtw_nearest_neighbors(
-            queries, train, window=window, backend=backend
-        )
+        idx, dist = dtw_nearest_neighbors(queries, train, window=window)
         for qi in range(queries.shape[0]):
             naive = [_naive_dtw(queries[qi], row, window) for row in train]
             best = int(np.argmin(naive))
             assert idx[qi, 0] == best
             assert abs(dist[qi, 0] - naive[best]) <= ATOL
 
-    @pytest.mark.parametrize("backend", ["reference", "pruned"])
-    def test_backends_bit_identical_multichannel(self, backend):
+    def test_search_bit_identical_to_oracle_multichannel(self):
         queries = RNG.normal(size=(4, 11, 4))
         train = RNG.normal(size=(7, 11, 4))
-        idx_ref, dist_ref = dtw_nearest_neighbors(
-            queries, train, window=0.2, n_neighbors=3, backend="reference"
+        idx_ref, dist_ref = dense_dtw_nearest_neighbors(
+            queries, train, window=0.2, n_neighbors=3
         )
-        idx, dist = dtw_nearest_neighbors(
-            queries, train, window=0.2, n_neighbors=3, backend=backend
-        )
+        idx, dist = dtw_nearest_neighbors(queries, train, window=0.2, n_neighbors=3)
         assert np.array_equal(idx, idx_ref)
         assert np.array_equal(dist, dist_ref)
 

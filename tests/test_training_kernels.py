@@ -24,11 +24,12 @@ from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
 from repro.classifiers.edsc import EDSCClassifier
 from repro.distance.dtw import (
     _accumulated_cost,
-    _accumulated_cost_reference,
     _resolve_band,
     dtw_distance,
     dtw_path,
 )
+
+from oracles.dtw import accumulated_cost_reference
 
 
 def _labelled_problem(seed: int, n: int = 25, length: int = 40, duplicates: bool = True):
@@ -197,7 +198,7 @@ class TestDTWWavefront:
         a = rng.standard_normal(shape[0])
         b = rng.standard_normal(shape[1])
         band = _resolve_band(shape[0], shape[1], window)
-        reference = _accumulated_cost_reference(a, b, band)
+        reference = accumulated_cost_reference(a, b, band)
         wavefront = _accumulated_cost(a, b, band)
         # Each wavefront cell performs the reference recurrence verbatim, so
         # the equivalence is exact, not merely <= 1e-10.
@@ -209,7 +210,7 @@ class TestDTWWavefront:
         a = rng.standard_normal(33)
         b = rng.standard_normal(27)
         band = _resolve_band(33, 27, window)
-        cost = _accumulated_cost_reference(a, b, band)
+        cost = accumulated_cost_reference(a, b, band)
         expected = float(np.sqrt(cost[33, 27]))
         assert dtw_distance(a, b, window=window) == pytest.approx(
             expected, abs=1e-10

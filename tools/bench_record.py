@@ -9,8 +9,7 @@ gives every ``benchmarks/test_bench_<name>.py`` module one JSON record under
   benchmark ``conftest.py`` hooks -- no per-benchmark code needed);
 * any explicit metrics a benchmark reports through its ``bench_metrics``
   fixture (speedups, component wall times, pruning rates, ...);
-* provenance: git SHA, Python/NumPy versions, and the active distance
-  backend, so a record says which DTW search it measured.
+* provenance: git SHA and the Python, platform and NumPy versions.
 
 Run as a script to summarise whatever records exist::
 
@@ -62,9 +61,6 @@ def _environment() -> dict:
         env["numpy"] = numpy.__version__
     except Exception:  # pragma: no cover - numpy is a hard dependency
         pass
-    from repro.distance.backends import active_backend
-
-    env["backend"] = active_backend()
     return env
 
 
@@ -136,11 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no BENCH_*.json records under {out_dir}")
         return 1
     for record in records:
-        print(
-            f"{record['benchmark']}  "
-            f"(sha {str(record.get('git_sha'))[:12]}, "
-            f"backend {record.get('backend', '?')})"
-        )
+        print(f"{record['benchmark']}  (sha {str(record.get('git_sha'))[:12]})")
         for test_name, entry in sorted(record.get("tests", {}).items()):
             line = (
                 f"  {test_name}: {entry.get('outcome', '?')} "
