@@ -37,8 +37,10 @@ batch-check:
 	$(PYTHON) -m pytest tests/test_batch_predict.py benchmarks/test_bench_batch_predict.py benchmarks/test_bench_reliable.py -q
 
 ## training-engine drift gate: fit-kernel equivalence suite (exact ECTS
-## MPLs/supports, exact EDSC shapelet selection, bit-identical DTW wavefront)
-## plus the >= 5x fit speedup benchmarks (run by CI on every push)
+## MPLs/supports, exact EDSC shapelet selection, EDSC-KDE coarse-to-fine
+## threshold search identical to the full-grid oracle in tests/oracles/edsc.py,
+## bit-identical DTW wavefront) plus the >= 5x fit speedup benchmarks and
+## the KDE search's <= 25% grid-share gate (run by CI on every push)
 fit-check:
 	$(PYTHON) -m pytest tests/test_training_kernels.py benchmarks/test_bench_fit.py -q
 

@@ -18,8 +18,11 @@ Training has three stages:
      one-sided Chebyshev inequality bounds the false-match probability by
      ``1 / (1 + k^2)``.
    * ``"kde"`` -- kernel density estimates of the distance distributions of
-     target and non-target exemplars; the threshold is the largest value at
-     which the estimated precision stays above ``target_precision``.
+     target and non-target exemplars; the threshold is the largest of 200
+     grid values at which the estimated precision stays above
+     ``target_precision``.  An exact coarse-to-fine search finds it: every
+     8th grid point first, then only the gaps whose precision bound can
+     still reach the target.
 
 3. **Selection** -- candidates are ranked by a utility that combines
    precision, recall and earliness (how early in the exemplar the match
@@ -48,9 +51,18 @@ from repro.classifiers.base import BaseEarlyClassifier, BatchCheckpoint, Partial
 
 __all__ = ["EDSCClassifier", "Shapelet"]
 
-#: Byte budget for the ``(rows, grid, samples)`` broadcast of the batched KDE
-#: threshold learner; candidate rows are chunked to respect it.
+#: Byte budget for the ``(points, samples)`` z-score block of the KDE
+#: threshold search; grid points are evaluated in chunks that respect it.
 _KDE_BLOCK_BYTES = 64 * 2**20
+
+#: The KDE threshold search first evaluates every ``_KDE_COARSE_STRIDE``-th
+#: grid point plus the last one.
+_KDE_COARSE_STRIDE = 8
+
+#: A gap between evaluated KDE grid points is refined when its precision
+#: bound reaches ``target_precision`` less this slack, because ``ndtr`` is
+#: monotone only to a few ulps (see ``_kde_thresholds_batch``).
+_KDE_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -253,13 +265,12 @@ class EDSCClassifier(BaseEarlyClassifier):
         """Mine discriminative shapelets and select per-shapelet distance thresholds."""
         return self._fit_impl(series, labels, self._evaluate_candidates_of_length)
 
-    def _fit_reference(self, series: np.ndarray, labels: Sequence) -> "EDSCClassifier":
-        """Fit through the per-candidate reference loop (equivalence tests, benchmarks)."""
-        return self._fit_impl(
-            series, labels, self._evaluate_candidates_of_length_reference
-        )
-
     def _fit_impl(self, series: np.ndarray, labels: Sequence, evaluate) -> "EDSCClassifier":
+        """Fit with ``evaluate`` mining each candidate length.
+
+        ``tests/oracles/edsc.py`` passes its per-candidate reference loop
+        here, so both paths share validation, lengths and selection.
+        """
         data, label_arr = self._validate_training_data(series, labels)
         self._store_training_shape(data, label_arr)
         rng = np.random.default_rng(self.random_state)
@@ -327,8 +338,8 @@ class EDSCClassifier(BaseEarlyClassifier):
     ) -> list[Shapelet]:
         """Extract, threshold and score all candidates of one length -- batched.
 
-        The vectorised counterpart of
-        :meth:`_evaluate_candidates_of_length_reference`: candidates come out
+        The vectorised counterpart of the per-candidate reference loop in
+        ``tests/oracles/edsc.py``: candidates come out
         of one :func:`numpy.lib.stride_tricks.sliding_window_view`, and
         threshold learning / scoring run across the whole
         ``(n_candidates, n_series)`` best-match distance matrix at once
@@ -456,16 +467,38 @@ class EDSCClassifier(BaseEarlyClassifier):
         source_index: np.ndarray,
         non_target: np.ndarray,
     ) -> np.ndarray:
-        """Vectorised :meth:`_kde_threshold` for all candidates of one class.
+        """KDE thresholds of all candidates of one class, by an exact grid search.
 
-        Per candidate the reference pools target distances (minus the source
-        exemplar's own) with non-target distances, places a Gaussian KDE on
-        each side and reads the largest grid value whose estimated precision
-        stays acceptable.  Here the per-candidate grids, bandwidths and CDF
-        stacks are built as one ``(n_candidates, grid, samples)`` broadcast;
-        the grid replicates :func:`numpy.linspace`'s arithmetic
-        (``arange * step`` with a pinned endpoint) so thresholds are
-        bit-identical to the reference.
+        Per candidate, the target distances (minus the source exemplar's own)
+        and the non-target distances each get a Gaussian KDE.  The threshold
+        is the highest of 200 grid values ``linspace(0, max, 200)`` at which
+        the estimated precision ``T / (T + N)`` reaches ``target_precision``,
+        where ``T`` and ``N`` are the two KDE CDFs scaled by their sample
+        counts (``0 / 0`` counts as 1).
+
+        Instead of all 200 points, the search evaluates every
+        ``_KDE_COARSE_STRIDE``-th point plus the last, then refines only the
+        gaps between them that can hold the answer.  ``T`` and ``N`` are
+        non-decreasing along the grid, so no point strictly between
+        evaluated points ``a < b`` has precision above
+        ``T(b) / (T(b) + N(a))``.  A gap is refined only if it lies above the
+        row's highest coarse hit and that bound reaches the target less
+        ``_KDE_BOUND_SLACK``, or if ``T(b) + N(a)`` is below the smallest
+        normal float.  The slack is needed because
+        :func:`scipy.special.ndtr` is monotone only to a few ulps, so a
+        computed CDF can dip between grid points (by about 1e-14 relative
+        for normal sums).  The refinement runs top down and vectorised over
+        rows: each round evaluates the interior of every unresolved row's
+        highest open gap; the highest acceptable point there is the row's
+        answer, otherwise the gap is closed.  A row whose open gaps all miss
+        keeps its highest coarse hit.
+
+        Every evaluated point repeats the full grid's arithmetic (the grid
+        value ``k * (max / 199)`` with the endpoint pinned to ``max``, one
+        ``ndtr`` per sample, a mean over the contiguous samples axis), so
+        the thresholds are bit-identical to reading all 200 points, which the
+        per-candidate oracle in ``tests/oracles/edsc.py`` does.  Rows without
+        an acceptable point, or whose distances do not vary, carry ``NaN``.
         """
         n_rows = distances.shape[0]
         target_cols = np.flatnonzero(target_mask)
@@ -485,39 +518,63 @@ class EDSCClassifier(BaseEarlyClassifier):
             1.06 * spread * pooled.shape[1] ** (-1 / 5), 1e-6
         )
         top = np.max(pooled, axis=1)
-        grid = np.arange(200.0)[None, :] * (top / 199.0)[:, None]
-        grid[:, -1] = top
+        step = top / 199.0
 
-        def cumulative(samples: np.ndarray) -> np.ndarray:
-            """P(X <= g) on each row's grid under that row's Gaussian KDE.
+        def grid_value(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return np.where(k == 199, top[rows], k * step[rows])
 
-            The ``(rows, grid, samples)`` broadcast is built in row chunks so
-            its float64 working set stays under ``_KDE_BLOCK_BYTES``.
-            """
-            out = np.empty((n_rows, grid.shape[1]))
-            per_row = grid.shape[1] * samples.shape[1] * 8
-            chunk = max(1, int(_KDE_BLOCK_BYTES // per_row))
-            for start in range(0, n_rows, chunk):
-                stop = min(start + chunk, n_rows)
-                z = (
-                    grid[start:stop, :, None] - samples[start:stop, None, :]
-                ) / bandwidth[start:stop, None, None]
-                out[start:stop] = np.mean(_standard_normal_cdf(z), axis=2)
-            return out
+        def evaluate(rows: np.ndarray, k: np.ndarray):
+            """``T``, ``N`` and whether the precision is acceptable, per point."""
+            grid = grid_value(rows, k)
+            t = _kde_mass(target, bandwidth, rows, grid)
+            n = _kde_mass(non_target, bandwidth, rows, grid)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                precision = np.where(t + n > 0, t / (t + n), 1.0)
+            return t, n, precision >= self.target_precision
 
-        target_cdf = cumulative(target) * target.shape[1]
-        non_target_cdf = cumulative(non_target) * non_target.shape[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            precision = np.where(
-                target_cdf + non_target_cdf > 0,
-                target_cdf / (target_cdf + non_target_cdf),
-                1.0,
+        coarse = np.append(np.arange(0, 199, _KDE_COARSE_STRIDE), 199)
+        n_gaps = coarse.shape[0] - 1
+        t, n, ok = (
+            values.reshape(n_rows, coarse.shape[0])
+            for values in evaluate(
+                np.repeat(np.arange(n_rows), coarse.shape[0]), np.tile(coarse, n_rows)
             )
-        acceptable = precision >= self.target_precision
-        has_acceptable = acceptable.any(axis=1)
-        last = grid.shape[1] - 1 - np.argmax(acceptable[:, ::-1], axis=1)
-        values = grid[np.arange(n_rows), last]
-        return np.where(has_acceptable & (spread > 0), values, np.nan)
+        )
+        # Index into ``coarse`` of each row's highest acceptable point, or -1.
+        best = np.where(
+            ok.any(axis=1), n_gaps - np.argmax(ok[:, ::-1], axis=1), -1
+        )
+        answer = np.where(best >= 0, coarse[best], -1)
+        # Gap j lies between coarse[j] and coarse[j + 1].
+        denominator = t[:, 1:] + n[:, :-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = t[:, 1:] / denominator
+        open_gaps = (
+            (np.arange(n_gaps) >= best[:, None])
+            & (spread > 0)[:, None]
+            & (
+                (bound >= self.target_precision - _KDE_BOUND_SLACK)
+                | (denominator < np.finfo(float).tiny)
+            )
+        )
+        offsets = np.arange(1, _KDE_COARSE_STRIDE)
+        pending = np.flatnonzero(open_gaps.any(axis=1))
+        while pending.size:
+            gap = n_gaps - 1 - np.argmax(open_gaps[pending, ::-1], axis=1)
+            k = coarse[gap][:, None] + offsets
+            inside = k < coarse[gap + 1][:, None]
+            hit = np.zeros(k.shape, dtype=bool)
+            hit[inside] = evaluate(
+                np.broadcast_to(pending[:, None], k.shape)[inside], k[inside]
+            )[2]
+            found = hit.any(axis=1)
+            highest = k.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
+            answer[pending[found]] = k[found, highest[found]]
+            open_gaps[pending, gap] = False
+            pending = pending[~found & open_gaps[pending].any(axis=1)]
+        return np.where(
+            (answer >= 0) & (spread > 0), grid_value(np.arange(n_rows), answer), np.nan
+        )
 
     def _score_candidates_batch(
         self,
@@ -538,7 +595,8 @@ class EDSCClassifier(BaseEarlyClassifier):
         the earliness-weighted recall of the (much rarer) *surviving*
         candidates is summed per row, over the compacted matched entries,
         because a padded whole-row sum groups NumPy's pairwise summation
-        differently and drifts from :meth:`_score_candidate` by one ulp --
+        differently and drifts from the reference loop's per-candidate
+        scoring (``tests/oracles/edsc.py``) by one ulp --
         enough to break exact utility ties and reorder the greedy selection.
         """
         matched = distances <= thresholds[:, None]
@@ -575,174 +633,6 @@ class EDSCClassifier(BaseEarlyClassifier):
                 )
             )
         return shapelets
-
-    def _evaluate_candidates_of_length_reference(
-        self,
-        data: np.ndarray,
-        labels: np.ndarray,
-        window: int,
-        rng: np.random.Generator,
-    ) -> list[Shapelet]:
-        """Extract, threshold and score all candidates of one length (reference loop).
-
-        The per-candidate Python loop the batched pipeline replaced, kept
-        verbatim (together with :meth:`_learn_threshold` and
-        :meth:`_score_candidate`) as the semantic reference the equivalence
-        tests and the fit benchmark run against.
-        """
-        n_series, length = data.shape[0], data.shape[1]
-        positions = self._candidate_positions(length, window)
-
-        candidate_values = []
-        candidate_sources = []
-        for index in range(n_series):
-            for pos in positions:
-                candidate_values.append(data[index, pos : pos + window])
-                candidate_sources.append((index, int(pos)))
-        candidate_matrix = np.asarray(candidate_values)
-        candidate_labels = np.asarray([labels[i] for i, _ in candidate_sources])
-
-        if self.prune_candidates:
-            mask = self._extrema_keep_mask(
-                data,
-                np.asarray([i for i, _ in candidate_sources]),
-                np.asarray([p for _, p in candidate_sources]),
-                window,
-            )
-            candidate_matrix = candidate_matrix[mask]
-            candidate_sources = [
-                source for source, kept in zip(candidate_sources, mask) if kept
-            ]
-            candidate_labels = candidate_labels[mask]
-
-        # Subsample per class to keep the quadratic matching step bounded.
-        keep: list[int] = []
-        for cls in np.unique(labels):
-            cls_idx = np.flatnonzero(candidate_labels == cls)
-            if cls_idx.shape[0] > self.max_candidates_per_class:
-                cls_idx = rng.choice(cls_idx, size=self.max_candidates_per_class, replace=False)
-            keep.extend(cls_idx.tolist())
-        keep_arr = np.asarray(sorted(keep), dtype=np.intp)
-        candidate_matrix = candidate_matrix[keep_arr]
-        candidate_sources = [candidate_sources[i] for i in keep_arr]
-        candidate_labels = candidate_labels[keep_arr]
-
-        if candidate_matrix.shape[0] == 0:
-            return []
-        distances, match_ends = _best_match_distances(candidate_matrix, data)
-
-        shapelets: list[Shapelet] = []
-        for row in range(candidate_matrix.shape[0]):
-            label = candidate_labels[row]
-            source_index, source_position = candidate_sources[row]
-            target_mask = labels == label
-            threshold = self._learn_threshold(
-                distances[row], target_mask, exclude=source_index
-            )
-            if threshold is None or threshold <= 0:
-                continue
-            shapelet = self._score_candidate(
-                values=candidate_matrix[row],
-                label=label,
-                threshold=threshold,
-                distances=distances[row],
-                match_ends=match_ends[row],
-                target_mask=target_mask,
-                series_length=length,
-                source_index=source_index,
-                source_position=source_position,
-            )
-            if shapelet is not None:
-                shapelets.append(shapelet)
-        return shapelets
-
-    def _learn_threshold(
-        self, distances: np.ndarray, target_mask: np.ndarray, exclude: int
-    ) -> float | None:
-        """Learn the matching threshold for one candidate."""
-        non_target = distances[~target_mask]
-        if non_target.shape[0] < 2:
-            return None
-        if self.threshold_method == "che":
-            return self._chebyshev_threshold(non_target)
-        target = np.delete(distances[target_mask], _index_within(target_mask, exclude))
-        if target.shape[0] < 1:
-            return None
-        return self._kde_threshold(target, non_target)
-
-    def _chebyshev_threshold(self, non_target: np.ndarray) -> float | None:
-        mean = float(np.mean(non_target))
-        std = float(np.std(non_target))
-        threshold = mean - self.chebyshev_k * std
-        return threshold if threshold > 0 else None
-
-    def _kde_threshold(self, target: np.ndarray, non_target: np.ndarray) -> float | None:
-        """Largest threshold at which the KDE-estimated precision stays high."""
-        pooled = np.concatenate([target, non_target])
-        spread = float(np.std(pooled))
-        if spread <= 0:
-            return None
-        # Silverman's rule of thumb for the bandwidth.
-        bandwidth = 1.06 * spread * pooled.shape[0] ** (-1 / 5)
-        bandwidth = max(bandwidth, 1e-6)
-        grid = np.linspace(0.0, float(np.max(pooled)), 200)
-
-        def cumulative(samples: np.ndarray) -> np.ndarray:
-            """P(X <= g) on the grid under a Gaussian KDE built on ``samples``."""
-            z = (grid[:, None] - samples[None, :]) / bandwidth
-            return np.mean(_standard_normal_cdf(z), axis=1)
-
-        target_cdf = cumulative(target) * target.shape[0]
-        non_target_cdf = cumulative(non_target) * non_target.shape[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            precision = np.where(
-                target_cdf + non_target_cdf > 0,
-                target_cdf / (target_cdf + non_target_cdf),
-                1.0,
-            )
-        acceptable = np.flatnonzero(precision >= self.target_precision)
-        if acceptable.shape[0] == 0:
-            return None
-        threshold = float(grid[acceptable[-1]])
-        return threshold if threshold > 0 else None
-
-    def _score_candidate(
-        self,
-        values: np.ndarray,
-        label,
-        threshold: float,
-        distances: np.ndarray,
-        match_ends: np.ndarray,
-        target_mask: np.ndarray,
-        series_length: int,
-        source_index: int,
-        source_position: int,
-    ) -> Shapelet | None:
-        matched = distances <= threshold
-        matched_target = matched & target_mask
-        matched_non_target = matched & ~target_mask
-        n_matched = int(np.sum(matched))
-        if n_matched == 0:
-            return None
-        precision = float(np.sum(matched_target)) / n_matched
-        if precision < self.target_precision:
-            return None
-        # Earliness-weighted recall: matches that complete earlier in the
-        # exemplar are worth more (this is what makes a shapelet "early").
-        earliness_weights = 1.0 - (match_ends[matched_target] - 1) / series_length
-        recall = float(np.sum(earliness_weights)) / max(int(np.sum(target_mask)), 1)
-        utility = precision * recall
-        if np.sum(matched_non_target) > 0 and precision < 1.0:
-            utility *= precision
-        return Shapelet(
-            values=np.array(values, copy=True),
-            label=label,
-            threshold=float(threshold),
-            utility=float(utility),
-            precision=precision,
-            source_index=int(source_index),
-            source_position=int(source_position),
-        )
 
     def _select_shapelets(
         self, candidates: list[Shapelet], data: np.ndarray, labels: np.ndarray
@@ -855,11 +745,25 @@ class EDSCClassifier(BaseEarlyClassifier):
         return list(range(start, self.train_length_ + 1))
 
 
-def _index_within(mask: np.ndarray, absolute_index: int) -> int | list[int]:
-    """Position of ``absolute_index`` within ``np.flatnonzero(mask)`` (or [] if absent)."""
-    positions = np.flatnonzero(mask)
-    found = np.flatnonzero(positions == absolute_index)
-    return int(found[0]) if found.shape[0] else []
+def _kde_mass(
+    samples: np.ndarray, bandwidth: np.ndarray, rows: np.ndarray, grid: np.ndarray
+) -> np.ndarray:
+    """``n * P(X <= grid[i])`` under the Gaussian KDE of ``samples[rows[i]]``.
+
+    ``samples`` is ``(n_rows, n)`` and ``bandwidth`` per row; ``rows`` and
+    ``grid`` list the points.  Points are taken in chunks whose
+    ``(points, n)`` block stays under ``_KDE_BLOCK_BYTES``; the samples axis
+    stays contiguous and last, so each mean sums its ``n`` terms in the
+    same order as on the full ``(rows, grid, samples)`` broadcast.
+    """
+    n_samples = samples.shape[1]
+    out = np.empty(rows.shape[0])
+    chunk = max(1, _KDE_BLOCK_BYTES // (n_samples * 8))
+    for start in range(0, rows.shape[0], chunk):
+        part = rows[start : start + chunk]
+        z = (grid[start : start + chunk, None] - samples[part]) / bandwidth[part, None]
+        out[start : start + chunk] = np.mean(_standard_normal_cdf(z), axis=-1)
+    return out * n_samples
 
 
 def _standard_normal_cdf(z: np.ndarray) -> np.ndarray:

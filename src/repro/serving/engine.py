@@ -250,28 +250,32 @@ class ServingEngine:
         counters = self._tenant_counters(tenant)
         key = (tenant, stream_id)
         ledger = self._streams.get(key)
-        if ledger is None:
-            if key in self._retired:
-                raise ValueError(
-                    f"stream id {stream_id!r} for tenant {tenant!r} was already "
-                    "finalized or evicted; stream ids must not be reused"
-                )
-            ledger = _StreamLedger(tenant, stream_id, entry, counters)
-            self._streams[key] = ledger
-            counters.streams_open += 1
+        if ledger is None and key in self._retired:
+            raise ValueError(
+                f"stream id {stream_id!r} for tenant {tenant!r} was already "
+                "finalized or evicted; stream ids must not be reused"
+            )
 
+        # Validate before a first push opens the stream, so a rejected
+        # chunk leaves no open stream behind.
+        n_channels = entry.classifier.n_channels_ if ledger is None else ledger.n_channels
         chunk = np.asarray(values, dtype=float)
-        if ledger.n_channels == 1:
+        if n_channels == 1:
             if chunk.ndim != 1:
                 raise ValueError("stream values must be 1-D")
-        elif chunk.ndim != 2 or chunk.shape[1] != ledger.n_channels:
+        elif chunk.ndim != 2 or chunk.shape[1] != n_channels:
             raise ValueError(
                 "stream values for a multichannel tenant must be 2-D "
-                f"(n_samples, n_channels={ledger.n_channels}); got shape "
+                f"(n_samples, n_channels={n_channels}); got shape "
                 f"{chunk.shape}"
             )
         if chunk.size and not np.all(np.isfinite(chunk)):
             raise ValueError("stream contains non-finite values")
+
+        if ledger is None:
+            ledger = _StreamLedger(tenant, stream_id, entry, counters)
+            self._streams[key] = ledger
+            counters.streams_open += 1
         if chunk.size == 0:
             return 0
         if ledger.shed:

@@ -9,6 +9,8 @@ from repro.classifiers.base import PartialPrediction
 from repro.classifiers.edsc import EDSCClassifier, _best_match_distances, _sliding_windows
 from repro.data.denormalize import denormalize_dataset
 
+from oracles.edsc import fit_reference
+
 #: The candidate window lengths of a Table 1 fit: the default shapelet length
 #: fractions of a length-150 GunPoint exemplar.
 TABLE1_WINDOWS = (15, 22, 30, 45)
@@ -326,8 +328,8 @@ class TestExtremaPruning:
         batched = EDSCClassifier(prune_candidates=True, random_state=13).fit(
             series, labels
         )
-        reference = EDSCClassifier(prune_candidates=True, random_state=13)._fit_reference(
-            series, labels
+        reference = fit_reference(
+            EDSCClassifier(prune_candidates=True, random_state=13), series, labels
         )
         assert len(batched.shapelets_) == len(reference.shapelets_)
         for fast, slow in zip(batched.shapelets_, reference.shapelets_):

@@ -536,9 +536,17 @@ def test_unknown_tenant_and_stream_raise(threshold_classifier):
     with pytest.raises(KeyError, match="no open stream"):
         engine.stream_state("t", "missing")
     with pytest.raises(ValueError, match="1-D"):
-        engine.push("t", "s", np.zeros((2, 2)))
+        engine.push("t", "s", np.zeros((3, 2)))
     with pytest.raises(ValueError, match="non-finite"):
-        engine.push("t", "s", np.asarray([1.0, np.nan]))
+        engine.push("t", "u", np.asarray([1.0, np.nan, 2.0]))
+    # A rejected first push opens no stream, and the id stays usable.
+    assert engine.metrics().streams_open == 0
+    for stream_id in ("s", "u"):
+        with pytest.raises(KeyError, match="no open stream"):
+            engine.stream_state("t", stream_id)
+    assert engine.push("t", "s", np.zeros(5)) == 5
+    assert engine.metrics().streams_open == 1
+    assert engine.stream_state("t", "s").n_samples == 5
 
 
 def test_peek_answers_open_prefixes_without_mutating(ects_classifier):
