@@ -47,7 +47,10 @@ fit-check:
 ## serving-layer drift gate: the multi-tenant engine's batched alarms must
 ## stay identical to dedicated per-stream sessions (equivalence + fuzz +
 ## shedding suites) and keep its >= 5x fleet throughput over sequential
-## sessions (run by CI on every push)
+## sessions, timed as medians of 5 interleaved pairs.  Engine and sessions
+## share one window ledger and batched classifier walk, so the ratio
+## measures batching across streams against batching within one stream
+## (run by CI on every push)
 serve-check:
 	$(PYTHON) -m pytest tests/test_serving.py benchmarks/test_bench_serving.py -q
 

@@ -22,7 +22,9 @@ Speed gates time the library against the semantic oracles in
 from __future__ import annotations
 
 import sys
+import time
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -54,6 +56,29 @@ def run_once(benchmark):
         return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return _run
+
+
+@pytest.fixture
+def interleaved_medians():
+    """Time two callables as alternating pairs and compare their medians.
+
+    A load spike then slows runs of both sides rather than all runs of the
+    side that happened to be timed during it.  The fixture is a callable
+    ``(reference, candidate, pairs=5)`` returning ``(reference_s,
+    candidate_s, reference_result, candidate_result)``.
+    """
+
+    def measure(reference, candidate, pairs: int = 5):
+        times: tuple[list, list] = ([], [])
+        results = [None, None]
+        for _ in range(pairs):
+            for side, function in enumerate((reference, candidate)):
+                started = time.perf_counter()
+                results[side] = function()
+                times[side].append(time.perf_counter() - started)
+        return median(times[0]), median(times[1]), results[0], results[1]
+
+    return measure
 
 
 @pytest.fixture

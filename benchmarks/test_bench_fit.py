@@ -87,28 +87,6 @@ def _best_of(function, repeats: int = 3):
     return best, result
 
 
-def _interleaved_medians(reference, candidate, pairs: int = 5):
-    """Median times of ``reference`` and ``candidate`` run as alternating pairs.
-
-    A load spike then slows runs of both sides rather than all runs of the
-    side that happened to be timed during it.  Returns ``(reference_s,
-    candidate_s, reference_result, candidate_result)``.
-    """
-    times: tuple[list, list] = ([], [])
-    results = [None, None]
-    for _ in range(pairs):
-        for side, function in enumerate((reference, candidate)):
-            started = time.perf_counter()
-            results[side] = function()
-            times[side].append(time.perf_counter() - started)
-    return (
-        float(np.median(times[0])),
-        float(np.median(times[1])),
-        results[0],
-        results[1],
-    )
-
-
 def test_bench_ects_fit_speedup(run_once):
     """Full ECTS ``checkpoint_step=1`` fit: vectorised kernels vs the reference loops."""
     train = _gunpoint(ECTS_N_PER_CLASS, ECTS_LENGTH)
@@ -154,7 +132,7 @@ def _shapelet_key(shapelet):
     )
 
 
-def test_bench_edsc_candidate_mining_speedup(run_once):
+def test_bench_edsc_candidate_mining_speedup(run_once, interleaved_medians):
     """EDSC threshold learning + scoring across all candidates of one length.
 
     This is exactly the stage the batched pipeline replaced: the reference
@@ -215,7 +193,7 @@ def test_bench_edsc_candidate_mining_speedup(run_once):
             src_position,
         )
 
-    ref_seconds, new_seconds, reference, batched = _interleaved_medians(
+    ref_seconds, new_seconds, reference, batched = interleaved_medians(
         reference_stage, batched_stage
     )
     run_once(batched_stage)
@@ -315,7 +293,9 @@ def _reference_kde_thresholds(model, distances, target_mask, source_index, _non_
     return out
 
 
-def test_bench_edsc_kde_threshold_search(run_once, bench_metrics, monkeypatch):
+def test_bench_edsc_kde_threshold_search(
+    run_once, bench_metrics, monkeypatch, interleaved_medians
+):
     """The coarse-to-fine KDE threshold search on the calls of one Table 1 fit.
 
     Records the 8 ``_kde_thresholds_batch`` calls (4 window lengths x 2
@@ -362,7 +342,7 @@ def test_bench_edsc_kde_threshold_search(run_once, bench_metrics, monkeypatch):
     def reference():
         return [_reference_kde_thresholds(model, *args) for args in calls]
 
-    reference_seconds, search_seconds, expected, _ = _interleaved_medians(
+    reference_seconds, search_seconds, expected, _ = interleaved_medians(
         reference, replay, pairs=3
     )
     run_once(replay)

@@ -165,11 +165,32 @@ class BatchCheckpoint:
         classifier uses the default first-ready trigger rule, the batched
         walk resolves trigger points from these arrays and only materialises
         a :class:`PartialPrediction` per row at its commitment point.
+    answers:
+        Optional callable taking the same kind of row index array and
+        returning ``(labels, confidences)`` arrays aligned with it (exactly
+        ``partial(i).label`` and ``partial(i).confidence``).  The
+        first-ready walk then commits rows from these arrays and builds no
+        :class:`PartialPrediction` at all.
     """
 
     length: int
     partial: Callable[[int], PartialPrediction]
     ready: Callable[[np.ndarray], np.ndarray] | None = None
+    answers: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+
+def _row_answers(checkpoint: BatchCheckpoint, rows: np.ndarray):
+    """Yield ``(row, label, confidence)`` for each of ``rows`` at one checkpoint."""
+    if rows.size == 0:
+        return
+    if checkpoint.answers is None:
+        for i in rows:
+            partial = checkpoint.partial(int(i))
+            yield int(i), partial.label, partial.confidence
+        return
+    labels, confidences = checkpoint.answers(rows)
+    for j, i in enumerate(rows.tolist()):
+        yield i, labels[j], float(confidences[j])
 
 
 class BaseEarlyClassifier(ABC):
@@ -551,9 +572,10 @@ class BaseEarlyClassifier(ABC):
         """Vectorised walk for the default first-ready stopping rule.
 
         Trigger points are resolved from the checkpoints' batched ``ready``
-        arrays, so exactly one :class:`PartialPrediction` is materialised per
-        row -- at its commitment point (or at the last evaluated checkpoint
-        for rows that never trigger).  Decisions are identical to
+        arrays, so each row is answered once -- at its commitment point (or
+        at the last evaluated checkpoint for rows that never trigger) --
+        from the checkpoint's ``answers`` arrays where it has them, else
+        from one :class:`PartialPrediction`.  Decisions are identical to
         :meth:`_walk_batch` with the default rule, which in turn mirrors the
         per-row reference walk.
         """
@@ -567,26 +589,24 @@ class BaseEarlyClassifier(ABC):
             last = checkpoint
             assert checkpoint.ready is not None
             ready = np.asarray(checkpoint.ready(active), dtype=bool)
-            for i in active[ready]:
-                partial = checkpoint.partial(int(i))
+            for i, label, confidence in _row_answers(checkpoint, active[ready]):
                 outcomes[i] = EarlyPrediction(
-                    label=partial.label,
+                    label=label,
                     trigger_length=checkpoint.length,
                     series_length=row_length,
                     triggered=True,
-                    confidence=partial.confidence,
+                    confidence=confidence,
                 )
             active = active[~ready]
         if last is None:
             raise ValueError("series is shorter than the first checkpoint")
-        for i in active:
-            partial = last.partial(int(i))
+        for i, label, confidence in _row_answers(last, active):
             outcomes[i] = EarlyPrediction(
-                label=partial.label,
+                label=label,
                 trigger_length=row_length,
                 series_length=row_length,
                 triggered=False,
-                confidence=partial.confidence,
+                confidence=confidence,
             )
         # Every row is resolved by now: it either triggered or was answered
         # from the last evaluated checkpoint above.

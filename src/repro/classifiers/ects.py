@@ -510,9 +510,9 @@ class ECTSClassifier(BaseEarlyClassifier):
         remaining checkpoints cost nothing, matching the work profile of
         the per-row reference walk.  Per-checkpoint 1-NN statistics
         (nearest index via the lowest-index tie-break, readiness, margin
-        confidence) are computed across the batch with array operations,
-        and the vectorised readiness array lets the base walk materialise
-        only one partial per row.
+        confidence) are computed across the batch with array operations;
+        the vectorised readiness and answer arrays let the base walk commit
+        every row without building a partial.
         """
         assert self._train is not None and self._labels is not None
         assert self._engine is not None
@@ -565,8 +565,15 @@ class ECTSClassifier(BaseEarlyClassifier):
                     length,
                 )
 
+            def answers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                values = compute()
+                return values["labels"][rows], values["confidence"][rows]
+
             return BatchCheckpoint(
-                length=length, partial=partial, ready=lambda rows: compute()["ready"][rows]
+                length=length,
+                partial=partial,
+                ready=lambda rows: compute()["ready"][rows],
+                answers=answers,
             )
 
         return [make_checkpoint(length) for length in lengths]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 __all__ = ["SignificanceResult", "two_proportion_z_test", "mcnemar_test"]
 
@@ -75,7 +75,7 @@ def two_proportion_z_test(
         # there is no evidence of a difference.
         return SignificanceResult(statistic=0.0, p_value=1.0, significant=False, alpha=alpha)
     z = (p_a - p_b) / np.sqrt(variance)
-    p_value = 2.0 * (1.0 - stats.norm.cdf(abs(z)))
+    p_value = 2.0 * (1.0 - ndtr(abs(z)))
     return SignificanceResult(
         statistic=float(z),
         p_value=float(p_value),
@@ -109,7 +109,7 @@ def mcnemar_test(
     if discordant == 0:
         return SignificanceResult(statistic=0.0, p_value=1.0, significant=False, alpha=alpha)
     statistic = (abs(only_a_correct - only_b_correct) - 1.0) ** 2 / discordant
-    p_value = float(stats.chi2.sf(statistic, df=1))
+    p_value = float(chdtrc(1, statistic))
     return SignificanceResult(
         statistic=float(statistic),
         p_value=p_value,

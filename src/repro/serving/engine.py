@@ -5,19 +5,20 @@ machinery: thousands of live streams across many tenants push sample chunks
 in whatever interleaved order they arrive, and the engine turns them into
 the *same alarms* a dedicated :class:`~repro.streaming.online.StreamingSession`
 per stream would have produced -- the equivalence suite in
-``tests/test_serving.py`` pins this field by field.
+``tests/test_serving.py`` pins this field by field, and against the offline
+oracle in ``tests/oracles/streaming.py``.
 
 Why batching does not change semantics
 --------------------------------------
-A :class:`StreamingSession` advances every open candidate incrementally, but
-nothing it *emits* depends on intermediate state: a candidate's outcome is a
-function of its own (normalised) window alone, and it is only confirmed --
-refractory and saturation rules applied -- once its window completes, in
-candidate-start order.  The engine therefore keeps per-stream state down to
-a raw sample buffer and a :class:`~repro.streaming.online.AlarmGate` (the
-same class the session uses, so the emission rules cannot drift), defers all
-classifier work to window completion, and hands completed windows to the
-:class:`~repro.serving.scheduler.BatchScheduler`, which coalesces windows
+A candidate's outcome is a function of its own (normalised) window alone,
+and it is only confirmed -- refractory and saturation rules applied -- once
+its window completes, in candidate-start order.  Each served stream is one
+:class:`~repro.streaming.online.WindowLedger` (raw tail buffer, stride
+cursor, :class:`~repro.streaming.online.AlarmGate`), the same class a
+session runs on, so buffering, window extraction and the emission rules
+cannot drift between the two.  What the engine adds is tenancy, admission
+and cross-stream coalescing: completed windows go to the
+:class:`~repro.serving.scheduler.BatchScheduler`, which stacks windows
 across streams *and tenants sharing a model* into single
 ``predict_early_batch`` calls.  Confirmation replays per stream in FIFO
 (= candidate-start) order at :meth:`flush`.
@@ -41,16 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
+from repro.classifiers.base import PartialPrediction
 from repro.distance.znorm import znormalize
 from repro.serving.metrics import ServingMetrics, TenantCounters
 from repro.serving.registry import ModelRegistry, TenantEntry
 from repro.serving.scheduler import BatchScheduler, PendingCandidate
 from repro.streaming.online import (
     Alarm,
-    AlarmGate,
     SessionState,
+    WindowLedger,
     causal_znormalize_batch,
+    validate_chunk,
 )
 
 __all__ = ["ServedAlarm", "ServingEngine"]
@@ -65,34 +67,17 @@ class ServedAlarm:
     alarm: Alarm
 
 
-class _StreamLedger:
-    """Per-stream serving state: raw tail buffer, stride cursor, alarm gate.
+class _StreamLedger(WindowLedger):
+    """One served stream: a window ledger plus tenant, id, counters and flags.
 
-    This is the whole per-stream footprint -- at most ``L - 1`` buffered
-    samples (the incomplete tail no extracted window covers yet) plus the
-    gate; no per-stream classifier walkers, which is what lets one engine
-    hold thousands of streams.
+    The shared :class:`~repro.streaming.online.WindowLedger` gains only the
+    tenant, the stream id, the tenant's counters and the shed / evicted
+    flags.  The whole per-stream footprint is the ledger's raw tail (at most
+    ``L - 1`` samples between pushes) and its gate; no per-stream classifier
+    state, which is what lets one engine hold thousands of streams.
     """
 
-    __slots__ = (
-        "tenant",
-        "stream_id",
-        "classifier",
-        "normalization",
-        "stride",
-        "window_length",
-        "gate",
-        "counters",
-        "n_channels",
-        "buffer",
-        "base",
-        "count",
-        "next_start",
-        "shed",
-        "saturated",
-        "finalized",
-        "evicted",
-    )
+    __slots__ = ("tenant", "stream_id", "counters", "shed", "evicted")
 
     def __init__(
         self,
@@ -101,57 +86,19 @@ class _StreamLedger:
         entry: TenantEntry,
         counters: TenantCounters,
     ) -> None:
+        config = entry.config
+        super().__init__(
+            entry.classifier,
+            config.stride,
+            config.normalization,
+            config.refractory,
+            config.max_alarms,
+        )
         self.tenant = tenant
         self.stream_id = stream_id
-        self.classifier: BaseEarlyClassifier = entry.classifier
-        config = entry.config
-        self.normalization = config.normalization
-        self.stride = int(config.stride)
-        self.window_length = entry.classifier.train_length_
-        self.gate = AlarmGate(int(config.refractory), int(config.max_alarms))
         self.counters = counters
-        self.n_channels = entry.classifier.n_channels_
-        self.buffer = self._empty_buffer()
-        self.base = 0  # stream index of buffer[0]
-        self.count = 0  # samples consumed so far
-        self.next_start = 0  # earliest candidate start not yet extracted
         self.shed = False
-        self.saturated = False
-        self.finalized = False
         self.evicted = False
-
-    @property
-    def live(self) -> bool:
-        """Whether queued candidates of this stream should still be served."""
-        return not (self.shed or self.evicted or self.saturated or self.finalized)
-
-    def append(self, chunk: np.ndarray) -> None:
-        """Ingest a chunk, keeping only the tail future windows need."""
-        keep = self.next_start - self.base
-        self.buffer = np.concatenate([self.buffer[keep:], chunk])
-        self.base = self.next_start
-        self.count += chunk.shape[0]
-
-    def extract_windows(self) -> list[tuple[int, np.ndarray]]:
-        """Pop every candidate window completed by the buffered samples."""
-        windows: list[tuple[int, np.ndarray]] = []
-        while self.next_start + self.window_length <= self.count:
-            offset = self.next_start - self.base
-            window = self.buffer[offset : offset + self.window_length].copy()
-            windows.append((self.next_start, window))
-            self.next_start += self.stride
-        return windows
-
-    def _empty_buffer(self) -> np.ndarray:
-        """An empty buffer of the tenant's sample shape: ``(0,)`` or ``(0, d)``."""
-        if self.n_channels == 1:
-            return np.empty(0)
-        return np.empty((0, self.n_channels))
-
-    def release(self) -> None:
-        """Drop the buffer (stream closed or saturated; no window can form)."""
-        self.buffer = self._empty_buffer()
-        self.base = self.next_start = self.count
 
 
 class ServingEngine:
@@ -205,18 +152,14 @@ class ServingEngine:
         """Session-equivalent snapshot of one open stream.
 
         ``open_candidate_starts`` lists the *incomplete* candidate windows
-        (born but not yet fully buffered) -- the ones a standalone session
-        would be advancing incrementally right now; completed-but-unflushed
-        candidates live in the batching queue, not here.
+        (born but not yet fully buffered), as a standalone session reports
+        them; completed-but-unflushed candidates live in the batching
+        queue, not here.
         """
         ledger = self._ledger(tenant, stream_id)
-        if ledger.saturated or ledger.shed:
-            starts: tuple[int, ...] = ()
-        else:
-            starts = tuple(range(ledger.next_start, ledger.count, ledger.stride))
         return SessionState(
             n_samples=ledger.count,
-            open_candidate_starts=starts,
+            open_candidate_starts=tuple(ledger.open_starts),
             n_alarms=len(ledger.gate.alarms),
             saturated=ledger.saturated,
             finalized=ledger.finalized,
@@ -259,60 +202,43 @@ class ServingEngine:
         # Validate before a first push opens the stream, so a rejected
         # chunk leaves no open stream behind.
         n_channels = entry.classifier.n_channels_ if ledger is None else ledger.n_channels
-        chunk = np.asarray(values, dtype=float)
-        if n_channels == 1:
-            if chunk.ndim != 1:
-                raise ValueError("stream values must be 1-D")
-        elif chunk.ndim != 2 or chunk.shape[1] != n_channels:
-            raise ValueError(
-                "stream values for a multichannel tenant must be 2-D "
-                f"(n_samples, n_channels={n_channels}); got shape "
-                f"{chunk.shape}"
-            )
-        if chunk.size and not np.all(np.isfinite(chunk)):
-            raise ValueError("stream contains non-finite values")
+        chunk = validate_chunk(values, n_channels)
 
         if ledger is None:
             ledger = _StreamLedger(tenant, stream_id, entry, counters)
             self._streams[key] = ledger
             counters.streams_open += 1
-        if chunk.size == 0:
+        n = chunk.shape[0]
+        if n == 0:
             return 0
         if ledger.shed:
             # The producer has not yet reacted to backpressure; keep
             # dropping, one shed count per chunk.
             counters.chunks_shed += 1
             return 0
-        if ledger.saturated:
-            # A saturated stream accepts (and counts) samples but can never
-            # alarm again, exactly like a saturated session's ``extend``.
-            ledger.count += chunk.shape[0]
-            ledger.next_start = ledger.base = ledger.count
-            counters.chunks_ingested += 1
-            counters.samples_ingested += chunk.shape[0]
-            return int(chunk.shape[0])
-
-        # Admission: how many windows would this chunk complete?
-        new_count = ledger.count + chunk.shape[0]
-        room = new_count - ledger.window_length - ledger.next_start
-        n_new = room // ledger.stride + 1 if room >= 0 else 0
-        if n_new and self._scheduler.depth + n_new > self._scheduler.max_pending:
-            counters.chunks_shed += 1
-            counters.streams_shed += 1
-            counters.streams_open -= 1
-            ledger.shed = True
-            ledger.release()
-            return 0
+        # Admission: how many windows would this chunk complete?  A
+        # saturated stream completes none: it accepts (and counts) samples
+        # but can never alarm again, exactly like a saturated session.
+        if not ledger.saturated:
+            room = ledger.count + n - ledger.window_length - ledger.next_start
+            n_new = room // ledger.stride + 1 if room >= 0 else 0
+            if n_new and self._scheduler.depth + n_new > self._scheduler.max_pending:
+                counters.chunks_shed += 1
+                counters.streams_shed += 1
+                counters.streams_open -= 1
+                ledger.shed = True
+                ledger.release()
+                return 0
 
         ledger.append(chunk)
         counters.chunks_ingested += 1
-        counters.samples_ingested += chunk.shape[0]
+        counters.samples_ingested += n
         for start, window in ledger.extract_windows():
             admitted = self._scheduler.admit(PendingCandidate(ledger, start, window))
             assert admitted  # guaranteed by the admission check above
             counters.candidates_enqueued += 1
             counters.candidates_pending += 1
-        return int(chunk.shape[0])
+        return n
 
     # ------------------------------------------------------------ evaluation
     def flush(self) -> list[ServedAlarm]:
@@ -340,20 +266,17 @@ class ServingEngine:
         for item, outcome in zip(live, outcomes):
             ledger = item.ledger
             ledger.counters.candidates_evaluated += 1
-            if ledger.saturated:
-                # Saturation discovered earlier in this same flush; the
-                # gate would refuse anyway, but skip the bookkeeping.
+            if ledger.saturated or not outcome.triggered:
+                # Only a trigger can alarm, and a stream saturated earlier
+                # in this same flush can alarm no more.
                 continue
-            alarm = ledger.gate.confirm(item.start, outcome)
+            alarm = ledger.confirm(item.start, outcome)
             if alarm is not None:
                 ledger.counters.alarms_emitted += 1
                 ledger.counters.alarm_latency_total += (
                     item.start + ledger.window_length - 1 - alarm.position
                 )
                 emitted.append(ServedAlarm(ledger.tenant, ledger.stream_id, alarm))
-            if ledger.gate.saturated and not ledger.saturated:
-                ledger.saturated = True
-                ledger.release()
         self.n_flushes += 1
         return emitted
 

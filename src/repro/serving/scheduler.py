@@ -10,11 +10,13 @@ what happens to those completed windows:
 * **coalescing** -- at flush time, pending candidates from *different
   streams and different tenants* that share a model and a normalisation
   mode are stacked into one matrix, normalised in one vectorised pass
-  (:func:`~repro.streaming.online.causal_znormalize_batch` /
-  :func:`~repro.distance.znorm.znormalize`), and classified in one
+  (:func:`~repro.streaming.online.normalize_windows`, the normaliser a
+  :class:`~repro.streaming.online.StreamingSession` applies to its own
+  blocks), and classified in one
   :meth:`~repro.classifiers.base.BaseEarlyClassifier.predict_early_batch`
   call riding the batched prefix-distance kernels of
-  :mod:`repro.distance.engine`.
+  :mod:`repro.distance.engine`.  A session batches the windows of one
+  stream; the scheduler batches across streams.
 
 The scheduler never reorders: outcomes are returned in the queue's FIFO
 order, which within any single stream is candidate-start order -- exactly
@@ -24,16 +26,11 @@ the order the :class:`~repro.streaming.online.AlarmGate` requires.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.classifiers.base import EarlyPrediction
-from repro.distance.znorm import znormalize
-from repro.streaming.online import causal_znormalize_batch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serving.engine import _StreamLedger
+from repro.streaming.online import WindowLedger, normalize_windows
 
 __all__ = ["PendingCandidate", "BatchScheduler"]
 
@@ -43,7 +40,7 @@ class PendingCandidate:
 
     __slots__ = ("ledger", "start", "window")
 
-    def __init__(self, ledger: "_StreamLedger", start: int, window: np.ndarray) -> None:
+    def __init__(self, ledger: WindowLedger, start: int, window: np.ndarray) -> None:
         self.ledger = ledger
         self.start = start
         self.window = window
@@ -114,11 +111,9 @@ class BatchScheduler:
             groups.setdefault(key, []).append(index)
         for indices in groups.values():
             first = items[indices[0]].ledger
-            # 1-D univariate windows vstack to (n, L); 2-D (L, d) multichannel
-            # windows must stack along a new leading axis to (n, L, d).
-            stacker = np.vstack if items[indices[0]].window.ndim == 1 else np.stack
-            windows = stacker([items[i].window for i in indices])
-            normalized = _normalize_windows(windows, first.normalization)
+            # (L,) windows stack to (n, L), (L, d) multichannel ones to (n, L, d).
+            windows = np.array([items[i].window for i in indices])
+            normalized = normalize_windows(windows, first.normalization)
             predictions = first.classifier.predict_early_batch(
                 normalized, batch_size=self.batch_size
             )
@@ -126,22 +121,3 @@ class BatchScheduler:
             for position, index in enumerate(indices):
                 outcomes[index] = predictions[position]
         return [outcome for outcome in outcomes if outcome is not None]
-
-
-def _normalize_windows(windows: np.ndarray, mode: str) -> np.ndarray:
-    """Apply one tenant group's normalisation mode to a stack of windows.
-
-    ``"window"`` z-normalises each row with whole-window statistics (the
-    paper's "peeking" mode, row-wise identical to the per-window
-    :func:`~repro.distance.znorm.znormalize` the session applies);
-    ``"causal"`` uses the one-shot batched causal kernel, whose element
-    operations match a fresh :class:`~repro.streaming.online.RunningCausalStats`
-    slot bit for bit.
-    """
-    if mode == "none":
-        return windows
-    if mode == "window":
-        return znormalize(windows)
-    if mode == "causal":
-        return causal_znormalize_batch(windows)
-    raise ValueError(f"unknown normalization mode {mode!r}")

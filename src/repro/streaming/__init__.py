@@ -7,15 +7,18 @@ inclusion and homophone problems, and the normalisation problem, bite.  This
 package provides the machinery to run that deployment honestly:
 
 * :mod:`repro.streaming.online` is the engine: a
+  :class:`~repro.streaming.online.WindowLedger` buffers one stream's raw
+  tail and pops its completed candidate windows, a
   :class:`~repro.streaming.online.StreamingSession` ingests samples push by
-  push, keeps every overlapping candidate window in flight as incremental
-  classifier state, causally normalises with O(1)-per-sample running
-  statistics, and a :class:`~repro.streaming.online.MultiStreamDetector`
-  fans a batch of independent streams through concurrent sessions;
+  push and classifies the completed windows in batches (causal or
+  whole-window normalisation applied to each block at once), and a
+  :class:`~repro.streaming.online.MultiStreamDetector` fans a batch of
+  independent streams through one session each; the serving layer
+  (:mod:`repro.serving`) runs the same ledger per served stream;
 * :class:`~repro.streaming.detector.StreamingEarlyDetector` is the
-  experiment-facing facade (its ``detect`` delegates to the engine; its
-  ``detect_reference`` keeps the original offline loop as the semantic
-  reference the equivalence tests compare against);
+  experiment-facing facade (its ``detect`` delegates to the engine; the
+  original offline loop lives in ``tests/oracles/streaming.py`` as the
+  semantic reference the equivalence tests compare against);
 * :mod:`repro.streaming.events` matches alarms against ground-truth event
   annotations;
 * :mod:`repro.streaming.metrics` turns the matches into the quantities the
@@ -30,7 +33,6 @@ from repro.streaming.online import (
     Alarm,
     AlarmGate,
     MultiStreamDetector,
-    RunningCausalStats,
     SessionState,
     StreamingSession,
     causal_znormalize_batch,
@@ -48,7 +50,6 @@ __all__ = [
     "StreamingEarlyDetector",
     "StreamingSession",
     "MultiStreamDetector",
-    "RunningCausalStats",
     "causal_znormalize_batch",
     "incremental_causal_znormalize",
     "AlarmMatch",

@@ -17,12 +17,11 @@ crux of the paper:
   so the gap between them can be measured.
 
 Execution is delegated to the online engine
-(:class:`~repro.streaming.online.StreamingSession`), which maintains every
-overlapping candidate window concurrently instead of re-running
-``predict_early`` from scratch per candidate.  The original
-materialise-everything loop is kept as :meth:`StreamingEarlyDetector.detect_reference`:
-it is the semantic reference the equivalence tests and the throughput
-benchmark compare the engine against.
+(:class:`~repro.streaming.online.StreamingSession`), which classifies the
+completed candidate windows in batches instead of running ``predict_early``
+once per candidate.  The original materialise-everything loop lives in
+``tests/oracles/streaming.py``: it is the semantic reference the
+equivalence tests and the throughput benchmark compare the engine against.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import numpy as np
 
 from repro.classifiers.base import BaseEarlyClassifier
 from repro.data.stream import ComposedStream
-from repro.distance.znorm import znormalize
 from repro.streaming.online import Alarm, NormalizationMode, StreamingSession
 
 __all__ = ["Alarm", "StreamingEarlyDetector"]
@@ -92,27 +90,6 @@ class StreamingEarlyDetector:
         self.max_alarms = max_alarms
 
     # ------------------------------------------------------------ helpers
-    def _prepare_window(self, window: np.ndarray) -> np.ndarray:
-        if self.normalization == "none":
-            return window
-        if self.normalization == "window":
-            return znormalize(window)
-        # causal: normalise each sample with the statistics of the window seen
-        # so far; the classifier then receives a prefix whose early samples
-        # were normalised with very little context, exactly as a live system
-        # would have to.  This per-window O(L^2) loop is the *reference*
-        # implementation the online engine's O(1)-per-sample running
-        # statistics are tested against.
-        out = np.zeros_like(window)
-        for i in range(window.shape[0]):
-            seen = window[: i + 1]
-            std = seen.std()
-            if std < 1e-12:
-                out[i] = 0.0
-            else:
-                out[i] = (window[i] - seen.mean()) / std
-        return out
-
     @staticmethod
     def _as_values(stream: ComposedStream | np.ndarray) -> np.ndarray:
         values = stream.values if isinstance(stream, ComposedStream) else np.asarray(stream, dtype=float)
@@ -134,10 +111,10 @@ class StreamingEarlyDetector:
     def detect(self, stream: ComposedStream | np.ndarray) -> list[Alarm]:
         """Run the detector over a stream and return the alarms raised.
 
-        Delegates to the online engine; the result is identical (the
-        equivalence suite pins it against :meth:`detect_reference`) but the
-        stream is consumed one pass, with every overlapping candidate
-        advanced incrementally.
+        Delegates to the online engine; the result is identical to the
+        offline loop (the equivalence suite pins it against
+        ``tests/oracles/streaming.py``), but the candidate windows are
+        classified in batches.
 
         Parameters
         ----------
@@ -151,42 +128,3 @@ class StreamingEarlyDetector:
         session = self.open_session()
         session.extend(values)
         return session.finalize()
-
-    def detect_reference(self, stream: ComposedStream | np.ndarray) -> list[Alarm]:
-        """The original offline loop: materialise, slice, re-predict per candidate.
-
-        Kept verbatim as the semantic reference for the online engine --
-        equivalence tests assert :meth:`detect` produces the identical alarm
-        list, and the streaming benchmark measures the engine's speedup over
-        this loop.  ``O(L^2)`` causal normalisation per window and one
-        ``predict_early`` from scratch per candidate.
-        """
-        values = self._as_values(stream)
-        if values.shape[0] < self.window_length:
-            raise ValueError("stream is shorter than one candidate window")
-
-        alarms: list[Alarm] = []
-        last_alarm_position = -np.inf
-        last_start = values.shape[0] - self.window_length
-        for start in range(0, last_start + 1, self.stride):
-            if len(alarms) >= self.max_alarms:
-                break
-            window = values[start : start + self.window_length]
-            prepared = self._prepare_window(window)
-            outcome = self.classifier.predict_early(prepared)
-            if not outcome.triggered:
-                continue
-            position = start + outcome.trigger_length - 1
-            if position - last_alarm_position < self.refractory:
-                continue
-            alarms.append(
-                Alarm(
-                    position=int(position),
-                    candidate_start=int(start),
-                    label=outcome.label,
-                    confidence=float(outcome.confidence),
-                    prefix_length=int(outcome.trigger_length),
-                )
-            )
-            last_alarm_position = position
-        return alarms

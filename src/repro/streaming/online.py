@@ -1,53 +1,50 @@
-"""The online, batched streaming detection engine.
+"""The online streaming engine: one window ledger behind every live path.
 
-:class:`~repro.streaming.detector.StreamingEarlyDetector` (the offline
-reference) materialises the whole stream, re-runs ``predict_early`` from
-scratch for every candidate window, and causally normalises each window with
-an ``O(L^2)`` pure-Python loop.  That reproduces the paper's argument but can
-neither serve live traffic nor scale.  This module provides the deployment
-path:
+:class:`~repro.streaming.detector.StreamingEarlyDetector` states the
+deployment problem; this module runs it on live data:
 
-* :class:`StreamingSession` ingests samples (or chunks) one push at a time
-  and maintains **all overlapping candidate windows concurrently**, each as
-  an incremental :class:`~repro.classifiers.base.ClassifierStream` riding the
-  prefix-sweep machinery of :mod:`repro.distance.engine` -- no candidate is
-  ever re-evaluated from scratch;
-* :class:`RunningCausalStats` replaces the per-window ``O(L^2)``
-  causal-normalisation loop with ``O(1)``-per-sample running mean/variance
-  (Welford), updated for every concurrent candidate in one vectorised
-  operation per arriving sample;
+* :class:`WindowLedger` is one stream's whole state: the raw samples no
+  extracted window covers yet, a stride cursor and an :class:`AlarmGate`.
+  It pops every completed candidate window oldest first and confirms the
+  outcomes through the gate in that order;
+* :class:`StreamingSession` ingests samples (or chunks) one push at a time.
+  Each chunk's completed windows are normalised
+  (:func:`normalize_windows`) and classified together, in blocks, by
+  ``predict_early_batch``;
 * :class:`MultiStreamDetector` fans a batch of independent streams through
-  concurrent sessions in chunked lockstep, one candidate bank per stream.
+  one session each, in chunked lockstep.
 
-**Alarm semantics are identical to the offline detector** (the equivalence
-suite in ``tests/test_streaming_online.py`` pins this, field by field):
-candidates start at every ``stride``-th sample, only candidates whose full
-window fits in the stream may alarm, alarms are confirmed in candidate-start
-order, and the refractory / ``max_alarms`` rules apply at confirmation.  The
-one semantic consequence of being online is *latency*: a trigger at stream
-position ``p`` inside the candidate starting at ``s`` is only **confirmed**
-(emitted) once sample ``s + L - 1`` has arrived, because until then the
-engine cannot know that the candidate's window fits in the stream -- exactly
-the eligibility rule the offline detector applies by construction.  The
-triggered :class:`~repro.classifiers.base.ClassifierStream` outcome itself is
-available the moment the trigger checkpoint fires.
+The serving layer (:mod:`repro.serving`) keeps one :class:`WindowLedger` per
+served stream as well and batches the completed windows of many streams
+into one classifier call, so the two paths share buffering, window
+extraction, normalisation and confirmation.
+
+**Alarm semantics are identical to the offline reference loop** (the
+equivalence suite in ``tests/test_streaming_online.py`` pins this, field by
+field, against ``tests/oracles/streaming.py``): candidates start at every
+``stride``-th sample, only candidates whose full window fits in the stream
+may alarm, alarms are confirmed in candidate-start order, and the
+refractory / ``max_alarms`` rules apply at confirmation.  A candidate's
+outcome depends only on its own normalised window, so evaluating it once the
+window is complete changes nothing but *latency*: a trigger at stream
+position ``p`` inside the candidate starting at ``s`` is confirmed (emitted)
+once sample ``s + L - 1`` has arrived -- exactly the eligibility rule the
+offline loop applies by construction.
 
 The ``"window"`` normalisation mode z-normalises each candidate with
 whole-window statistics and therefore *requires future data* (the paper's
-"peeking" flaw).  The session supports it for apples-to-apples experiments by
-buffering each candidate until its window completes; only ``"none"`` and
-``"causal"`` are genuinely online modes.
+"peeking" flaw); it is supported for apples-to-apples experiments.  Only
+``"none"`` and ``"causal"`` are genuinely online modes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, ClassifierStream, EarlyPrediction
+from repro.classifiers.base import BaseEarlyClassifier, EarlyPrediction
 from repro.data.stream import ComposedStream
 from repro.distance.znorm import EPSILON, znormalize
 
@@ -55,10 +52,12 @@ __all__ = [
     "Alarm",
     "AlarmGate",
     "NormalizationMode",
-    "RunningCausalStats",
     "SessionState",
+    "WindowLedger",
     "causal_znormalize_batch",
     "incremental_causal_znormalize",
+    "normalize_windows",
+    "validate_chunk",
     "StreamingSession",
     "MultiStreamDetector",
 ]
@@ -93,16 +92,15 @@ class Alarm:
 
 
 class AlarmGate:
-    """The per-stream alarm emission rule, factored out of the session.
+    """The per-stream alarm emission rule.
 
     A completed candidate window is *confirmed* through the gate, which owns
     the three emission rules the offline detector defined: the ``max_alarms``
     saturation cap (once the cap is reached no later candidate may alarm),
     the refractory comparison against the last *emitted* alarm, and the alarm
     field assembly.  Candidates must be confirmed in candidate-start order --
-    both :class:`StreamingSession` and the batched serving engine
-    (:mod:`repro.serving`) do so by construction, which is what makes their
-    alarm lists identical: the candidate *outcomes* depend only on each
+    :class:`WindowLedger` does so by construction for both the session and
+    the serving engine: the candidate *outcomes* depend only on each
     candidate's own (normalised) window, and everything order-dependent lives
     here.
     """
@@ -124,17 +122,14 @@ class AlarmGate:
         """Apply the emission rules to one completed candidate, in start order.
 
         Returns the emitted :class:`Alarm`, or ``None`` when the candidate
-        did not trigger, fell inside the refractory period, or arrived at (or
-        after) the saturation point.  Confirming the candidate that *reaches*
-        the cap sets :attr:`saturated`; the caller should stop evaluating
-        further candidates on the stream (the offline loop stops entirely),
+        did not trigger, fell inside the refractory period, or arrived after
+        the saturation point.  Emitting the alarm that *reaches* the cap sets
+        :attr:`saturated`, the point where the offline loop stops; the
+        caller should stop evaluating further candidates on the stream,
         though confirming them through the gate anyway is harmless -- a
         saturated gate never emits.
         """
         if self.saturated or not outcome.triggered:
-            return None
-        if len(self.alarms) >= self.max_alarms:
-            self.saturated = True
             return None
         position = candidate_start + outcome.trigger_length - 1
         if position - self._last_position < self.refractory:
@@ -148,19 +143,19 @@ class AlarmGate:
         )
         self.alarms.append(alarm)
         self._last_position = position
+        self.saturated = len(self.alarms) >= self.max_alarms
         return alarm
 
 
 @dataclass(frozen=True)
 class SessionState:
-    """Exported snapshot of one :class:`StreamingSession`'s coalescable state.
+    """Exported snapshot of where one stream stands.
 
-    The serving layer's admission scheduler (and the monitoring surface) need
-    a stable, read-only view of where a stream stands without reaching into
-    session internals: how many samples have been consumed, which candidate
-    windows are still in flight, and whether the emission gate has saturated.
-    The snapshot is plain data -- safe to ship across threads or serialise
-    into a metrics pipeline.
+    :meth:`StreamingSession.export_state` and the serving engine's
+    ``stream_state`` both return it: how many samples have been consumed,
+    which candidate windows have begun but not yet completed, and whether
+    the emission gate has saturated.  The snapshot is plain data -- safe to
+    ship across threads or serialise into a metrics pipeline.
     """
 
     n_samples: int
@@ -170,197 +165,37 @@ class SessionState:
     finalized: bool
 
 
-class RunningCausalStats:
-    """Vectorised running mean/variance for a bank of concurrent candidates.
+def validate_chunk(values, n_channels: int) -> np.ndarray:
+    """A chunk of stream samples as a float array, checked against the stream.
 
-    Each *slot* tracks one growing candidate window.  Adding a stream sample
-    to every active slot is one vectorised Welford update -- ``O(1)`` work
-    per (sample, candidate) with no per-window recomputation -- and returns
-    the causally z-normalised sample for each slot: ``(x - mean) / std``
-    over the samples that slot has seen so far, with the same
-    ``std < 1e-12 -> 0`` convention as batch z-normalisation
-    (:data:`repro.distance.znorm.EPSILON`).
-
-    Numerics: sums are accumulated in baseline-centred coordinates (each
-    slot's samples are shifted by its carried running mean before
-    summation) and the M2 update is Welford's shift-invariant recurrence,
-    so a large DC offset in the stream never enters the cumulative sums.
-    The result agrees with the naive per-prefix ``seen.mean()/seen.std()``
-    recomputation to float round-off (the property-based tests pin
-    ``<= 1e-10`` on well-conditioned streams, and track the reference's own
-    conditioning limit on extreme-offset ones).
+    Univariate streams take 1-D ``(n_samples,)`` chunks and multichannel
+    ones 2-D ``(n_samples, n_channels)`` chunks (axis 0 = time, axis 1 =
+    channel).  Raises ``ValueError`` on a wrong rank or channel count and on
+    any non-finite sample.
     """
-
-    def __init__(self, capacity: int, n_channels: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
-        self._channels = int(n_channels)
-        self._count = np.zeros(capacity)
-        if self._channels == 1:
-            self._mean = np.zeros(capacity)
-            self._m2 = np.zeros(capacity)
-        else:
-            # Per-channel running statistics: channel-last, matching the
-            # (length, n_channels) sample convention of the whole stack.
-            self._mean = np.zeros((capacity, self._channels))
-            self._m2 = np.zeros((capacity, self._channels))
-
-    @property
-    def capacity(self) -> int:
-        """Number of slots in the bank."""
-        return self._count.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        """Number of channels per sample (1 for univariate banks)."""
-        return self._channels
-
-    def reset(self, slot: int) -> None:
-        """Recycle a slot for a new candidate window."""
-        self._count[slot] = 0.0
-        self._mean[slot] = 0.0
-        self._m2[slot] = 0.0
-
-    def push(self, slots: np.ndarray, value) -> np.ndarray:
-        """Add ``value`` to every slot in ``slots``; return normalised samples.
-
-        ``value`` is a scalar on univariate banks and a length-``d`` vector
-        (one reading per channel) on multichannel banks.
-
-        Returns
-        -------
-        numpy.ndarray
-            One causally z-normalised sample per entry of ``slots`` -- a
-            scalar per slot for univariate banks, a ``(n_channels,)`` vector
-            per slot otherwise (0.0 where the slot's running standard
-            deviation is below :data:`~repro.distance.znorm.EPSILON`).
-        """
-        if self._channels == 1:
-            return self.push_block(slots, np.asarray([value], dtype=float))[:, 0]
-        sample = np.asarray(value, dtype=float)
-        if sample.shape != (self._channels,):
-            raise ValueError(
-                f"each sample must be a length-{self._channels} vector (one "
-                f"reading per channel); got shape {sample.shape}"
-            )
-        return self.push_block(slots, sample[None, :])[:, 0]
-
-    def push_block(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Add a block of consecutive samples to every slot; return normalised blocks.
-
-        The per-sample Welford recurrence ``M2 += (v - mean_prev) * (v -
-        mean_cur)`` is applied with all intermediate running means computed
-        vectorially, so one call does ``O(n_slots * k)`` flat numpy work
-        instead of ``k`` python-level updates -- this is what lets the
-        streaming session consume a whole segment of stream between candidate
-        births/completions in one operation per candidate bank.
-
-        Parameters
-        ----------
-        slots:
-            Integer slot indices (each slot tracks one candidate window).
-        values:
-            Block of consecutive stream samples, appended to every slot:
-            1-D ``(k,)`` for univariate banks, 2-D ``(k, n_channels)``
-            (axis 0 = time, axis 1 = channel) for multichannel banks.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(len(slots), k)`` for univariate banks or ``(len(slots), k,
-            n_channels)`` otherwise: row ``j`` holds the causally
-            z-normalised samples as seen by slot ``j``.
-        """
-        block = np.asarray(values, dtype=float)
-        if self._channels > 1:
-            if block.ndim != 2 or block.shape[1] != self._channels:
-                raise ValueError(
-                    "values must be a 2-D (n_samples, n_channels) block with "
-                    f"n_channels={self._channels} (axis 0 = time, axis 1 = "
-                    f"channel); got shape {block.shape}"
-                )
-            return self._push_block_multichannel(slots, block)
-        if block.ndim != 1:
-            raise ValueError(
-                "values must be a 1-D block of samples for a univariate "
-                f"bank; got shape {block.shape}"
-            )
-        count0 = self._count[slots][:, None]
-        if block.shape[0] == 0:
-            return np.zeros((count0.shape[0], 0))
-        mean0 = self._mean[slots][:, None]
-        m2_0 = self._m2[slots][:, None]
-        k = block.shape[0]
-        counts = count0 + np.arange(1.0, k + 1.0)[None, :]
-        # Accumulate in baseline-centred coordinates: each slot's samples are
-        # shifted by its carried running mean (or the block's first sample
-        # for a fresh slot) before summation, so a large DC offset in the
-        # stream never enters the cumulative sums -- the failure mode that
-        # makes the raw-value cumsum shortcut lose digits.  The running mean
-        # of the raw data is then ``baseline + cumsum(shifted) / counts``
-        # (the carried term ``count0 * (mean0 - baseline)`` is exactly zero
-        # for both slot states), and the M2 recurrence is shift-invariant.
-        baseline = np.where(count0 > 0.0, mean0, block[0])
-        shifted = block[None, :] - baseline
-        shifted_means = np.cumsum(shifted, axis=1) / counts
-        previous_shifted_means = np.concatenate(
-            [mean0 - baseline, shifted_means[:, :-1]], axis=1
+    chunk = np.asarray(values, dtype=float)
+    if n_channels == 1:
+        if chunk.ndim != 1:
+            raise ValueError("stream values must be 1-D")
+    elif chunk.ndim != 2 or chunk.shape[1] != n_channels:
+        raise ValueError(
+            "stream values must be a 2-D (n_samples, n_channels) chunk "
+            f"with n_channels={n_channels} (axis 0 = time, axis 1 = "
+            f"channel); got shape {chunk.shape}"
         )
-        m2 = m2_0 + np.cumsum(
-            (shifted - previous_shifted_means) * (shifted - shifted_means), axis=1
-        )
-        self._count[slots] = counts[:, -1]
-        self._mean[slots] = (baseline + shifted_means[:, -1:])[:, 0]
-        self._m2[slots] = m2[:, -1]
-        std = np.sqrt(np.maximum(m2, 0.0) / counts)
-        out = np.zeros_like(std)
-        np.divide(shifted - shifted_means, std, out=out, where=std >= EPSILON)
-        return out
-
-    def _push_block_multichannel(
-        self, slots: np.ndarray, block: np.ndarray
-    ) -> np.ndarray:
-        """Per-channel Welford update over a ``(k, n_channels)`` block.
-
-        The same baseline-centred recurrences as the univariate path with a
-        trailing channel axis riding along every operation (the per-slot
-        sample count is shared across channels).
-        """
-        count0 = self._count[slots][:, None, None]
-        if block.shape[0] == 0:
-            return np.zeros((count0.shape[0], 0, self._channels))
-        mean0 = self._mean[slots][:, None, :]
-        m2_0 = self._m2[slots][:, None, :]
-        k = block.shape[0]
-        counts = count0 + np.arange(1.0, k + 1.0)[None, :, None]
-        baseline = np.where(count0 > 0.0, mean0, block[0][None, None, :])
-        shifted = block[None, :, :] - baseline
-        shifted_means = np.cumsum(shifted, axis=1) / counts
-        previous_shifted_means = np.concatenate(
-            [mean0 - baseline, shifted_means[:, :-1, :]], axis=1
-        )
-        m2 = m2_0 + np.cumsum(
-            (shifted - previous_shifted_means) * (shifted - shifted_means), axis=1
-        )
-        self._count[slots] = counts[:, -1, 0]
-        self._mean[slots] = (baseline + shifted_means[:, -1:, :])[:, 0, :]
-        self._m2[slots] = m2[:, -1, :]
-        std = np.sqrt(np.maximum(m2, 0.0) / counts)
-        out = np.zeros_like(std)
-        np.divide(shifted - shifted_means, std, out=out, where=std >= EPSILON)
-        return out
+    if not np.isfinite(chunk).all():
+        raise ValueError("stream contains non-finite values")
+    return chunk
 
 
 def incremental_causal_znormalize(window: np.ndarray) -> np.ndarray:
     """Causally z-normalise one candidate window in ``O(L)``.
 
-    The single-candidate view of :class:`RunningCausalStats`: sample ``i`` is
-    normalised with the running statistics of ``window[: i + 1]``.  Matches
-    the naive per-prefix recomputation (the offline detector's ``O(L^2)``
-    loop) to float round-off; the property-based tests pin ``<= 1e-10``,
-    including exactly-constant and near-constant segments.
+    The single-window view of :func:`causal_znormalize_batch`: sample ``i``
+    is normalised with the running statistics of ``window[: i + 1]``.
+    Matches the naive per-prefix recomputation (the offline loop's
+    ``O(L^2)`` normalisation) to float round-off; the property-based tests
+    pin ``<= 1e-10``, including exactly-constant and near-constant segments.
 
     A 2-D ``(length, n_channels)`` window is normalised per channel (each
     channel keeps its own running statistics over the shared time axis).
@@ -379,15 +214,15 @@ def incremental_causal_znormalize(window: np.ndarray) -> np.ndarray:
 def causal_znormalize_batch(windows: np.ndarray) -> np.ndarray:
     """Causally z-normalise a whole bank of candidate windows in one pass.
 
-    Row ``j`` of the result is :func:`incremental_causal_znormalize` of row
-    ``j`` of ``windows`` -- the same baseline-centred Welford recurrences as
-    :meth:`RunningCausalStats.push_block` on a fresh slot, applied to every
-    row at once (the element-wise operations are identical, so the two agree
-    bit for bit; the property tests pin this).  This is the normalisation
-    kernel of the serving layer's batching scheduler: candidate windows
-    completed by *different* streams are stacked into one ``(n_windows, L)``
-    matrix and normalised together, instead of one
-    :class:`RunningCausalStats` update per stream per segment.
+    Sample ``i`` of row ``j`` is normalised with the mean and standard
+    deviation of ``windows[j, : i + 1]`` (0.0 where that standard deviation
+    is below :data:`~repro.distance.znorm.EPSILON`).  The statistics are
+    Welford's running recurrences in baseline-centred coordinates: each
+    row's samples are shifted by its first sample before summation, so a
+    large DC offset in the stream never enters the cumulative sums, and the
+    M2 update is shift-invariant.  This is the ``"causal"`` kernel of
+    :func:`normalize_windows`, which the session and the serving scheduler
+    apply to every block of completed windows.
 
     A 3-D ``(n_windows, length, n_channels)`` bank is normalised per
     channel -- the identical recurrences with the channel axis riding along.
@@ -406,29 +241,160 @@ def causal_znormalize_batch(windows: np.ndarray) -> np.ndarray:
         counts = counts[:, :, None]
     baseline = arr[:, :1]
     shifted = arr - baseline
-    shifted_means = np.cumsum(shifted, axis=1) / counts
-    previous_shifted_means = np.concatenate(
-        [-baseline, shifted_means[:, :-1]], axis=1
-    )
-    m2 = np.cumsum(
-        (shifted - previous_shifted_means) * (shifted - shifted_means), axis=1
-    )
-    std = np.sqrt(np.maximum(m2, 0.0) / counts)
+    means = np.cumsum(shifted, axis=1)
+    means /= counts
+    # Welford: M2 accumulates (x - previous mean) * (x - current mean).  The
+    # temporaries are updated in place, which matters for the wide stacks
+    # the serving scheduler normalises; every element sees the same
+    # floating-point operations either way.
+    steps = np.concatenate([-baseline, means[:, :-1]], axis=1)
+    np.subtract(shifted, steps, out=steps)
+    centered = np.subtract(shifted, means, out=shifted)
+    steps *= centered
+    m2 = np.cumsum(steps, axis=1, out=steps)
+    np.maximum(m2, 0.0, out=m2)
+    m2 /= counts
+    std = np.sqrt(m2, out=m2)
     out = np.zeros_like(std)
-    np.divide(shifted - shifted_means, std, out=out, where=std >= EPSILON)
+    np.divide(centered, std, out=out, where=std >= EPSILON)
     return out
 
 
-class _Candidate:
-    """One in-flight candidate window of a :class:`StreamingSession`."""
+def normalize_windows(windows: np.ndarray, mode: str) -> np.ndarray:
+    """Apply one normalisation mode to a stack of completed windows.
 
-    __slots__ = ("start", "walker", "slot", "outcome")
+    ``"window"`` z-normalises each row with whole-window statistics (the
+    paper's "peeking" mode, row-wise identical to
+    :func:`~repro.distance.znorm.znormalize` of each window); ``"causal"``
+    uses :func:`causal_znormalize_batch`; ``"none"`` hands the raw windows
+    over.
+    """
+    if mode == "none":
+        return windows
+    if mode == "window":
+        return znormalize(windows)
+    if mode == "causal":
+        return causal_znormalize_batch(windows)
+    raise ValueError(f"unknown normalization mode {mode!r}")
 
-    def __init__(self, start: int, walker: ClassifierStream | None, slot: int) -> None:
-        self.start = start
-        self.walker = walker
-        self.slot = slot
-        self.outcome: EarlyPrediction | None = None
+
+class WindowLedger:
+    """One stream's window bookkeeping: raw tail buffer, stride cursor, alarm gate.
+
+    Candidate windows start at every ``stride``-th sample.  The ledger keeps
+    only the samples from its cursor -- the earliest start not yet
+    extracted -- onwards: at most ``L - 1`` samples between chunks, plus the
+    latest chunk until its windows are extracted.  :meth:`extract_windows`
+    pops completed windows oldest first, and :meth:`confirm` passes their
+    outcomes through the :class:`AlarmGate` in that order.  There is no
+    per-candidate classifier state: an outcome depends only on its own
+    normalised window.  :class:`StreamingSession` owns one ledger; the
+    serving engine keeps one per served stream.
+    """
+
+    __slots__ = (
+        "classifier",
+        "normalization",
+        "stride",
+        "window_length",
+        "n_channels",
+        "gate",
+        "buffer",
+        "base",
+        "count",
+        "next_start",
+        "saturated",
+        "finalized",
+    )
+
+    def __init__(
+        self,
+        classifier: BaseEarlyClassifier,
+        stride: int,
+        normalization: NormalizationMode,
+        refractory: int,
+        max_alarms: int,
+    ) -> None:
+        self.classifier = classifier
+        self.normalization = normalization
+        self.stride = int(stride)
+        self.window_length = classifier.train_length_
+        self.n_channels = classifier.n_channels_
+        self.gate = AlarmGate(int(refractory), int(max_alarms))
+        self.buffer = self._empty_buffer()
+        self.base = 0  # stream index of buffer[0]
+        self.count = 0  # samples consumed so far
+        self.next_start = 0  # earliest candidate start not yet extracted
+        self.saturated = False
+        self.finalized = False
+
+    @property
+    def open_starts(self) -> range:
+        """Starts of the candidate windows that have begun but not completed."""
+        if self.saturated or self.finalized:
+            return range(0)
+        return range(self.next_start, self.count, self.stride)
+
+    def append(self, chunk: np.ndarray) -> None:
+        """Ingest a validated chunk, keeping only the samples windows still need.
+
+        A saturated ledger only counts the samples: no window can alarm.
+        """
+        n = chunk.shape[0]
+        if self.saturated:
+            self.count += n
+            self.base = self.next_start = self.count
+            return
+        keep = self.next_start - self.base
+        if keep <= self.buffer.shape[0]:
+            self.buffer = np.concatenate([self.buffer[keep:], chunk])
+            self.base = self.next_start
+        else:
+            # A stride longer than the window leaves the cursor beyond the
+            # buffered samples; the chunk's samples before it are never read.
+            self.buffer = chunk[self.next_start - self.count :].copy()
+            self.base = min(self.next_start, self.count + n)
+        self.count += n
+
+    def extract_windows(self, limit: int | None = None) -> list[tuple[int, np.ndarray]]:
+        """Pop up to ``limit`` completed windows as ``(start, window)``, oldest first.
+
+        The windows are views of the buffer, which is replaced rather than
+        written on every :meth:`append`, so they stay valid.
+        """
+        stop = self.count - self.window_length + 1
+        if limit is not None:
+            stop = min(stop, self.next_start + limit * self.stride)
+        starts = range(self.next_start, stop, self.stride)
+        length, base, buffer = self.window_length, self.base, self.buffer
+        windows = [
+            (start, buffer[start - base : start - base + length]) for start in starts
+        ]
+        self.next_start += len(starts) * self.stride
+        return windows
+
+    def confirm(self, start: int, outcome: EarlyPrediction) -> Alarm | None:
+        """Confirm one completed window through the gate; release on saturation."""
+        alarm = self.gate.confirm(start, outcome)
+        if self.gate.saturated:
+            self.saturated = True
+            self.release()
+        return alarm
+
+    def release(self) -> None:
+        """Drop the buffer (stream closed or saturated; no window can form)."""
+        self.buffer = self._empty_buffer()
+        self.base = self.next_start = self.count
+
+    def _empty_buffer(self) -> np.ndarray:
+        """An empty buffer of the stream's sample shape: ``(0,)`` or ``(0, d)``."""
+        if self.n_channels == 1:
+            return np.empty(0)
+        return np.empty((0, self.n_channels))
+
+
+#: Completed windows classified per ``predict_early_batch`` call of a session.
+_WINDOW_BLOCK = 256
 
 
 class StreamingSession:
@@ -436,22 +402,19 @@ class StreamingSession:
 
     Parameters mirror :class:`~repro.streaming.detector.StreamingEarlyDetector`
     (same defaults, same semantics); the difference is the execution model.
-    Every ``stride``-th sample opens a candidate window, all open candidates
-    are advanced concurrently as each sample arrives, and a candidate is
-    *confirmed* -- its alarm emitted, the refractory and ``max_alarms`` rules
-    applied -- when its window completes, in candidate-start order.
-    Candidates whose window never completes (the stream ended first) are
-    discarded at :meth:`finalize`, matching the offline detector's candidate
-    eligibility.
+    Every ``stride``-th sample opens a candidate window.  Each chunk is
+    appended to the session's :class:`WindowLedger`; the windows it
+    completes are normalised and classified in blocks of up to 256 by one
+    ``predict_early_batch`` call each, and *confirmed* -- the alarm emitted,
+    the refractory and ``max_alarms`` rules applied -- in candidate-start
+    order.  Candidates whose window never completes (the stream ended
+    first) are discarded at :meth:`finalize`, matching the offline
+    detector's candidate eligibility.
 
-    Per arriving sample the session does ``O(A)`` work for ``A = ceil(L /
-    stride)`` overlapping candidates: one vectorised
-    :class:`RunningCausalStats` update across the whole bank (``"causal"``
-    mode) plus one :meth:`~repro.classifiers.base.ClassifierStream.push` per
-    undecided candidate -- versus the offline loop's ``O(L^2)`` per-window
-    normalisation and from-scratch re-prediction.  In ``"window"`` mode the
-    raw stream is buffered and each candidate is evaluated once its window
-    completes (whole-window normalisation needs future data by definition).
+    Between calls the session holds at most ``L - 1`` raw samples plus the
+    latest chunk; while a chunk is evaluated, one block of windows is added.
+    Once ``max_alarms`` is reached it stops evaluating and only counts
+    samples.
 
     Examples
     --------
@@ -489,69 +452,43 @@ class StreamingSession:
             raise ValueError("stride must be >= 1")
         self.normalization = normalization
         refractory = refractory if refractory is not None else self.window_length // 2
-        # The gate owns the emission rules (saturation cap, refractory,
-        # alarm assembly) and validates its parameters; the serving engine
-        # reuses the same class so the two layers cannot drift.
-        self._gate = AlarmGate(refractory, max_alarms)
-        self.refractory = self._gate.refractory
-        self.max_alarms = self._gate.max_alarms
-
-        self._count = 0
-        self._active: deque[_Candidate] = deque()
-        self._feeding: list[_Candidate] = []
-        self._feed_slots = np.empty(0, dtype=np.intp)
-        self._saturated = False
-        self._finalized = False
-        # One normalisation slot per concurrently open candidate; candidate
-        # k (start = k * stride) recycles slot k mod capacity, and windows
-        # are exactly L samples long, so live candidates never collide.
-        n_slots = self.window_length // self.stride + 2
-        self._stats = (
-            RunningCausalStats(n_slots, n_channels=self.n_channels)
-            if normalization == "causal"
-            else None
+        # The ledger's gate validates refractory and max_alarms.
+        self._ledger = WindowLedger(
+            classifier, self.stride, normalization, refractory, max_alarms
         )
-        # Whole-window normalisation needs the raw window at completion time;
-        # the genuinely online modes never re-read past samples.
-        if normalization == "window":
-            shape = 4096 if self.n_channels == 1 else (4096, self.n_channels)
-            self._values = np.empty(shape)
-        else:
-            self._values = None
+        self.refractory = self._ledger.gate.refractory
+        self.max_alarms = self._ledger.gate.max_alarms
 
     # ------------------------------------------------------------ properties
     @property
     def n_samples(self) -> int:
         """Number of stream samples consumed so far."""
-        return self._count
+        return self._ledger.count
 
     @property
     def n_open_candidates(self) -> int:
-        """Number of candidate windows currently in flight."""
-        return len(self._active)
+        """Number of candidate windows begun but not yet complete."""
+        return len(self._ledger.open_starts)
 
     @property
     def alarms(self) -> list[Alarm]:
         """All alarms confirmed so far (copy)."""
-        return list(self._gate.alarms)
+        return list(self._ledger.gate.alarms)
 
     @property
     def finalized(self) -> bool:
         """Whether :meth:`finalize` has been called."""
-        return self._finalized
+        return self._ledger.finalized
 
     def export_state(self) -> SessionState:
-        """Read-only snapshot of the session's coalescable state.
-
-        See :class:`SessionState`; this is the view the serving layer's
-        scheduler and the monitoring surface consume.
-        """
+        """Read-only snapshot of the session; see :class:`SessionState`."""
+        ledger = self._ledger
         return SessionState(
-            n_samples=self._count,
-            open_candidate_starts=tuple(c.start for c in self._active),
-            n_alarms=len(self._gate.alarms),
-            saturated=self._saturated,
-            finalized=self._finalized,
+            n_samples=ledger.count,
+            open_candidate_starts=tuple(ledger.open_starts),
+            n_alarms=len(ledger.gate.alarms),
+            saturated=ledger.saturated,
+            finalized=ledger.finalized,
         )
 
     # ------------------------------------------------------------ ingestion
@@ -566,56 +503,29 @@ class StreamingSession:
         return self.extend(np.asarray(value, dtype=float)[None])
 
     def extend(self, values: np.ndarray) -> list[Alarm]:
-        """Consume a chunk of samples; return the alarms the chunk confirmed.
-
-        The chunk is processed in *segments* delimited by candidate births
-        (every ``stride``-th stream index) and window completions, so between
-        boundaries the whole active candidate bank advances in one vectorised
-        normalisation update and one buffered block per candidate walk --
-        this segment batching, not the chunk size, is what amortises the
-        per-sample Python overhead.
-        """
-        if self._finalized:
+        """Consume a chunk of samples; return the alarms the chunk confirmed."""
+        ledger = self._ledger
+        if ledger.finalized:
             raise RuntimeError("the session has been finalized")
-        chunk = np.asarray(values, dtype=float)
-        if self.n_channels == 1:
-            if chunk.ndim != 1:
-                raise ValueError("stream values must be 1-D")
-        elif chunk.ndim != 2 or chunk.shape[1] != self.n_channels:
-            raise ValueError(
-                "stream values must be a 2-D (n_samples, n_channels) chunk "
-                f"with n_channels={self.n_channels} (axis 0 = time, axis 1 = "
-                f"channel); got shape {chunk.shape}"
-            )
+        chunk = validate_chunk(values, self.n_channels)
         if chunk.shape[0] == 0:
             return []
-        if not np.all(np.isfinite(chunk)):
-            raise ValueError("stream contains non-finite values")
-        if self._values is not None:
-            self._store(chunk)
-        emitted_from = len(self._gate.alarms)
-        offset = 0
-        total = chunk.shape[0]
-        while offset < total:
-            if self._saturated:
-                self._count += total - offset
+        emitted_from = len(ledger.gate.alarms)
+        ledger.append(chunk)
+        while not ledger.saturated:
+            block = ledger.extract_windows(_WINDOW_BLOCK)
+            if not block:
                 break
-            position = self._count
-            if position % self.stride == 0:
-                self._open_candidate(position)
-            # The segment runs to the next boundary: the next candidate birth,
-            # or one past the sample that completes the oldest open window.
-            next_birth = (position // self.stride + 1) * self.stride
-            end = min(total - offset, next_birth - position)
-            if self._active:
-                completing = self._active[0].start + self.window_length - 1
-                end = min(end, completing - position + 1)
-            self._consume(chunk[offset : offset + end])
-            self._count += end
-            offset += end
-            if self._active and self._active[0].start + self.window_length == self._count:
-                self._confirm(self._active.popleft())
-        return self._gate.alarms[emitted_from:]
+            windows = normalize_windows(
+                np.array([window for _, window in block]), self.normalization
+            )
+            outcomes = self.classifier.predict_early_batch(windows)
+            for (start, _), outcome in zip(block, outcomes):
+                if outcome.triggered:
+                    ledger.confirm(start, outcome)
+                    if ledger.saturated:
+                        break
+        return ledger.gate.alarms[emitted_from:]
 
     def finalize(self) -> list[Alarm]:
         """Declare the stream over and return the full alarm list.
@@ -624,96 +534,22 @@ class StreamingSession:
         detector never considers a start that cannot fit a full window, and
         the equivalence suite holds the engine to the same rule.
         """
-        if not self._finalized:
-            self._finalized = True
-            self._active.clear()
-            self._feeding = []
-        return list(self._gate.alarms)
-
-    # ------------------------------------------------------------ internals
-    def _store(self, chunk: np.ndarray) -> None:
-        assert self._values is not None
-        needed = self._count + chunk.shape[0]
-        if needed > self._values.shape[0]:
-            grown = np.empty(
-                (max(needed, 2 * self._values.shape[0]),) + self._values.shape[1:]
-            )
-            grown[: self._count] = self._values[: self._count]
-            self._values = grown
-        self._values[self._count : needed] = chunk
-
-    def _refresh_feeding(self) -> None:
-        self._feeding = [c for c in self._active if c.outcome is None and c.walker is not None]
-        self._feed_slots = np.fromiter(
-            (c.slot for c in self._feeding), dtype=np.intp, count=len(self._feeding)
-        )
-
-    def _open_candidate(self, start: int) -> None:
-        slot = (start // self.stride) % (
-            self._stats.capacity if self._stats is not None else 1
-        )
-        if self._stats is not None:
-            self._stats.reset(slot)
-        walker = None if self.normalization == "window" else self.classifier.open_stream()
-        self._active.append(_Candidate(start, walker, slot))
-        if walker is not None:
-            self._refresh_feeding()
-
-    def _consume(self, segment: np.ndarray) -> None:
-        """Advance every undecided candidate over one boundary-free segment."""
-        if not self._feeding:
-            return
-        if self._stats is not None:
-            normalized = self._stats.push_block(self._feed_slots, segment)
-        else:
-            normalized = None
-        decided = False
-        for index, candidate in enumerate(self._feeding):
-            block = segment if normalized is None else normalized[index]
-            if candidate.walker.feed(block) is not None:
-                candidate.outcome = candidate.walker.outcome
-                decided = True
-        if decided:
-            self._refresh_feeding()
-
-    def _confirm(self, candidate: _Candidate) -> None:
-        """Finalize one completed candidate, applying the emission rules.
-
-        Candidates complete in start order (equal window lengths), so
-        confirming through the :class:`AlarmGate` reproduces the offline
-        detector's sequential walk: the saturation check, the refractory
-        comparison against the last *emitted* alarm, and the alarm field
-        values are all identical.
-        """
-        if candidate.walker is None:
-            # Whole-window ("peeking") mode: normalise and walk only now that
-            # the window exists, exactly as the offline detector does.
-            assert self._values is not None
-            window = self._values[candidate.start : candidate.start + self.window_length]
-            if self.n_channels == 1:
-                normalized = znormalize(window)
-            else:
-                normalized = znormalize(window, channel_axis=-1)
-            candidate.outcome = self.classifier.predict_early(normalized)
-        outcome = candidate.outcome
-        assert outcome is not None  # the walker decides by window completion
-        self._gate.confirm(candidate.start, outcome)
-        if self._gate.saturated:
-            # The offline loop stops evaluating candidates entirely once the
-            # cap is reached; no later candidate may alarm.
-            self._saturated = True
-            self._active.clear()
-            self._feeding = []
+        ledger = self._ledger
+        if not ledger.finalized:
+            ledger.finalized = True
+            ledger.release()
+        return list(ledger.gate.alarms)
 
 
 class MultiStreamDetector:
     """Fan a batch of independent streams through concurrent online sessions.
 
-    One :class:`StreamingSession` -- one vectorised candidate bank -- per
-    stream, fed in chunked lockstep the way a service would drain a set of
-    live telemetry feeds.  Streams may have different lengths; each stream's
-    alarm list is exactly what a standalone session (and therefore the
-    offline detector) would produce for it.
+    One :class:`StreamingSession` per stream, fed in chunked lockstep the
+    way a service would drain a set of live telemetry feeds; each session
+    classifies its own completed windows in batches.  Streams may have
+    different lengths; each stream's alarm list is exactly what a
+    standalone session (and therefore the offline detector) would produce
+    for it.
 
     Parameters
     ----------

@@ -174,6 +174,20 @@ class TestSignificance:
         with pytest.raises(ValueError):
             mcnemar_test(-1, 0, 0, 0)
 
+    def test_p_values_equal_scipy_stats(self):
+        """The ``scipy.special`` kernels give ``scipy.stats``'s p-values exactly."""
+        from scipy import stats
+
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            total_a, total_b = (int(n) for n in rng.integers(1, 400, size=2))
+            a, b = int(rng.integers(0, total_a + 1)), int(rng.integers(0, total_b + 1))
+            result = two_proportion_z_test(a, total_a, b, total_b)
+            expected = 2.0 * (1.0 - stats.norm.cdf(abs(result.statistic)))
+            assert result.p_value == float(expected)
+            result = mcnemar_test(*(int(n) for n in rng.integers(0, 60, size=4)))
+            assert result.p_value == float(stats.chi2.sf(result.statistic, df=1))
+
 
 class TestRunner:
     def _datasets(self, tiny_two_class):

@@ -28,7 +28,7 @@ from repro.distance.dtw import dtw_distance
 from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.engine import batch_prefix_distances, ragged_prefix_distances
 from repro.distance.znorm import causal_znormalize, znormalize
-from repro.streaming.online import RunningCausalStats, causal_znormalize_batch
+from repro.streaming.online import causal_znormalize_batch
 
 from oracles.dtw import dense_dtw_nearest_neighbors
 
@@ -167,15 +167,6 @@ class TestCausalZnormNaive:
         result = causal_znormalize_batch(windows)
         for row in range(windows.shape[0]):
             assert np.allclose(result[row], _naive_causal_znorm(windows[row]), atol=ATOL)
-
-    def test_running_stats_match_per_channel_loop(self):
-        window = RNG.normal(size=(18, 4))
-        stats = RunningCausalStats(capacity=1, n_channels=4)
-        streamed = np.vstack(
-            [stats.push(np.asarray([0]), window[t]) for t in range(18)]
-        )
-        assert streamed.shape == window.shape
-        assert np.allclose(streamed, _naive_causal_znorm(window), atol=ATOL)
 
 
 CLASSIFIERS = [

@@ -11,7 +11,7 @@ from repro.distance.dtw import dtw_distance
 from repro.distance.euclidean import euclidean_distance, znormalized_euclidean_distance
 from repro.distance.profile import distance_profile
 from repro.distance.znorm import causal_znormalize, znormalize
-from repro.streaming.online import RunningCausalStats, incremental_causal_znormalize
+from repro.streaming.online import incremental_causal_znormalize
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -165,26 +165,6 @@ def test_incremental_causal_znorm_near_constant_stays_zero(length, level, seed):
     incremental = incremental_causal_znormalize(window)
     np.testing.assert_array_equal(incremental, np.zeros(length))
     np.testing.assert_array_equal(naive_causal_window(window), np.zeros(length))
-
-
-@given(st.integers(1, 8), st.integers(2, 40), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_running_stats_bank_slots_are_independent(n_slots, length, seed):
-    # Feeding the same stream through k concurrent slots of one bank gives
-    # bit-identical rows (the vectorised update has no cross-talk), and each
-    # agrees with the one-shot whole-window normalisation to float round-off
-    # (per-sample pushes and one block are different but equivalent
-    # arithmetic paths).
-    rng = np.random.default_rng(seed)
-    window = rng.standard_normal(length) * 3.0 + 5.0
-    bank = RunningCausalStats(n_slots)
-    slots = np.arange(n_slots, dtype=np.intp)
-    banked = np.stack([bank.push(slots, value) for value in window])
-    for slot in range(1, n_slots):
-        np.testing.assert_array_equal(banked[:, slot], banked[:, 0])
-    np.testing.assert_allclose(
-        banked[:, 0], incremental_causal_znormalize(window), atol=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------

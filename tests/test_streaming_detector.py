@@ -7,6 +7,8 @@ from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.stream import StreamComposer
 from repro.streaming.detector import StreamingEarlyDetector
 
+from oracles.streaming import prepare_window
+
 
 @pytest.fixture(scope="module")
 def fitted_classifier(tiny_two_class):
@@ -100,12 +102,12 @@ class TestDetection:
     def test_prepare_window_none_is_identity(self, fitted_classifier):
         detector = StreamingEarlyDetector(fitted_classifier, normalization="none")
         window = np.arange(40.0)
-        np.testing.assert_allclose(detector._prepare_window(window), window)
+        np.testing.assert_allclose(prepare_window(detector, window), window)
 
     def test_prepare_window_window_mode_is_znormalised(self, fitted_classifier):
         detector = StreamingEarlyDetector(fitted_classifier, normalization="window")
         window = np.arange(40.0) + 100.0
-        prepared = detector._prepare_window(window)
+        prepared = prepare_window(detector, window)
         assert abs(prepared.mean()) < 1e-9
         assert abs(prepared.std() - 1.0) < 1e-9
 
@@ -114,6 +116,6 @@ class TestDetection:
         window = np.arange(40.0)
         modified = window.copy()
         modified[30:] += 1000.0
-        a = detector._prepare_window(window)
-        b = detector._prepare_window(modified)
+        a = prepare_window(detector, window)
+        b = prepare_window(detector, modified)
         np.testing.assert_allclose(a[:30], b[:30])

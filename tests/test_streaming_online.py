@@ -2,7 +2,7 @@
 
 The load-bearing guarantee: :class:`repro.streaming.online.StreamingSession`
 produces the *identical* alarm list to the offline reference loop
-(:meth:`StreamingEarlyDetector.detect_reference`) -- exact ``position``,
+(:func:`oracles.streaming.detect_reference`) -- exact ``position``,
 ``candidate_start``, ``label`` and ``prefix_length``, confidence to within
 1e-10 -- across all three normalisation modes, strides, refractory settings
 and ``max_alarms`` truncation, and for classifiers exercising every walk
@@ -22,6 +22,8 @@ from repro.data.stream import StreamComposer
 from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.metrics import evaluate_alarms, merge_evaluations
 from repro.streaming.online import MultiStreamDetector, StreamingSession
+
+from oracles.streaming import detect_reference
 
 
 def assert_alarms_equivalent(reference, candidate):
@@ -87,7 +89,7 @@ class TestEquivalence:
             fitted_classifier, stride=stride, normalization=normalization
         )
         assert_alarms_equivalent(
-            detector.detect_reference(annotated_stream), detector.detect(annotated_stream)
+            detect_reference(detector, annotated_stream), detector.detect(annotated_stream)
         )
 
     @pytest.mark.parametrize("refractory", [0, 15, 60])
@@ -95,7 +97,7 @@ class TestEquivalence:
         detector = StreamingEarlyDetector(
             fitted_classifier, stride=4, normalization="none", refractory=refractory
         )
-        reference = detector.detect_reference(noisy_stream)
+        reference = detect_reference(detector, noisy_stream)
         assert_alarms_equivalent(reference, detector.detect(noisy_stream))
         positions = [a.position for a in reference]
         assert all(b - a >= refractory for a, b in zip(positions, positions[1:]))
@@ -109,7 +111,7 @@ class TestEquivalence:
             refractory=0,
             max_alarms=max_alarms,
         )
-        reference = detector.detect_reference(noisy_stream)
+        reference = detect_reference(detector, noisy_stream)
         assert len(reference) <= max_alarms
         assert_alarms_equivalent(reference, detector.detect(noisy_stream))
 
@@ -122,7 +124,7 @@ class TestEquivalence:
             ects_classifier, stride=8, normalization=normalization
         )
         assert_alarms_equivalent(
-            detector.detect_reference(annotated_stream), detector.detect(annotated_stream)
+            detect_reference(detector, annotated_stream), detector.detect(annotated_stream)
         )
 
     def test_teaser_streak_rule(self, teaser_classifier, annotated_stream):
@@ -131,7 +133,7 @@ class TestEquivalence:
             teaser_classifier, stride=8, normalization="window"
         )
         assert_alarms_equivalent(
-            detector.detect_reference(annotated_stream), detector.detect(annotated_stream)
+            detect_reference(detector, annotated_stream), detector.detect(annotated_stream)
         )
 
     def test_tail_candidates_never_alarm(self, fitted_classifier, annotated_stream):
@@ -141,7 +143,7 @@ class TestEquivalence:
         event = annotated_stream.events[-1]
         values = annotated_stream.values[: event.start + 10]
         detector = StreamingEarlyDetector(fitted_classifier, stride=4, normalization="none")
-        assert_alarms_equivalent(detector.detect_reference(values), detector.detect(values))
+        assert_alarms_equivalent(detect_reference(detector, values), detector.detect(values))
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 10_000])
     def test_chunk_partition_invariance(self, fitted_classifier, annotated_stream, chunk_size):
@@ -150,7 +152,7 @@ class TestEquivalence:
         values = annotated_stream.values
         for start in range(0, values.shape[0], chunk_size):
             session.extend(values[start : start + chunk_size])
-        assert_alarms_equivalent(detector.detect_reference(values), session.finalize())
+        assert_alarms_equivalent(detect_reference(detector, values), session.finalize())
 
 
 class TestSessionBehaviour:
@@ -272,7 +274,7 @@ class TestMultiStream:
         )
         detector = StreamingEarlyDetector(fitted_classifier, stride=4, normalization="causal")
         for alarms, stream in zip(fleet.detect(streams), streams):
-            assert_alarms_equivalent(detector.detect_reference(stream), alarms)
+            assert_alarms_equivalent(detect_reference(detector, stream), alarms)
 
     def test_merged_evaluation_pools_counts(self, fitted_classifier, annotated_stream):
         fleet = MultiStreamDetector(fitted_classifier, stride=4, normalization="none")
