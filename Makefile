@@ -79,7 +79,8 @@ sweep-check:
 mv-check:
 	$(PYTHON) -m pytest tests/test_multichannel.py tests/test_experiments_golden.py benchmarks/test_bench_multichannel.py -q
 
-## fail if README/ARCHITECTURE reference modules or files that don't exist
+## fail if README/ARCHITECTURE or src/ docstrings and comments reference
+## modules, attributes or files that don't exist
 docs-check:
 	$(PYTHON) tools/docs_check.py
 

@@ -51,6 +51,7 @@ from repro.distance.engine import dtw_pairwise_distances
 from repro.experiments import table1
 
 from oracles.dtw import accumulated_cost_reference
+from oracles.ects import fit_reference as ects_fit_reference
 from oracles.edsc import fit_reference, learn_threshold, score_candidate
 
 REQUIRED_SPEEDUP = 5.0
@@ -92,8 +93,8 @@ def test_bench_ects_fit_speedup(run_once):
     train = _gunpoint(ECTS_N_PER_CLASS, ECTS_LENGTH)
 
     ref_seconds, reference = _best_of(
-        lambda: ECTSClassifier(checkpoint_step=1)._fit_reference(
-            train.series, train.labels
+        lambda: ects_fit_reference(
+            ECTSClassifier(checkpoint_step=1), train.series, train.labels
         ),
         repeats=5,
     )

@@ -38,7 +38,6 @@ from repro.distance.engine import (
     PrefixDistanceEngine,
     batch_prefix_distances,
     dtw_pairwise_distances,
-    ragged_prefix_distances,
     pairwise_prefix_distances,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "batch_prefix_distances",
     "dtw_nearest_neighbors",
     "dtw_pairwise_distances",
-    "ragged_prefix_distances",
     "pairwise_prefix_distances",
 ]

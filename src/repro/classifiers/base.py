@@ -347,11 +347,11 @@ class BaseEarlyClassifier(ABC):
         or similar state here; the default ``None`` keeps the naive
         slice-and-recompute behaviour of :meth:`predict_partial`.
 
-        Contract (relied on by the online streaming engine):
+        Contract (relied on by :class:`ClassifierStream`):
 
         * the returned state must be **independent** -- creating a second
-          context must not invalidate the first, because the streaming
-          detector walks every overlapping candidate window concurrently;
+          context must not invalidate the first, because any number of
+          walks over one fitted classifier may be live at once;
         * ``series`` may be a pre-allocated buffer that is filled in as
           stream samples arrive, so the implementation must not *read*
           values at construction time, and a later
@@ -369,7 +369,7 @@ class BaseEarlyClassifier(ABC):
         checkpoint whose :class:`PartialPrediction` reports ``ready``;
         TEASER overrides this with its consecutive-agreement streak.  The
         callable may be stateful -- a new one is created for every exemplar
-        walk, and for every concurrent candidate window on a stream.
+        walk (each ``predict_early`` call and each :class:`ClassifierStream`).
         """
         return lambda partial: partial.ready
 
@@ -433,21 +433,18 @@ class BaseEarlyClassifier(ABC):
         )
 
     # ------------------------------------------------------------ batching
-    def _validate_batch(
-        self, series: np.ndarray, promote_single: bool
-    ) -> np.ndarray:
+    def _validate_batch(self, series: np.ndarray) -> np.ndarray:
         """Validate a batch of exemplars against the fitted shape.
 
         Returns a 2-D ``(n, length)`` batch for univariate classifiers (a
         single-channel 3-D batch is squeezed so d=1 runs the exact historical
         path) or a 3-D ``(n, length, n_channels)`` batch for multichannel
-        ones.  ``promote_single`` additionally accepts a lone exemplar --
-        1-D ``(length,)`` for d=1, 2-D ``(length, n_channels)`` for d>1 --
-        and promotes it to a batch of one.
+        ones.  A lone exemplar -- 1-D ``(length,)`` for d=1, 2-D
+        ``(length, n_channels)`` for d>1 -- is promoted to a batch of one.
         """
         data = np.asarray(series, dtype=float)
         if self._train_channels == 1:
-            if promote_single and data.ndim == 1:
+            if data.ndim == 1:
                 data = data[None, :]
             if data.ndim == 3 and data.shape[2] == 1:
                 # Single-channel 3-D input runs the exact univariate path.
@@ -459,11 +456,7 @@ class BaseEarlyClassifier(ABC):
                     f"time); got shape {data.shape}"
                 )
         else:
-            if (
-                promote_single
-                and data.ndim == 2
-                and data.shape[1] == self._train_channels
-            ):
+            if data.ndim == 2 and data.shape[1] == self._train_channels:
                 data = data[None, :, :]
             if data.ndim != 3 or data.shape[2] != self._train_channels:
                 raise ValueError(
@@ -543,7 +536,7 @@ class BaseEarlyClassifier(ABC):
         self._require_fitted()
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        data = self._validate_batch(series, promote_single=True)
+        data = self._validate_batch(series)
         if data.shape[0] == 0:
             return []
 
@@ -674,70 +667,13 @@ class BaseEarlyClassifier(ABC):
             results.append(outcome)
         return results
 
-    def predict_partial_batch(
-        self, series: np.ndarray, lengths: Sequence[int] | None = None
-    ) -> list[PartialPrediction]:
-        """Evaluate one externally-held prefix per row, each at its own length.
-
-        This is the checkpoint-evaluation hook for callers that hold the
-        incremental state *outside* the classifier -- the serving layer keeps
-        one growing sample buffer per in-flight stream and asks, in one call,
-        "what would you say right now for each of them?".  Row ``i`` of
-        ``series`` is a buffer of which only the first ``lengths[i]`` samples
-        are meaningful; the returned :class:`PartialPrediction` for that row
-        is exactly ``predict_partial(series[i, :lengths[i]])``.
-
-        The default implementation is that per-row loop.  Subclasses whose
-        per-prefix evaluation vectorises across rows *and* lengths override
-        it (ECTS answers the whole batch from one
-        :func:`repro.distance.engine.ragged_prefix_distances` pass); the
-        equivalence tests pin every override to the per-row reference.
-
-        Parameters
-        ----------
-        series:
-            2-D array ``(n_rows, L)`` with ``L <= train_length_``.  Entries
-            at or past each row's length must be finite but are otherwise
-            ignored (a partially filled buffer padded with zeros is fine).
-        lengths:
-            One prefix length per row, each in ``[1, L]``; ``None`` evaluates
-            every row at the full buffer length ``L``.
-
-        Returns
-        -------
-        list of PartialPrediction
-            One per row of ``series``, in order.
-        """
-        self._require_fitted()
-        data = self._validate_batch(series, promote_single=False)
-        if data.shape[0] == 0:
-            return []
-        if lengths is None:
-            per_row = np.full(data.shape[0], data.shape[1], dtype=np.intp)
-        else:
-            per_row = np.asarray([int(v) for v in lengths], dtype=np.intp)
-            if per_row.shape[0] != data.shape[0]:
-                raise ValueError("need exactly one prefix length per row")
-            if per_row.min() < 1 or per_row.max() > data.shape[1]:
-                raise ValueError(f"lengths must lie in [1, {data.shape[1]}]")
-        return self._predict_partial_batch(data, per_row)
-
-    def _predict_partial_batch(
-        self, data: np.ndarray, lengths: np.ndarray
-    ) -> list[PartialPrediction]:
-        """Validated core of :meth:`predict_partial_batch`; override to vectorise."""
-        return [
-            self.predict_partial(row[:length]) for row, length in zip(data, lengths)
-        ]
-
     def open_stream(self) -> "ClassifierStream":
         """Open a push-based incremental view of :meth:`predict_early`.
 
         Samples are handed over one at a time; checkpoints are evaluated as
         they are reached and the stopping rule (:meth:`_trigger_rule`) is
         applied on the fly.  Any number of streams over the same fitted
-        classifier may be live concurrently -- the online streaming detector
-        keeps one per overlapping candidate window.
+        classifier may be live at once, each walking one exemplar.
         """
         return ClassifierStream(self)
 
@@ -769,9 +705,9 @@ class ClassifierStream:
     hook with the same per-exemplar context and stopping rule, so the two
     entry points reach identical decisions (the streaming equivalence tests
     pin this).  Unlike ``predict_early`` it never needs the full exemplar up
-    front, and many streams can be live concurrently over one fitted
-    classifier -- which is what lets the online streaming detector keep every
-    overlapping candidate window as its own in-flight walk.
+    front, which suits one exemplar arriving frame by frame (the
+    ``multivariate`` experiment and ``examples/keyword_spotting.py``); many
+    streams can be live at once over one fitted classifier.
 
     Samples are written into a pre-allocated buffer of the training length;
     the incremental context (e.g. a
@@ -878,9 +814,7 @@ class ClassifierStream:
         Writes the whole block into the buffer, then evaluates (in order)
         every checkpoint the block reached, stopping at the trigger point --
         the same decisions as pushing the samples one at a time, at a
-        fraction of the per-sample overhead.  This is the hot path of the
-        online streaming session, which feeds each candidate one segment per
-        candidate birth/completion boundary.
+        fraction of the per-sample overhead.
 
         Returns
         -------

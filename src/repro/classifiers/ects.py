@@ -38,8 +38,6 @@ from repro.distance.engine import (
     _BLOCK,
     PrefixDistanceEngine,
     PrefixSweep,
-    iter_prefix_distances,
-    ragged_prefix_distances,
 )
 
 __all__ = ["ECTSClassifier", "RelaxedECTSClassifier"]
@@ -119,13 +117,6 @@ class ECTSClassifier(BaseEarlyClassifier):
             lengths.append(full_length)
         return lengths
 
-    @staticmethod
-    def _nearest_neighbours(distances: np.ndarray) -> np.ndarray:
-        """Index of each exemplar's nearest neighbour (diagonal excluded)."""
-        masked = distances.copy()
-        np.fill_diagonal(masked, np.inf)
-        return np.argmin(masked, axis=1)
-
     def _nearest_index_matrix(self, data: np.ndarray, lengths: list[int]) -> np.ndarray:
         """``(n_lengths, n)`` index of every exemplar's 1-NN at every prefix length.
 
@@ -148,8 +139,8 @@ class ECTSClassifier(BaseEarlyClassifier):
         self-distance is exactly zero at every prefix) -- trivially the
         reference's own distances.  Both paths take the argmin on squared
         distances (ordering is the same) and resolve ties to the lowest
-        training index, exactly like the reference
-        :meth:`_neighbour_structures`.
+        training index, exactly like ``neighbour_structures`` in the
+        reference fit of ``tests/oracles/ects.py``.
         """
         assert self._engine is not None
         n = data.shape[0]
@@ -212,8 +203,8 @@ class ECTSClassifier(BaseEarlyClassifier):
         The per-exemplar reverse walk of the reference implementation
         ("longest suffix of lengths over which the evidence is stable") then
         becomes one reverse cumulative boolean AND along the length axis.
-        Equivalence to :meth:`_compute_mpls_reference` is pinned exactly by
-        the training-kernel test suite.
+        Equivalence to ``compute_mpls_reference`` in ``tests/oracles/ects.py``
+        is pinned exactly by the training-kernel test suite.
         """
         n = labels.shape[0]
         n_lengths = len(lengths)
@@ -269,102 +260,6 @@ class ECTSClassifier(BaseEarlyClassifier):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(same_class > 0, same_class_rnn / same_class, 0.0)
 
-    # ------------------------------------------------- reference fit kernels
-    #
-    # The frozenset-and-loop implementation the vectorised kernels replaced.
-    # It is kept verbatim as the semantic reference: the training-kernel
-    # equivalence tests assert exact MPL/support agreement against it, and
-    # ``benchmarks/test_bench_fit.py`` times the vectorised fit against it.
-
-    def _fit_reference(self, series: np.ndarray, labels: Sequence) -> "ECTSClassifier":
-        """The pre-vectorisation fit path (per-exemplar Python loops)."""
-        data, label_arr = self._validate_training_data(series, labels)
-        self._train = data
-        self._labels = label_arr
-        self._engine = PrefixDistanceEngine(data)
-        self._store_training_shape(data, label_arr)
-
-        lengths = self._mpl_lengths(data.shape[1])
-        nn_indices, rnn_sets = self._neighbour_structures(data, lengths)
-        self.mpl_ = self._compute_mpls_reference(label_arr, lengths, nn_indices, rnn_sets)
-        self.support_ = self._compute_support_reference(label_arr, rnn_sets[lengths[-1]])
-        self._eligible = self.support_ >= self.min_support
-        return self
-
-    def _neighbour_structures(
-        self, data: np.ndarray, lengths: list[int]
-    ) -> tuple[dict[int, np.ndarray], dict[int, list[frozenset[int]]]]:
-        """1-NN indices and RNN sets of every exemplar at every prefix length.
-
-        The length-by-length distance matrices come from one incremental
-        sweep of :func:`repro.distance.engine.iter_prefix_distances`, so the
-        whole structure costs ``O(n^2 * L)`` -- the price of a *single*
-        full-length matrix -- instead of the ``O(n^2 * L^2 / step)`` of
-        recomputing every prefix from scratch.  The nearest neighbour is
-        taken on squared distances (the ordering is the same).
-        """
-        nn_indices: dict[int, np.ndarray] = {}
-        rnn_sets: dict[int, list[frozenset[int]]] = {}
-        n = data.shape[0]
-        for length, distances in iter_prefix_distances(data, data, lengths, squared=True):
-            nearest = self._nearest_neighbours(distances)
-            nn_indices[length] = nearest
-            reverse: list[set[int]] = [set() for _ in range(n)]
-            for i, j in enumerate(nearest):
-                reverse[j].add(i)
-            rnn_sets[length] = [frozenset(s) for s in reverse]
-        return nn_indices, rnn_sets
-
-    def _compute_mpls_reference(
-        self,
-        labels: np.ndarray,
-        lengths: list[int],
-        nn_indices: dict[int, np.ndarray],
-        rnn_sets: dict[int, list[frozenset[int]]],
-    ) -> np.ndarray:
-        """Minimum prediction length of every training exemplar (reference loop)."""
-        n = labels.shape[0]
-        full = lengths[-1]
-        mpl = np.full(n, full, dtype=int)
-        full_rnn = rnn_sets[full]
-        full_nn = nn_indices[full]
-        for i in range(n):
-            # Walk lengths from the longest down; the MPL is the start of the
-            # longest suffix of lengths over which the evidence is stable.
-            stable_from = full
-            for length in reversed(lengths):
-                nn_label_ok = labels[nn_indices[length][i]] == labels[full_nn[i]]
-                if self.require_rnn_stability:
-                    # Strict ECTS: the RNN set must already be exactly the
-                    # full-length RNN set.
-                    rnn_ok = rnn_sets[length][i] == full_rnn[i]
-                else:
-                    # Relaxed ECTS: the RNN set may still be growing, but it
-                    # must not contain anything that will later disappear.
-                    rnn_ok = rnn_sets[length][i] <= full_rnn[i]
-                label_pure_ok = all(labels[j] == labels[i] for j in rnn_sets[length][i])
-                if nn_label_ok and rnn_ok and (label_pure_ok or not rnn_sets[length][i]):
-                    stable_from = length
-                else:
-                    break
-            mpl[i] = stable_from
-        return mpl
-
-    @staticmethod
-    def _compute_support_reference(
-        labels: np.ndarray, full_rnn: list[frozenset[int]]
-    ) -> np.ndarray:
-        """Support of each exemplar, recomputed per exemplar (reference loop)."""
-        support = np.zeros(labels.shape[0])
-        for i, rnn in enumerate(full_rnn):
-            same_class = np.sum(labels == labels[i]) - 1
-            if same_class <= 0:
-                support[i] = 0.0
-                continue
-            same_class_rnn = sum(1 for j in rnn if labels[j] == labels[i])
-            support[i] = same_class_rnn / same_class
-        return support
-
     # ------------------------------------------------------------ prediction
     def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
         """1-NN match of the prefix; ready once the match's MPL has been reached.
@@ -387,10 +282,9 @@ class ECTSClassifier(BaseEarlyClassifier):
         """An independent prefix sweep on this exemplar: O(n_train) per extra sample.
 
         The sweep shares the fitted engine's training matrix but owns its
-        running state, so any number of walks -- one per concurrent candidate
-        window on a stream -- can be in flight at once.  ``series`` may be a
-        buffer still being filled in; the sweep only reads samples
-        ``advance_to`` has been asked for.
+        running state, so any number of walks can be live at once.
+        ``series`` may be a buffer still being filled in; the sweep only
+        reads samples ``advance_to`` has been asked for.
         """
         assert self._engine is not None
         return self._engine.open(series)
@@ -454,47 +348,6 @@ class ECTSClassifier(BaseEarlyClassifier):
         """
         self._require_fitted()
         return self._mpl_lengths(self.train_length_)
-
-    def _predict_partial_batch(
-        self, data: np.ndarray, lengths: np.ndarray
-    ) -> list[PartialPrediction]:
-        """Whole-batch checkpoint evaluation from externally held prefixes.
-
-        One :func:`repro.distance.engine.ragged_prefix_distances` pass
-        answers every row at its own prefix length; the per-row 1-NN
-        statistics (first-minimum nearest index -- the stable lowest-index
-        tie-break of the per-row path -- readiness against the matched
-        exemplar's MPL, and the margin confidence) are vectorised across the
-        batch.  The equivalence tests pin labels/readiness exactly and
-        confidence to ``<= 1e-10`` against per-row :meth:`predict_partial`.
-        """
-        assert self._labels is not None and self._train is not None
-        assert self.mpl_ is not None and self._eligible is not None
-        labels = self._labels
-        distances = ragged_prefix_distances(data, self._train, lengths)
-        nearest = np.argmin(distances, axis=1)
-        ready = self._eligible[nearest] & (self.mpl_[nearest] <= lengths)
-
-        best_same = distances[np.arange(distances.shape[0]), nearest]
-        class_masks = [labels == cls for cls in self.classes_]
-        class_minima = np.stack(
-            [distances[:, mask].min(axis=1) for mask in class_masks], axis=1
-        )
-        own_class = np.stack([mask[nearest] for mask in class_masks], axis=1)
-        best_other = np.min(np.where(own_class, np.inf, class_minima), axis=1)
-        # A single-class training set cannot happen (fit validates >= 2
-        # classes), so best_other is always finite and the margin matches
-        # the per-row formula exactly.
-        confidence = best_other / (best_other + best_same + 1e-12)
-        return [
-            self._partial_from_statistics(
-                labels[nearest[i]],
-                bool(ready[i]),
-                float(confidence[i]),
-                int(lengths[i]),
-            )
-            for i in range(data.shape[0])
-        ]
 
     # ------------------------------------------------------------ batched path
     def _batch_partial_evaluators(self, data: np.ndarray) -> list[BatchCheckpoint]:

@@ -29,7 +29,6 @@ from repro.distance.engine import (
     PrefixDistanceEngine,
     batch_prefix_distances,
     dtw_pairwise_distances,
-    ragged_prefix_distances,
     iter_prefix_distances,
     pairwise_prefix_distances,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "PrefixDistanceEngine",
     "batch_prefix_distances",
     "dtw_pairwise_distances",
-    "ragged_prefix_distances",
     "iter_prefix_distances",
     "pairwise_prefix_distances",
     "KNeighborsTimeSeriesClassifier",

@@ -4,10 +4,11 @@ Every experiment in the paper that touches early classification evaluates
 1-NN evidence at *many prefix lengths of the same series*: ECTS computes
 neighbour structures at every length during training, TEASER and ECDIRE
 evaluate their slave classifier at every checkpoint for every training
-exemplar, Fig. 3 and Fig. 9 sweep accuracy over prefix lengths, and the
-streaming detector extends a window one sample at a time.  Recomputing a
-full Euclidean distance at each length costs ``O(t)`` per step and
-``O(L^2)`` per series overall; this module removes that redundancy.
+exemplar, Fig. 3 and Fig. 9 sweep accuracy over prefix lengths, and a
+:class:`~repro.classifiers.base.ClassifierStream` extends an exemplar one
+sample at a time.  Recomputing a full Euclidean distance at each length
+costs ``O(t)`` per step and ``O(L^2)`` per series overall; this module
+removes that redundancy.
 
 The identity behind the engine is trivial but load-bearing::
 
@@ -26,12 +27,12 @@ Four entry points:
 
 * :class:`PrefixDistanceEngine` -- stateful: start a batch of queries, then
   :meth:`~PrefixDistanceEngine.advance_to` successive lengths and read the
-  current distances.  Used by the classifiers' incremental prediction walk.
-* :meth:`PrefixDistanceEngine.open` -- hand out an *independent*
-  :class:`PrefixSweep` sharing the engine's training matrix.  Many sweeps can
-  be live at once, each at its own prefix length, which is what the online
-  streaming detector needs: every overlapping candidate window on a stream is
-  one concurrent sweep.
+  current distances.  :meth:`~PrefixDistanceEngine.open` hands out an
+  *independent* :class:`PrefixSweep` sharing the engine's training matrix,
+  so many sweeps can be live at once, each at its own prefix length.  ECTS
+  predicts on sweeps: one per ``predict_early`` exemplar or
+  :class:`~repro.classifiers.base.ClassifierStream`, and one shared by all
+  rows of a ``predict_early_batch`` call.
 * :func:`iter_prefix_distances` -- generator over ``(length, distances)``
   snapshots; used by training loops that need one distance matrix per
   checkpoint without holding all of them in memory at once.
@@ -40,8 +41,9 @@ Four entry points:
 * :func:`batch_prefix_distances` -- the test-set-at-once kernel: the same
   ``(n_lengths, n_queries, n_train)`` array computed by cumulative-sum matrix
   algebra in one shot (no per-length Python iteration), chunked over queries
-  to bound the working set.  This is what the classifiers'
-  ``predict_early_batch`` fast paths are built on.
+  to bound the working set.  The k-NN prefix sweeps
+  (:meth:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier.predict_prefixes`)
+  and the archive sweep (:mod:`repro.runtime.sweep`) are built on it.
 
 For DTW, :func:`dtw_pairwise_distances` is the batch entry point: every
 (query, train) pair of a test set rides one shared anti-diagonal wavefront
@@ -78,7 +80,6 @@ __all__ = [
     "dtw_pairwise_distances",
     "iter_prefix_distances",
     "pairwise_prefix_distances",
-    "ragged_prefix_distances",
 ]
 
 #: Number of time steps accumulated per vectorised block when advancing the
@@ -188,9 +189,8 @@ class PrefixSweep:
     A sweep owns only the per-query running state (the query series and the
     accumulated squared partial sums); the training matrix belongs to the
     :class:`PrefixDistanceEngine` that :meth:`~PrefixDistanceEngine.open`\\ ed
-    it.  Any number of sweeps over the same engine can be live concurrently,
-    each at its own prefix length -- the streaming detector keeps one per
-    overlapping candidate window.
+    it.  Any number of sweeps over the same engine can be live at once, each
+    at its own prefix length.
 
     The query array is held *by reference* (no copy is made for float64
     input), and :meth:`advance_to` only ever reads columns ``< length``.  A
@@ -363,7 +363,7 @@ class PrefixDistanceEngine:
 
         Unlike :meth:`start`, the returned :class:`PrefixSweep` carries its
         own running state, so any number of opened sweeps can be advanced
-        concurrently -- one per overlapping candidate window on a stream.
+        independently of one another.
 
         Parameters
         ----------
@@ -558,102 +558,6 @@ def batch_prefix_distances(
         np.cumsum(block, axis=2, out=block)
         # (chunk, n_train, n_lengths) -> (n_lengths, chunk, n_train)
         out[:, start:stop, :] = np.moveaxis(block[:, :, columns], 2, 0)
-    if not squared:
-        np.sqrt(out, out=out)
-    return out
-
-
-def ragged_prefix_distances(
-    queries: np.ndarray,
-    train: np.ndarray,
-    lengths: Sequence[int],
-    squared: bool = False,
-) -> np.ndarray:
-    """Prefix distances of many queries, each at its *own* prefix length.
-
-    The multi-stream coalescing entry point: where
-    :func:`batch_prefix_distances` evaluates every query at the same shared
-    length grid, this kernel answers the serving-layer question "a thousand
-    concurrent streams are each part-way through a candidate window -- what
-    are everyone's 1-NN distances *right now*?" in one fused pass.  Row ``i``
-    of the result is the distance between ``queries[i, :lengths[i]]`` and the
-    corresponding prefix of every training series: one cumulative sum over
-    the time axis and a per-row column gather, instead of one Python-level
-    sweep per distinct length.
-
-    The accumulation is the same ``(q_t - x_t)^2`` term sequence the
-    incremental :class:`PrefixSweep` adds one sample at a time, so the two
-    agree to float round-off (``<= 1e-10`` in the equivalence tests; bit-for-
-    bit when the sweep advances one sample per step).  Queries are chunked so
-    the ``(chunk, n_train, L)`` float64 temporary fits the
-    :mod:`repro.memory` budget.
-
-    Parameters
-    ----------
-    queries:
-        2-D array ``(n_queries, L)``, or a 3-D multichannel batch
-        ``(n_queries, L, d)`` matching the training channel count.  Entries
-        at or beyond each row's ``lengths[i]`` are never read into the
-        result (rows may be partially filled buffers, padded arbitrarily --
-        but must be finite, since the cumulative sum runs over the full time
-        axis before the gather).
-    train:
-        2-D array ``(n_train, L_train)`` or 3-D ``(n_train, L_train, d)``
-        with ``L <= L_train``.
-    lengths:
-        One prefix length (time steps) per query row, each in ``[1, L]``
-        (not necessarily sorted or distinct).
-    squared:
-        Return squared distances (the neighbour ordering is the same).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_queries, n_train)`` distances; row ``i`` evaluated at
-        ``lengths[i]``.
-    """
-    train_tensor = _as_train_tensor(train)
-    train, channels = _flatten_time_major(train_tensor)
-    arr = np.asarray(queries, dtype=float)
-    if (channels == 1 and arr.ndim != 2) or (channels > 1 and arr.ndim != 3):
-        raise ValueError(
-            "queries must be a 2-D (n_queries, length) batch"
-            if channels == 1
-            else f"queries must be a 3-D (n_queries, length, {channels}) batch "
-            f"matching the training channels; got shape {arr.shape}"
-        )
-    arr = _as_query_tensor(arr, channels)
-    if arr.shape[1] > train_tensor.shape[1]:
-        raise ValueError(
-            f"query length {arr.shape[1]} exceeds training length "
-            f"{train_tensor.shape[1]}"
-        )
-    if arr.shape[1] < 1:
-        raise ValueError("queries must contain at least one sample")
-    block_bytes = get_memory_budget()
-    per_row = np.asarray([int(v) for v in lengths], dtype=np.intp)
-    if per_row.shape[0] != arr.shape[0]:
-        raise ValueError("need exactly one prefix length per query row")
-    if per_row.size and (per_row.min() < 1 or per_row.max() > arr.shape[1]):
-        raise ValueError(f"lengths must lie in [1, {arr.shape[1]}]")
-    arr, _ = _flatten_time_major(arr)
-
-    n_queries, n_train = arr.shape[0], train.shape[0]
-    out = np.empty((n_queries, n_train))
-    if n_queries == 0:
-        return out
-    full = int(per_row.max()) * channels
-    chunk = max(1, int(block_bytes // (n_train * full * 8)))
-    train_prefix = train[None, :, :full]
-    rows = np.arange(n_queries)
-    for start in range(0, n_queries, chunk):
-        stop = min(start + chunk, n_queries)
-        block = arr[start:stop, None, :full] - train_prefix
-        np.square(block, out=block)
-        np.cumsum(block, axis=2, out=block)
-        out[start:stop] = block[
-            rows[start:stop] - start, :, per_row[start:stop] * channels - 1
-        ]
     if not squared:
         np.sqrt(out, out=out)
     return out

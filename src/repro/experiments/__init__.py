@@ -17,7 +17,6 @@ parallel (``--jobs``), with a prepare-stage cache, and with JSON artifacts
 """
 
 from repro.experiments.registry import (
-    EXPERIMENTS,
     SPECS,
     available_experiments,
     experiments_with_tag,
@@ -26,7 +25,6 @@ from repro.experiments.registry import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "SPECS",
     "available_experiments",
     "experiments_with_tag",

@@ -3,21 +3,15 @@
 Each entry is an :class:`~repro.runtime.spec.ExperimentSpec` binding the
 experiment's name to its implementing module, its reduced-scale ("fast")
 overrides, its tags and its seed parameter.  The registry, the CLI, the
-scheduler, the cache and the test-suite all consume this one table -- the
-legacy ``EXPERIMENTS`` / ``FAST_OVERRIDES`` dicts are derived views kept
-for backwards compatibility and cannot drift from it.
+scheduler, the cache and the test-suite all consume this one table.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.runtime.spec import ExperimentSpec
 
 __all__ = [
     "SPECS",
-    "EXPERIMENTS",
-    "FAST_OVERRIDES",
     "available_experiments",
     "available_tags",
     "experiments_with_tag",
@@ -118,21 +112,6 @@ SPECS: dict[str, ExperimentSpec] = {
         ),
     )
 }
-
-
-def _experiments_view() -> dict[str, Callable]:
-    return {name: spec.run_callable for name, spec in SPECS.items()}
-
-
-def _fast_overrides_view() -> dict[str, dict]:
-    return {name: dict(spec.fast_overrides) for name, spec in SPECS.items()}
-
-
-#: Legacy views derived from the spec table (kept for callers that predate
-#: the runtime).  Both are plain dicts computed once at import; the spec
-#: table is the source of truth.
-EXPERIMENTS: dict[str, Callable] = _experiments_view()
-FAST_OVERRIDES: dict[str, dict] = _fast_overrides_view()
 
 
 def available_experiments() -> list[str]:

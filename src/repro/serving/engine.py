@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.classifiers.base import PartialPrediction
-from repro.distance.znorm import znormalize
 from repro.serving.metrics import ServingMetrics, TenantCounters
 from repro.serving.registry import ModelRegistry, TenantEntry
 from repro.serving.scheduler import BatchScheduler, PendingCandidate
@@ -51,7 +50,7 @@ from repro.streaming.online import (
     Alarm,
     SessionState,
     WindowLedger,
-    causal_znormalize_batch,
+    normalize_windows,
     validate_chunk,
 )
 
@@ -285,51 +284,32 @@ class ServingEngine:
 
         The monitoring counterpart of ``predict_partial``: for each of the
         tenant's open streams with an in-progress candidate, classify the
-        oldest incomplete candidate's prefix as it stands.  All prefixes are
-        answered in one :meth:`~repro.classifiers.base.BaseEarlyClassifier.predict_partial_batch`
-        call riding the ragged prefix-distance kernel.  Peeking changes no
-        stream state and emits no alarms.
-
-        In ``"causal"`` mode prefixes are causally normalised (the batched
-        kernel is causal, so right-padding cannot influence the prefix); in
-        ``"window"`` mode whole-window statistics do not exist yet, so each
-        prefix is z-normalised with its own statistics -- the honest
-        mid-flight approximation.
+        oldest incomplete candidate's prefix as it stands.  The prefix is
+        normalised with the tenant's mode by
+        :func:`~repro.streaming.online.normalize_windows` -- the scheduler's
+        own normaliser -- and answered by one ``predict_partial`` call per
+        stream.  In ``"window"`` mode whole-window statistics do not exist
+        yet, so each prefix is z-normalised with its own statistics -- the
+        honest mid-flight approximation.  Peeking changes no stream state
+        and emits no alarms.
         """
         self.registry.get(tenant)
-        ledgers = [
-            ledger
-            for (owner, _), ledger in self._streams.items()
-            if owner == tenant
-            and not (ledger.shed or ledger.saturated)
-            and ledger.count > ledger.next_start
-        ]
-        if not ledgers:
-            return {}
-        length = ledgers[0].window_length
-        lengths = np.asarray(
-            [min(ledger.count - ledger.next_start, length) for ledger in ledgers],
-            dtype=np.intp,
-        )
-        channels = ledgers[0].n_channels
-        shape = (len(ledgers), length) if channels == 1 else (len(ledgers), length, channels)
-        padded = np.zeros(shape)
-        for row, (ledger, n) in enumerate(zip(ledgers, lengths)):
+        partials: dict[object, PartialPrediction] = {}
+        for (owner, stream_id), ledger in self._streams.items():
+            if (
+                owner != tenant
+                or ledger.shed
+                or ledger.saturated
+                or ledger.count <= ledger.next_start
+            ):
+                continue
             offset = ledger.next_start - ledger.base
+            n = min(ledger.count - ledger.next_start, ledger.window_length)
             prefix = ledger.buffer[offset : offset + n]
-            if ledger.normalization == "window":
-                prefix = (
-                    znormalize(prefix)
-                    if channels == 1
-                    else znormalize(prefix, channel_axis=-1)
-                )
-            padded[row, :n] = prefix
-        if ledgers[0].normalization == "causal":
-            padded = causal_znormalize_batch(padded)
-        partials = ledgers[0].classifier.predict_partial_batch(padded, lengths)
-        return {
-            ledger.stream_id: partial for ledger, partial in zip(ledgers, partials)
-        }
+            partials[stream_id] = ledger.classifier.predict_partial(
+                normalize_windows(prefix[None], ledger.normalization)[0]
+            )
+        return partials
 
     # ------------------------------------------------------------ teardown
     def finalize_stream(self, tenant: str, stream_id: object) -> list[Alarm]:

@@ -36,7 +36,6 @@ from repro.streaming.online import (
     SessionState,
     StreamingSession,
     causal_znormalize_batch,
-    incremental_causal_znormalize,
 )
 from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.events import AlarmMatch, match_alarms_to_events
@@ -51,7 +50,6 @@ __all__ = [
     "StreamingSession",
     "MultiStreamDetector",
     "causal_znormalize_batch",
-    "incremental_causal_znormalize",
     "AlarmMatch",
     "match_alarms_to_events",
     "StreamingEvaluation",

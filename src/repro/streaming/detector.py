@@ -70,32 +70,28 @@ class StreamingEarlyDetector:
         refractory: int | None = None,
         max_alarms: int = 100_000,
     ) -> None:
-        if not isinstance(classifier, BaseEarlyClassifier):
-            raise TypeError("classifier must be a BaseEarlyClassifier")
-        if not classifier.is_fitted:
-            raise ValueError("classifier must be fitted before building a detector")
-        if normalization not in ("none", "window", "causal"):
-            raise ValueError("normalization must be 'none', 'window' or 'causal'")
-        if max_alarms < 1:
-            raise ValueError("max_alarms must be >= 1")
+        # A throwaway probe session fills the defaults and validates every
+        # parameter, so the detector and the sessions it runs cannot drift.
+        probe = StreamingSession(
+            classifier,
+            stride=stride,
+            normalization=normalization,
+            refractory=refractory,
+            max_alarms=max_alarms,
+        )
         self.classifier = classifier
-        self.window_length = classifier.train_length_
-        self.stride = stride if stride is not None else max(1, self.window_length // 4)
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.normalization = normalization
-        self.refractory = refractory if refractory is not None else self.window_length // 2
-        if self.refractory < 0:
-            raise ValueError("refractory must be non-negative")
-        self.max_alarms = max_alarms
+        self.window_length = probe.window_length
+        self.stride = probe.stride
+        self.normalization = probe.normalization
+        self.refractory = probe.refractory
+        self.max_alarms = probe.max_alarms
 
     # ------------------------------------------------------------ helpers
     @staticmethod
     def _as_values(stream: ComposedStream | np.ndarray) -> np.ndarray:
-        values = stream.values if isinstance(stream, ComposedStream) else np.asarray(stream, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("stream values must be 1-D")
-        return values
+        if isinstance(stream, ComposedStream):
+            return stream.values
+        return np.asarray(stream, dtype=float)
 
     # ------------------------------------------------------------ detection
     def open_session(self) -> StreamingSession:
@@ -119,12 +115,13 @@ class StreamingEarlyDetector:
         Parameters
         ----------
         stream:
-            Either a :class:`~repro.data.stream.ComposedStream` or a plain 1-D
-            array of stream values.
+            Either a :class:`~repro.data.stream.ComposedStream` or a plain
+            array of stream values: 1-D ``(n_samples,)`` for a univariate
+            classifier, 2-D ``(n_samples, n_channels)`` for a multichannel
+            one.  The session checks the rank, channels and finiteness.
         """
-        values = self._as_values(stream)
-        if values.shape[0] < self.window_length:
-            raise ValueError("stream is shorter than one candidate window")
         session = self.open_session()
-        session.extend(values)
+        session.extend(self._as_values(stream))
+        if session.n_samples < self.window_length:
+            raise ValueError("stream is shorter than one candidate window")
         return session.finalize()

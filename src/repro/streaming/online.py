@@ -55,7 +55,6 @@ __all__ = [
     "SessionState",
     "WindowLedger",
     "causal_znormalize_batch",
-    "incremental_causal_znormalize",
     "normalize_windows",
     "validate_chunk",
     "StreamingSession",
@@ -186,29 +185,6 @@ def validate_chunk(values, n_channels: int) -> np.ndarray:
     if not np.isfinite(chunk).all():
         raise ValueError("stream contains non-finite values")
     return chunk
-
-
-def incremental_causal_znormalize(window: np.ndarray) -> np.ndarray:
-    """Causally z-normalise one candidate window in ``O(L)``.
-
-    The single-window view of :func:`causal_znormalize_batch`: sample ``i``
-    is normalised with the running statistics of ``window[: i + 1]``.
-    Matches the naive per-prefix recomputation (the offline loop's
-    ``O(L^2)`` normalisation) to float round-off; the property-based tests
-    pin ``<= 1e-10``, including exactly-constant and near-constant segments.
-
-    A 2-D ``(length, n_channels)`` window is normalised per channel (each
-    channel keeps its own running statistics over the shared time axis).
-    """
-    arr = np.asarray(window, dtype=float)
-    if arr.ndim not in (1, 2):
-        raise ValueError(
-            "window must be a 1-D (length,) series or a 2-D (length, "
-            f"n_channels) multichannel exemplar; got shape {arr.shape}"
-        )
-    if arr.shape[0] == 0:
-        return arr.copy()
-    return causal_znormalize_batch(arr[None])[0]
 
 
 def causal_znormalize_batch(windows: np.ndarray) -> np.ndarray:

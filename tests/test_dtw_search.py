@@ -21,11 +21,7 @@ from repro.distance.dtw import (
     lb_kim,
 )
 from repro.distance.dtw_search import DTWSearchStats, dtw_nearest_neighbors
-from repro.distance.engine import (
-    batch_prefix_distances,
-    dtw_pairwise_distances,
-    ragged_prefix_distances,
-)
+from repro.distance.engine import batch_prefix_distances, dtw_pairwise_distances
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 from repro.memory import memory_budget
 
@@ -514,16 +510,6 @@ class TestDenseKernels:
         for k, length in enumerate(lengths):
             diff = queries[:, None, :length] - train[None, :, :length]
             np.testing.assert_allclose(out[k], (diff**2).sum(axis=(2, 3)), rtol=1e-12)
-
-    def test_ragged_prefix_distances(self, random_walks):
-        queries, train = random_walks
-        lengths = [3, 40, 17, 9, 1, 25, 40, 12, 33]
-        out = ragged_prefix_distances(queries, train, lengths)
-        for qi, length in enumerate(lengths):
-            diff = queries[qi, None, :length] - train[:, :length]
-            np.testing.assert_allclose(
-                out[qi], np.sqrt((diff**2).sum(axis=1)), rtol=1e-12
-            )
 
     def test_dtw_pairwise_distances(self, unequal_walks):
         queries, train = unequal_walks

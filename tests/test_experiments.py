@@ -10,7 +10,7 @@ import pytest
 from repro.experiments import available_experiments, run_experiment
 from repro.experiments import figure2, figure3, figure5, figure6, figure7, figure8, figure9
 from repro.experiments import appendix_b, figure1, table1
-from repro.experiments.registry import EXPERIMENTS, FAST_OVERRIDES
+from repro.experiments.registry import SPECS
 
 
 class TestRegistry:
@@ -23,7 +23,7 @@ class TestRegistry:
         assert expected == set(available_experiments())
 
     def test_fast_overrides_cover_all_experiments(self):
-        assert set(FAST_OVERRIDES) == set(EXPERIMENTS)
+        assert [name for name, spec in SPECS.items() if not spec.fast_overrides] == []
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):

@@ -1,5 +1,6 @@
 """Tests for the experiments command-line interface and result rendering."""
 
+import importlib
 import inspect
 import json
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from repro.experiments.__main__ import main
 from repro.experiments import run_experiment
-from repro.experiments.registry import EXPERIMENTS, FAST_OVERRIDES, SPECS
+from repro.experiments.registry import SPECS
 
 
 class TestCLI:
@@ -103,32 +104,30 @@ class TestCLI:
 
 
 class TestRegistry:
-    """Pin the fast-path registry to the experiment registry.
+    """Pin every spec's fast path to its experiment's ``run`` signature.
 
     ``run_experiment(..., fast=True)`` silently falls back to the full-scale
-    workload when an experiment has no ``FAST_OVERRIDES`` entry, so renaming
-    an experiment (or one of its keyword arguments) must fail loudly here
-    rather than quietly blowing up CI run times.
+    workload when a spec has no fast overrides, so renaming an experiment
+    (or one of its keyword arguments) must fail loudly here rather than
+    quietly blowing up CI run times.
     """
 
     def test_every_experiment_has_a_fast_path(self):
-        assert set(FAST_OVERRIDES) == set(EXPERIMENTS)
+        assert [name for name, spec in SPECS.items() if not spec.fast_overrides] == []
 
-    def test_legacy_views_are_derived_from_the_spec_table(self):
-        assert FAST_OVERRIDES == {
-            name: dict(spec.fast_overrides) for name, spec in SPECS.items()
-        }
-        assert EXPERIMENTS == {
-            name: spec.run_callable for name, spec in SPECS.items()
-        }
+    def test_specs_bind_each_name_to_its_module_run(self):
+        for name, spec in SPECS.items():
+            assert spec.name == name
+            assert spec.module == f"repro.experiments.{name}"
+            assert spec.run_callable is importlib.import_module(spec.module).run
 
     def test_fast_overrides_match_run_signatures(self):
-        for name, overrides in FAST_OVERRIDES.items():
-            parameters = inspect.signature(EXPERIMENTS[name]).parameters
-            unknown = set(overrides) - set(parameters)
+        for name, spec in SPECS.items():
+            parameters = inspect.signature(spec.run_callable).parameters
+            unknown = set(spec.fast_overrides) - set(parameters)
             assert not unknown, (
-                f"FAST_OVERRIDES[{name!r}] names arguments {sorted(unknown)} "
-                f"that {EXPERIMENTS[name].__module__}.run does not accept"
+                f"SPECS[{name!r}].fast_overrides names arguments "
+                f"{sorted(unknown)} that {spec.module}.run does not accept"
             )
 
 

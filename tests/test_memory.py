@@ -17,11 +17,7 @@ import pytest
 from repro import memory
 from repro.data.ucr_format import UCRDataset
 from repro.distance.dtw_search import dtw_nearest_neighbors
-from repro.distance.engine import (
-    batch_prefix_distances,
-    dtw_pairwise_distances,
-    ragged_prefix_distances,
-)
+from repro.distance.engine import batch_prefix_distances, dtw_pairwise_distances
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 from repro.memory import (
     DEFAULT_MAX_BLOCK_BYTES,
@@ -117,13 +113,6 @@ class TestChunkingEquivalence:
         reference = batch_prefix_distances(self.queries, self.train, [10, 25, 40])
         with memory_budget(1024):  # a few rows per chunk
             chunked = batch_prefix_distances(self.queries, self.train, [10, 25, 40])
-        np.testing.assert_array_equal(chunked, reference)
-
-    def test_ragged_prefix_distances(self):
-        lengths = [5 + (i % 30) for i in range(13)]
-        reference = ragged_prefix_distances(self.queries, self.train, lengths)
-        with memory_budget(1024):
-            chunked = ragged_prefix_distances(self.queries, self.train, lengths)
         np.testing.assert_array_equal(chunked, reference)
 
     def test_dtw_pairwise_distances(self):
@@ -233,16 +222,6 @@ class TestBudgetBoundsWorkingSet:
             budget=64 * 1024,
         )
 
-    def test_ragged_prefix_distances(self):
-        queries = self.rng.normal(size=(200, 100))
-        train = self.rng.normal(size=(50, 100))
-        lengths = [1 + i % 100 for i in range(200)]
-        self._assert_bounded(
-            lambda: ragged_prefix_distances(queries, train, lengths),
-            result_bytes=200 * 50 * 8,
-            budget=64 * 1024,
-        )
-
     def test_dtw_pairwise_distances(self):
         # One query's cost tensors are ~220 KB, so a 512 KiB budget still
         # admits a couple of queries per chunk.
@@ -267,9 +246,6 @@ class TestBudgetBoundsWorkingSet:
 _BUDGETED_CALLS = {
     "batch_prefix_distances": lambda q, t, **kw: batch_prefix_distances(
         q, t, [10, 40], **kw
-    ),
-    "ragged_prefix_distances": lambda q, t, **kw: ragged_prefix_distances(
-        q, t, [5 + i for i in range(q.shape[0])], **kw
     ),
     "dtw_pairwise_distances": lambda q, t, **kw: dtw_pairwise_distances(
         q, t, window=5, **kw

@@ -26,7 +26,7 @@ from repro.data.shards import SHARD_SCHEMA_VERSION, ShardedDataset, write_shards
 from repro.data.ucr_like import make_multichannel_cbf_dataset
 from repro.distance.dtw import dtw_distance
 from repro.distance.dtw_search import dtw_nearest_neighbors
-from repro.distance.engine import batch_prefix_distances, ragged_prefix_distances
+from repro.distance.engine import batch_prefix_distances
 from repro.distance.znorm import causal_znormalize, znormalize
 from repro.streaming.online import causal_znormalize_batch
 
@@ -89,16 +89,6 @@ class TestPrefixEuclideanNaive:
                 for li, length in enumerate(lengths):
                     expected = _naive_prefix_distance(queries[qi], train[ti], length)
                     assert abs(result[li, qi, ti] - expected) <= ATOL
-
-    def test_ragged_prefix_distances_match_per_channel_loop(self):
-        queries = RNG.normal(size=(6, 10, 2))
-        train = RNG.normal(size=(4, 10, 2))
-        lengths = np.asarray([1, 3, 10, 7, 2, 5])
-        result = ragged_prefix_distances(queries, train, lengths)
-        for qi, length in enumerate(lengths):
-            for ti in range(train.shape[0]):
-                expected = _naive_prefix_distance(queries[qi], train[ti], int(length))
-                assert abs(result[qi, ti] - expected) <= ATOL
 
 
 class TestDependentDTWNaive:

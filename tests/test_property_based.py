@@ -11,7 +11,7 @@ from repro.distance.dtw import dtw_distance
 from repro.distance.euclidean import euclidean_distance, znormalized_euclidean_distance
 from repro.distance.profile import distance_profile
 from repro.distance.znorm import causal_znormalize, znormalize
-from repro.streaming.online import incremental_causal_znormalize
+from repro.streaming.online import causal_znormalize_batch
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -93,7 +93,7 @@ def test_incremental_causal_znorm_matches_naive_on_random_windows(length, seed, 
     rng = np.random.default_rng(seed)
     window = offset + rng.standard_normal(length)
     np.testing.assert_allclose(
-        incremental_causal_znormalize(window), naive_causal_window(window), atol=1e-10
+        causal_znormalize_batch(window[None])[0], naive_causal_window(window), atol=1e-10
     )
 
 
@@ -126,7 +126,7 @@ def test_incremental_causal_znorm_tracks_naive_at_extreme_offsets(
         prefix_stds, 1e-12
     )
     difference = np.abs(
-        incremental_causal_znormalize(window) - naive_causal_window(window)
+        causal_znormalize_batch(window[None])[0] - naive_causal_window(window)
     )
     assert np.all(difference <= tolerance), (
         f"max difference {difference.max():.3e} exceeds the conditioning "
@@ -148,7 +148,7 @@ def test_incremental_causal_znorm_constant_then_noise(n_constant, n_noise, level
     window = np.concatenate(
         [np.full(n_constant, level), level + rng.standard_normal(n_noise)]
     )
-    incremental = incremental_causal_znormalize(window)
+    incremental = causal_znormalize_batch(window[None])[0]
     np.testing.assert_allclose(incremental, naive_causal_window(window), atol=1e-10)
     assert np.all(incremental[:n_constant] == 0.0)
 
@@ -162,7 +162,7 @@ def test_incremental_causal_znorm_near_constant_stays_zero(length, level, seed):
     # itself is ill-conditioned in either implementation.)
     rng = np.random.default_rng(seed)
     window = level + 1e-13 * rng.standard_normal(length)
-    incremental = incremental_causal_znormalize(window)
+    incremental = causal_znormalize_batch(window[None])[0]
     np.testing.assert_array_equal(incremental, np.zeros(length))
     np.testing.assert_array_equal(naive_causal_window(window), np.zeros(length))
 

@@ -24,6 +24,7 @@ from repro.classifiers.edsc import EDSCClassifier
 from repro.classifiers.reliable import ReliableEarlyClassifier
 from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
+from repro.data.ucr_like import make_multichannel_cbf_dataset
 from repro.evaluation.earliness import evaluate_early_classifier
 from repro.runtime.cache import PrepareCache
 from repro.serving import (
@@ -33,7 +34,7 @@ from repro.serving import (
     fit_fingerprint,
 )
 from repro.streaming.metrics import StreamingEvaluation, merge_evaluations
-from repro.streaming.online import StreamingSession, incremental_causal_znormalize
+from repro.streaming.online import StreamingSession, normalize_windows
 
 from tests.test_classifiers_reliable import FAST as RELIABLE_FAST
 from tests.test_streaming_online import assert_alarms_equivalent
@@ -549,36 +550,65 @@ def test_unknown_tenant_and_stream_raise(threshold_classifier):
     assert engine.stream_state("t", "s").n_samples == 5
 
 
-def test_peek_answers_open_prefixes_without_mutating(ects_classifier):
+@pytest.fixture(scope="module")
+def peek_models(ects_classifier, threshold_classifier):
+    """ECTS and the threshold model, fitted univariate and on three channels."""
+    dataset = make_multichannel_cbf_dataset(n_per_class=6, length=40, n_channels=3)
+    return {
+        ("ects", 1): ects_classifier,
+        ("threshold", 1): threshold_classifier,
+        ("ects", 3): ECTSClassifier(min_support=0.0, checkpoint_step=4).fit(
+            dataset.series, dataset.labels
+        ),
+        ("threshold", 3): ProbabilityThresholdClassifier(
+            threshold=0.85, min_length=6, checkpoint_step=2
+        ).fit(dataset.series, dataset.labels),
+    }
+
+
+@pytest.mark.parametrize("model", ["ects", "threshold"])
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("normalization", ["none", "window", "causal"])
+def test_peek_answers_open_prefixes_without_mutating(
+    peek_models, model, n_channels, normalization
+):
+    classifier = peek_models[(model, n_channels)]
     registry = ModelRegistry()
-    registry.register("t", ects_classifier, TenantConfig(stride=10, normalization="causal"))
+    registry.register("t", classifier, TenantConfig(stride=10, normalization=normalization))
     engine = ServingEngine(registry)
     rng = np.random.default_rng(6)
-    engine.push("t", "a", rng.normal(size=55))
-    engine.push("t", "b", rng.normal(size=73))
+    shape = () if n_channels == 1 else (n_channels,)
+    streams = {
+        "a": rng.normal(size=(55, *shape)),
+        "b": rng.normal(size=(73, *shape)),
+    }
+    for stream_id, values in streams.items():
+        engine.push("t", stream_id, values)
     before = engine.metrics()
+    states = {stream_id: engine.stream_state("t", stream_id) for stream_id in streams}
     partials = engine.peek("t")
     assert set(partials) == {"a", "b"}
     state_a = engine.stream_state("t", "a")
     assert partials["a"].prefix_length == min(
         state_a.n_samples - state_a.open_candidate_starts[0],
-        ects_classifier.train_length_,
+        classifier.train_length_,
     )
     after = engine.metrics()
     assert after == before  # observability only: no counters moved
-    # The peeked prefix agrees with predict_partial on the causally
-    # normalised prefix -- peek applies the tenant's normalisation mode.
-    ledger = engine._streams[("t", "a")]
-    offset = ledger.next_start - ledger.base
-    raw_prefix = np.asarray(
-        ledger.buffer[offset : offset + partials["a"].prefix_length]
-    )
-    reference = ects_classifier.predict_partial(
-        incremental_causal_znormalize(raw_prefix)
-    )
-    assert partials["a"].label == reference.label
-    assert partials["a"].ready == reference.ready
-    assert partials["a"].confidence == pytest.approx(reference.confidence, abs=1e-10)
+    assert {stream_id: engine.stream_state("t", stream_id) for stream_id in streams} == states
+    # Each peeked prefix agrees with predict_partial on the prefix normalised
+    # in the tenant's mode -- peek applies the tenant's normalisation.
+    for stream_id, values in streams.items():
+        start = states[stream_id].open_candidate_starts[0]
+        raw_prefix = values[start : start + classifier.train_length_]
+        reference = classifier.predict_partial(
+            normalize_windows(raw_prefix[None], normalization)[0]
+        )
+        partial = partials[stream_id]
+        assert partial.label == reference.label
+        assert partial.ready == reference.ready
+        assert partial.prefix_length == reference.prefix_length
+        assert partial.confidence == pytest.approx(reference.confidence, abs=1e-10)
 
 
 # --------------------------------------------------------------------------

@@ -172,25 +172,28 @@ def test_strides_longer_than_the_window(bump_classifier, bump_stream, extra, chu
     assert_alarms_equivalent(reference, engine.finalize_stream("t", "s"))
 
 
-@pytest.mark.parametrize("normalization", ["none", "window", "causal"])
-def test_multichannel_session_matches_per_window_loop(normalization):
-    """``(L, d)`` windows are stacked, normalised per channel and classified."""
+@pytest.fixture(scope="module")
+def multichannel_problem():
+    """A 3-channel ECTS model and a stream of exemplars between noise gaps."""
     dataset = make_multichannel_cbf_dataset(n_per_class=6, length=48, n_channels=3)
     model = ECTSClassifier(min_support=0.0, checkpoint_step=4)
     model.fit(dataset.series, dataset.labels)
-    length = model.train_length_
     rng = np.random.default_rng(6)
     parts = []
     for index in rng.integers(0, dataset.series.shape[0], size=5):
         parts.append(0.3 * rng.standard_normal((int(rng.integers(5, 40)), 3)))
         parts.append(dataset.series[index])
-    values = np.concatenate(parts)
+    return model, np.concatenate(parts)
+
+
+def _per_window_alarms(model, values, normalization, stride, refractory):
+    """Slice every ``(L, d)`` window, normalise it per channel, predict it."""
     prepare = {
         "none": lambda window: window,
         "window": lambda window: znormalize(window, channel_axis=-1),
         "causal": _naive_causal_znorm,
     }[normalization]
-    stride, refractory = 3, 6
+    length = model.train_length_
     expected: list[Alarm] = []
     last_position = -np.inf
     for start in range(0, values.shape[0] - length + 1, stride):
@@ -201,11 +204,36 @@ def test_multichannel_session_matches_per_window_loop(normalization):
                 Alarm(position, start, outcome.label, outcome.confidence, outcome.trigger_length)
             )
             last_position = position
+    return expected
+
+
+@pytest.mark.parametrize("normalization", ["none", "window", "causal"])
+def test_multichannel_session_matches_per_window_loop(multichannel_problem, normalization):
+    """``(L, d)`` windows are stacked, normalised per channel and classified."""
+    model, values = multichannel_problem
+    stride, refractory = 3, 6
+    expected = _per_window_alarms(model, values, normalization, stride, refractory)
     assert expected
     got = _session_alarms(
         model, values, 37, stride=stride, normalization=normalization, refractory=refractory
     )
     assert_alarms_equivalent(expected, got)
+
+
+@pytest.mark.parametrize("normalization", ["none", "window", "causal"])
+def test_multichannel_detector_matches_session_and_per_window_loop(
+    multichannel_problem, normalization
+):
+    """``detect`` runs an ``(n, d)`` stream like the session it delegates to."""
+    model, values = multichannel_problem
+    settings = {"stride": 3, "normalization": normalization, "refractory": 6}
+    detected = StreamingEarlyDetector(model, **settings).detect(values)
+    session = StreamingSession(model, **settings)
+    session.extend(values)
+    assert detected == session.finalize()
+    expected = _per_window_alarms(model, values, normalization, 3, 6)
+    assert expected
+    assert_alarms_equivalent(expected, detected)
 
 
 def test_one_long_extend_peaks_at_one_block_of_windows(ects_classifier):

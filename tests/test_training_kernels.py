@@ -36,6 +36,7 @@ from repro.distance.dtw import (
 from repro.experiments import table1
 
 from oracles.dtw import accumulated_cost_reference
+from oracles.ects import fit_reference as ects_fit_reference
 from oracles.edsc import (
     evaluate_candidates_of_length_reference,
     fit_reference,
@@ -90,7 +91,7 @@ class TestECTSFitKernels:
     def test_mpls_and_supports_match_reference_exactly(self, classifier, step, seed):
         data, labels = _labelled_problem(seed)
         fitted = classifier(checkpoint_step=step).fit(data, labels)
-        reference = classifier(checkpoint_step=step)._fit_reference(data, labels)
+        reference = ects_fit_reference(classifier(checkpoint_step=step), data, labels)
         assert np.array_equal(fitted.mpl_, reference.mpl_)
         assert np.array_equal(fitted.support_, reference.support_)
         assert np.array_equal(fitted._eligible, reference._eligible)
@@ -104,7 +105,7 @@ class TestECTSFitKernels:
         data = np.vstack([base, base, base[:2]])
         labels = np.array(["x", "y", "x", "y"] * 2 + ["x", "y"])
         fitted = classifier().fit(data, labels)
-        reference = classifier()._fit_reference(data, labels)
+        reference = ects_fit_reference(classifier(), data, labels)
         assert np.array_equal(fitted.mpl_, reference.mpl_)
         assert np.array_equal(fitted.support_, reference.support_)
 
@@ -123,8 +124,8 @@ class TestECTSFitKernels:
     def test_support_kernel_matches_reference_on_gunpoint(self, gunpoint_small):
         train, _ = gunpoint_small
         fitted = ECTSClassifier(checkpoint_step=2).fit(train.series, train.labels)
-        reference = ECTSClassifier(checkpoint_step=2)._fit_reference(
-            train.series, train.labels
+        reference = ects_fit_reference(
+            ECTSClassifier(checkpoint_step=2), train.series, train.labels
         )
         assert np.array_equal(fitted.support_, reference.support_)
         assert np.array_equal(fitted.mpl_, reference.mpl_)

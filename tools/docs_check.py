@@ -1,15 +1,19 @@
 #!/usr/bin/env python
-"""Fail if the README (or other docs) reference modules that do not exist.
+"""Fail if the docs or the package's docstrings reference names that do not exist.
 
 The README's experiment table and command examples are load-bearing
 documentation: a reader reproduces the paper by copying them.  This check
 keeps them honest by
 
-* importing every ``repro.*`` dotted module referenced anywhere in the
-  checked documents (table rows, prose, command lines);
+* importing every ``repro.*`` dotted module (or module attribute)
+  referenced anywhere in the checked documents (table rows, prose, command
+  lines);
 * importing every module used in ``python -m <module>`` invocations inside
   fenced code blocks;
-* checking that every relative file/directory link target exists.
+* checking that every relative file/directory link target exists;
+* resolving every dotted ``repro.*`` reference in the docstrings and
+  comments of ``src/repro/**/*.py``, so deleting a function cannot leave a
+  stale cross-reference to it behind.
 
 Run via ``make docs-check`` (or directly: ``PYTHONPATH=src python
 tools/docs_check.py``).  Exits non-zero listing every stale reference.
@@ -17,13 +21,17 @@ tools/docs_check.py``).  Exits non-zero listing every stale reference.
 
 from __future__ import annotations
 
+import ast
 import importlib
+import io
 import pathlib
 import re
 import sys
+import tokenize
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENTS = [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "ARCHITECTURE.md"]
+SOURCES = sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
 
 #: Dotted repro modules anywhere in the text (prose, table cells, code).
 MODULE_PATTERN = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+\b")
@@ -82,17 +90,50 @@ def check_document(path: pathlib.Path) -> list[str]:
     return problems
 
 
+def _docstrings_and_comments(source: str) -> str:
+    """The docstrings and ``#`` comments of one Python module, joined."""
+    parts = [
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                parts.append(docstring)
+    return "\n".join(parts)
+
+
+def check_source(path: pathlib.Path) -> list[str]:
+    """Return the dangling ``repro.*`` references in one module's docstrings and comments."""
+    text = _docstrings_and_comments(path.read_text())
+    return [
+        f"{path.relative_to(REPO_ROOT)}: docstring or comment references "
+        f"non-existent module or attribute {dotted!r}"
+        for dotted in sorted(set(MODULE_PATTERN.findall(text)))
+        if not _importable(dotted)
+    ]
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
     problems: list[str] = []
     for document in DOCUMENTS:
         problems.extend(check_document(document))
+    for source in SOURCES:
+        problems.extend(check_source(source))
     if problems:
         print("docs-check FAILED:")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"docs-check OK ({len(DOCUMENTS)} documents verified)")
+    print(
+        f"docs-check OK ({len(DOCUMENTS)} documents and {len(SOURCES)} "
+        "source files verified)"
+    )
     return 0
 
 
