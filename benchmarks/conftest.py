@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures (or an
-ablation of a design choice called out in DESIGN.md).  The functions being
+ablation of one of the library's design choices).  The functions being
 timed are full experiments, not micro-kernels, so each benchmark runs a single
 round -- the value of the harness is (a) a one-command regeneration of every
 artefact and (b) a stable record of how long each one takes.

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the library's design choices.
 
 Each ablation compares two settings of one knob and asserts the direction of
 the difference, so the benchmark run doubles as a regression test on the

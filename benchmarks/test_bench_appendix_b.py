@@ -1,11 +1,15 @@
 """Benchmark for Appendix B: the streaming deployment and cost model."""
 
-from repro.experiments import appendix_b
+from repro.experiments import run_experiment
 
 
 def test_bench_appendix_b_streaming_deployment(run_once):
     result = run_once(
-        appendix_b.run, n_events=12, gap_range=(1_500, 4_000), stride=15
+        run_experiment,
+        "appendix_b",
+        n_events=12,
+        gap_range=(1_500, 4_000),
+        stride=15,
     )
     evaluation = result.evaluation
     # False positives dominate true positives, and the deployment loses money

@@ -1,10 +1,10 @@
 """Benchmark for Figure 5: the time-series homophone search."""
 
-from repro.experiments import figure5
+from repro.experiments import run_experiment
 
 
 def test_bench_figure5_homophone_search(run_once):
-    result = run_once(figure5.run)
+    result = run_once(run_experiment, "figure5")
     analysis = result.analysis
     # "in every case, there is non-gesture data that is much closer to one
     # member of the target class, than the other example from the target

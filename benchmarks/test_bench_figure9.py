@@ -1,10 +1,10 @@
 """Benchmark for Figure 9: the GunPoint prefix error-rate curve."""
 
-from repro.experiments import figure9
+from repro.experiments import run_experiment
 
 
 def test_bench_figure9_prefix_curve(run_once):
-    result = run_once(figure9.run)
+    result = run_once(run_experiment, "figure9")
     # The paper's headline numbers: ~31% of the data matches full-length
     # accuracy and ~33% beats it; full-length error is ~0.09.
     assert result.fraction_needed <= 0.45

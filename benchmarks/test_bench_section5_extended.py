@@ -2,12 +2,12 @@
 
 from repro.classifiers import CostAwareEarlyClassifier, ECDIREClassifier, TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
-from repro.experiments import section5_padding, table1
+from repro.experiments import run_experiment
 
 
 def test_bench_section5_padding(run_once):
     """Section 5: how much apparent earliness is the right-padding convention."""
-    result = run_once(section5_padding.run)
+    result = run_once(run_experiment, "section5_padding")
     for comparison in result.comparisons:
         assert comparison.padding_share_of_savings >= 0.2
         assert comparison.padded.accuracy >= 0.8
@@ -21,7 +21,8 @@ def test_bench_table1_extended_algorithms(run_once):
     it critiques; the audit shows the same qualitative sensitivity.
     """
     result = run_once(
-        table1.run,
+        run_experiment,
+        "table1",
         algorithms={
             "TEASER": lambda: TEASERClassifier(),
             "ECDIRE": lambda: ECDIREClassifier(),

@@ -2,7 +2,8 @@
 
 (Wu, Der & Keogh, ICDE 2022 extended abstract / arXiv:2102.11487.)
 
-The package is organised in layers (see DESIGN.md for the full inventory):
+The package is organised in layers (see docs/ARCHITECTURE.md for the full
+inventory):
 
 * :mod:`repro.distance` -- z-normalisation, Euclidean/DTW distances, sliding
   distance profiles, nearest-neighbour classifiers.
@@ -13,9 +14,9 @@ The package is organised in layers (see DESIGN.md for the full inventory):
   critiques (ECTS, RelaxedECTS, EDSC-CHE/KDE, Reliable/LDG, TEASER, a generic
   probability-threshold model) and plain-classification baselines.
 * :mod:`repro.streaming` -- running an early classifier over a stream: the
-  online multi-stream detection engine (incremental candidate windows,
-  O(1)-per-sample causal normalisation), alarm/ground-truth matching, false
-  positive accounting and the Appendix B cost model.
+  online multi-stream detection engine (completed candidate windows
+  classified in batches, batched causal normalisation), alarm/ground-truth
+  matching, false positive accounting and the Appendix B cost model.
 * :mod:`repro.evaluation` -- accuracy/earliness metrics and significance
   tests for the offline (UCR-style) experiments.
 * :mod:`repro.core` -- the paper's actual contribution: the meaningfulness

@@ -4,7 +4,7 @@ The paper's evidence is drawn from GunPoint, spoken-word MFCC traces, ECG
 telemetry, chicken-accelerometer behaviour, EOG, insect EPG and long random
 walks.  None of those archives are available offline, so each is replaced by a
 parameterised synthetic generator that preserves the structural property the
-paper's argument relies on (see DESIGN.md, "Substitutions").
+paper's argument relies on.
 
 All generators are deterministic given a seed and produce either
 

@@ -10,8 +10,8 @@ Everything the ETSC algorithms and the meaningfulness analyses rest on:
 * :mod:`repro.distance.dtw` -- dynamic time warping with an optional
   Sakoe-Chiba band, plus its z-normalised variant.
 * :mod:`repro.distance.profile` -- sliding-window z-normalised distance
-  profiles (MASS-style, FFT based), used by the homophone search (Fig. 5), the
-  chicken-template experiment (Fig. 8) and the streaming detector.
+  profiles (MASS-style, FFT based), used by the homophone search (Fig. 5) and
+  the chicken-template experiment (Fig. 8).
 * :mod:`repro.distance.engine` -- the incremental prefix-distance engine:
   running squared-Euclidean partial sums that let a prefix grow from length
   ``t`` to ``t + 1`` in O(n_train) instead of O(n_train * t), plus the

@@ -42,9 +42,7 @@ __all__ = [
     "AppendixBResult",
     "prepare",
     "compute",
-    "render",
     "metrics",
-    "run",
 ]
 
 
@@ -106,7 +104,7 @@ class AppendixBPrepared:
     """Prepared inputs: the split, the default detector model, the stream."""
 
     train: UCRDataset
-    default_classifier: BaseEarlyClassifier | None
+    default_classifier: BaseEarlyClassifier
     stream: ComposedStream
 
 
@@ -115,20 +113,28 @@ def prepare(
     gap_range: tuple[int, int] = (2_000, 6_000),
     target_label: str = GUN,
     seed: int = 17,
-    fit_default: bool = True,
 ) -> AppendixBPrepared:
     """Fit the default TEASER model and compose the deployment stream.
 
-    ``fit_default=False`` skips the (expensive) TEASER fit for callers that
-    deploy their own classifier; the runtime always fits it, since the cache
-    key cannot see the compute-stage ``classifier`` argument.
+    The model is fitted even when ``compute`` is handed its own
+    ``classifier``: the cache key cannot see that compute-stage argument.
+
+    Parameters
+    ----------
+    n_events:
+        Number of genuine GunPoint exemplars embedded in the stream.
+    gap_range:
+        Background gap (in samples) between consecutive embedded events.
+    target_label:
+        The class treated as actionable (alarms for it count; the other class
+        is treated as part of the background, as the paper's framing implies).
+    seed:
+        Stream composition seed.
     """
     train, test = make_gunpoint_dataset(seed=7)
 
-    default_classifier = None
-    if fit_default:
-        default_classifier = TEASERClassifier()
-        default_classifier.fit(train.series, train.labels)
+    default_classifier = TEASERClassifier()
+    default_classifier.fit(train.series, train.labels)
 
     # Build the stream: genuine exemplars of the target class drawn from the
     # *test* split (the detector has never seen them), embedded in long
@@ -160,16 +166,28 @@ def compute(
     event_cost: float = 1000.0,
     action_cost: float = 200.0,
 ) -> AppendixBResult:
-    """Deploy the classifier over the prepared stream and price the alarms."""
+    """Deploy the classifier over the prepared stream and price the alarms.
+
+    Parameters
+    ----------
+    n_events, target_label:
+        As for :func:`prepare`.
+    stride:
+        Candidate-start stride of the streaming detector.
+    classifier:
+        A fitted early classifier to deploy; defaults to the TEASER model
+        :func:`prepare` trained on the synthetic GunPoint training split.
+    normalization:
+        Candidate-window normalisation mode (``"window"`` gives the detector
+        the *benefit* of peeking; even then the false positives dominate,
+        which is the paper's point).
+    event_cost, action_cost:
+        The Appendix B cost model ($1000 event, $200 action).
+    """
     train, stream = prepared.train, prepared.stream
 
     if classifier is None:
         classifier = prepared.default_classifier
-        if classifier is None:
-            raise ValueError(
-                "no classifier supplied and the prepared inputs carry no "
-                "default (prepare(fit_default=False) was used)"
-            )
     elif not classifier.is_fitted:
         raise ValueError("a supplied classifier must already be fitted")
 
@@ -221,11 +239,6 @@ def compute(
     )
 
 
-def render(result: AppendixBResult) -> str:
-    """The appendix's text summary."""
-    return result.to_text()
-
-
 def metrics(result: AppendixBResult) -> dict:
     """Key numbers for the JSON artifact."""
     evaluation = result.evaluation
@@ -243,58 +256,3 @@ def metrics(result: AppendixBResult) -> dict:
         "event_prior": result.event_prior,
         "breaks_even": result.cost_criterion.passed,
     }
-
-
-def run(
-    n_events: int = 20,
-    gap_range: tuple[int, int] = (2_000, 6_000),
-    stride: int = 10,
-    target_label: str = GUN,
-    classifier: BaseEarlyClassifier | None = None,
-    normalization: str = "window",
-    event_cost: float = 1000.0,
-    action_cost: float = 200.0,
-    seed: int = 17,
-) -> AppendixBResult:
-    """Run the Appendix B streaming experiment.
-
-    Parameters
-    ----------
-    n_events:
-        Number of genuine GunPoint exemplars embedded in the stream.
-    gap_range:
-        Background gap (in samples) between consecutive embedded events.
-    stride:
-        Candidate-start stride of the streaming detector.
-    target_label:
-        The class treated as actionable (alarms for it count; the other class
-        is treated as part of the background, as the paper's framing implies).
-    classifier:
-        A fitted early classifier to deploy; defaults to TEASER trained on the
-        synthetic GunPoint training split.
-    normalization:
-        Candidate-window normalisation mode (``"window"`` gives the detector
-        the *benefit* of peeking; even then the false positives dominate,
-        which is the paper's point).
-    event_cost, action_cost:
-        The Appendix B cost model ($1000 event, $200 action).
-    seed:
-        Stream composition seed.
-    """
-    prepared = prepare(
-        n_events=n_events,
-        gap_range=gap_range,
-        target_label=target_label,
-        seed=seed,
-        fit_default=classifier is None,
-    )
-    return compute(
-        prepared,
-        n_events=n_events,
-        stride=stride,
-        target_label=target_label,
-        classifier=classifier,
-        normalization=normalization,
-        event_cost=event_cost,
-        action_cost=action_cost,
-    )

@@ -18,7 +18,7 @@ from repro.data.ucr_format import UCRDataset
 from repro.data.words import make_word_dataset
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 
-__all__ = ["Figure1Prepared", "Figure1Result", "prepare", "compute", "render", "metrics", "run"]
+__all__ = ["Figure1Prepared", "Figure1Result", "prepare", "compute", "metrics"]
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,6 @@ def compute(prepared: Figure1Prepared) -> Figure1Result:
     )
 
 
-def render(result: Figure1Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Figure1Result) -> dict:
     """Key numbers for the JSON artifact."""
     return {
@@ -119,13 +114,3 @@ def metrics(result: Figure1Result) -> dict:
         "mean_within_class_correlation": result.mean_within_class_correlation,
         "holdout_accuracy": result.holdout_accuracy,
     }
-
-
-def run(
-    words: tuple[str, ...] = ("cat", "dog"),
-    n_per_class: int = 30,
-    length: int = 150,
-    seed: int = 3,
-) -> Figure1Result:
-    """Regenerate the Fig. 1 dataset and its summary statistics."""
-    return compute(prepare(words=words, n_per_class=n_per_class, length=length, seed=seed))

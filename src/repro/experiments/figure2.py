@@ -26,9 +26,7 @@ __all__ = [
     "WordTriggerOutcome",
     "prepare",
     "compute",
-    "render",
     "metrics",
-    "run",
 ]
 
 #: The sentence from the paper's Fig. 2 caption.
@@ -114,7 +112,21 @@ def prepare(
     min_length: int = 20,
     seed: int = 3,
 ) -> Figure2Prepared:
-    """Synthesise the training utterances and fit the early classifier."""
+    """Synthesise the training utterances and fit the early classifier.
+
+    Parameters
+    ----------
+    n_per_class:
+        Training utterances per class.
+    length:
+        UCR-format exemplar length (padding included).
+    threshold:
+        Probability threshold of the early classifier (Fig. 3's framing).
+    min_length:
+        Smallest prefix at which the classifier may trigger.
+    seed:
+        Seed shared by the synthesiser and the classifier.
+    """
     # The dataset is kept in raw units: the prefix problem is independent of
     # the normalisation problem (Section 4), and keeping the units physical
     # isolates it.
@@ -133,7 +145,10 @@ def compute(
     length: int = 150,
     seed: int = 3,
 ) -> Figure2Result:
-    """Stream each word of the Fig. 2 sentence through the fitted classifier."""
+    """Stream each word of the Fig. 2 sentence through the fitted classifier.
+
+    ``length`` and ``seed`` are as for :func:`prepare`.
+    """
     classifier = prepared.classifier
     synthesizer = WordSynthesizer(seed=seed)
     rng = np.random.default_rng(seed + 100)
@@ -176,11 +191,6 @@ def compute(
     )
 
 
-def render(result: Figure2Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Figure2Result) -> dict:
     """Key numbers for the JSON artifact."""
     return {
@@ -189,35 +199,3 @@ def metrics(result: Figure2Result) -> dict:
         "n_words": len(result.outcomes),
         "false_positives_by_class": dict(result.false_positives_by_class),
     }
-
-
-def run(
-    n_per_class: int = 30,
-    length: int = 150,
-    threshold: float = 0.8,
-    min_length: int = 20,
-    seed: int = 3,
-) -> Figure2Result:
-    """Train on isolated cat/dog utterances, then stream the Fig. 2 sentence.
-
-    Parameters
-    ----------
-    n_per_class:
-        Training utterances per class.
-    length:
-        UCR-format exemplar length (padding included).
-    threshold:
-        Probability threshold of the early classifier (Fig. 3's framing).
-    min_length:
-        Smallest prefix at which the classifier may trigger.
-    seed:
-        Seed shared by the synthesiser and the classifier.
-    """
-    prepared = prepare(
-        n_per_class=n_per_class,
-        length=length,
-        threshold=threshold,
-        min_length=min_length,
-        seed=seed,
-    )
-    return compute(prepared, length=length, seed=seed)

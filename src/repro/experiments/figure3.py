@@ -25,9 +25,7 @@ __all__ = [
     "ModelTrace",
     "prepare",
     "compute",
-    "render",
     "metrics",
-    "run",
 ]
 
 
@@ -104,7 +102,15 @@ def prepare(
     n_test_per_class: int = 75,
     seed: int = 7,
 ) -> Figure3Prepared:
-    """Synthesise GunPoint and fit TEASER plus the threshold model."""
+    """Synthesise GunPoint and fit TEASER plus the threshold model.
+
+    Parameters
+    ----------
+    threshold:
+        The user threshold of the right-hand panel.
+    n_train_per_class, n_test_per_class, seed:
+        Dataset parameters.
+    """
     train, test = make_gunpoint_dataset(
         n_train_per_class=n_train_per_class,
         n_test_per_class=n_test_per_class,
@@ -125,7 +131,17 @@ def compute(
     exemplar_index: int | None = None,
     threshold: float = 0.8,
 ) -> Figure3Result:
-    """Trace both fitted models on one test exemplar."""
+    """Trace both fitted models on one test exemplar.
+
+    Parameters
+    ----------
+    exemplar_index:
+        Index of the test exemplar to trace.  ``None`` picks the first test
+        exemplar that both models classify correctly, mirroring the figure
+        (which shows a success case).
+    threshold:
+        As for :func:`prepare`; names the threshold model's trace.
+    """
     test = prepared.test
     teaser = prepared.teaser
     threshold_model = prepared.threshold_model
@@ -164,11 +180,6 @@ def compute(
     return Figure3Result(traces=tuple(traces))
 
 
-def render(result: Figure3Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Figure3Result) -> dict:
     """Key numbers for the JSON artifact."""
     values: dict = {"n_models": len(result.traces)}
@@ -178,32 +189,3 @@ def metrics(result: Figure3Result) -> dict:
         values[f"{key}_fraction_seen"] = trace.fraction_seen
         values[f"{key}_correct"] = trace.correct
     return values
-
-
-def run(
-    exemplar_index: int | None = None,
-    threshold: float = 0.8,
-    n_train_per_class: int = 25,
-    n_test_per_class: int = 75,
-    seed: int = 7,
-) -> Figure3Result:
-    """Reproduce the two panels of Fig. 3.
-
-    Parameters
-    ----------
-    exemplar_index:
-        Index of the test exemplar to trace.  ``None`` picks the first test
-        exemplar that both models classify correctly, mirroring the figure
-        (which shows a success case).
-    threshold:
-        The user threshold of the right-hand panel.
-    n_train_per_class, n_test_per_class, seed:
-        Dataset parameters.
-    """
-    prepared = prepare(
-        threshold=threshold,
-        n_train_per_class=n_train_per_class,
-        n_test_per_class=n_test_per_class,
-        seed=seed,
-    )
-    return compute(prepared, exemplar_index=exemplar_index, threshold=threshold)

@@ -25,7 +25,7 @@ from repro.data.gunpoint import make_gunpoint_dataset
 from repro.data.random_walk import smoothed_random_walk
 from repro.data.ucr_format import UCRDataset
 
-__all__ = ["Figure5Prepared", "Figure5Result", "prepare", "compute", "render", "metrics", "run"]
+__all__ = ["Figure5Prepared", "Figure5Result", "prepare", "compute", "metrics"]
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,23 @@ def prepare(
     epg_points: int = 360_000,
     seed: int = 5,
 ) -> Figure5Prepared:
-    """Synthesise the GunPoint queries and the three searched corpora."""
+    """Synthesise the GunPoint queries and the three searched corpora.
+
+    Parameters
+    ----------
+    eog_points:
+        Length of the eye-movement corpus (216 000 = one hour at 60 Hz, the
+        paper's "one hour of eye movement data").
+    random_walk_points:
+        Length of the smoothed random walk (the paper uses 2^24; the default
+        here is 2^20, which preserves the phenomenon at laptop scale -- the
+        density of near matches only increases with length).
+    epg_points:
+        Length of the insect-behaviour corpus (the paper uses eight hours;
+        the default is one hour at 100 Hz).
+    seed:
+        Seed controlling corpus generation and query selection.
+    """
     _, test = make_gunpoint_dataset(seed=7)
     corpora = {
         "EOG (eye movement)": generate_eog(eog_points, seed=seed + 1),
@@ -83,16 +99,22 @@ def compute(
     k: int = 3,
     seed: int = 5,
 ) -> Figure5Result:
-    """Run the nearest-neighbour homophone search over the corpora."""
+    """Run the nearest-neighbour homophone search over the corpora.
+
+    Parameters
+    ----------
+    n_queries:
+        Number of random GunPoint exemplars to use as queries (the paper uses
+        two).
+    k:
+        Nearest neighbours per corpus (the paper shows three).
+    seed:
+        As for :func:`prepare`.
+    """
     analysis = homophone_analysis(
         prepared.test, prepared.corpora, n_queries=n_queries, k=k, seed=seed
     )
     return Figure5Result(analysis=analysis)
-
-
-def render(result: Figure5Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
 
 
 def metrics(result: Figure5Result) -> dict:
@@ -102,42 +124,3 @@ def metrics(result: Figure5Result) -> dict:
         "n_queries": len(result.analysis.queries),
         "corpora_sizes": dict(result.analysis.corpora_sizes),
     }
-
-
-def run(
-    n_queries: int = 2,
-    k: int = 3,
-    eog_points: int = 216_000,
-    random_walk_points: int = 2 ** 20,
-    epg_points: int = 360_000,
-    seed: int = 5,
-) -> Figure5Result:
-    """Reproduce the Fig. 5 homophone search.
-
-    Parameters
-    ----------
-    n_queries:
-        Number of random GunPoint exemplars to use as queries (the paper uses
-        two).
-    k:
-        Nearest neighbours per corpus (the paper shows three).
-    eog_points:
-        Length of the eye-movement corpus (216 000 = one hour at 60 Hz, the
-        paper's "one hour of eye movement data").
-    random_walk_points:
-        Length of the smoothed random walk (the paper uses 2^24; the default
-        here is 2^20, which preserves the phenomenon at laptop scale -- the
-        density of near matches only increases with length).
-    epg_points:
-        Length of the insect-behaviour corpus (the paper uses eight hours;
-        the default is one hour at 100 Hz).
-    seed:
-        Seed controlling corpus generation and query selection.
-    """
-    prepared = prepare(
-        eog_points=eog_points,
-        random_walk_points=random_walk_points,
-        epg_points=epg_points,
-        seed=seed,
-    )
-    return compute(prepared, n_queries=n_queries, k=k, seed=seed)

@@ -33,7 +33,7 @@ from repro.data.ucr_format import UCRDataset
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 from repro.evaluation.runner import prefix_accuracy_curve
 
-__all__ = ["Figure6Prepared", "Figure6Result", "prepare", "compute", "render", "metrics", "run"]
+__all__ = ["Figure6Prepared", "Figure6Result", "prepare", "compute", "metrics"]
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,6 @@ def compute(
     )
 
 
-def render(result: Figure6Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Figure6Result) -> dict:
     """Key numbers for the JSON artifact."""
     return {
@@ -162,25 +157,3 @@ def metrics(result: Figure6Result) -> dict:
         "prefix_raw_clean": result.prefix_raw_clean,
         "prefix_raw_denormalized": result.prefix_raw_denormalized,
     }
-
-
-def run(
-    n_train_per_class: int = 25,
-    n_test_per_class: int = 75,
-    prefix_length: int = 50,
-    offset_range: tuple[float, float] = (-1.0, 1.0),
-    seed: int = 7,
-    denormalize_seed: int = 11,
-) -> Figure6Result:
-    """Apply the Fig. 6 perturbation and measure who it affects."""
-    prepared = prepare(
-        n_train_per_class=n_train_per_class,
-        n_test_per_class=n_test_per_class,
-        seed=seed,
-    )
-    return compute(
-        prepared,
-        prefix_length=prefix_length,
-        offset_range=offset_range,
-        denormalize_seed=denormalize_seed,
-    )

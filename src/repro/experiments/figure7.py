@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.data.ecg import ECGGenerator, beat_statistics
 
-__all__ = ["Figure7Prepared", "Figure7Result", "prepare", "compute", "render", "metrics", "run"]
+__all__ = ["Figure7Prepared", "Figure7Result", "prepare", "compute", "metrics"]
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,6 @@ def compute(
     )
 
 
-def render(result: Figure7Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Figure7Result) -> dict:
     """Key numbers for the JSON artifact."""
     return {
@@ -150,15 +145,3 @@ def metrics(result: Figure7Result) -> dict:
         "clean_mean_range": result.clean_mean_range,
         "clean_std_range": result.clean_std_range,
     }
-
-
-def run(
-    duration_seconds: float = 15.0,
-    sampling_rate: int = 128,
-    seed: int = 23,
-) -> Figure7Result:
-    """Regenerate the Fig. 7 telemetry and its per-beat statistics."""
-    prepared = prepare(
-        duration_seconds=duration_seconds, sampling_rate=sampling_rate, seed=seed
-    )
-    return compute(prepared, duration_seconds=duration_seconds)

@@ -31,9 +31,7 @@ __all__ = [
     "Figure8Result",
     "prepare",
     "compute",
-    "render",
     "metrics",
-    "run",
 ]
 
 
@@ -176,7 +174,21 @@ def prepare(
     dustbathing_weight: float = 0.08,
     seed: int = 29,
 ) -> Figure8Prepared:
-    """Simulate the chicken accelerometer stream the templates search."""
+    """Simulate the chicken accelerometer stream the templates search.
+
+    Parameters
+    ----------
+    n_points:
+        Stream length.  The paper's archive has 12.5 billion points; the
+        default here is laptop-scale but long enough for dozens of bouts.
+    dustbathing_weight:
+        Behaviour weight of dustbathing in the simulator.  The paper's archive
+        spans weeks, so even a rare behaviour yields hundreds of bouts; at
+        laptop scale the weight is raised instead, which changes the base
+        rate but not the template-vs-prefix comparison the figure is about.
+    seed:
+        Simulator seed.
+    """
     weights = {
         "resting": 0.44 - dustbathing_weight / 2,
         "walking": 0.26 - dustbathing_weight / 2,
@@ -194,7 +206,17 @@ def compute(
     truncated_threshold: float = 1.7,
     truncated_fraction: float = 0.58,
 ) -> Figure8Result:
-    """Match the full and truncated templates and test their equivalence."""
+    """Match the full and truncated templates and test their equivalence.
+
+    Parameters
+    ----------
+    full_threshold, truncated_threshold:
+        The matching thresholds quoted in the paper (2.3 and 1.7).
+    truncated_fraction:
+        Fraction of the full template retained in the truncated version
+        (the paper's truncated template is roughly the first 70 of 120
+        samples).
+    """
     stream = prepared.stream
     dust_events = stream.events_with_label(DUSTBATHING)
     if len(dust_events) < 5:
@@ -225,11 +247,6 @@ def compute(
     )
 
 
-def render(result: Figure8Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Figure8Result) -> dict:
     """Key numbers for the JSON artifact."""
     return {
@@ -242,41 +259,3 @@ def metrics(result: Figure8Result) -> dict:
         "recall_difference_significant": result.significance.significant,
         "p_value": result.significance.p_value,
     }
-
-
-def run(
-    n_points: int = 400_000,
-    full_threshold: float = 2.3,
-    truncated_threshold: float = 1.7,
-    truncated_fraction: float = 0.58,
-    dustbathing_weight: float = 0.08,
-    seed: int = 29,
-) -> Figure8Result:
-    """Reproduce the Fig. 8 template-vs-prefix comparison.
-
-    Parameters
-    ----------
-    n_points:
-        Stream length.  The paper's archive has 12.5 billion points; the
-        default here is laptop-scale but long enough for dozens of bouts.
-    full_threshold, truncated_threshold:
-        The matching thresholds quoted in the paper (2.3 and 1.7).
-    truncated_fraction:
-        Fraction of the full template retained in the truncated version
-        (the paper's truncated template is roughly the first 70 of 120
-        samples).
-    dustbathing_weight:
-        Behaviour weight of dustbathing in the simulator.  The paper's archive
-        spans weeks, so even a rare behaviour yields hundreds of bouts; at
-        laptop scale the weight is raised instead, which changes the base
-        rate but not the template-vs-prefix comparison the figure is about.
-    seed:
-        Simulator seed.
-    """
-    prepared = prepare(n_points=n_points, dustbathing_weight=dustbathing_weight, seed=seed)
-    return compute(
-        prepared,
-        full_threshold=full_threshold,
-        truncated_threshold=truncated_threshold,
-        truncated_fraction=truncated_fraction,
-    )

@@ -19,7 +19,7 @@ from repro.core.prefix_accuracy import PrefixAccuracyCurve, compute_prefix_accur
 from repro.data.gunpoint import GunPointGenerator, make_gunpoint_dataset
 from repro.data.ucr_format import UCRDataset
 
-__all__ = ["Figure9Prepared", "Figure9Result", "prepare", "compute", "render", "metrics", "run"]
+__all__ = ["Figure9Prepared", "Figure9Result", "prepare", "compute", "metrics"]
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,6 @@ def compute(
     )
 
 
-def render(result: Figure9Result) -> str:
-    """The figure's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Figure9Result) -> dict:
     """Key numbers for the JSON artifact."""
     return {
@@ -137,19 +132,3 @@ def metrics(result: Figure9Result) -> dict:
         "fraction_needed": result.fraction_needed,
         "series_length": result.curve.series_length,
     }
-
-
-def run(
-    n_train_per_class: int = 25,
-    n_test_per_class: int = 75,
-    min_length: int = 20,
-    step: int = 2,
-    seed: int = 7,
-) -> Figure9Result:
-    """Regenerate the Fig. 9 prefix error-rate curve."""
-    prepared = prepare(
-        n_train_per_class=n_train_per_class,
-        n_test_per_class=n_test_per_class,
-        seed=seed,
-    )
-    return compute(prepared, min_length=min_length, step=step, seed=seed)

@@ -40,9 +40,7 @@ __all__ = [
     "MultivariateResult",
     "prepare",
     "compute",
-    "render",
     "metrics",
-    "run",
 ]
 
 
@@ -191,7 +189,21 @@ def prepare(
     n_mels: int = 12,
     seed: int = 41,
 ) -> MultivariatePrepared:
-    """Generate and split the six-axis and mel-frame datasets."""
+    """Generate and split the six-axis and mel-frame datasets.
+
+    Parameters
+    ----------
+    n_per_class:
+        Exemplars per class in each dataset.
+    length:
+        Time steps per six-axis exemplar.
+    n_channels:
+        Channels of the six-axis problem (default 6).
+    n_frames / n_mels:
+        Frames and mel bands per keyword exemplar.
+    seed:
+        Generator seed (offset per dataset family).
+    """
     imu = make_multichannel_cbf_dataset(
         n_per_class=n_per_class, length=length, n_channels=n_channels, seed=seed
     )
@@ -220,7 +232,10 @@ def compute(
     prepared: MultivariatePrepared,
     threshold: float = 0.55,
 ) -> MultivariateResult:
-    """Run both channel ablations and the mel-frame streaming check."""
+    """Run both channel ablations and the mel-frame streaming check.
+
+    ``threshold`` is the probability threshold of the early classifier.
+    """
     ablations = (
         _ablate("six-axis motion", prepared.imu_train, prepared.imu_test, threshold),
         _ablate(
@@ -238,11 +253,6 @@ def compute(
     )
 
 
-def render(result: MultivariateResult) -> str:
-    """The experiment's text summary."""
-    return result.to_text()
-
-
 def metrics(result: MultivariateResult) -> dict:
     """Key numbers for the JSON artifact."""
     values: dict = {
@@ -257,40 +267,3 @@ def metrics(result: MultivariateResult) -> dict:
         values[f"{key}_best_single_accuracy"] = ablation.best_single.accuracy
         values[f"{key}_mean_single_accuracy"] = ablation.mean_single_accuracy
     return values
-
-
-def run(
-    n_per_class: int = 25,
-    length: int = 128,
-    n_channels: int = 6,
-    n_frames: int = 48,
-    n_mels: int = 12,
-    threshold: float = 0.55,
-    seed: int = 41,
-) -> MultivariateResult:
-    """Run the multichannel ablation on both multivariate problems.
-
-    Parameters
-    ----------
-    n_per_class:
-        Exemplars per class in each dataset.
-    length:
-        Time steps per six-axis exemplar.
-    n_channels:
-        Channels of the six-axis problem (default 6).
-    n_frames / n_mels:
-        Frames and mel bands per keyword exemplar.
-    threshold:
-        Probability threshold of the early classifier.
-    seed:
-        Generator seed (offset per dataset family).
-    """
-    prepared = prepare(
-        n_per_class=n_per_class,
-        length=length,
-        n_channels=n_channels,
-        n_frames=n_frames,
-        n_mels=n_mels,
-        seed=seed,
-    )
-    return compute(prepared, threshold=threshold)

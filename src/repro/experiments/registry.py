@@ -143,7 +143,7 @@ def experiments_with_tag(tag: str) -> list[str]:
 
 
 def run_experiment(name: str, fast: bool = False, **overrides):
-    """Run one experiment by identifier.
+    """Run one experiment by identifier and return its result dataclass.
 
     Parameters
     ----------
@@ -153,12 +153,11 @@ def run_experiment(name: str, fast: bool = False, **overrides):
         Use the reduced workload from the spec's fast overrides (explicit
         keyword overrides still win).
     **overrides:
-        Keyword arguments forwarded to the experiment's ``run`` function.
-        Unknown names raise ``TypeError`` naming the experiment and the bad
-        keyword instead of failing deep inside the run.
+        Run parameters, routed to the ``prepare`` and ``compute`` stages
+        that declare them.  Unknown names raise ``TypeError`` naming the
+        experiment and the bad keyword instead of failing deep inside the
+        run.
     """
     spec = get_spec(name)
-    spec.validate_overrides(overrides)
-    kwargs = dict(spec.fast_overrides) if fast else {}
-    kwargs.update(overrides)
-    return spec.run_callable(**kwargs)
+    params = spec.resolve_params(fast=fast, overrides=overrides)
+    return spec.call_compute(spec.call_prepare(params), params)

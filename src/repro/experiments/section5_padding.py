@@ -32,9 +32,7 @@ __all__ = [
     "Section5PaddingResult",
     "prepare",
     "compute",
-    "render",
     "metrics",
-    "run",
 ]
 
 
@@ -141,7 +139,18 @@ def prepare(
     pad_fraction: float = 0.4,
     seed: int = 31,
 ) -> Section5Prepared:
-    """Generate the padded and unpadded variants of both dataset families."""
+    """Generate the padded and unpadded variants of both dataset families.
+
+    Parameters
+    ----------
+    n_per_class:
+        Exemplars per class in each dataset.
+    pad_fraction:
+        Fraction of each padded exemplar that is uninformative tail.
+    seed:
+        Generator seed (shared by the padded and unpadded variants so the
+        underlying events are comparable).
+    """
     return Section5Prepared(
         cbf_padded=make_cbf_dataset(
             n_per_class=n_per_class, pad_fraction=pad_fraction, seed=seed
@@ -162,7 +171,11 @@ def compute(
     threshold: float = 0.8,
     seed: int = 31,
 ) -> Section5PaddingResult:
-    """Compare apparent earliness on the padded vs unpadded variants."""
+    """Compare apparent earliness on the padded vs unpadded variants.
+
+    ``threshold`` is the probability threshold of the early classifier;
+    ``pad_fraction`` and ``seed`` are as for :func:`prepare`.
+    """
     comparisons = [
         _compare(
             "CBF-like",
@@ -184,11 +197,6 @@ def compute(
     return Section5PaddingResult(comparisons=tuple(comparisons))
 
 
-def render(result: Section5PaddingResult) -> str:
-    """The section's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Section5PaddingResult) -> dict:
     """Key numbers for the JSON artifact."""
     values: dict = {"n_comparisons": len(result.comparisons)}
@@ -199,27 +207,3 @@ def metrics(result: Section5PaddingResult) -> dict:
         values[f"{key}_unpadded_earliness"] = comparison.unpadded.earliness
         values[f"{key}_padding_share_of_savings"] = comparison.padding_share_of_savings
     return values
-
-
-def run(
-    n_per_class: int = 25,
-    pad_fraction: float = 0.4,
-    threshold: float = 0.8,
-    seed: int = 31,
-) -> Section5PaddingResult:
-    """Run the padding comparison on the CBF-like and Trace-like datasets.
-
-    Parameters
-    ----------
-    n_per_class:
-        Exemplars per class in each dataset.
-    pad_fraction:
-        Fraction of each padded exemplar that is uninformative tail.
-    threshold:
-        Probability threshold of the early classifier.
-    seed:
-        Generator seed (shared by the padded and unpadded variants so the
-        underlying events are comparable).
-    """
-    prepared = prepare(n_per_class=n_per_class, pad_fraction=pad_fraction, seed=seed)
-    return compute(prepared, pad_fraction=pad_fraction, threshold=threshold, seed=seed)

@@ -36,9 +36,7 @@ __all__ = [
     "default_algorithms",
     "prepare",
     "compute",
-    "render",
     "metrics",
-    "run",
 ]
 
 #: Accuracy values reported in the paper's Table 1, for side-by-side display.
@@ -135,7 +133,15 @@ def prepare(
     n_test_per_class: int = 75,
     seed: int = 7,
 ) -> Table1Prepared:
-    """Synthesise the GunPoint split shared by every audited algorithm."""
+    """Synthesise the GunPoint split shared by every audited algorithm.
+
+    Parameters
+    ----------
+    n_train_per_class, n_test_per_class:
+        GunPoint-style split sizes (25/75 mirrors the archive's 50/150).
+    seed:
+        Data generation seed.
+    """
     train, test = make_gunpoint_dataset(
         n_train_per_class=n_train_per_class,
         n_test_per_class=n_test_per_class,
@@ -151,7 +157,20 @@ def compute(
     fast: bool = False,
     denormalize_seed: int = 11,
 ) -> Table1Result:
-    """Audit every algorithm's normalisation sensitivity on the split."""
+    """Audit every algorithm's normalisation sensitivity on the split.
+
+    Parameters
+    ----------
+    algorithms:
+        Mapping of display name to classifier factory; defaults to the six
+        algorithms of the table.
+    offset_range:
+        The denormalisation offset range (the paper uses [-1, 1]).
+    fast:
+        Forwarded to :func:`default_algorithms`.
+    denormalize_seed:
+        Perturbation seed.
+    """
     train, test = prepared.train, prepared.test
     factories = dict(algorithms) if algorithms is not None else default_algorithms(fast=fast)
 
@@ -178,11 +197,6 @@ def compute(
     )
 
 
-def render(result: Table1Result) -> str:
-    """The table's text summary."""
-    return result.to_text()
-
-
 def metrics(result: Table1Result) -> dict:
     """Key numbers for the JSON artifact."""
     values: dict = {
@@ -198,45 +212,6 @@ def metrics(result: Table1Result) -> dict:
         values[f"{key}_normalized"] = normalized
         values[f"{key}_denormalized"] = denormalized
     return values
-
-
-def run(
-    n_train_per_class: int = 25,
-    n_test_per_class: int = 75,
-    algorithms: Mapping[str, Callable[[], BaseEarlyClassifier]] | None = None,
-    offset_range: tuple[float, float] = (-1.0, 1.0),
-    fast: bool = False,
-    seed: int = 7,
-    denormalize_seed: int = 11,
-) -> Table1Result:
-    """Regenerate Table 1.
-
-    Parameters
-    ----------
-    n_train_per_class, n_test_per_class:
-        GunPoint-style split sizes (25/75 mirrors the archive's 50/150).
-    algorithms:
-        Mapping of display name to classifier factory; defaults to the six
-        algorithms of the table.
-    offset_range:
-        The denormalisation offset range (the paper uses [-1, 1]).
-    fast:
-        Forwarded to :func:`default_algorithms`.
-    seed, denormalize_seed:
-        Data generation and perturbation seeds.
-    """
-    prepared = prepare(
-        n_train_per_class=n_train_per_class,
-        n_test_per_class=n_test_per_class,
-        seed=seed,
-    )
-    return compute(
-        prepared,
-        algorithms=algorithms,
-        offset_range=offset_range,
-        fast=fast,
-        denormalize_seed=denormalize_seed,
-    )
 
 
 def _control_accuracies(

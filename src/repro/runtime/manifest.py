@@ -171,25 +171,11 @@ class RunManifest:
     def attempts(self, task_id: str) -> int:
         return int(self._document["tasks"][task_id]["attempts"])
 
-    def in_state(self, state: str) -> list[str]:
-        if state not in _STATES:
-            raise ValueError(f"unknown state {state!r}; expected one of {_STATES}")
-        return [
-            task_id
-            for task_id, entry in self._document["tasks"].items()
-            if entry["state"] == state
-        ]
-
     def counts(self) -> dict:
         counts = {state: 0 for state in _STATES}
         for entry in self._document["tasks"].values():
             counts[entry["state"]] += 1
         return counts
-
-    def all_done(self) -> bool:
-        return all(
-            entry["state"] == "done" for entry in self._document["tasks"].values()
-        )
 
     # ------------------------------------------------------------ transitions
     def _entry(self, task_id: str) -> dict:

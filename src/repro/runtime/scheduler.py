@@ -1,8 +1,8 @@
 """Experiment executor and process-parallel scheduler.
 
 :func:`execute_spec` runs one experiment through its ``prepare`` /
-``compute`` / ``render`` stages, timing each and memoising ``prepare``
-through an optional :class:`~repro.runtime.cache.PrepareCache`.
+``compute`` stages and renders the result, timing each and memoising
+``prepare`` through an optional :class:`~repro.runtime.cache.PrepareCache`.
 
 :func:`run_experiments` runs a batch.  With ``jobs <= 1`` it executes
 in-process and in order -- the exact code path the golden ``--fast`` output
@@ -112,7 +112,7 @@ def execute_spec(
     after_prepare = time.perf_counter()
     result = spec.call_compute(prepared, params)
     after_compute = time.perf_counter()
-    summary = spec.call_render(result)
+    summary = result.to_text()
     metrics = spec.call_metrics(result)
     finished = time.perf_counter()
 

@@ -3,10 +3,10 @@
 An :class:`ExperimentSpec` is the single source of truth about one paper
 artefact: which module implements it, how to shrink it for smoke runs, what
 seed it defaults to, and which tags select it from the CLI.  The experiment
-modules themselves stay plain ``prepare`` / ``compute`` / ``render`` /
-``metrics`` functions; the spec binds them together so the registry, the
-CLI, the scheduler and the cache all consume one table instead of parallel
-dicts that can drift.
+modules themselves stay plain ``prepare`` / ``compute`` / ``metrics``
+functions; the spec binds them together so the registry, the CLI, the
+scheduler and the cache all consume one table instead of parallel dicts
+that can drift.
 
 The stage contract every experiment module implements:
 
@@ -15,18 +15,18 @@ The stage contract every experiment module implements:
     Its output is picklable so the runtime can memoise it on disk.
 ``compute(prepared, **params) -> DomainResult``
     Turns prepared inputs into the experiment's numbers (the module's
-    result dataclass, e.g. ``Figure9Result``).
-``render(result) -> str``
-    The human-readable summary block (delegates to ``result.to_text()``).
+    result dataclass, e.g. ``Figure9Result``), whose ``to_text()`` is the
+    human-readable summary block.
 ``metrics(result) -> dict``
     Flat, JSON-serialisable key numbers for the artifact writer.
-``run(**params) -> DomainResult``
-    Backwards-compatible composition of ``prepare`` + ``compute``.
 
-Stage functions declare only the keyword arguments they consume; the spec
-routes each stage the matching subset of the fully-resolved parameter dict
-(:meth:`ExperimentSpec.stage_params`), so the cache key of the ``prepare``
-stage depends on exactly the parameters that shape the prepared data.
+Stage functions declare only the keyword arguments they consume, and the
+run parameters are exactly those keywords (:attr:`ExperimentSpec.parameters`);
+a parameter both stages declare defaults to the same value in each.  The
+spec routes each stage the matching subset of the fully-resolved parameter
+dict (:meth:`ExperimentSpec.stage_params`), so the cache key of the
+``prepare`` stage depends on exactly the parameters that shape the prepared
+data.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class ExperimentSpec:
         return importlib.import_module(self.module)
 
     def stage(self, stage_name: str) -> Callable:
-        """Resolve one stage callable (``run``/``prepare``/``compute``/...)."""
+        """Resolve one stage callable (``prepare``/``compute``/``metrics``)."""
         module = self._module()
         try:
             return getattr(module, stage_name)
@@ -97,22 +97,29 @@ class ExperimentSpec:
             ) from error
 
     @property
-    def run_callable(self) -> Callable:
-        return self.stage("run")
-
-    @property
     def artifact(self) -> str:
         """Declared artifact file name (relative to the results directory)."""
         return f"{self.name}.json"
 
     @property
-    def signature(self) -> inspect.Signature:
-        return inspect.signature(self.run_callable)
+    def parameters(self) -> dict[str, inspect.Parameter]:
+        """The run parameters: the keywords of ``prepare`` and ``compute``.
+
+        In declaration order, ``prepare``'s first; ``compute``'s
+        ``prepared`` argument is the prepare stage's output, not a parameter.
+        """
+        merged: dict[str, inspect.Parameter] = {}
+        for stage_name in ("prepare", "compute"):
+            signature = inspect.signature(self.stage(stage_name))
+            for name, parameter in signature.parameters.items():
+                if name != "prepared":
+                    merged.setdefault(name, parameter)
+        return merged
 
     @property
     def default_seed(self) -> int:
         """The spec-level seed: the default of the ``seed`` run parameter."""
-        parameter = self.signature.parameters.get(self.seed_param)
+        parameter = self.parameters.get(self.seed_param)
         if parameter is None or parameter.default is inspect.Parameter.empty:
             raise ValueError(
                 f"experiment {self.name!r} does not expose a "
@@ -124,7 +131,7 @@ class ExperimentSpec:
 
     def validate_overrides(self, overrides: Mapping[str, Any]) -> None:
         """Raise a clear ``TypeError`` if an override names no run parameter."""
-        valid = set(self.signature.parameters)
+        valid = set(self.parameters)
         unknown = sorted(set(overrides) - valid)
         if unknown:
             raise TypeError(
@@ -140,7 +147,7 @@ class ExperimentSpec:
     ) -> dict[str, Any]:
         """The full parameter dict a run will execute with.
 
-        Defaults come from the ``run`` signature, the fast overrides are
+        Defaults come from the stage signatures, the fast overrides are
         applied when ``fast`` is requested, and explicit overrides win over
         both.  Unknown override names raise ``TypeError`` (see
         :meth:`validate_overrides`).
@@ -149,7 +156,7 @@ class ExperimentSpec:
         self.validate_overrides(overrides)
         params: dict[str, Any] = {
             name: parameter.default
-            for name, parameter in self.signature.parameters.items()
+            for name, parameter in self.parameters.items()
             if parameter.default is not inspect.Parameter.empty
         }
         if fast:
@@ -174,9 +181,6 @@ class ExperimentSpec:
     def call_compute(self, prepared: Any, params: Mapping[str, Any]) -> Any:
         return self.stage("compute")(prepared, **self.stage_params("compute", params))
 
-    def call_render(self, result: Any) -> str:
-        return self.stage("render")(result)
-
     def call_metrics(self, result: Any) -> dict[str, Any]:
         return dict(self.stage("metrics")(result))
 
@@ -200,7 +204,7 @@ class ExperimentResult:
         The rendered text block (what the CLI prints).
     timings:
         Wall-clock seconds per stage: ``prepare`` / ``compute`` / ``render``
-        / ``total``.
+        (the summary and metrics) / ``total``.
     cache_hit:
         Whether the ``prepare`` stage was served from the artifact cache.
     raw:

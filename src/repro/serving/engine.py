@@ -31,9 +31,12 @@ increments exactly once per dropped chunk -- and dropping a chunk leaves a
 gap in the stream's sample sequence, after which every window spanning the
 gap would be wrong; the engine therefore *closes* the stream (marking it
 shed and discarding its queued candidates) rather than serve corrupt
-windows, so a shed stream never emits another alarm.  Backpressure is
-observable via :meth:`metrics` (queue depth, shed counts, per-tenant alarm
-latency); producers re-open shed streams under a fresh stream id.
+windows, so a shed stream never emits another alarm.  A chunk that
+:func:`~repro.streaming.online.validate_chunk` rejects on an open stream
+leaves the same gap, so it sheds the stream too (and still raises).
+Backpressure is observable via :meth:`metrics` (queue depth, shed counts,
+per-tenant alarm latency); producers re-open shed streams under a fresh
+stream id.
 """
 
 from __future__ import annotations
@@ -183,10 +186,11 @@ class ServingEngine:
         KeyError
             Unknown tenant.
         ValueError
-            Malformed chunk, or a stream id reused after the stream was
-            finalized or evicted -- reuse would let two distinct physical
-            streams alias one alarm history, the double-counting hazard the
-            evaluation helpers also guard against.
+            Malformed chunk (which sheds an open stream), or a stream id
+            reused after the stream was finalized or evicted -- reuse would
+            let two distinct physical streams alias one alarm history, the
+            double-counting hazard the evaluation helpers also guard
+            against.
         """
         entry = self.registry.get(tenant)
         counters = self._tenant_counters(tenant)
@@ -201,7 +205,12 @@ class ServingEngine:
         # Validate before a first push opens the stream, so a rejected
         # chunk leaves no open stream behind.
         n_channels = entry.classifier.n_channels_ if ledger is None else ledger.n_channels
-        chunk = validate_chunk(values, n_channels)
+        try:
+            chunk = validate_chunk(values, n_channels)
+        except ValueError:
+            if ledger is not None:
+                self._shed(ledger)
+            raise
 
         if ledger is None:
             ledger = _StreamLedger(tenant, stream_id, entry, counters)
@@ -213,7 +222,7 @@ class ServingEngine:
         if ledger.shed:
             # The producer has not yet reacted to backpressure; keep
             # dropping, one shed count per chunk.
-            counters.chunks_shed += 1
+            self._shed(ledger)
             return 0
         # Admission: how many windows would this chunk complete?  A
         # saturated stream completes none: it accepts (and counts) samples
@@ -222,11 +231,7 @@ class ServingEngine:
             room = ledger.count + n - ledger.window_length - ledger.next_start
             n_new = room // ledger.stride + 1 if room >= 0 else 0
             if n_new and self._scheduler.depth + n_new > self._scheduler.max_pending:
-                counters.chunks_shed += 1
-                counters.streams_shed += 1
-                counters.streams_open -= 1
-                ledger.shed = True
-                ledger.release()
+                self._shed(ledger)
                 return 0
 
         ledger.append(chunk)
@@ -384,6 +389,21 @@ class ServingEngine:
         if counters is None:
             counters = self._counters[tenant] = TenantCounters(tenant)
         return counters
+
+    @staticmethod
+    def _shed(ledger: _StreamLedger) -> None:
+        """Drop one chunk of ``ledger``'s stream, closing the stream if open.
+
+        A dropped chunk is a gap in the stream's samples, so the stream is
+        closed (see the module docstring); each dropped chunk counts once.
+        """
+        counters = ledger.counters
+        counters.chunks_shed += 1
+        if not ledger.shed:
+            counters.streams_shed += 1
+            counters.streams_open -= 1
+            ledger.shed = True
+            ledger.release()
 
     def _ledger(self, tenant: str, stream_id: object) -> _StreamLedger:
         try:

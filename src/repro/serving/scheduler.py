@@ -74,11 +74,6 @@ class BatchScheduler:
         """Number of candidates currently queued."""
         return len(self._queue)
 
-    @property
-    def would_shed(self) -> bool:
-        """Whether the next admission attempt will be refused."""
-        return len(self._queue) >= self.max_pending
-
     def admit(self, item: PendingCandidate) -> bool:
         """Queue one candidate; ``False`` (and no state change) when full."""
         if len(self._queue) >= self.max_pending:

@@ -580,23 +580,19 @@ class MultiStreamDetector:
     def detect(
         self, streams: Sequence[ComposedStream | np.ndarray]
     ) -> list[list[Alarm]]:
-        """Run every stream through its own session; return per-stream alarms."""
-        expected_ndim = 1 if self.classifier.n_channels_ == 1 else 2
-        arrays = []
-        for stream in streams:
-            values = (
-                stream.values
-                if isinstance(stream, ComposedStream)
-                else np.asarray(stream, dtype=float)
+        """Run every stream through its own session; return per-stream alarms.
+
+        Every stream is checked by :func:`validate_chunk` before any session
+        is fed, so a malformed stream raises ``ValueError`` before any
+        window is classified.
+        """
+        arrays = [
+            validate_chunk(
+                stream.values if isinstance(stream, ComposedStream) else stream,
+                self.classifier.n_channels_,
             )
-            if values.ndim != expected_ndim:
-                raise ValueError(
-                    "stream values must be 1-D"
-                    if expected_ndim == 1
-                    else "stream values must be 2-D (n_samples, n_channels) "
-                    "for a multichannel classifier"
-                )
-            arrays.append(values)
+            for stream in streams
+        ]
         sessions = self.open_sessions(len(arrays))
         longest = max(arr.shape[0] for arr in arrays)
         for offset in range(0, longest, self.chunk_size):

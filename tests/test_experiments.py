@@ -7,9 +7,8 @@ flat -- rather than absolute numbers.
 
 import pytest
 
-from repro.experiments import available_experiments, run_experiment
-from repro.experiments import figure2, figure3, figure5, figure6, figure7, figure8, figure9
-from repro.experiments import appendix_b, figure1, table1
+from repro.classifiers.teaser import TEASERClassifier
+from repro.experiments import appendix_b, available_experiments, run_experiment
 from repro.experiments.registry import SPECS
 
 
@@ -36,7 +35,7 @@ class TestRegistry:
 
 class TestFigure1:
     def test_ucr_format_properties(self):
-        result = figure1.run(n_per_class=8)
+        result = run_experiment("figure1", n_per_class=8)
         assert result.series_length == 150
         assert result.class_counts == {"cat": 8, "dog": 8}
         # "carefully aligned": within-class traces are strongly correlated.
@@ -48,7 +47,7 @@ class TestFigure1:
 
 class TestFigure2:
     def test_sentence_produces_false_positives_in_both_classes(self):
-        result = figure2.run(n_per_class=10)
+        result = run_experiment("figure2", n_per_class=10)
         # The paper's six prefix confounders all fire, three per class.
         assert result.confounder_false_positives >= 5
         assert result.false_positives_total >= result.confounder_false_positives
@@ -56,7 +55,7 @@ class TestFigure2:
         assert "false positives" in result.to_text()
 
     def test_triggers_happen_early(self):
-        result = figure2.run(n_per_class=10)
+        result = run_experiment("figure2", n_per_class=10)
         confounder_outcomes = [o for o in result.outcomes if o.is_prefix_confounder and o.triggered]
         assert confounder_outcomes
         for outcome in confounder_outcomes:
@@ -65,7 +64,7 @@ class TestFigure2:
 
 class TestFigure3:
     def test_both_models_trigger_early_and_correctly(self):
-        result = figure3.run(n_train_per_class=20, n_test_per_class=25)
+        result = run_experiment("figure3", n_train_per_class=20, n_test_per_class=25)
         assert len(result.traces) == 2
         for trace in result.traces:
             assert trace.correct
@@ -77,8 +76,12 @@ class TestFigure3:
 
 class TestFigure5:
     def test_homophones_found_in_nongesture_corpora(self):
-        result = figure5.run(
-            eog_points=60_000, random_walk_points=2 ** 17, epg_points=60_000, n_queries=2
+        result = run_experiment(
+            "figure5",
+            eog_points=60_000,
+            random_walk_points=2 ** 17,
+            epg_points=60_000,
+            n_queries=2,
         )
         assert result.analysis.fraction_with_closer_homophone >= 0.5
         assert len(result.analysis.queries) == 2
@@ -88,7 +91,7 @@ class TestFigure5:
 
 class TestFigure6:
     def test_only_the_raw_prefix_condition_collapses(self):
-        result = figure6.run(n_train_per_class=20, n_test_per_class=30)
+        result = run_experiment("figure6", n_train_per_class=20, n_test_per_class=30)
         # Full-length re-normalising 1-NN: identical on both test sets.
         assert result.full_length_clean == pytest.approx(result.full_length_denormalized)
         # Honest prefix re-normalisation: also identical.
@@ -101,7 +104,7 @@ class TestFigure6:
 
 class TestFigure7:
     def test_acquisition_artefacts_dominate_physiology(self):
-        result = figure7.run(duration_seconds=12.0)
+        result = run_experiment("figure7", duration_seconds=12.0)
         assert result.n_beats >= 8
         assert result.lead1_mean_range > 3 * result.clean_mean_range
         assert result.lead2_std_range > 1.5 * result.clean_std_range
@@ -109,7 +112,7 @@ class TestFigure7:
 
 class TestFigure8:
     def test_truncated_template_statistically_equivalent(self):
-        result = figure8.run(n_points=150_000)
+        result = run_experiment("figure8", n_points=150_000)
         assert result.n_dustbathing_bouts >= 5
         assert result.full.recall >= 0.9
         assert result.truncated.recall >= 0.9
@@ -120,7 +123,9 @@ class TestFigure8:
 
 class TestFigure9:
     def test_prefix_curve_shape(self):
-        result = figure9.run(n_train_per_class=20, n_test_per_class=30, step=5)
+        result = run_experiment(
+            "figure9", n_train_per_class=20, n_test_per_class=30, step=5
+        )
         # A prefix of roughly a third of the exemplar matches full accuracy...
         assert result.fraction_needed <= 0.5
         # ...and the best prefix is not the full exemplar.
@@ -133,7 +138,10 @@ class TestFigure9:
 class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
-        return table1.run(n_train_per_class=15, n_test_per_class=20, fast=True)
+        # The spec's fast overrides set table1's own ``fast`` flag.
+        return run_experiment(
+            "table1", fast=True, n_train_per_class=15, n_test_per_class=20
+        )
 
     def test_all_six_algorithms_present(self, result):
         names = [audit.algorithm for audit in result.audits]
@@ -163,18 +171,14 @@ class TestTable1:
 
 class TestAppendixB:
     def test_streaming_deployment_is_dominated_by_false_positives(self):
-        result = appendix_b.run(n_events=8, gap_range=(800, 2000), stride=20)
+        result = run_experiment("appendix_b", n_events=8, gap_range=(800, 2000), stride=20)
         evaluation = result.evaluation
         assert evaluation.false_positives > evaluation.true_positives
         assert not result.cost_criterion.passed
         assert "loses money" in result.to_text()
 
-    def test_prepare_can_skip_the_default_fit_for_custom_classifiers(self):
-        # run(classifier=...) avoids the TEASER fit entirely; compute then
-        # insists a classifier is supplied.
-        prepared = appendix_b.prepare(
-            n_events=2, gap_range=(200, 400), seed=1, fit_default=False
-        )
-        assert prepared.default_classifier is None
-        with pytest.raises(ValueError, match="no classifier supplied"):
-            appendix_b.compute(prepared, n_events=2)
+    def test_a_supplied_classifier_must_already_be_fitted(self):
+        prepared = appendix_b.prepare(n_events=2, gap_range=(200, 400), seed=1)
+        assert prepared.default_classifier.is_fitted
+        with pytest.raises(ValueError, match="must already be fitted"):
+            appendix_b.compute(prepared, n_events=2, classifier=TEASERClassifier())

@@ -1,7 +1,6 @@
 """Tests for the experiments command-line interface and result rendering."""
 
 import importlib
-import inspect
 import json
 import re
 
@@ -104,7 +103,7 @@ class TestCLI:
 
 
 class TestRegistry:
-    """Pin every spec's fast path to its experiment's ``run`` signature.
+    """Pin every spec's fast path to its experiment's stage parameters.
 
     ``run_experiment(..., fast=True)`` silently falls back to the full-scale
     workload when a spec has no fast overrides, so renaming an experiment
@@ -115,19 +114,22 @@ class TestRegistry:
     def test_every_experiment_has_a_fast_path(self):
         assert [name for name, spec in SPECS.items() if not spec.fast_overrides] == []
 
-    def test_specs_bind_each_name_to_its_module_run(self):
+    def test_specs_bind_each_name_to_its_module_stages(self):
         for name, spec in SPECS.items():
             assert spec.name == name
             assert spec.module == f"repro.experiments.{name}"
-            assert spec.run_callable is importlib.import_module(spec.module).run
+            module = importlib.import_module(spec.module)
+            for stage in ("prepare", "compute", "metrics"):
+                assert spec.stage(stage) is getattr(module, stage)
+            assert not hasattr(module, "run") and not hasattr(module, "render")
 
-    def test_fast_overrides_match_run_signatures(self):
+    def test_fast_overrides_match_stage_parameters(self):
         for name, spec in SPECS.items():
-            parameters = inspect.signature(spec.run_callable).parameters
-            unknown = set(spec.fast_overrides) - set(parameters)
+            unknown = set(spec.fast_overrides) - set(spec.parameters)
             assert not unknown, (
                 f"SPECS[{name!r}].fast_overrides names arguments "
-                f"{sorted(unknown)} that {spec.module}.run does not accept"
+                f"{sorted(unknown)} that neither {spec.module}.prepare nor "
+                "its compute accepts"
             )
 
 

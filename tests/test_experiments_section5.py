@@ -3,13 +3,13 @@
 import pytest
 
 from repro.classifiers import CostAwareEarlyClassifier, ECDIREClassifier, TEASERClassifier
-from repro.experiments import run_experiment, section5_padding, table1
+from repro.experiments import run_experiment
 
 
 class TestSection5Padding:
     @pytest.fixture(scope="class")
     def result(self):
-        return section5_padding.run(n_per_class=15)
+        return run_experiment("section5_padding", n_per_class=15)
 
     def test_both_dataset_families_compared(self, result):
         names = {c.dataset_name for c in result.comparisons}
@@ -38,7 +38,8 @@ class TestExtendedAlgorithmFamily:
     def test_table1_accepts_additional_algorithms(self, gunpoint_medium):
         # The Table 1 machinery is reusable for any early classifier; run it
         # with the extended family (TEASER, ECDIRE, cost-aware) at small scale.
-        result = table1.run(
+        result = run_experiment(
+            "table1",
             n_train_per_class=12,
             n_test_per_class=15,
             algorithms={

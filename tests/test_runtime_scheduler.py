@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.experiments.registry import SPECS, get_spec
@@ -13,18 +15,46 @@ from repro.runtime.scheduler import execute_spec, run_experiments
 CHEAP = "figure1"
 CHEAP_OVERRIDES = {"n_per_class": 4}
 
+#: The run parameters that both stages of an experiment declare.
+SHARED_PARAMETERS = {
+    "figure2": {"length", "seed"},
+    "figure3": {"threshold"},
+    "figure5": {"seed"},
+    "figure7": {"duration_seconds"},
+    "figure9": {"seed"},
+    "appendix_b": {"n_events", "target_label"},
+    "section5_padding": {"pad_fraction", "seed"},
+}
+
 
 class TestSpecTable:
     def test_every_spec_names_its_module_stages(self):
         for spec in SPECS.values():
-            for stage in ("prepare", "compute", "render", "metrics", "run"):
+            for stage in ("prepare", "compute", "metrics"):
                 assert callable(spec.stage(stage)), (spec.name, stage)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_parameters_are_the_stage_keywords_with_one_default(self, name):
+        # The run parameters are exactly the keywords of prepare and compute,
+        # and a keyword both stages declare has one default, so the CLI and
+        # direct stage callers run the same experiment.
+        spec = SPECS[name]
+        prepare = inspect.signature(spec.stage("prepare")).parameters
+        compute = dict(inspect.signature(spec.stage("compute")).parameters)
+        del compute["prepared"]
+        params = spec.resolve_params()
+        assert set(params) == set(prepare) | set(compute)
+        shared = set(prepare) & set(compute)
+        assert shared == SHARED_PARAMETERS.get(name, set())
+        for keyword in shared:
+            assert prepare[keyword].default == compute[keyword].default, keyword
+            assert params[keyword] == prepare[keyword].default, keyword
 
     def test_every_spec_exposes_a_default_seed(self):
         for spec in SPECS.values():
             assert isinstance(spec.default_seed, int), spec.name
 
-    def test_fast_overrides_resolve_against_run_signature(self):
+    def test_fast_overrides_resolve_against_stage_parameters(self):
         for spec in SPECS.values():
             params = spec.resolve_params(fast=True)
             assert set(spec.fast_overrides) <= set(params), spec.name
@@ -126,14 +156,16 @@ class TestExecuteSpec:
         def prepare(knob=None, seed=0):
             return {"knob": knob, "seed": seed}
 
+        class Result(dict):
+            def to_text(self):
+                return "fake summary"
+
         def compute(prepared):
-            return prepared
+            return Result(prepared)
 
         module.prepare = prepare
         module.compute = compute
-        module.render = lambda result: "fake summary"
         module.metrics = lambda result: {"seed": result["seed"]}
-        module.run = lambda knob=None, seed=0: compute(prepare(knob=knob, seed=seed))
         monkeypatch.setitem(sys.modules, module.__name__, module)
 
         from repro.runtime.spec import ExperimentSpec

@@ -453,6 +453,33 @@ def test_shed_streams_never_emit_stale_alarms(threshold_classifier, tiny_two_cla
     assert engine.finalize_stream("t", "s") == []
 
 
+def test_rejected_chunk_sheds_an_open_stream(threshold_classifier, tiny_two_class):
+    """A rejected chunk is a gap: the stream closes instead of splicing over it."""
+    series, _ = tiny_two_class
+    config = TenantConfig(stride=5, normalization="none")
+    registry = ModelRegistry()
+    registry.register("t", threshold_classifier, config)
+    engine = ServingEngine(registry)
+    values = np.tile(series[0], 6)
+    first, rejected, last = values[:100], values[100:150].copy(), values[150:]
+    rejected[7] = np.nan
+
+    assert engine.push("t", "s", first) == 100
+    engine.flush()
+    with pytest.raises(ValueError, match="non-finite"):
+        engine.push("t", "s", rejected)
+    assert engine.push("t", "s", last) == 0
+    engine.flush()
+    reference = _session_reference(
+        threshold_classifier, first, config.resolve(threshold_classifier)
+    )
+    assert reference
+    assert_alarms_equivalent(reference, engine.alarms("t", "s"))
+    snapshot = engine.metrics()
+    assert (snapshot.streams_shed, snapshot.chunks_shed) == (1, 2)
+    assert snapshot.streams_open == 0
+
+
 def test_metrics_snapshot_is_consistent_mid_flight(threshold_classifier):
     """A snapshot taken between pushes satisfies the accounting identity."""
     registry = ModelRegistry()

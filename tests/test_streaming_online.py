@@ -19,6 +19,7 @@ from repro.classifiers.ects import ECTSClassifier
 from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.stream import StreamComposer
+from repro.data.ucr_like import make_multichannel_cbf_dataset
 from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.metrics import evaluate_alarms, merge_evaluations
 from repro.streaming.online import MultiStreamDetector, StreamingSession
@@ -287,6 +288,32 @@ class TestMultiStream:
         assert merged.stream_length == 2 * len(annotated_stream)
         assert merged.precision == pytest.approx(single.precision)
         assert merged.recall == pytest.approx(single.recall)
+
+    @pytest.mark.parametrize("defect", ["non-finite sample", "channel count"])
+    def test_malformed_stream_raises_before_any_session_is_fed(
+        self, defect, monkeypatch
+    ):
+        dataset = make_multichannel_cbf_dataset(n_per_class=6, length=40, n_channels=3)
+        model = ProbabilityThresholdClassifier(min_length=6, checkpoint_step=2)
+        model.fit(dataset.series, dataset.labels)
+        rng = np.random.default_rng(0)
+        streams = [rng.normal(size=(2_000, 3)) for _ in range(3)]
+        if defect == "non-finite sample":
+            streams[-1][-1, 0] = np.nan
+        else:
+            streams[-1] = streams[-1][:, :2]
+        calls = []
+        extend = StreamingSession.extend
+
+        def counting_extend(session, values):
+            calls.append(len(values))
+            return extend(session, values)
+
+        monkeypatch.setattr(StreamingSession, "extend", counting_extend)
+        fleet = MultiStreamDetector(model, stride=5, chunk_size=256)
+        with pytest.raises(ValueError):
+            fleet.detect(streams)
+        assert calls == []
 
     def test_merge_requires_input(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,10 @@ keeps them honest by
 * checking that every relative file/directory link target exists;
 * resolving every dotted ``repro.*`` reference in the docstrings and
   comments of ``src/repro/**/*.py``, so deleting a function cannot leave a
-  stale cross-reference to it behind.
+  stale cross-reference to it behind;
+* checking that every ``*.md`` file named in the documents, or in those
+  docstrings and comments, exists relative to the repository root or to
+  the directory of the file naming it.
 
 Run via ``make docs-check`` (or directly: ``PYTHONPATH=src python
 tools/docs_check.py``).  Exits non-zero listing every stale reference.
@@ -39,6 +42,8 @@ MODULE_PATTERN = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+\b")
 PYTHON_M_PATTERN = re.compile(r"python\s+-m\s+([A-Za-z_][A-Za-z0-9_.]*)")
 #: Markdown links to repo-relative files: [text](path) without a scheme.
 LINK_PATTERN = re.compile(r"\[[^\]]+\]\((?!https?://|#)([^)#\s]+)\)")
+#: Markdown file names (``ROADMAP.md``, ``../README.md``), outside URLs.
+MARKDOWN_PATTERN = re.compile(r"(?<![\w./:-])[\w./-]+\.md\b")
 
 
 def _module_candidates(text: str) -> set[str]:
@@ -48,8 +53,9 @@ def _module_candidates(text: str) -> set[str]:
 
 
 def _importable(dotted: str) -> bool:
-    # A dotted reference may end in an attribute (repro.experiments.figure9.run
-    # or repro.distance.engine.PrefixDistanceEngine): walk prefixes from the
+    # A dotted reference may end in an attribute
+    # (repro.experiments.figure9.compute or
+    # repro.distance.engine.PrefixDistanceEngine): walk prefixes from the
     # longest and accept if some prefix imports and the remainder resolves as
     # attributes.
     parts = dotted.split(".")
@@ -67,6 +73,15 @@ def _importable(dotted: str) -> bool:
             return False
         return True
     return False
+
+
+def _missing_markdown(text: str, path: pathlib.Path) -> list[str]:
+    """The ``*.md`` names in ``text`` missing from the root and ``path``'s directory."""
+    return sorted(
+        name
+        for name in set(MARKDOWN_PATTERN.findall(text))
+        if not (REPO_ROOT / name).exists() and not (path.parent / name).exists()
+    )
 
 
 def check_document(path: pathlib.Path) -> list[str]:
@@ -87,6 +102,10 @@ def check_document(path: pathlib.Path) -> list[str]:
             problems.append(
                 f"{path.relative_to(REPO_ROOT)}: broken link target {target!r}"
             )
+    for name in _missing_markdown(text, path):
+        problems.append(
+            f"{path.relative_to(REPO_ROOT)}: names non-existent file {name!r}"
+        )
     return problems
 
 
@@ -108,14 +127,19 @@ def _docstrings_and_comments(source: str) -> str:
 
 
 def check_source(path: pathlib.Path) -> list[str]:
-    """Return the dangling ``repro.*`` references in one module's docstrings and comments."""
+    """Return the dangling references in one module's docstrings and comments."""
     text = _docstrings_and_comments(path.read_text())
-    return [
-        f"{path.relative_to(REPO_ROOT)}: docstring or comment references "
-        f"non-existent module or attribute {dotted!r}"
+    where = f"{path.relative_to(REPO_ROOT)}: docstring or comment"
+    problems = [
+        f"{where} references non-existent module or attribute {dotted!r}"
         for dotted in sorted(set(MODULE_PATTERN.findall(text)))
         if not _importable(dotted)
     ]
+    problems.extend(
+        f"{where} names non-existent file {name!r}"
+        for name in _missing_markdown(text, path)
+    )
+    return problems
 
 
 def main() -> int:
