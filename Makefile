@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke batch-check fit-check serve-check dist-check sweep-check mv-check docs-check quickstart experiments results check-artifacts all
+.PHONY: test bench bench-report bench-smoke batch-check fit-check serve-check sweep-check mv-check docs-check quickstart experiments results check-artifacts all
 
 ## tier-1 gate: unit/property/integration tests + benchmark harness
 test:
@@ -38,9 +38,9 @@ batch-check:
 
 ## training-engine drift gate: fit-kernel equivalence suite (exact ECTS
 ## MPLs/supports, exact EDSC shapelet selection, EDSC-KDE coarse-to-fine
-## threshold search identical to the full-grid oracle in tests/oracles/edsc.py,
-## bit-identical DTW wavefront) plus the >= 5x fit speedup benchmarks and
-## the KDE search's <= 25% grid-share gate (run by CI on every push)
+## threshold search identical to the full-grid oracle in tests/oracles/edsc.py)
+## plus the >= 5x fit speedup benchmarks and the KDE search's <= 25%
+## grid-share gate (run by CI on every push)
 fit-check:
 	$(PYTHON) -m pytest tests/test_training_kernels.py benchmarks/test_bench_fit.py -q
 
@@ -54,14 +54,6 @@ fit-check:
 serve-check:
 	$(PYTHON) -m pytest tests/test_serving.py benchmarks/test_bench_serving.py -q
 
-## DTW search drift gate: the UCR-suite cascade (LB_Kim -> LB_Keogh ->
-## early-abandoning banded DP) must stay bit-identical to the dense wavefront
-## oracle in tests/oracles across band specs, unequal lengths and k, and keep
-## its >= 5x win on the Table-1-scale DTW 1-NN benchmark (run by CI on every
-## push)
-dist-check:
-	$(PYTHON) -m pytest tests/test_dtw_search.py benchmarks/test_bench_dtw_prune.py -q
-
 ## out-of-core/resume drift gate: memory-budget chunking must stay
 ## bit-identical, the sharded format must round-trip + verify, the work-queue
 ## scheduler must survive worker death, and the 104-dataset sweep benchmark
@@ -73,9 +65,9 @@ sweep-check:
 ## multichannel drift gate: (n, L, 1) tensors must stay bit-identical to the
 ## legacy (n, L) layout (so every d=1 golden summary is byte-stable), every
 ## d > 1 kernel must match its naive per-channel Python-loop reference to
-## <= 1e-10 (the DTW k-NN search its dense oracle), and the vectorised
-## channel-summed kernel must keep its >= 5x win over the per-channel loop on
-## the 6-axis Table-1-scale fit/predict workload (run by CI on every push)
+## <= 1e-10, and the vectorised channel-summed kernel must keep its >= 5x win
+## over the per-channel loop on the 6-axis Table-1-scale fit/predict workload
+## (run by CI on every push)
 mv-check:
 	$(PYTHON) -m pytest tests/test_multichannel.py tests/test_experiments_golden.py benchmarks/test_bench_multichannel.py -q
 

@@ -5,8 +5,6 @@ the difference, so the benchmark run doubles as a regression test on the
 *reason* the knob exists.
 """
 
-import numpy as np
-
 from repro.classifiers.teaser import TEASERClassifier
 from repro.core.prefix_accuracy import compute_prefix_accuracy_curve
 from repro.data.denormalize import denormalize_dataset

@@ -1,9 +1,9 @@
 """Benchmarks for the vectorised training engine (fit-side kernels).
 
 PR 4 made *prediction* test-set-at-once; these benchmarks gate the same
-treatment of *training*.  Three hot paths were rewritten as array kernels,
-each keeping its original Python-loop implementation as the semantic
-reference:
+treatment of *training*.  The ECTS and EDSC fits were rewritten as array
+kernels, each keeping its original Python-loop implementation as the
+semantic reference:
 
 * **ECTS** -- MPLs and supports from a ``(n_lengths, n)`` nearest-index
   matrix (dense cumulative-sum pass or copy-free incremental sweep) instead
@@ -25,12 +25,9 @@ reference:
   the 8 threshold calls of one Table 1 fit: identical thresholds to the
   per-candidate oracle, and at most a quarter of the full grid's ``ndtr``
   evaluations.
-* **DTW** -- the anti-diagonal wavefront DP and its batched
-  ``dtw_pairwise_distances`` entry point against the scalar per-pair
-  recurrence.
 
 Every comparison asserts output equivalence (exact for MPLs/supports,
-thresholds and shapelet selection, <= 1e-10 for DTW) before asserting speed:
+thresholds and shapelet selection) before asserting speed:
 a fast kernel that drifts is a failure, not a win.  The reference loops are
 the oracles in ``tests/oracles/``.
 """
@@ -46,11 +43,8 @@ import repro.classifiers.edsc as edsc_module
 from repro.classifiers.ects import ECTSClassifier
 from repro.classifiers.edsc import EDSCClassifier, _best_match_distances
 from repro.data.gunpoint import GunPointGenerator
-from repro.distance.dtw import _resolve_band
-from repro.distance.engine import dtw_pairwise_distances
 from repro.experiments import table1
 
-from oracles.dtw import accumulated_cost_reference
 from oracles.ects import fit_reference as ects_fit_reference
 from oracles.edsc import fit_reference, learn_threshold, score_candidate
 
@@ -366,49 +360,4 @@ def test_bench_edsc_kde_threshold_search(
     assert share <= MAX_KDE_GRID_SHARE, (
         f"the KDE search evaluated {share:.3f} of the full grid "
         f"({evaluations} of {full_grid} ndtr calls), allowed {MAX_KDE_GRID_SHARE}"
-    )
-
-
-def test_bench_dtw_pairwise_speedup(run_once):
-    """Batched wavefront DTW vs one scalar dynamic program per pair.
-
-    The baseline runs the scalar double-loop oracle from ``tests/oracles``
-    (``dtw_distance`` itself now rides the wavefront kernel, so timing it
-    would only measure batch amortisation, not the DP rewrite).
-    """
-    rng = np.random.default_rng(11)
-    queries = rng.standard_normal((15, TABLE1_LENGTH))
-    train = rng.standard_normal((20, TABLE1_LENGTH))
-    window = 0.1
-    band = _resolve_band(TABLE1_LENGTH, TABLE1_LENGTH, window)
-
-    def reference_pairs():
-        return np.array(
-            [
-                [
-                    np.sqrt(
-                        accumulated_cost_reference(q, t, band)[
-                            TABLE1_LENGTH, TABLE1_LENGTH
-                        ]
-                    )
-                    for t in train
-                ]
-                for q in queries
-            ]
-        )
-
-    ref_seconds, reference = _best_of(reference_pairs, repeats=1)
-    new_seconds, batched = _best_of(
-        lambda: dtw_pairwise_distances(queries, train, window=window)
-    )
-    run_once(dtw_pairwise_distances, queries, train, window=window)
-
-    np.testing.assert_allclose(batched, reference, atol=1e-10)
-
-    speedup = ref_seconds / new_seconds
-    assert speedup >= REQUIRED_SPEEDUP, (
-        f"expected >= {REQUIRED_SPEEDUP:.0f}x on a "
-        f"{queries.shape[0]}x{train.shape[0]} banded DTW batch, measured "
-        f"{speedup:.1f}x (per-pair {ref_seconds * 1e3:.0f} ms, wavefront "
-        f"{new_seconds * 1e3:.1f} ms)"
     )

@@ -13,17 +13,21 @@ pinned on a synthetic 100+-dataset archive:
 2. **Crash resume.**  A sweep SIGKILLed mid-flight (after ~85% of tasks)
    must restart cleanly from its run manifest: only unfinished work is
    re-executed, completed artifacts stay byte-identical (and untouched on
-   disk), and the warm resume is >= 5x faster than a cold start.
+   disk), and the warm resume is >= 5x faster than a cold start.  A warm
+   resume lasts only ~0.4 s, so cold starts and warm resumes are timed as
+   interleaved pairs, each resume on its own copy of the killed run, and
+   the gate compares the medians.
 
 There is deliberately no reduced "fast" form: the RSS cap only separates
 the loaders when the archive dwarfs allocator noise, and at this scale the
-whole module runs in ~15s.  ``make sweep-check`` runs it as-is.
+whole module runs in ~20s.  ``make sweep-check`` runs it as-is.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -48,6 +52,8 @@ RSS_HEADROOM_FRACTION = 0.5
 #: Kill the sweep once this fraction of tasks is done.
 KILL_FRACTION = 0.85
 REQUIRED_RESUME_SPEEDUP = 5.0
+#: Interleaved cold-start/warm-resume pairs behind the resume gate's medians.
+RESUME_PAIRS = 3
 
 
 def _cli_env() -> dict:
@@ -57,6 +63,15 @@ def _cli_env() -> dict:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return env
+
+
+def _artifact_snapshot(run_dir: Path, names=None) -> dict:
+    """``{file name: (sha256, mtime_ns)}`` of a run's written artifacts."""
+    return {
+        path.name: (file_sha256(path), path.stat().st_mtime_ns)
+        for path in (run_dir / "artifacts").iterdir()
+        if not path.name.startswith(".") and (names is None or path.name in names)
+    }
 
 
 def _run_cli(*argv: str) -> dict:
@@ -158,7 +173,7 @@ def test_sweep_stays_under_rss_cap_the_dense_loader_violates(
 
 
 def test_killed_sweep_resumes_without_redoing_finished_work(
-    archive, tmp_path_factory
+    archive, tmp_path_factory, interleaved_medians, bench_metrics
 ):
     directories, _ = archive
     archive_root = str(directories[0].parent)
@@ -211,40 +226,58 @@ def test_killed_sweep_resumes_without_redoing_finished_work(
     counts = manifest.counts()
     done_at_kill = counts["done"]
     assert threshold <= done_at_kill < N_DATASETS, counts
-    finished_before = {
-        path.name: (file_sha256(path), path.stat().st_mtime_ns)
-        for path in (killed_dir / "artifacts").iterdir()
-        if not path.name.startswith(".")
-    }
+    # 2. Before any timing, copy the killed run once per pair, so every warm
+    #    resume starts from the same killed state in a directory of its own.
+    copies_root = Path(tmp_path_factory.mktemp("warm-runs"))
+    warm_dirs = []
+    for pair in range(RESUME_PAIRS):
+        warm_dirs.append(copies_root / f"pair-{pair}")
+        shutil.copytree(killed_dir, warm_dirs[-1])
+    finished_before = [_artifact_snapshot(warm_dir) for warm_dir in warm_dirs]
+    cold_dirs = [tmp_path_factory.mktemp("cold-run") for _ in range(RESUME_PAIRS)]
 
-    # 2. Cold reference: the same sweep from scratch, in-process.
-    cold_started = time.perf_counter()
-    cold = run_sweep(directories, tmp_path_factory.mktemp("cold-run"), retries=0)
-    cold_elapsed = time.perf_counter() - cold_started
-    assert cold["done"] == N_DATASETS and cold["failed"] == 0
+    # 3. Alternate a cold start of the same sweep (in-process, in a fresh
+    #    directory) with a warm resume of one copy (only unfinished tasks
+    #    execute), and compare the medians.
+    cold_runs, warm_runs = iter(cold_dirs), iter(warm_dirs)
+    cold_summaries, warm_summaries = [], []
 
-    # 3. Warm resume of the killed run: only unfinished tasks execute.
-    warm_started = time.perf_counter()
-    warm = run_sweep(directories, killed_dir, resume=True, retries=0)
-    warm_elapsed = time.perf_counter() - warm_started
-    assert warm["done"] == N_DATASETS and warm["failed"] == 0
-    assert warm["executed"] == N_DATASETS - done_at_kill
-    assert warm["skipped"] == done_at_kill
+    def cold():
+        cold_summaries.append(run_sweep(directories, next(cold_runs), retries=0))
+
+    def warm():
+        warm_summaries.append(
+            run_sweep(directories, next(warm_runs), resume=True, retries=0)
+        )
+
+    cold_elapsed, warm_elapsed, _, _ = interleaved_medians(
+        cold, warm, pairs=RESUME_PAIRS
+    )
+    for cold_summary in cold_summaries:
+        assert cold_summary["done"] == N_DATASETS and cold_summary["failed"] == 0
+    for warm_summary in warm_summaries:
+        assert warm_summary["done"] == N_DATASETS and warm_summary["failed"] == 0
+        assert warm_summary["executed"] == N_DATASETS - done_at_kill
+        assert warm_summary["skipped"] == done_at_kill
 
     # Completed artifacts were not rewritten, not even touched.
-    finished_after = {
-        path.name: (file_sha256(path), path.stat().st_mtime_ns)
-        for path in (killed_dir / "artifacts").iterdir()
-        if path.name in finished_before
-    }
-    assert finished_after == finished_before
+    for warm_dir, before in zip(warm_dirs, finished_before):
+        assert _artifact_snapshot(warm_dir, before) == before
 
     speedup = cold_elapsed / warm_elapsed
+    bench_metrics.update(
+        cold_median_s=cold_elapsed,
+        warm_median_s=warm_elapsed,
+        resume_speedup=speedup,
+        pairs=RESUME_PAIRS,
+    )
     print(
-        f"\n[resume] killed at {done_at_kill}/{N_DATASETS} done; cold "
-        f"{cold_elapsed:.2f}s, warm {warm_elapsed:.2f}s -> {speedup:.1f}x"
+        f"\n[resume] killed at {done_at_kill}/{N_DATASETS} done; median of "
+        f"{RESUME_PAIRS} pairs: cold {cold_elapsed:.2f}s, warm "
+        f"{warm_elapsed:.2f}s -> {speedup:.1f}x"
     )
     assert speedup >= REQUIRED_RESUME_SPEEDUP, (
         f"warm resume only {speedup:.1f}x faster than cold "
-        f"(required {REQUIRED_RESUME_SPEEDUP:.0f}x)"
+        f"(median of {RESUME_PAIRS} pairs, required "
+        f"{REQUIRED_RESUME_SPEEDUP:.0f}x)"
     )

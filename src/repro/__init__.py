@@ -5,7 +5,7 @@
 The package is organised in layers (see docs/ARCHITECTURE.md for the full
 inventory):
 
-* :mod:`repro.distance` -- z-normalisation, Euclidean/DTW distances, sliding
+* :mod:`repro.distance` -- z-normalisation, Euclidean distances, sliding
   distance profiles, nearest-neighbour classifiers.
 * :mod:`repro.data` -- synthetic stand-ins for the datasets the paper draws
   its evidence from (GunPoint, spoken words, ECG, chicken accelerometer, EOG,
@@ -14,9 +14,9 @@ inventory):
   critiques (ECTS, RelaxedECTS, EDSC-CHE/KDE, Reliable/LDG, TEASER, a generic
   probability-threshold model) and plain-classification baselines.
 * :mod:`repro.streaming` -- running an early classifier over a stream: the
-  online multi-stream detection engine (completed candidate windows
-  classified in batches, batched causal normalisation), alarm/ground-truth
-  matching, false positive accounting and the Appendix B cost model.
+  online detection engine (completed candidate windows classified in
+  batches, batched causal normalisation), alarm/ground-truth matching,
+  false positive accounting and the Appendix B cost model.
 * :mod:`repro.evaluation` -- accuracy/earliness metrics and significance
   tests for the offline (UCR-style) experiments.
 * :mod:`repro.core` -- the paper's actual contribution: the meaningfulness
@@ -34,11 +34,9 @@ inventory):
 """
 
 from repro._version import __version__
-from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.engine import (
     PrefixDistanceEngine,
     batch_prefix_distances,
-    dtw_pairwise_distances,
     pairwise_prefix_distances,
 )
 
@@ -50,7 +48,5 @@ __all__ = [
     "__version__",
     "PrefixDistanceEngine",
     "batch_prefix_distances",
-    "dtw_nearest_neighbors",
-    "dtw_pairwise_distances",
     "pairwise_prefix_distances",
 ]

@@ -201,19 +201,6 @@ class EDSCClassifier(BaseEarlyClassifier):
         Smallest prefix length at which prediction is attempted.
     random_state:
         Seed of the candidate subsampler.
-    prune_candidates:
-        If ``True``, drop every candidate window that contains no local
-        extremum of its source exemplar before the (quadratic) best-match
-        GEMM runs -- flat windows carry no discriminative shape, so shapelet
-        miners routinely anchor candidates at local extrema.  Off by
-        default: pruning changes which candidates are mined (the golden
-        experiment summaries pin the unpruned behaviour), and the batched
-        and reference paths apply the identical mask *before* the per-class
-        subsample, so their equivalence holds with the flag either way.
-    prune_order:
-        Neighbourhood half-width (in samples) a point must dominate to count
-        as a local extremum for ``prune_candidates``
-        (:func:`scipy.signal.argrelmax` / ``argrelmin`` ``order``).
     """
 
     def __init__(
@@ -226,8 +213,6 @@ class EDSCClassifier(BaseEarlyClassifier):
         max_candidates_per_class: int = 300,
         min_length: int = 5,
         random_state: int = 13,
-        prune_candidates: bool = False,
-        prune_order: int = 3,
     ) -> None:
         super().__init__()
         method = threshold_method.lower()
@@ -245,8 +230,6 @@ class EDSCClassifier(BaseEarlyClassifier):
             raise ValueError("position_step must be >= 1")
         if max_candidates_per_class < 1:
             raise ValueError("max_candidates_per_class must be >= 1")
-        if prune_order < 1:
-            raise ValueError("prune_order must be >= 1")
         self.threshold_method = method
         self.chebyshev_k = chebyshev_k
         self.target_precision = target_precision
@@ -255,8 +238,6 @@ class EDSCClassifier(BaseEarlyClassifier):
         self.max_candidates_per_class = max_candidates_per_class
         self.min_length = min_length
         self.random_state = random_state
-        self.prune_candidates = prune_candidates
-        self.prune_order = prune_order
         self.shapelets_: list[Shapelet] = []
         self._fallback_label = None
 
@@ -300,35 +281,6 @@ class EDSCClassifier(BaseEarlyClassifier):
     def _candidate_positions(self, length: int, window: int) -> np.ndarray:
         return np.arange(0, length - window + 1, self.position_step)
 
-    def _extrema_keep_mask(
-        self,
-        data: np.ndarray,
-        source_index: np.ndarray,
-        source_position: np.ndarray,
-        window: int,
-    ) -> np.ndarray:
-        """Which candidate windows contain a local extremum of their exemplar.
-
-        One shared extrema pass per training matrix: mark every local
-        maximum/minimum (``order=prune_order``), cumulative-sum the marks
-        along time, and answer each window ``[p, p + window)`` with one
-        subtraction.  Used by both the batched and the reference extraction
-        paths so the flag cannot make them diverge.  On multichannel data a
-        time step counts as an extremum when *any* channel has one there.
-        """
-        from scipy.signal import argrelmax, argrelmin
-
-        extrema = np.zeros(data.shape[:2], dtype=bool)
-        for finder in (argrelmax, argrelmin):
-            where = finder(data, axis=1, order=self.prune_order)
-            extrema[where[0], where[1]] = True
-        counts = np.zeros((data.shape[0], data.shape[1] + 1), dtype=np.intp)
-        counts[:, 1:] = np.cumsum(extrema, axis=1)
-        return (
-            counts[source_index, source_position + window]
-            - counts[source_index, source_position]
-        ) > 0
-
     def _evaluate_candidates_of_length(
         self,
         data: np.ndarray,
@@ -353,9 +305,6 @@ class EDSCClassifier(BaseEarlyClassifier):
         matrix, cand_labels, src_index, src_position = self._extract_candidates(
             data, labels, window, rng
         )
-        if matrix.shape[0] == 0:
-            # Extrema pruning can empty a length's pool on featureless data.
-            return []
         distances, match_ends = _best_match_distances(matrix, data)
         thresholds = self._learn_thresholds_batch(
             distances, cand_labels, src_index, labels
@@ -399,15 +348,6 @@ class EDSCClassifier(BaseEarlyClassifier):
         src_index = np.repeat(np.arange(n_series), positions.shape[0])
         src_position = np.tile(positions, n_series)
         cand_labels = labels[src_index]
-
-        if self.prune_candidates:
-            # Applied before the subsample so the RNG sees the same candidate
-            # pool as the reference loop with the flag on.
-            mask = self._extrema_keep_mask(data, src_index, src_position, window)
-            matrix = matrix[mask]
-            cand_labels = cand_labels[mask]
-            src_index = src_index[mask]
-            src_position = src_position[mask]
 
         # Subsample per class to keep the quadratic matching step bounded.
         keep: list[int] = []

@@ -39,7 +39,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 

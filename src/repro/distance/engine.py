@@ -45,12 +45,6 @@ Four entry points:
   (:meth:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier.predict_prefixes`)
   and the archive sweep (:mod:`repro.runtime.sweep`) are built on it.
 
-For DTW, :func:`dtw_pairwise_distances` is the batch entry point: every
-(query, train) pair of a test set rides one shared anti-diagonal wavefront
-DP, so DTW sits on the same engine surface as the Euclidean kernels.  DTW
-k-NN search, which prunes most pairs before the dynamic program, lives in
-:mod:`repro.distance.dtw_search`.
-
 Multichannel series are first-class.  A training set may be 3-D
 ``(n_train, L, d)`` (axis 0 = series, axis 1 = time, axis 2 = channel) and
 every kernel then returns *channel-summed* squared distances.  For the
@@ -60,8 +54,7 @@ prefix distance at time ``t`` equals the flat prefix distance at flat index
 cumulative sums accumulate exactly the same terms in the same order -- so
 the engines flatten internally and keep all public lengths in **time**
 units.  For ``d == 1`` the flattening is a no-op and every code path is the
-historical one, bit for bit.  DTW kernels instead build dependent
-(channel-summed) per-cell costs feeding the unchanged wavefront.
+historical one, bit for bit.
 """
 
 from __future__ import annotations
@@ -70,14 +63,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.distance.dtw import _resolve_band, _wavefront_accumulated_cost
 from repro.memory import get_memory_budget
 
 __all__ = [
     "PrefixDistanceEngine",
     "PrefixSweep",
     "batch_prefix_distances",
-    "dtw_pairwise_distances",
     "iter_prefix_distances",
     "pairwise_prefix_distances",
 ]
@@ -560,89 +551,6 @@ def batch_prefix_distances(
         out[:, start:stop, :] = np.moveaxis(block[:, :, columns], 2, 0)
     if not squared:
         np.sqrt(out, out=out)
-    return out
-
-
-def dtw_pairwise_distances(
-    queries: np.ndarray,
-    train: np.ndarray,
-    window: int | float | None = None,
-) -> np.ndarray:
-    """Banded DTW distance of every query to every training series in one pass.
-
-    The scalar :func:`repro.distance.dtw.dtw_distance` evaluates one
-    ``O(n * m)`` dynamic program per pair; here every (query, train) pair of
-    the batch shares one anti-diagonal wavefront
-    (:func:`repro.distance.dtw._wavefront_accumulated_cost` over a
-    ``(n_pairs, n, m)`` cost tensor), so the Python-level loop is the
-    ``n + m - 1`` diagonals rather than ``n_pairs * n * band`` cells.  Per
-    pair the recurrence is exactly the scalar one, so the distances are
-    bit-identical to calling :func:`~repro.distance.dtw.dtw_distance` with
-    the same ``window`` on each pair.
-
-    Parameters
-    ----------
-    queries, train:
-        2-D arrays ``(n_queries, n)`` and ``(n_train, m)``, or 3-D
-        multichannel batches ``(n_queries, n, d)`` / ``(n_train, m, d)``
-        with matching channel counts (dependent DTW: per-cell costs are
-        channel-summed, one shared warping path); unlike the Euclidean
-        prefix kernels, ``n`` and ``m`` may differ freely (DTW aligns
-        unequal lengths).  A single 1-D (or ``(n, d)`` multichannel) query
-        is promoted to a batch of one.
-    window:
-        Sakoe-Chiba band constraint with the semantics of
-        :func:`~repro.distance.dtw.dtw_distance`: ``None`` unconstrained, an
-        ``int`` an absolute width, a float in [0, 1] a fraction of the longer
-        length.  All pairs share one shape, hence one resolved band.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_queries, n_train)`` float64 DTW distances (square roots of
-        accumulated squared costs).
-
-    Notes
-    -----
-    A *pairwise matrix* is dense by definition -- every entry is demanded --
-    so there is nothing here for a lower bound to prune.  Queries are
-    chunked so the per-chunk cost tensors fit the :mod:`repro.memory`
-    budget.  When only the k smallest entries per row matter,
-    :func:`repro.distance.dtw_search.dtw_nearest_neighbors` answers most
-    pairs without the dynamic program and returns the same neighbours.
-    """
-    train = _as_train_tensor(train)
-    channels = train.shape[2] if train.ndim == 3 else 1
-    arr = _as_query_tensor(queries, channels)
-    if arr.shape[1] < 1:
-        raise ValueError("queries must contain at least one sample")
-    block_bytes = get_memory_budget()
-    n, m = arr.shape[1], train.shape[1]
-    band = _resolve_band(n, m, window)
-    n_queries, n_train = arr.shape[0], train.shape[0]
-    out = np.empty((n_queries, n_train))
-    # Working set per query: the (n_train, n, m) squared-cost tensor (built
-    # per channel for multichannel input, so one extra diff temporary) plus
-    # the (n_train, n + 1, m + 1) accumulated-cost tensor.
-    per_query = n_train * ((1 + min(channels, 2)) * n * m + (n + 1) * (m + 1)) * 8
-    chunk = max(1, int(block_bytes // per_query))
-    for start in range(0, n_queries, chunk):
-        stop = min(start + chunk, n_queries)
-        if channels == 1:
-            diff = arr[start:stop, None, :, None] - train[None, :, None, :]
-            np.square(diff, out=diff)
-            cost = diff
-        else:
-            # Dependent DTW: accumulate the channel-summed squared cell cost
-            # one channel at a time, so the temporary stays (chunk, n_train,
-            # n, m) instead of carrying the channel axis into the wavefront.
-            cost = np.zeros((stop - start, n_train, n, m))
-            for c in range(channels):
-                diff = arr[start:stop, None, :, c, None] - train[None, :, None, :, c]
-                np.square(diff, out=diff)
-                cost += diff
-        cost = _wavefront_accumulated_cost(cost, band)
-        np.sqrt(cost[..., n, m], out=out[start:stop])
     return out
 
 

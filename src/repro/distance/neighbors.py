@@ -19,8 +19,6 @@ from repro.distance.engine import (
     batch_prefix_distances,
     iter_prefix_distances,
 )
-from repro.distance.dtw import EnvelopeCache
-from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.euclidean import pairwise_euclidean
 from repro.distance.znorm import EPSILON, znormalize
 
@@ -63,19 +61,11 @@ class KNeighborsTimeSeriesClassifier:
         standard for UCR-style evaluation).
     metric:
         The string ``"euclidean"`` (the default; uses a vectorised pairwise
-        computation), the string ``"dtw"`` (banded DTW k-NN through the
-        lower-bound cascade of
-        :func:`repro.distance.dtw_search.dtw_nearest_neighbors`), or any
-        callable ``f(a, b) -> float``.
+        computation) or any callable ``f(a, b) -> float``.
     znormalize_inputs:
         If ``True``, every training and query series is z-normalised before
         distances are computed.  Set to ``False`` to reproduce the "peeking"
         behaviour of models that assume their inputs arrive pre-normalised.
-    metric_params:
-        Optional mapping of extra parameters for a string metric.  The
-        ``"dtw"`` metric reads ``"window"`` (Sakoe-Chiba band spec with the
-        semantics of :func:`repro.distance.dtw.dtw_distance`); unknown keys
-        are rejected so a typo cannot silently fall back to defaults.
 
     Notes
     -----
@@ -105,26 +95,20 @@ class KNeighborsTimeSeriesClassifier:
         n_neighbors: int = 1,
         metric: str | DistanceFunction = "euclidean",
         znormalize_inputs: bool = False,
-        metric_params: dict | None = None,
     ) -> None:
         if n_neighbors < 1:
             raise ValueError("n_neighbors must be >= 1")
+        if not (callable(metric) or metric == "euclidean"):
+            raise ValueError(
+                f"unknown metric {metric!r}: expected 'euclidean' or a callable "
+                "f(a, b) -> float"
+            )
         self.n_neighbors = n_neighbors
         self.metric = metric
         self.znormalize_inputs = znormalize_inputs
-        self.metric_params = dict(metric_params) if metric_params else {}
-        if self.metric_params:
-            allowed = {"window"} if metric == "dtw" else set()
-            unknown = set(self.metric_params) - allowed
-            if unknown:
-                raise ValueError(
-                    f"metric {metric!r} does not accept metric_params "
-                    f"{sorted(unknown)}"
-                )
         self._train: np.ndarray | None = None
         self._labels: np.ndarray | None = None
         self._classes: tuple = ()
-        self._envelope_cache: EnvelopeCache | None = None
 
     # ------------------------------------------------------------------ fit
     def fit(self, series: np.ndarray, labels: Sequence) -> "KNeighborsTimeSeriesClassifier":
@@ -150,11 +134,6 @@ class KNeighborsTimeSeriesClassifier:
         self._train = data
         self._labels = label_arr
         self._classes = tuple(np.unique(label_arr).tolist())
-        # Fresh per fit: the DTW cascade's train-side band envelopes depend
-        # only on the stored training set, so one cache per fitted model lets
-        # every predict/predict_proba call after the first skip the envelope
-        # sweep (content-fingerprinted keys make refits self-invalidating).
-        self._envelope_cache = EnvelopeCache()
         return self
 
     @property
@@ -182,13 +161,11 @@ class KNeighborsTimeSeriesClassifier:
             )
         if self.metric == "euclidean":
             return pairwise_euclidean(queries, train)
-        if callable(self.metric):
-            out = np.empty((queries.shape[0], train.shape[0]))
-            for i, q in enumerate(queries):
-                for j, t in enumerate(train):
-                    out[i, j] = self.metric(q, t)
-            return out
-        raise ValueError(f"unknown metric {self.metric!r}")
+        out = np.empty((queries.shape[0], train.shape[0]))
+        for i, q in enumerate(queries):
+            for j, t in enumerate(train):
+                out[i, j] = self.metric(q, t)
+        return out
 
     def _k_nearest_stable(self, distances: np.ndarray) -> np.ndarray:
         """Indices of the ``k`` smallest entries per row, lowest index on ties.
@@ -205,22 +182,10 @@ class KNeighborsTimeSeriesClassifier:
         """``(indices, distances)`` of each query row's k nearest training series.
 
         The single neighbour-finding path every prediction entry point sits
-        on.  The ``"dtw"`` metric goes straight to
-        :func:`repro.distance.dtw_search.dtw_nearest_neighbors`, whose
-        cascade never materialises the dense matrix; everything else
-        computes its ``(n_queries, n_train)`` matrix once and stable-selects
-        per row.  Both rows come back sorted
-        by ``(distance, training index)``.
+        on: the ``(n_queries, n_train)`` distance matrix is computed once and
+        stable-selected per row, so both rows come back sorted by
+        ``(distance, training index)``.
         """
-        train, _ = self._require_fitted()
-        if self.metric == "dtw":
-            return dtw_nearest_neighbors(
-                queries,
-                train,
-                window=self.metric_params.get("window"),
-                n_neighbors=self.n_neighbors,
-                envelope_cache=self._envelope_cache,
-            )
         distances = self._distances_to_train(queries)
         idx = self._k_nearest_stable(distances)
         return idx, np.take_along_axis(distances, idx, axis=1)
@@ -308,12 +273,10 @@ class KNeighborsTimeSeriesClassifier:
     def predict(self, series: np.ndarray) -> np.ndarray:
         """Predict labels for a 2-D array of query series.
 
-        The whole test set is answered from one :meth:`_neighbors_for` call:
-        with the Euclidean metric that is one pairwise distance matrix for
-        any ``n_neighbors``; with the ``"dtw"`` metric it is one
-        :func:`repro.distance.dtw_search.dtw_nearest_neighbors` cascade
-        search.  No per-query recomputation, no
-        re-normalisation of already-normalised queries.
+        The whole test set is answered from one :meth:`_neighbors_for` call,
+        i.e. one pairwise distance matrix for any ``n_neighbors``.  No
+        per-query recomputation, no re-normalisation of already-normalised
+        queries.
         """
         queries = np.asarray(series, dtype=float)
         if queries.ndim == 1:
@@ -401,9 +364,7 @@ class KNeighborsTimeSeriesClassifier:
         # Generic metric: no incremental structure to exploit, recompute.
         for k, length in enumerate(lengths):
             sub = KNeighborsTimeSeriesClassifier(
-                n_neighbors=self.n_neighbors,
-                metric=self.metric,
-                metric_params=self.metric_params or None,
+                n_neighbors=self.n_neighbors, metric=self.metric
             ).fit(train[:, :length], labels)
             out[k] = sub.predict(queries[:, :length])
         return out

@@ -78,8 +78,8 @@ def _require_unique_ids(ids: Sequence, what: str) -> None:
         seen.add(value)
     if duplicates:
         raise ValueError(
-            f"duplicate {what} would double-count their streams in the pooled "
-            f"metrics: {duplicates!r}"
+            f"duplicate {what} would double-count those exemplars in the "
+            f"pooled metrics: {duplicates!r}"
         )
 
 
@@ -119,12 +119,10 @@ def evaluate_early_classifier(
         Use the vectorised batch path when available (default).  ``False``
         forces the per-row reference loop.
     ids:
-        Optional per-exemplar (stream) identities, one per row.  When given,
-        they must be unique: a duplicate id means the same stream was handed
+        Optional per-exemplar identities, one per row.  When given, they
+        must be unique: a duplicate id means the same exemplar was handed
         over twice, which would silently double-count it in every pooled
-        metric -- the serving layer's per-tenant evaluation path passes its
-        stream ids here for exactly that reason.  Duplicates raise
-        ``ValueError`` naming the offending ids.
+        metric.  Duplicates raise ``ValueError`` naming the offending ids.
     """
     data = np.asarray(series, dtype=float)
     if data.ndim == 3 and data.shape[2] == 1:

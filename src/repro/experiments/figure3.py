@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.gunpoint import make_gunpoint_dataset

@@ -1,8 +1,7 @@
 """One global memory budget for every chunked kernel in the package.
 
 The blocked kernels -- :func:`repro.distance.engine.batch_prefix_distances`,
-:func:`~repro.distance.engine.dtw_pairwise_distances`, the LB_Keogh stage
-of :func:`repro.distance.dtw_search.dtw_nearest_neighbors`, the stacked sweep of
+the stacked sweep of
 :meth:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier.predict_prefixes`
 and the chunked finiteness scan and batch iteration of the data layer -- all
 size their chunks against one budget, read by :func:`get_memory_budget` with

@@ -189,8 +189,9 @@ class ServingEngine:
             Malformed chunk (which sheds an open stream), or a stream id
             reused after the stream was finalized or evicted -- reuse would
             let two distinct physical streams alias one alarm history, the
-            double-counting hazard the evaluation helpers also guard
-            against.
+            double-counting hazard
+            :func:`repro.evaluation.earliness.evaluate_early_classifier`
+            also guards against.
         """
         entry = self.registry.get(tenant)
         counters = self._tenant_counters(tenant)

@@ -11,10 +11,8 @@ package provides the machinery to run that deployment honestly:
   tail and pops its completed candidate windows, a
   :class:`~repro.streaming.online.StreamingSession` ingests samples push by
   push and classifies the completed windows in batches (causal or
-  whole-window normalisation applied to each block at once), and a
-  :class:`~repro.streaming.online.MultiStreamDetector` fans a batch of
-  independent streams through one session each; the serving layer
-  (:mod:`repro.serving`) runs the same ledger per served stream;
+  whole-window normalisation applied to each block at once); the serving
+  layer (:mod:`repro.serving`) runs the same ledger per served stream;
 * :class:`~repro.streaming.detector.StreamingEarlyDetector` is the
   experiment-facing facade (its ``detect`` delegates to the engine; the
   original offline loop lives in ``tests/oracles/streaming.py`` as the
@@ -23,7 +21,7 @@ package provides the machinery to run that deployment honestly:
   annotations;
 * :mod:`repro.streaming.metrics` turns the matches into the quantities the
   paper's argument is about (false positives per true positive, false-alarm
-  rate, detection earliness), and merges them across a multi-stream fleet;
+  rate, detection earliness);
 * :mod:`repro.streaming.costs` applies the Appendix B cost model (an averted
   event is worth $1000, every action costs $200, so the detector must achieve
   better than one true positive per five false positives just to break even).
@@ -32,14 +30,13 @@ package provides the machinery to run that deployment honestly:
 from repro.streaming.online import (
     Alarm,
     AlarmGate,
-    MultiStreamDetector,
     SessionState,
     StreamingSession,
     causal_znormalize_batch,
 )
 from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.events import AlarmMatch, match_alarms_to_events
-from repro.streaming.metrics import StreamingEvaluation, evaluate_alarms, merge_evaluations
+from repro.streaming.metrics import StreamingEvaluation, evaluate_alarms
 from repro.streaming.costs import CostModel, CostOutcome
 
 __all__ = [
@@ -48,13 +45,11 @@ __all__ = [
     "SessionState",
     "StreamingEarlyDetector",
     "StreamingSession",
-    "MultiStreamDetector",
     "causal_znormalize_batch",
     "AlarmMatch",
     "match_alarms_to_events",
     "StreamingEvaluation",
     "evaluate_alarms",
-    "merge_evaluations",
     "CostModel",
     "CostOutcome",
 ]

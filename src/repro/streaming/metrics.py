@@ -8,7 +8,6 @@ and how much of each event had elapsed before it was detected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from repro.data.stream import ComposedStream
 from repro.streaming.events import match_alarms_to_events
 from repro.streaming.online import Alarm
 
-__all__ = ["StreamingEvaluation", "evaluate_alarms", "merge_evaluations"]
+__all__ = ["StreamingEvaluation", "evaluate_alarms"]
 
 
 @dataclass(frozen=True)
@@ -108,81 +107,4 @@ def evaluate_alarms(
         false_alarms_per_1000_samples=1000.0 * false_positives / len(stream),
         mean_fraction_of_event_seen=mean_fraction,
         stream_length=len(stream),
-    )
-
-
-def merge_evaluations(
-    evaluations: Sequence[StreamingEvaluation],
-    stream_ids: Sequence | None = None,
-) -> StreamingEvaluation:
-    """Aggregate per-stream evaluations into one fleet-level evaluation.
-
-    Counts (alarms, TP/FP/FN, stream length) add across streams; every rate
-    is recomputed from the pooled counts, so the result is what
-    :func:`evaluate_alarms` would report had the streams been one deployment.
-    Used by :meth:`repro.streaming.online.MultiStreamDetector.evaluate` and
-    by the serving layer's fleet evaluation.
-
-    Parameters
-    ----------
-    evaluations:
-        The per-stream evaluations to pool.
-    stream_ids:
-        Optional stream identities, one per evaluation.  When given they must
-        be unique -- merging the same stream twice silently double-counts its
-        alarms, events and length in every pooled rate, which is exactly the
-        bug the serving layer's per-stream bookkeeping guards against.
-        Duplicates raise ``ValueError`` naming the offending ids.
-    """
-    if not evaluations:
-        raise ValueError("need at least one evaluation to merge")
-    if stream_ids is not None:
-        if len(stream_ids) != len(evaluations):
-            raise ValueError("stream_ids must have one entry per evaluation")
-        # Reuse the shared duplicate guard (same error shape as the
-        # exemplar-id check on evaluate_early_classifier).
-        from repro.evaluation.earliness import _require_unique_ids
-
-        _require_unique_ids(stream_ids, "stream ids")
-    n_alarms = sum(e.n_alarms for e in evaluations)
-    true_positives = sum(e.true_positives for e in evaluations)
-    false_positives = sum(e.false_positives for e in evaluations)
-    false_negatives = sum(e.false_negatives for e in evaluations)
-    stream_length = sum(e.stream_length for e in evaluations)
-
-    matched = true_positives + false_positives
-    precision = true_positives / matched if matched else 0.0
-    denominator = true_positives + false_negatives
-    recall = true_positives / denominator if denominator else 0.0
-    if true_positives:
-        fp_per_tp = false_positives / true_positives
-    elif false_positives:
-        fp_per_tp = float("inf")
-    else:
-        fp_per_tp = 0.0
-
-    # The per-stream means are averages over that stream's true positives, so
-    # the pooled mean weights each stream by its true-positive count.
-    weighted = [
-        (e.mean_fraction_of_event_seen, e.true_positives)
-        for e in evaluations
-        if e.mean_fraction_of_event_seen is not None and e.true_positives > 0
-    ]
-    if weighted:
-        total_weight = sum(weight for _, weight in weighted)
-        mean_fraction = sum(value * weight for value, weight in weighted) / total_weight
-    else:
-        mean_fraction = None
-
-    return StreamingEvaluation(
-        n_alarms=n_alarms,
-        true_positives=true_positives,
-        false_positives=false_positives,
-        false_negatives=false_negatives,
-        precision=float(precision),
-        recall=float(recall),
-        false_positives_per_true_positive=float(fp_per_tp),
-        false_alarms_per_1000_samples=1000.0 * false_positives / stream_length,
-        mean_fraction_of_event_seen=mean_fraction,
-        stream_length=stream_length,
     )

@@ -10,9 +10,7 @@ deployment problem; this module runs it on live data:
 * :class:`StreamingSession` ingests samples (or chunks) one push at a time.
   Each chunk's completed windows are normalised
   (:func:`normalize_windows`) and classified together, in blocks, by
-  ``predict_early_batch``;
-* :class:`MultiStreamDetector` fans a batch of independent streams through
-  one session each, in chunked lockstep.
+  ``predict_early_batch``.
 
 The serving layer (:mod:`repro.serving`) keeps one :class:`WindowLedger` per
 served stream as well and batches the completed windows of many streams
@@ -40,12 +38,11 @@ whole-window statistics and therefore *requires future data* (the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from repro.classifiers.base import BaseEarlyClassifier, EarlyPrediction
-from repro.data.stream import ComposedStream
 from repro.distance.znorm import EPSILON, znormalize
 
 __all__ = [
@@ -58,7 +55,6 @@ __all__ = [
     "normalize_windows",
     "validate_chunk",
     "StreamingSession",
-    "MultiStreamDetector",
 ]
 
 NormalizationMode = Literal["none", "window", "causal"]
@@ -515,121 +511,3 @@ class StreamingSession:
             ledger.finalized = True
             ledger.release()
         return list(ledger.gate.alarms)
-
-
-class MultiStreamDetector:
-    """Fan a batch of independent streams through concurrent online sessions.
-
-    One :class:`StreamingSession` per stream, fed in chunked lockstep the
-    way a service would drain a set of live telemetry feeds; each session
-    classifies its own completed windows in batches.  Streams may have
-    different lengths; each stream's alarm list is exactly what a
-    standalone session (and therefore the offline detector) would produce
-    for it.
-
-    Parameters
-    ----------
-    classifier, stride, normalization, refractory, max_alarms:
-        As for :class:`StreamingSession`; shared by every stream.
-    chunk_size:
-        Number of samples per stream consumed per lockstep round.
-    """
-
-    def __init__(
-        self,
-        classifier: BaseEarlyClassifier,
-        stride: int | None = None,
-        normalization: NormalizationMode = "none",
-        refractory: int | None = None,
-        max_alarms: int = 100_000,
-        chunk_size: int = 1024,
-    ) -> None:
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
-        # Validate the shared parameters eagerly (and fail before any data
-        # arrives) by building a throwaway session.
-        probe = StreamingSession(
-            classifier,
-            stride=stride,
-            normalization=normalization,
-            refractory=refractory,
-            max_alarms=max_alarms,
-        )
-        self.classifier = classifier
-        self.stride = probe.stride
-        self.normalization = probe.normalization
-        self.refractory = probe.refractory
-        self.max_alarms = probe.max_alarms
-        self.chunk_size = chunk_size
-
-    def open_sessions(self, n_streams: int) -> list[StreamingSession]:
-        """One fresh session per stream, all with the detector's parameters."""
-        if n_streams < 1:
-            raise ValueError("need at least one stream")
-        return [
-            StreamingSession(
-                self.classifier,
-                stride=self.stride,
-                normalization=self.normalization,
-                refractory=self.refractory,
-                max_alarms=self.max_alarms,
-            )
-            for _ in range(n_streams)
-        ]
-
-    def detect(
-        self, streams: Sequence[ComposedStream | np.ndarray]
-    ) -> list[list[Alarm]]:
-        """Run every stream through its own session; return per-stream alarms.
-
-        Every stream is checked by :func:`validate_chunk` before any session
-        is fed, so a malformed stream raises ``ValueError`` before any
-        window is classified.
-        """
-        arrays = [
-            validate_chunk(
-                stream.values if isinstance(stream, ComposedStream) else stream,
-                self.classifier.n_channels_,
-            )
-            for stream in streams
-        ]
-        sessions = self.open_sessions(len(arrays))
-        longest = max(arr.shape[0] for arr in arrays)
-        for offset in range(0, longest, self.chunk_size):
-            for session, values in zip(sessions, arrays):
-                if offset < values.shape[0]:
-                    session.extend(values[offset : offset + self.chunk_size])
-        return [session.finalize() for session in sessions]
-
-    def evaluate(
-        self,
-        streams: Sequence[ComposedStream],
-        target_labels: tuple | None = None,
-        onset_tolerance: int = 0,
-    ):
-        """Detect on annotated streams and merge the per-stream evaluations.
-
-        Returns
-        -------
-        repro.streaming.metrics.StreamingEvaluation
-            Fleet-level counts/rates via
-            :func:`repro.streaming.metrics.merge_evaluations`.
-        """
-        # Imported lazily: metrics sits above this module in the layering.
-        from repro.streaming.metrics import evaluate_alarms, merge_evaluations
-
-        for stream in streams:
-            if not isinstance(stream, ComposedStream):
-                raise TypeError("evaluate() needs annotated ComposedStream inputs")
-        per_stream = self.detect(streams)
-        return merge_evaluations(
-            [
-                evaluate_alarms(
-                    alarms,
-                    stream,
-                    target_labels=target_labels,
-                    onset_tolerance=onset_tolerance,
-                )
-                for alarms, stream in zip(per_stream, streams)
-            ]
-        )

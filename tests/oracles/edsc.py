@@ -62,19 +62,6 @@ def evaluate_candidates_of_length_reference(
     candidate_matrix = np.asarray(candidate_values)
     candidate_labels = np.asarray([labels[i] for i, _ in candidate_sources])
 
-    if model.prune_candidates:
-        mask = model._extrema_keep_mask(
-            data,
-            np.asarray([i for i, _ in candidate_sources]),
-            np.asarray([p for _, p in candidate_sources]),
-            window,
-        )
-        candidate_matrix = candidate_matrix[mask]
-        candidate_sources = [
-            source for source, kept in zip(candidate_sources, mask) if kept
-        ]
-        candidate_labels = candidate_labels[mask]
-
     # Subsample per class to keep the quadratic matching step bounded.
     keep: list[int] = []
     for cls in np.unique(labels):
@@ -87,8 +74,6 @@ def evaluate_candidates_of_length_reference(
     candidate_sources = [candidate_sources[i] for i in keep_arr]
     candidate_labels = candidate_labels[keep_arr]
 
-    if candidate_matrix.shape[0] == 0:
-        return []
     distances, match_ends = _best_match_distances(candidate_matrix, data)
 
     shapelets: list[Shapelet] = []

@@ -9,8 +9,6 @@ from repro.classifiers.base import PartialPrediction
 from repro.classifiers.edsc import EDSCClassifier, _best_match_distances, _sliding_windows
 from repro.data.denormalize import denormalize_dataset
 
-from oracles.edsc import fit_reference
-
 #: The candidate window lengths of a Table 1 fit: the default shapelet length
 #: fractions of a length-150 GunPoint exemplar.
 TABLE1_WINDOWS = (15, 22, 30, 45)
@@ -278,74 +276,3 @@ class TestPrediction:
         # The Table 1 phenomenon: matching raw values against thresholds
         # learned on normalised data collapses under a trivial offset.
         assert perturbed <= clean - 0.1
-
-
-class TestExtremaPruning:
-    """The opt-in argrelmax/argrelmin candidate filter of the mining stage."""
-
-    def test_prune_order_validation(self):
-        with pytest.raises(ValueError):
-            EDSCClassifier(prune_order=0)
-
-    def test_pruned_fit_still_selects_shapelets(self, tiny_two_class):
-        series, labels = tiny_two_class
-        model = EDSCClassifier(prune_candidates=True).fit(series, labels)
-        assert model.shapelets_
-        assert model.score(series, labels) >= 0.9
-
-    def test_keep_mask_requires_extremum_inside_window(self, tiny_two_class):
-        series, labels = tiny_two_class
-        model = EDSCClassifier(prune_candidates=True, prune_order=2)
-        # A pure ramp has no interior extrema: every window is pruned.
-        ramp = np.linspace(0.0, 1.0, 40)[None, :]
-        mask = model._extrema_keep_mask(
-            ramp, np.zeros(3, dtype=int), np.asarray([0, 10, 20]), 8
-        )
-        assert not mask.any()
-        # A sharp triangle peak (strict maximum at index 19): windows
-        # covering the peak survive, flat shoulders do not.
-        peak = np.concatenate([np.linspace(0, 1, 20), np.linspace(1, 0, 20)[1:]])[None, :]
-        mask = model._extrema_keep_mask(
-            peak, np.zeros(2, dtype=int), np.asarray([15, 0]), 8
-        )
-        assert mask[0] and not mask[1]
-
-    def test_pruning_reduces_candidate_pool(self, tiny_two_class):
-        series, labels = tiny_two_class
-        rng_a = np.random.default_rng(13)
-        rng_b = np.random.default_rng(13)
-        window = max(3, int(round(0.2 * series.shape[1])))
-        unpruned = EDSCClassifier(max_candidates_per_class=10**9)._extract_candidates(
-            series, np.asarray(labels), window, rng_a
-        )[0]
-        pruned = EDSCClassifier(
-            max_candidates_per_class=10**9, prune_candidates=True
-        )._extract_candidates(series, np.asarray(labels), window, rng_b)[0]
-        assert 0 < pruned.shape[0] < unpruned.shape[0]
-
-    def test_batched_and_reference_fits_agree_with_pruning(self, tiny_two_class):
-        series, labels = tiny_two_class
-        batched = EDSCClassifier(prune_candidates=True, random_state=13).fit(
-            series, labels
-        )
-        reference = fit_reference(
-            EDSCClassifier(prune_candidates=True, random_state=13), series, labels
-        )
-        assert len(batched.shapelets_) == len(reference.shapelets_)
-        for fast, slow in zip(batched.shapelets_, reference.shapelets_):
-            np.testing.assert_array_equal(fast.values, slow.values)
-            assert fast.threshold == slow.threshold
-            assert fast.utility == slow.utility
-            assert fast.source_index == slow.source_index
-            assert fast.source_position == slow.source_position
-
-    def test_default_flag_off_changes_nothing(self, tiny_two_class):
-        series, labels = tiny_two_class
-        default = EDSCClassifier(random_state=13).fit(series, labels)
-        explicit = EDSCClassifier(random_state=13, prune_candidates=False).fit(
-            series, labels
-        )
-        assert len(default.shapelets_) == len(explicit.shapelets_)
-        for a, b in zip(default.shapelets_, explicit.shapelets_):
-            np.testing.assert_array_equal(a.values, b.values)
-            assert a.threshold == b.threshold

@@ -1,6 +1,5 @@
 """Unit tests for the plain-classification baselines."""
 
-import numpy as np
 import pytest
 
 from repro.classifiers.full import FixedTruncationClassifier, FullLengthClassifier

@@ -1,6 +1,5 @@
 """Unit tests for the probability-threshold early classifier."""
 
-import numpy as np
 import pytest
 
 from repro.classifiers.threshold import ProbabilityThresholdClassifier

@@ -8,6 +8,9 @@ function, a ``try`` or an ``if``) against the standard library, the
 package itself and the declared ``dependencies``.  Optional extras are
 imported lazily or behind ``try``, and that is what keeps them optional.
 CI installs the package itself, so its jobs get exactly these dependencies.
+
+The same :mod:`ast` scan also rejects imports that nothing uses, across the
+package, its tests, benchmarks, tools and examples.
 """
 
 from __future__ import annotations
@@ -19,6 +22,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
+
+#: Trees whose modules must not import names they never use.
+IMPORT_SCAN_ROOTS = (
+    PACKAGE,
+    ROOT / "tests",
+    ROOT / "benchmarks",
+    ROOT / "tools",
+    ROOT / "examples",
+)
 
 
 def _declared() -> set[str]:
@@ -79,3 +91,74 @@ def test_ci_installs_the_package_not_a_hand_written_list():
     assert installs, "no pip install step found in ci.yml"
     for arguments in installs:
         assert re.fullmatch(r"""(["']?)\.(\[[\w,-]+\])?\1""", arguments.strip()), arguments
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__`` list or tuple."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                names.update(
+                    element.value
+                    for element in node.value.elts
+                    if isinstance(element, ast.Constant)
+                )
+    return names
+
+
+def _unused_imports(path: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of every imported name no ``ast.Name`` reads.
+
+    ``import a.b`` binds ``a``; ``as`` binds the alias.  Names listed in
+    ``__all__`` and imports on a line marked ``# noqa: F401`` are exports,
+    not dead code.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound == "*" or bound in used or bound in exported:
+                continue
+            if "# noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            unused.append((alias.lineno, bound))
+    return unused
+
+
+def test_import_scan_flags_exactly_the_unused_names(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os.path\n"
+        "import json as codec\n"
+        "from typing import Any, Sequence\n"
+        "from math import pi  # noqa: F401\n"
+        "from math import tau\n"
+        "__all__ = ['tau']\n"
+        "codec.dumps(os.sep)\n"
+        "value: Any = None\n"
+    )
+    assert _unused_imports(module) == [(3, "Sequence")]
+
+
+def test_no_unused_imports():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for root in IMPORT_SCAN_ROOTS
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, f"imported but never used: {unused}"

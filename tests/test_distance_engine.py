@@ -3,8 +3,7 @@
 The engine's whole value proposition is that it is *numerically the same
 computation* as the naive per-prefix recomputation, just with the redundant
 work removed -- so these tests pin the results to the naive
-:func:`repro.distance.euclidean.euclidean_distance` /
-:func:`repro.distance.dtw.dtw_distance` to within 1e-10.
+:func:`repro.distance.euclidean.euclidean_distance` to within 1e-10.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ import pytest
 
 from repro.data.gunpoint import make_gunpoint_dataset
 from repro.data.random_walk import smoothed_random_walk
-from repro.distance.dtw import dtw_distance
 from repro.distance.engine import (
     PrefixDistanceEngine,
     batch_prefix_distances,
-    dtw_pairwise_distances,
     iter_prefix_distances,
     pairwise_prefix_distances,
 )
@@ -282,53 +279,215 @@ class TestRewiredCallers:
         assert fast == pytest.approx(naive)
 
 
-class TestDTWPairwiseDistances:
-    def test_matches_scalar_dtw_per_pair(self):
-        rng = np.random.default_rng(14)
-        queries = rng.standard_normal((6, 35))
-        train = rng.standard_normal((5, 28))
-        for window in (None, 5, 0.2):
-            batched = dtw_pairwise_distances(queries, train, window=window)
-            assert batched.shape == (6, 5)
-            for i in range(6):
-                for j in range(5):
-                    naive = dtw_distance(queries[i], train[j], window=window)
-                    assert batched[i, j] == pytest.approx(naive, abs=TOLERANCE)
+# ---------------------------------------------------------------------------
+# The kernel contract: every prefix-distance entry point, on every input
+# layout the engine accepts, against the naive per-pair recomputation.
+# ---------------------------------------------------------------------------
 
-    def test_single_query_promoted_to_batch(self):
-        rng = np.random.default_rng(15)
-        query = rng.standard_normal(20)
-        train = rng.standard_normal((4, 20))
-        batched = dtw_pairwise_distances(query, train, window=3)
-        assert batched.shape == (1, 4)
-        for j in range(4):
-            naive = dtw_distance(query, train[j], window=3)
-            assert batched[0, j] == pytest.approx(naive, abs=TOLERANCE)
 
-    def test_chunking_does_not_change_results(self):
-        rng = np.random.default_rng(16)
-        queries = rng.standard_normal((7, 24))
-        train = rng.standard_normal((3, 30))
-        whole = dtw_pairwise_distances(queries, train, window=0.5)
-        with memory_budget(1):
-            chunked = dtw_pairwise_distances(queries, train, window=0.5)
-        np.testing.assert_array_equal(whole, chunked)
+def _stacked_iter(queries, train, lengths, squared=False):
+    """:func:`iter_prefix_distances` stacked into one (n_lengths, n_q, n_train) array."""
+    return np.stack(
+        [m for _, m in iter_prefix_distances(queries, train, lengths, squared=squared)]
+    )
 
-    def test_zero_band_equal_lengths_is_euclidean(self):
-        rng = np.random.default_rng(17)
-        queries = rng.standard_normal((3, 25))
-        train = rng.standard_normal((4, 25))
-        batched = dtw_pairwise_distances(queries, train, window=0)
-        for i in range(3):
-            for j in range(4):
-                naive = euclidean_distance(queries[i], train[j])
-                assert batched[i, j] == pytest.approx(naive, abs=TOLERANCE)
 
-    def test_validation(self):
-        train = np.zeros((2, 5))
-        with pytest.raises(ValueError):
-            dtw_pairwise_distances(np.zeros((2, 2, 2)), train)
-        with pytest.raises(ValueError):
-            dtw_pairwise_distances(np.zeros((2, 0)), train)
-        with pytest.raises(ValueError):
-            dtw_pairwise_distances(np.zeros((2, 5)), train, window=1.5)
+def _stacked_sweep(queries, train, lengths, squared=False):
+    """One :meth:`PrefixDistanceEngine.open` sweep read at every length."""
+    sweep = PrefixDistanceEngine(train).open(queries)
+    stacked = np.stack([sweep.advance_to(length).copy() for length in lengths])
+    return stacked if squared else np.sqrt(stacked)
+
+
+KERNELS = {
+    "batch": batch_prefix_distances,
+    "pairwise": pairwise_prefix_distances,
+    "iter": _stacked_iter,
+    "sweep": _stacked_sweep,
+}
+
+#: name -> (n_queries, query_length, n_train, train_length, n_channels, lengths).
+#: The block cases cross the sweep's 64-sample accumulation block, in time
+#: steps (univariate) or in flat samples (5 channels x 40 steps).
+SPECS = {
+    "equal_lengths": (5, 40, 7, 40, 1, [1, 2, 17, 39, 40]),
+    "query_shorter_than_train": (4, 25, 6, 40, 1, [1, 12, 25]),
+    "single_training_row": (3, 30, 1, 30, 1, [1, 15, 30]),
+    "single_sample_series": (3, 1, 4, 1, 1, [1]),
+    "crosses_block_boundaries": (3, 150, 4, 150, 1, [1, 63, 64, 65, 128, 129, 150]),
+    "two_channels": (4, 20, 5, 24, 2, [1, 7, 20]),
+    "three_channels": (3, 18, 6, 18, 3, [1, 2, 18]),
+    "five_channels_crosses_blocks": (2, 40, 3, 40, 5, [1, 12, 13, 26, 40]),
+}
+UNIVARIATE_SPECS = sorted(name for name, spec in SPECS.items() if spec[4] == 1)
+MULTICHANNEL_SPECS = sorted(name for name, spec in SPECS.items() if spec[4] > 1)
+
+
+def _spec_data(name):
+    """Fresh ``(queries, train, lengths)`` for a spec, from the spec's own seed."""
+    n_q, q_len, n_train, train_len, channels, lengths = SPECS[name]
+    rng = np.random.default_rng(list(SPECS).index(name))
+    tail = () if channels == 1 else (channels,)
+    queries = rng.normal(size=(n_q, q_len) + tail)
+    train = rng.normal(size=(n_train, train_len) + tail)
+    return queries, train, list(lengths)
+
+
+class TestKernelOracleGrid:
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_matches_naive_recomputation(self, kernel, spec, squared):
+        queries, train, lengths = _spec_data(spec)
+        got = KERNELS[kernel](queries, train, lengths, squared=squared)
+        naive = _naive_prefix_distances(queries, train, lengths)
+        assert got.shape == (len(lengths), queries.shape[0], train.shape[0])
+        assert got.dtype == np.float64
+        want = naive**2 if squared else naive
+        np.testing.assert_allclose(got, want, atol=TOLERANCE, rtol=0)
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    def test_single_step_sweep_matches_batch_kernel(self, spec):
+        queries, train, _ = _spec_data(spec)
+        lengths = list(range(1, queries.shape[1] + 1))
+        batched = batch_prefix_distances(queries, train, lengths, squared=True)
+        swept = _stacked_sweep(queries, train, lengths, squared=True)
+        np.testing.assert_allclose(swept, batched, atol=TOLERANCE, rtol=0)
+
+    @pytest.mark.parametrize("spec", UNIVARIATE_SPECS)
+    def test_univariate_single_step_sweep_is_bit_identical(self, spec):
+        """One new sample per step adds the cumulative sum's terms in its order."""
+        queries, train, _ = _spec_data(spec)
+        lengths = list(range(1, queries.shape[1] + 1))
+        batched = batch_prefix_distances(queries, train, lengths, squared=True)
+        assert np.array_equal(_stacked_sweep(queries, train, lengths, squared=True), batched)
+
+    @pytest.mark.parametrize("spec", ["crosses_block_boundaries", "five_channels_crosses_blocks"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_squared_distances_never_decrease_with_length(self, kernel, spec):
+        """Prefix sums of non-negative terms: monotone exactly, not just to round-off."""
+        queries, train, _ = _spec_data(spec)
+        lengths = list(range(1, queries.shape[1] + 1))
+        got = KERNELS[kernel](queries, train, lengths, squared=True)
+        assert np.all(got[0] >= 0.0)
+        assert np.all(np.diff(got, axis=0) >= 0.0)
+
+
+class TestKernelInputContract:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int32, np.int64])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_inputs_are_computed_in_float64(self, kernel, dtype):
+        queries, train, lengths = _spec_data("query_shorter_than_train")
+        scale = 10.0 if np.issubdtype(dtype, np.integer) else 1.0
+        queries, train = ((scale * a).astype(dtype) for a in (queries, train))
+        got = KERNELS[kernel](queries, train, lengths)
+        want = KERNELS[kernel](queries.astype(np.float64), train.astype(np.float64), lengths)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("side", ["queries", "train", "both"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_trailing_singleton_channel_is_univariate(self, kernel, side):
+        queries, train, lengths = _spec_data("query_shorter_than_train")
+        flat = KERNELS[kernel](queries, train, lengths)
+        if side in ("queries", "both"):
+            queries = queries[:, :, None]
+        if side in ("train", "both"):
+            train = train[:, :, None]
+        assert np.array_equal(KERNELS[kernel](queries, train, lengths), flat)
+
+    @pytest.mark.parametrize("spec", ["single_sample_series", "equal_lengths", "three_channels"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_single_exemplar_is_a_batch_of_one(self, kernel, spec):
+        """A 1-D univariate query or a 2-D (length, d) multichannel exemplar."""
+        queries, train, lengths = _spec_data(spec)
+        got = KERNELS[kernel](queries[1], train, lengths)
+        assert got.shape == (len(lengths), 1, train.shape[0])
+        assert np.array_equal(got, KERNELS[kernel](queries[1:2], train, lengths))
+
+    @pytest.mark.parametrize("spec", MULTICHANNEL_SPECS)
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_multichannel_is_the_sum_of_its_channels(self, kernel, spec):
+        queries, train, lengths = _spec_data(spec)
+        got = KERNELS[kernel](queries, train, lengths, squared=True)
+        per_channel = sum(
+            KERNELS[kernel](queries[:, :, c], train[:, :, c], lengths, squared=True)
+            for c in range(train.shape[2])
+        )
+        np.testing.assert_allclose(got, per_channel, atol=TOLERANCE, rtol=0)
+
+    @pytest.mark.parametrize("side", ["queries", "train"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_row_permutations_permute_the_result(self, kernel, side):
+        """Each (query, train) pair is computed independently of its neighbours."""
+        queries, train, lengths = _spec_data("two_channels")
+        got = KERNELS[kernel](queries, train, lengths)
+        rows = {"queries": queries, "train": train}
+        order = np.random.default_rng(3).permutation(rows[side].shape[0])
+        rows[side] = rows[side][order]
+        permuted = KERNELS[kernel](rows["queries"], rows["train"], lengths)
+        axis = 1 if side == "queries" else 2
+        assert np.array_equal(permuted, np.take(got, order, axis=axis))
+
+
+_REJECTED_INPUTS = {
+    "one_dimensional_train": (np.ones((2, 5)), np.ones(5), "train must be a 2-D"),
+    "four_dimensional_train": (np.ones((2, 5)), np.ones((3, 5, 2, 1)), "train must be a 2-D"),
+    "no_training_rows": (np.ones((2, 5)), np.ones((0, 5)), "at least one non-empty"),
+    "zero_length_train": (np.ones((2, 5)), np.ones((3, 0)), "at least one non-empty"),
+    "zero_channel_train": (np.ones((2, 5, 2)), np.ones((3, 5, 0)), "at least one non-empty"),
+    "channels_on_univariate_train": (np.ones((2, 5, 2)), np.ones((3, 5)), "2 channels"),
+    "univariate_batch_on_multichannel_train": (
+        np.ones((2, 5)),
+        np.ones((3, 5, 3)),
+        "do not match the training channel count",
+    ),
+    "channel_count_mismatch": (np.ones((2, 5, 2)), np.ones((3, 5, 3)), r"\(n, length, 3\)"),
+    "four_dimensional_queries": (np.ones((2, 5, 1, 1)), np.ones((3, 5)), "1-D series or a 2-D"),
+    "query_longer_than_train": (np.ones((2, 6)), np.ones((3, 5)), "exceeds training length"),
+    "empty_queries": (np.ones((2, 0)), np.ones((3, 5)), "at least one sample"),
+}
+
+
+class TestKernelRejections:
+    @pytest.mark.parametrize("case", sorted(_REJECTED_INPUTS))
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_malformed_input_is_rejected(self, kernel, case):
+        queries, train, match = _REJECTED_INPUTS[case]
+        with pytest.raises(ValueError, match=match):
+            KERNELS[kernel](queries, train, [1])
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[], [0], [26], [5, 5], [9, 3]],
+        ids=["empty", "zero", "beyond_query_length", "repeated", "decreasing"],
+    )
+    @pytest.mark.parametrize("kernel", ["batch", "iter", "pairwise"])
+    def test_lengths_are_validated_against_the_query_length(self, kernel, lengths):
+        queries, train, _ = _spec_data("query_shorter_than_train")
+        assert queries.shape[1] < 26 <= train.shape[1]
+        with pytest.raises(ValueError, match="length"):
+            KERNELS[kernel](queries, train, lengths)
+
+
+class TestBatchKernelChunkBoundaries:
+    """Chunk sizes around the query count leave the stacked result bit-identical."""
+
+    N_QUERIES = 7
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("chunk", [0, 1, 2, 3, 6, 7, 8])
+    def test_chunk_size_is_invisible(self, chunk, channels):
+        rng = np.random.default_rng(chunk + 10 * channels)
+        tail = () if channels == 1 else (channels,)
+        queries = rng.normal(size=(self.N_QUERIES, 30) + tail)
+        train = rng.normal(size=(5, 30) + tail)
+        lengths = [1, 10, 30]
+        # The kernel's chunk is budget // (n_train * flat length * 8) rows;
+        # chunk 0 asks for less than one row, which still makes progress.
+        # The chunked call goes first, so no earlier identical result can be
+        # left in the memory its output is allocated from.
+        row_bytes = train.shape[0] * lengths[-1] * channels * 8
+        with memory_budget(max(8, chunk * row_bytes)):
+            chunked = batch_prefix_distances(queries, train, lengths)
+        assert np.array_equal(chunked, batch_prefix_distances(queries, train, lengths))

@@ -1,12 +1,24 @@
 """Unit tests for repro.distance.neighbors."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.distance import neighbors
-from repro.distance.dtw import dtw_distance
+from repro.distance.engine import batch_prefix_distances
+from repro.distance.euclidean import euclidean_distance
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
+from repro.distance.znorm import EPSILON, znormalize
 from repro.memory import MEMORY_BUDGET_ENV_VAR, memory_budget, set_memory_budget
+
+
+def _l1_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sum(np.abs(a - b)))
+
+
+def _squared_euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sum((a - b) ** 2))
 
 
 class TestFitValidation:
@@ -75,14 +87,20 @@ class TestPrediction:
 
     def test_custom_metric_callable(self, tiny_two_class):
         series, labels = tiny_two_class
-        model = KNeighborsTimeSeriesClassifier(metric=dtw_distance).fit(series[::2], labels[::2])
+        model = KNeighborsTimeSeriesClassifier(metric=_l1_distance).fit(series[::2], labels[::2])
         assert model.score(series[1::2], labels[1::2]) == 1.0
 
-    def test_unknown_metric_string_raises(self, tiny_two_class):
-        series, labels = tiny_two_class
-        model = KNeighborsTimeSeriesClassifier(metric="manhattan").fit(series, labels)
-        with pytest.raises(ValueError):
-            model.query(series[0])
+    @pytest.mark.parametrize(
+        "metric", ["manhattan", "dtw", "Euclidean", "euclidean ", "l2", ""]
+    )
+    def test_unknown_metric_string_raises(self, metric):
+        with pytest.raises(ValueError, match="'euclidean' or a callable"):
+            KNeighborsTimeSeriesClassifier(metric=metric)
+
+    @pytest.mark.parametrize("metric", [None, 2, 2.5, ("euclidean",)])
+    def test_non_callable_metric_raises(self, metric):
+        with pytest.raises(ValueError, match="'euclidean' or a callable"):
+            KNeighborsTimeSeriesClassifier(metric=metric)
 
     def test_score_label_mismatch_raises(self, tiny_two_class):
         series, labels = tiny_two_class
@@ -350,39 +368,148 @@ class TestPredictProbaBatched:
         assert probas[1]["b"] == pytest.approx(1.0)
 
 
-class TestDTWMetricString:
-    def test_dtw_metric_matches_callable_dtw(self, tiny_two_class):
+class TestCallableMetricPrefixes:
+    """predict_prefixes with a callable metric refits one model per length."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_each_length_matches_a_fresh_model(self, tiny_two_class, k):
         series, labels = tiny_two_class
-        fast = KNeighborsTimeSeriesClassifier(metric="dtw").fit(series[::2], labels[::2])
-        slow = KNeighborsTimeSeriesClassifier(metric=dtw_distance).fit(
-            series[::2], labels[::2]
+        train, train_labels, queries = series[::2], labels[::2], series[1::2]
+        lengths = [3, 12, series.shape[1]]
+        model = KNeighborsTimeSeriesClassifier(n_neighbors=k, metric=_l1_distance)
+        out = model.fit(train, train_labels).predict_prefixes(queries, lengths)
+        assert out.shape == (len(lengths), queries.shape[0])
+        for row, length in zip(out, lengths):
+            fresh = KNeighborsTimeSeriesClassifier(n_neighbors=k, metric=_l1_distance)
+            fresh.fit(train[:, :length], train_labels)
+            assert np.array_equal(row, fresh.predict(queries[:, :length]))
+
+    def test_squared_euclidean_callable_matches_the_euclidean_path(self, tiny_two_class):
+        series, labels = tiny_two_class
+        train, train_labels, queries = series[::2], labels[::2], series[1::2]
+        lengths = list(range(1, series.shape[1] + 1))
+        # No ties: every query's nearest neighbour is unique at every length,
+        # so the two metrics must pick the same neighbour.
+        ranked = np.sort(batch_prefix_distances(queries, train, lengths, squared=True))
+        assert np.all(ranked[:, :, 1] - ranked[:, :, 0] > 1e-9)
+        custom = KNeighborsTimeSeriesClassifier(metric=_squared_euclidean_distance)
+        euclidean = KNeighborsTimeSeriesClassifier()
+        assert np.array_equal(
+            custom.fit(train, train_labels).predict_prefixes(queries, lengths),
+            euclidean.fit(train, train_labels).predict_prefixes(queries, lengths),
         )
-        queries = series[1::2]
-        assert np.array_equal(fast.predict(queries), slow.predict(queries))
 
-    def test_dtw_metric_window_parameter_is_used(self, tiny_two_class):
-        series, labels = tiny_two_class
-        banded = KNeighborsTimeSeriesClassifier(
-            metric="dtw", metric_params={"window": 0}
-        ).fit(series[::2], labels[::2])
-        constrained = KNeighborsTimeSeriesClassifier(
-            metric=lambda a, b: dtw_distance(a, b, window=0)
-        ).fit(series[::2], labels[::2])
-        queries = series[1::2]
-        assert np.array_equal(banded.predict(queries), constrained.predict(queries))
 
-    def test_dtw_metric_allows_shorter_queries(self, tiny_two_class):
-        series, labels = tiny_two_class
-        model = KNeighborsTimeSeriesClassifier(
-            metric="dtw", metric_params={"window": None}
-        ).fit(series, labels)
-        short = series[:3, :-2]
-        assert model.predict(short).shape == (3,)
+# ---------------------------------------------------------------------------
+# The k-NN contract against a brute-force oracle: neighbours ordered by
+# (naive distance, training index), an inverse-distance soft vote, exact
+# matches taking the whole vote, and ties in the vote going to the first
+# class in sorted order.
+# ---------------------------------------------------------------------------
 
-    def test_dtw_metric_predict_prefixes(self, tiny_two_class):
-        series, labels = tiny_two_class
-        model = KNeighborsTimeSeriesClassifier(
-            metric="dtw", metric_params={"window": 2}
-        ).fit(series[::2], labels[::2])
-        out = model.predict_prefixes(series[1::2], [3, series.shape[1]])
-        assert out.shape == (2, series[1::2].shape[0])
+
+def _oracle(train, labels, queries, k):
+    """Per query: ``(indices, distances, probabilities, label)`` by brute force."""
+    classes = sorted(set(labels.tolist()))
+    answers = []
+    for q in queries:
+        dists = [euclidean_distance(q, t) for t in train]
+        order = sorted(range(len(train)), key=lambda j: (dists[j], j))[:k]
+        nearest = [dists[j] for j in order]
+        exact = [d < EPSILON for d in nearest]
+        weights = [float(e) for e in exact] if any(exact) else [1.0 / d for d in nearest]
+        scores = dict.fromkeys(classes, 0.0)
+        for j, w in zip(order, weights):
+            scores[labels[j].item()] += w
+        total = sum(scores.values())
+        probabilities = {c: s / total for c, s in scores.items()}
+        label = max(probabilities, key=probabilities.get)
+        answers.append((order, nearest, probabilities, label))
+    return answers
+
+
+def _oracle_data(name):
+    """``(train, labels, queries, znormalize_inputs)`` for an oracle case.
+
+    ``integer_duplicates`` is UCR-style integer data whose training rows 6-8
+    repeat rows 0-2 under other labels, queried with exact copies and fresh
+    rows (every distance is exact, so ties are exact); the random cases have no
+    distance within 1e-9 of another, so round-off cannot reorder them.
+    """
+    rng = np.random.default_rng(_ORACLE_CASES.index(name))
+    if name == "integer_duplicates":
+        base = rng.integers(-3, 4, size=(6, 8)).astype(float)
+        train = np.vstack([base, base[:3]])
+        labels = np.asarray(["a", "b", "c", "a", "b", "c", "c", "a", "b"])
+        fresh = rng.integers(-3, 4, size=(5, 8)).astype(float)
+        return train, labels, np.vstack([train[[0, 4, 7]], fresh]), False
+    train = rng.normal(size=(12, 20))
+    labels = np.asarray(list("abc") * 4)
+    queries = rng.normal(size=(8, 20))
+    znorm = name == "random_znormalized"
+    stored_train, stored_queries = _stored(znorm, train, queries)
+    ranked = np.sort(batch_prefix_distances(stored_queries, stored_train, [20])[0])
+    assert np.all(np.diff(ranked, axis=1) > 1e-9)
+    return train, labels, queries, znorm
+
+
+_ORACLE_CASES = ["integer_duplicates", "random_raw", "random_znormalized"]
+
+
+def _stored(znorm, *arrays):
+    """The arrays as a model with ``znormalize_inputs=znorm`` compares them."""
+    return tuple(znormalize(a) for a in arrays) if znorm else arrays
+
+
+def _fitted_and_expected(k, case):
+    train, labels, queries, znorm = _oracle_data(case)
+    model = KNeighborsTimeSeriesClassifier(n_neighbors=k, znormalize_inputs=znorm)
+    model.fit(train, labels)
+    stored_train, stored_queries = _stored(znorm, train, queries)
+    return model, queries, _oracle(stored_train, labels, stored_queries, k)
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("case", _ORACLE_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_predict_matches_oracle(self, k, case):
+        model, queries, expected = _fitted_and_expected(k, case)
+        assert model.predict(queries).tolist() == [label for *_, label in expected]
+
+    @pytest.mark.parametrize("case", _ORACLE_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_predict_proba_matches_oracle(self, k, case):
+        model, queries, expected = _fitted_and_expected(k, case)
+        for got, (_, _, probabilities, _) in zip(model.predict_proba(queries), expected):
+            assert got == pytest.approx(probabilities, abs=1e-9)
+
+    @pytest.mark.parametrize("case", _ORACLE_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_query_matches_oracle(self, k, case):
+        model, queries, expected = _fitted_and_expected(k, case)
+        for q, (order, nearest, probabilities, label) in zip(queries, expected):
+            result = model.query(q)
+            assert result.neighbor_indices == tuple(order)
+            assert result.neighbor_distances == pytest.approx(nearest, abs=1e-9)
+            assert result.probabilities == pytest.approx(probabilities, abs=1e-9)
+            assert result.label == label
+
+    @pytest.mark.parametrize("path", ["stacked", "streamed"])
+    @pytest.mark.parametrize("znorm", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prefixes_are_models_on_the_stored_prefixes(self, k, znorm, path):
+        """Each length answers like a model fitted on the stored (not re-normalised) prefixes."""
+        train, labels, queries, _ = _oracle_data("random_raw")
+        lengths = [1, 4, 11, 20]
+        model = KNeighborsTimeSeriesClassifier(n_neighbors=k, znormalize_inputs=znorm)
+        model.fit(train, labels)
+        train, stored_queries = _stored(znorm, train, queries)
+        ranked = np.sort(batch_prefix_distances(stored_queries, train, lengths), axis=2)
+        assert np.all(np.diff(ranked, axis=2) > 1e-9)
+        budget = memory_budget(8) if path == "streamed" else contextlib.nullcontext()
+        with budget:
+            got = model.predict_prefixes(queries, lengths)
+        for row, length in zip(got, lengths):
+            fresh = KNeighborsTimeSeriesClassifier(n_neighbors=k)
+            fresh.fit(train[:, :length], labels)
+            assert np.array_equal(row, fresh.predict(stored_queries[:, :length]))

@@ -16,8 +16,7 @@ import pytest
 
 from repro import memory
 from repro.data.ucr_format import UCRDataset
-from repro.distance.dtw_search import dtw_nearest_neighbors
-from repro.distance.engine import batch_prefix_distances, dtw_pairwise_distances
+from repro.distance.engine import batch_prefix_distances
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 from repro.memory import (
     DEFAULT_MAX_BLOCK_BYTES,
@@ -26,8 +25,6 @@ from repro.memory import (
     memory_budget,
     set_memory_budget,
 )
-
-from oracles.dtw import dense_dtw_nearest_neighbors
 
 
 @pytest.fixture(autouse=True)
@@ -115,19 +112,6 @@ class TestChunkingEquivalence:
             chunked = batch_prefix_distances(self.queries, self.train, [10, 25, 40])
         np.testing.assert_array_equal(chunked, reference)
 
-    def test_dtw_pairwise_distances(self):
-        reference = dtw_pairwise_distances(self.queries, self.train, window=5)
-        with memory_budget(1024):
-            chunked = dtw_pairwise_distances(self.queries, self.train, window=5)
-        np.testing.assert_array_equal(chunked, reference)
-
-    def test_dtw_search_lb_stage(self):
-        ref_idx, ref_dist = dtw_nearest_neighbors(self.queries, self.train, window=5)
-        with memory_budget(1024):
-            idx, dist = dtw_nearest_neighbors(self.queries, self.train, window=5)
-        np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_array_equal(dist, ref_dist)
-
     def test_environment_variable_reaches_the_kernels(self, monkeypatch):
         reference = batch_prefix_distances(self.queries, self.train, [40])
         monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "512")
@@ -152,31 +136,12 @@ class TestChunkingEquivalence:
         set_memory_budget(4321)
         assert memory._BUDGET == 4321
 
-    def test_dtw_nearest_neighbors(self):
-        ref_idx, ref_dist = dense_dtw_nearest_neighbors(
-            self.queries, self.train, window=5, n_neighbors=3
-        )
-        with memory_budget(1024):
-            idx, dist = dtw_nearest_neighbors(
-                self.queries, self.train, window=5, n_neighbors=3
-            )
-        np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_array_equal(dist, ref_dist)
-
     def test_multichannel_batch_prefix_distances(self):
         queries = self.rng.normal(size=(11, 20, 3))
         train = self.rng.normal(size=(6, 20, 3))
         reference = batch_prefix_distances(queries, train, [4, 20], squared=True)
         with memory_budget(1024):
             chunked = batch_prefix_distances(queries, train, [4, 20], squared=True)
-        np.testing.assert_array_equal(chunked, reference)
-
-    def test_multichannel_dtw_pairwise_distances(self):
-        queries = self.rng.normal(size=(9, 15, 2))
-        train = self.rng.normal(size=(4, 15, 2))
-        reference = dtw_pairwise_distances(queries, train, window=3)
-        with memory_budget(1024):
-            chunked = dtw_pairwise_distances(queries, train, window=3)
         np.testing.assert_array_equal(chunked, reference)
 
 
@@ -222,17 +187,6 @@ class TestBudgetBoundsWorkingSet:
             budget=64 * 1024,
         )
 
-    def test_dtw_pairwise_distances(self):
-        # One query's cost tensors are ~220 KB, so a 512 KiB budget still
-        # admits a couple of queries per chunk.
-        queries = self.rng.normal(size=(40, 30))
-        train = self.rng.normal(size=(10, 30))
-        self._assert_bounded(
-            lambda: dtw_pairwise_distances(queries, train, window=5),
-            result_bytes=40 * 10 * 8,
-            budget=512 * 1024,
-        )
-
     def test_dataset_finiteness_validation(self):
         series = self.rng.normal(size=(4000, 100))
         labels = np.zeros(4000)
@@ -246,12 +200,6 @@ class TestBudgetBoundsWorkingSet:
 _BUDGETED_CALLS = {
     "batch_prefix_distances": lambda q, t, **kw: batch_prefix_distances(
         q, t, [10, 40], **kw
-    ),
-    "dtw_pairwise_distances": lambda q, t, **kw: dtw_pairwise_distances(
-        q, t, window=5, **kw
-    ),
-    "dtw_nearest_neighbors": lambda q, t, **kw: dtw_nearest_neighbors(
-        q, t, window=5, **kw
     ),
 }
 

@@ -3,9 +3,8 @@
 Two guards hold the multichannel data model together:
 
 * every vectorised ``d > 1`` kernel is pinned to a naive per-channel Python
-  loop (channel-summed squared differences, per-channel z-norm statistics,
-  dependent DTW with channel-summed cell costs) to ``<= 1e-10``, and the
-  DTW k-NN search bit-identical to its dense oracle;
+  loop (channel-summed squared differences, per-channel z-norm statistics)
+  to ``<= 1e-10``;
 * every classifier and normalisation mode produces bit-identical results on
   a ``(n, L, 1)`` tensor and the legacy 2-D ``(n, L)`` layout, so golden
   summaries cannot drift from the univariate seed.
@@ -24,13 +23,9 @@ from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.shards import SHARD_SCHEMA_VERSION, ShardedDataset, write_shards
 from repro.data.ucr_like import make_multichannel_cbf_dataset
-from repro.distance.dtw import dtw_distance
-from repro.distance.dtw_search import dtw_nearest_neighbors
 from repro.distance.engine import batch_prefix_distances
 from repro.distance.znorm import causal_znormalize, znormalize
 from repro.streaming.online import causal_znormalize_batch
-
-from oracles.dtw import dense_dtw_nearest_neighbors
 
 RNG = np.random.default_rng(20260808)
 
@@ -45,24 +40,6 @@ def _naive_prefix_distance(query: np.ndarray, train_row: np.ndarray, length: int
             diff = query[t, c] - train_row[t, c]
             total += diff * diff
     return float(np.sqrt(total))
-
-
-def _naive_dtw(a: np.ndarray, b: np.ndarray, band: int | None) -> float:
-    """Dependent DTW via the textbook O(n*m) recurrence, channel-summed."""
-    n, m = a.shape[0], b.shape[0]
-    cost = np.full((n + 1, m + 1), np.inf)
-    cost[0, 0] = 0.0
-    for i in range(1, n + 1):
-        lo, hi = 1, m
-        if band is not None:
-            lo, hi = max(1, i - band), min(m, i + band)
-        for j in range(lo, hi + 1):
-            cell = 0.0
-            for c in range(a.shape[1]):
-                diff = a[i - 1, c] - b[j - 1, c]
-                cell += diff * diff
-            cost[i, j] = cell + min(cost[i - 1, j], cost[i, j - 1], cost[i - 1, j - 1])
-    return float(np.sqrt(cost[n, m]))
 
 
 def _naive_causal_znorm(window: np.ndarray) -> np.ndarray:
@@ -89,42 +66,6 @@ class TestPrefixEuclideanNaive:
                 for li, length in enumerate(lengths):
                     expected = _naive_prefix_distance(queries[qi], train[ti], length)
                     assert abs(result[li, qi, ti] - expected) <= ATOL
-
-
-class TestDependentDTWNaive:
-    @pytest.mark.parametrize("window,band", [(None, None), (3, 3), (0.25, None)])
-    def test_dtw_distance_matches_naive_equal_lengths(self, window, band):
-        a = RNG.normal(size=(12, 3))
-        b = RNG.normal(size=(12, 3))
-        if band is None and window is not None:
-            band = max(int(np.ceil(window * 12)), abs(12 - 12))
-        assert abs(dtw_distance(a, b, window=window) - _naive_dtw(a, b, band)) <= ATOL
-
-    def test_dtw_distance_matches_naive_unequal_lengths(self):
-        a = RNG.normal(size=(9, 2))
-        b = RNG.normal(size=(14, 2))
-        assert abs(dtw_distance(a, b) - _naive_dtw(a, b, None)) <= ATOL
-
-    def test_nearest_neighbors_match_naive(self):
-        queries = RNG.normal(size=(3, 10, 3))
-        train = RNG.normal(size=(6, 10, 3))
-        window = 3
-        idx, dist = dtw_nearest_neighbors(queries, train, window=window)
-        for qi in range(queries.shape[0]):
-            naive = [_naive_dtw(queries[qi], row, window) for row in train]
-            best = int(np.argmin(naive))
-            assert idx[qi, 0] == best
-            assert abs(dist[qi, 0] - naive[best]) <= ATOL
-
-    def test_search_bit_identical_to_oracle_multichannel(self):
-        queries = RNG.normal(size=(4, 11, 4))
-        train = RNG.normal(size=(7, 11, 4))
-        idx_ref, dist_ref = dense_dtw_nearest_neighbors(
-            queries, train, window=0.2, n_neighbors=3
-        )
-        idx, dist = dtw_nearest_neighbors(queries, train, window=0.2, n_neighbors=3)
-        assert np.array_equal(idx, idx_ref)
-        assert np.array_equal(dist, dist_ref)
 
 
 class TestCausalZnormNaive:
@@ -228,12 +169,6 @@ class TestTrailingSingletonBitEquality:
         flat = batch_prefix_distances(queries, train, [2, 10])
         cube = batch_prefix_distances(queries[:, :, None], train[:, :, None], [2, 10])
         assert np.array_equal(flat, cube)
-        flat_dtw = dtw_nearest_neighbors(queries, train, window=2)
-        cube_dtw = dtw_nearest_neighbors(
-            queries[:, :, None], train[:, :, None], window=2
-        )
-        assert np.array_equal(flat_dtw[0], cube_dtw[0])
-        assert np.array_equal(flat_dtw[1], cube_dtw[1])
 
 
 class TestShardBackCompat:

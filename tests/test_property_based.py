@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.data.stream import ComposedStream, GroundTruthEvent, StreamComposer
 from repro.data.ucr_format import UCRDataset
-from repro.distance.dtw import dtw_distance
 from repro.distance.euclidean import euclidean_distance, znormalized_euclidean_distance
 from repro.distance.profile import distance_profile
 from repro.distance.znorm import causal_znormalize, znormalize
@@ -190,14 +189,6 @@ def test_znormalized_distance_invariant_to_affine(length, seed, offset, scale):
     base = znormalized_euclidean_distance(a, b)
     transformed = znormalized_euclidean_distance(scale * a + offset, b)
     assert abs(base - transformed) < 1e-6
-
-
-@given(st.integers(5, 30), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_dtw_no_greater_than_euclidean(length, seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.standard_normal(length), rng.standard_normal(length)
-    assert dtw_distance(a, b) <= euclidean_distance(a, b) + 1e-9
 
 
 @given(st.integers(8, 30), st.integers(40, 120), st.integers(0, 2 ** 31 - 1))

@@ -6,7 +6,6 @@ import json
 import os
 import signal
 
-import numpy as np
 import pytest
 
 from repro.data.shards import synthesize_sharded_archive

@@ -33,7 +33,6 @@ from repro.serving import (
     TenantConfig,
     fit_fingerprint,
 )
-from repro.streaming.metrics import StreamingEvaluation, merge_evaluations
 from repro.streaming.online import StreamingSession, normalize_windows
 
 from tests.test_classifiers_reliable import FAST as RELIABLE_FAST
@@ -714,7 +713,7 @@ def test_tenant_config_resolves_session_defaults(threshold_classifier):
 
 
 # --------------------------------------------------------------------------
-# duplicate-id guards on the evaluation helpers
+# the duplicate-id guard on evaluate_early_classifier
 # --------------------------------------------------------------------------
 
 
@@ -730,18 +729,3 @@ def test_evaluate_early_classifier_rejects_duplicate_ids(threshold_classifier, t
         )
     with pytest.raises(ValueError, match="one entry per exemplar"):
         evaluate_early_classifier(threshold_classifier, series, labels, ids=[1])
-
-
-def test_merge_evaluations_rejects_duplicate_stream_ids():
-    evaluation = StreamingEvaluation(
-        n_alarms=1, true_positives=1, false_positives=0, false_negatives=0,
-        precision=1.0, recall=1.0, false_positives_per_true_positive=0.0,
-        false_alarms_per_1000_samples=0.0, mean_fraction_of_event_seen=0.5,
-        stream_length=100,
-    )
-    merged = merge_evaluations([evaluation, evaluation], stream_ids=["a", "b"])
-    assert merged.stream_length == 200
-    with pytest.raises(ValueError, match="duplicate stream ids.*double-count"):
-        merge_evaluations([evaluation, evaluation], stream_ids=["a", "a"])
-    with pytest.raises(ValueError, match="one entry per evaluation"):
-        merge_evaluations([evaluation, evaluation], stream_ids=["a"])

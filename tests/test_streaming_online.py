@@ -19,10 +19,8 @@ from repro.classifiers.ects import ECTSClassifier
 from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.stream import StreamComposer
-from repro.data.ucr_like import make_multichannel_cbf_dataset
 from repro.streaming.detector import StreamingEarlyDetector
-from repro.streaming.metrics import evaluate_alarms, merge_evaluations
-from repro.streaming.online import MultiStreamDetector, StreamingSession
+from repro.streaming.online import StreamingSession
 
 from oracles.streaming import detect_reference
 
@@ -260,61 +258,3 @@ class TestClassifierStream:
         assert walker.outcome is not None and not walker.outcome.triggered
         with pytest.raises(RuntimeError):
             walker.push(0.0)
-
-
-class TestMultiStream:
-    def test_matches_per_stream_reference(self, fitted_classifier, annotated_stream):
-        rng = np.random.default_rng(5)
-        streams = [
-            annotated_stream,
-            annotated_stream.values[:400],
-            annotated_stream.values + 0.01 * rng.standard_normal(len(annotated_stream)),
-        ]
-        fleet = MultiStreamDetector(
-            fitted_classifier, stride=4, normalization="causal", chunk_size=97
-        )
-        detector = StreamingEarlyDetector(fitted_classifier, stride=4, normalization="causal")
-        for alarms, stream in zip(fleet.detect(streams), streams):
-            assert_alarms_equivalent(detect_reference(detector, stream), alarms)
-
-    def test_merged_evaluation_pools_counts(self, fitted_classifier, annotated_stream):
-        fleet = MultiStreamDetector(fitted_classifier, stride=4, normalization="none")
-        merged = fleet.evaluate([annotated_stream, annotated_stream])
-        detector = StreamingEarlyDetector(fitted_classifier, stride=4, normalization="none")
-        single = evaluate_alarms(detector.detect(annotated_stream), annotated_stream)
-        assert merged.n_alarms == 2 * single.n_alarms
-        assert merged.true_positives == 2 * single.true_positives
-        assert merged.false_positives == 2 * single.false_positives
-        assert merged.stream_length == 2 * len(annotated_stream)
-        assert merged.precision == pytest.approx(single.precision)
-        assert merged.recall == pytest.approx(single.recall)
-
-    @pytest.mark.parametrize("defect", ["non-finite sample", "channel count"])
-    def test_malformed_stream_raises_before_any_session_is_fed(
-        self, defect, monkeypatch
-    ):
-        dataset = make_multichannel_cbf_dataset(n_per_class=6, length=40, n_channels=3)
-        model = ProbabilityThresholdClassifier(min_length=6, checkpoint_step=2)
-        model.fit(dataset.series, dataset.labels)
-        rng = np.random.default_rng(0)
-        streams = [rng.normal(size=(2_000, 3)) for _ in range(3)]
-        if defect == "non-finite sample":
-            streams[-1][-1, 0] = np.nan
-        else:
-            streams[-1] = streams[-1][:, :2]
-        calls = []
-        extend = StreamingSession.extend
-
-        def counting_extend(session, values):
-            calls.append(len(values))
-            return extend(session, values)
-
-        monkeypatch.setattr(StreamingSession, "extend", counting_extend)
-        fleet = MultiStreamDetector(model, stride=5, chunk_size=256)
-        with pytest.raises(ValueError):
-            fleet.detect(streams)
-        assert calls == []
-
-    def test_merge_requires_input(self):
-        with pytest.raises(ValueError):
-            merge_evaluations([])

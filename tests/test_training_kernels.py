@@ -13,10 +13,7 @@ vectorised paths to those references:
   under a fixed seed;
 * the EDSC-KDE coarse-to-fine threshold search **exactly** against the
   oracle's full 200-point grid, on the Table 1 split, a 6-channel set and
-  constructed rows that reach each branch of the search;
-* the DTW wavefront dynamic program against the scalar double loop to
-  <= 1e-10 (in fact bit-for-bit) across band specifications and unequal
-  lengths, plus ``dtw_path`` validity on the wavefront costs.
+  constructed rows that reach each branch of the search.
 """
 
 import numpy as np
@@ -27,15 +24,8 @@ import repro.classifiers.edsc as edsc_module
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
 from repro.classifiers.edsc import EDSCClassifier
 from repro.data.ucr_like import make_multichannel_cbf_dataset
-from repro.distance.dtw import (
-    _accumulated_cost,
-    _resolve_band,
-    dtw_distance,
-    dtw_path,
-)
 from repro.experiments import table1
 
-from oracles.dtw import accumulated_cost_reference
 from oracles.ects import fit_reference as ects_fit_reference
 from oracles.edsc import (
     evaluate_candidates_of_length_reference,
@@ -348,46 +338,3 @@ class TestEDSCKDEThresholdSearch:
         expected = model._learn_thresholds_batch(*args)
         monkeypatch.setattr(edsc_module, "_KDE_BLOCK_BYTES", 1)
         assert np.array_equal(model._learn_thresholds_batch(*args), expected, equal_nan=True)
-
-
-class TestDTWWavefront:
-    @pytest.mark.parametrize("shape", [(30, 30), (25, 40), (40, 25), (1, 7), (7, 1)])
-    @pytest.mark.parametrize("window", [None, 0, 3, 10, 0.0, 0.1, 0.5, 1.0])
-    def test_cost_matrix_matches_reference(self, shape, window):
-        rng = np.random.default_rng(shape[0] * 100 + shape[1])
-        a = rng.standard_normal(shape[0])
-        b = rng.standard_normal(shape[1])
-        band = _resolve_band(shape[0], shape[1], window)
-        reference = accumulated_cost_reference(a, b, band)
-        wavefront = _accumulated_cost(a, b, band)
-        # Each wavefront cell performs the reference recurrence verbatim, so
-        # the equivalence is exact, not merely <= 1e-10.
-        assert np.array_equal(reference, wavefront)
-
-    @pytest.mark.parametrize("window", [None, 5, 0.2])
-    def test_distance_matches_reference_dp(self, window):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal(33)
-        b = rng.standard_normal(27)
-        band = _resolve_band(33, 27, window)
-        cost = accumulated_cost_reference(a, b, band)
-        expected = float(np.sqrt(cost[33, 27]))
-        assert dtw_distance(a, b, window=window) == pytest.approx(
-            expected, abs=1e-10
-        )
-
-    @pytest.mark.parametrize("window", [None, 4, 0.3])
-    def test_path_valid_on_wavefront_costs(self, window):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal(14)
-        b = rng.standard_normal(19)
-        path = dtw_path(a, b, window=window)
-        assert path[0] == (0, 0)
-        assert path[-1] == (13, 18)
-        for (i1, j1), (i2, j2) in zip(path, path[1:]):
-            assert 0 <= i2 - i1 <= 1
-            assert 0 <= j2 - j1 <= 1
-            assert (i2 - i1) + (j2 - j1) >= 1
-        if window is not None:
-            band = _resolve_band(14, 19, window)
-            assert all(abs(i - j) <= band for i, j in path)

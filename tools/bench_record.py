@@ -68,7 +68,7 @@ class BenchRecorder:
     """Accumulates per-benchmark results and writes one JSON file per module.
 
     ``bench_name`` is the module stem minus the ``test_bench_`` prefix
-    (``test_bench_dtw_prune.py`` -> ``BENCH_dtw_prune.json``).  Durations and
+    (``test_bench_fit.py`` -> ``BENCH_fit.json``).  Durations and
     outcomes arrive from the pytest report hooks; explicit metrics from the
     ``bench_metrics`` fixture.  Nothing touches disk until :meth:`write`, so
     a crashed session leaves no half-written records.
