@@ -14,6 +14,14 @@ critique cannot be reproduced without them.  All of them share the
     Feed an exemplar incrementally and return the
     :class:`~repro.classifiers.base.EarlyPrediction` made at the trigger
     point (or at full length if the model never triggers).
+``predict_early_batch(series)``
+    The same walk for a whole test set at once.  Every classifier answers
+    its checkpoints from batched kernels; none falls back to a per-row loop.
+
+TEASER, ECDIRE, the cost-aware rule, the probability-threshold model and the
+two baselines share one evaluator,
+:class:`~repro.classifiers.prefix_probability.ProbabilisticEarlyClassifier`,
+and each states only its checkpoints and its stopping rule.
 
 Implemented algorithms (each module's docstring lists the simplifications
 made relative to the original publication):

@@ -142,8 +142,12 @@ class EarlyPrediction:
 class BatchCheckpoint:
     """One checkpoint of a batched prediction walk.
 
-    Produced by :meth:`BaseEarlyClassifier._batch_partial_evaluators` and
-    consumed by :meth:`BaseEarlyClassifier.predict_early_batch`.
+    Produced by :meth:`BaseEarlyClassifier._batch_partial_evaluators`, which
+    every classifier implements, and consumed by
+    :meth:`BaseEarlyClassifier.predict_early_batch`.  The classifiers built
+    on :class:`repro.classifiers.prefix_probability.ProbabilisticEarlyClassifier`,
+    EDSC and Reliable/LDG also answer ``predict_partial`` with a checkpoint
+    evaluated on a batch of one row.
 
     Attributes
     ----------
@@ -478,25 +482,19 @@ class BaseEarlyClassifier(ABC):
             raise ValueError("series contains non-finite values")
         return data
 
-    def _batch_partial_evaluators(
-        self, data: np.ndarray
-    ) -> list[BatchCheckpoint] | None:
-        """Hook: vectorised checkpoint evaluation for a batch of exemplars.
+    @abstractmethod
+    def _batch_partial_evaluators(self, data: np.ndarray) -> list[BatchCheckpoint]:
+        """Vectorised checkpoint evaluation for a batch of exemplars.
 
-        Subclasses whose per-prefix evaluation vectorises across the test set
-        (e.g. via :func:`repro.distance.engine.batch_prefix_distances`)
-        return one :class:`BatchCheckpoint` per checkpoint, in increasing
-        length order.  :meth:`predict_early_batch` walks the checkpoints
-        with the usual per-row stopping rules, evaluating
+        Returns one :class:`BatchCheckpoint` per checkpoint that fits the
+        rows, in increasing length order.  :meth:`predict_early_batch` walks
+        the checkpoints with the usual per-row stopping rules, evaluating
         :attr:`BatchCheckpoint.partial` only for rows that have not yet
         triggered -- or, when every checkpoint carries a vectorised
         :attr:`BatchCheckpoint.ready` and the classifier keeps the default
-        first-ready trigger rule, only at each row's trigger point.
-
-        The default ``None`` makes :meth:`predict_early_batch` fall back to
-        the per-row reference walk of :meth:`predict_early`.
+        first-ready trigger rule, only at each row's trigger point.  An
+        empty list means the rows are shorter than the first checkpoint.
         """
-        return None
 
     def predict_early_batch(
         self,
@@ -506,14 +504,11 @@ class BaseEarlyClassifier(ABC):
     ) -> list[EarlyPrediction]:
         """Vectorised test-set-at-once counterpart of :meth:`predict_early`.
 
-        Classifiers that override :meth:`_batch_partial_evaluators` answer
-        every checkpoint of every exemplar from batched matrix kernels; the
-        checkpoint walk, trigger rules and returned
-        :class:`EarlyPrediction` objects are otherwise identical to feeding
-        each row through :meth:`predict_early` (the equivalence suite pins
-        this).  Classifiers without a batched override fall back to exactly
-        that per-row loop, so the method is safe to call on any fitted early
-        classifier.
+        Every classifier answers each checkpoint of every exemplar through
+        its :meth:`_batch_partial_evaluators`; the checkpoint walk, trigger
+        rules and returned :class:`EarlyPrediction` objects are otherwise
+        identical to feeding each row through :meth:`predict_early` (the
+        equivalence suite pins this).
 
         Parameters
         ----------
@@ -544,11 +539,7 @@ class BaseEarlyClassifier(ABC):
         for start in range(0, data.shape[0], batch_size):
             chunk = data[start : start + batch_size]
             checkpoints = self._batch_partial_evaluators(chunk)
-            if checkpoints is None:
-                results.extend(
-                    self.predict_early(row, keep_history=keep_history) for row in chunk
-                )
-            elif (
+            if (
                 not keep_history
                 and type(self)._trigger_rule is BaseEarlyClassifier._trigger_rule
                 and checkpoints

@@ -32,13 +32,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction, default_checkpoints
-from repro.classifiers.prefix_probability import PrefixProbabilisticClassifier
+from repro.classifiers.base import default_checkpoints
+from repro.classifiers.prefix_probability import (
+    PrefixProbabilisticClassifier,
+    PrefixProbabilities,
+    ProbabilisticEarlyClassifier,
+)
 
 __all__ = ["CostAwareEarlyClassifier"]
 
 
-class CostAwareEarlyClassifier(BaseEarlyClassifier):
+class CostAwareEarlyClassifier(ProbabilisticEarlyClassifier):
     """Stop when no future checkpoint promises a lower expected cost.
 
     Parameters
@@ -66,7 +70,7 @@ class CostAwareEarlyClassifier(BaseEarlyClassifier):
         n_checkpoints: int = 20,
         n_neighbors: int = 1,
     ) -> None:
-        super().__init__()
+        super().__init__(n_neighbors=n_neighbors)
         if misclassification_cost <= 0:
             raise ValueError("misclassification_cost must be positive")
         if delay_cost_per_unit < 0:
@@ -77,7 +81,6 @@ class CostAwareEarlyClassifier(BaseEarlyClassifier):
         self.delay_cost_per_unit = delay_cost_per_unit
         self.n_checkpoints = n_checkpoints
         self.n_neighbors = n_neighbors
-        self._base = PrefixProbabilisticClassifier(n_neighbors=n_neighbors)
         self._checkpoints: list[int] = []
         self.expected_error_: dict[int, float] = {}
 
@@ -87,20 +90,22 @@ class CostAwareEarlyClassifier(BaseEarlyClassifier):
         data, label_arr = self._validate_training_data(series, labels)
         self._store_training_shape(data, label_arr)
         self._checkpoints = default_checkpoints(data.shape[1], self.n_checkpoints)
-        self._base = PrefixProbabilisticClassifier(
+        self._model = PrefixProbabilisticClassifier(
             checkpoints=self._checkpoints, n_neighbors=self.n_neighbors
         ).fit(data, label_arr)
         self.expected_error_ = self._leave_one_out_error(data, label_arr)
         return self
 
     def _leave_one_out_error(self, data: np.ndarray, labels: np.ndarray) -> dict[int, float]:
+        """Leave-one-out error rate of the base classifier at each checkpoint.
+
+        The whole table comes from one incremental prefix-distance sweep
+        (:meth:`PrefixProbabilisticClassifier.predict_proba_prefixes`).
+        """
+        loo = self._model.predict_proba_prefixes(data, self._checkpoints, exclude_self=True)
         errors: dict[int, float] = {}
         for checkpoint in self._checkpoints:
-            wrong = 0
-            for index, (row, label) in enumerate(zip(data, labels)):
-                result = self._base.predict_proba_prefix(row[:checkpoint], exclude=index)
-                if result.label != label:
-                    wrong += 1
+            wrong = sum(1 for result, label in zip(loo[checkpoint], labels) if result.label != label)
             errors[checkpoint] = wrong / data.shape[0]
         return errors
 
@@ -124,34 +129,18 @@ class CostAwareEarlyClassifier(BaseEarlyClassifier):
         )
 
     # ------------------------------------------------------------ prediction
-    def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
-        """Classify a prefix; ready once waiting costs more than deciding now."""
-        arr = self._validate_prefix(prefix)
-        length = arr.shape[0]
-        result = self._base.predict_proba_prefix(arr)
-        if length >= self.train_length_:
-            return PartialPrediction(
-                label=result.label,
-                ready=True,
-                confidence=result.confidence,
-                prefix_length=length,
-                probabilities=result.probabilities,
-            )
-        cost_now = self.expected_cost_of_stopping_now(result.confidence, length)
-        future = [c for c in self._checkpoints if c > length]
-        best_future = min(
-            (self.expected_cost_of_stopping_at(c) for c in future), default=float("inf")
-        )
-        ready = cost_now <= best_future
-        return PartialPrediction(
-            label=result.label,
-            ready=ready,
-            confidence=result.confidence,
-            prefix_length=length,
-            probabilities=result.probabilities,
-        )
-
     def checkpoints(self) -> list[int]:
         """Prefix lengths with a calibrated expected-error estimate."""
         self._require_fitted()
         return list(self._checkpoints)
+
+    def _ready(self, result: PrefixProbabilities, length: int) -> bool:
+        """Ready once waiting costs more than deciding now; always at full length."""
+        if length >= self.train_length_:
+            return True
+        cost_now = self.expected_cost_of_stopping_now(result.confidence, length)
+        best_future = min(
+            (self.expected_cost_of_stopping_at(c) for c in self._checkpoints if c > length),
+            default=float("inf"),
+        )
+        return cost_now <= best_future

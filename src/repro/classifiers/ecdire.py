@@ -29,13 +29,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction, default_checkpoints
-from repro.classifiers.prefix_probability import PrefixProbabilisticClassifier
+from repro.classifiers.base import default_checkpoints
+from repro.classifiers.prefix_probability import (
+    PrefixProbabilisticClassifier,
+    PrefixProbabilities,
+    ProbabilisticEarlyClassifier,
+    nearest_checkpoint,
+)
 
 __all__ = ["ECDIREClassifier"]
 
 
-class ECDIREClassifier(BaseEarlyClassifier):
+class ECDIREClassifier(ProbabilisticEarlyClassifier):
     """Early classification with per-class safe timestamps and reliability thresholds.
 
     Parameters
@@ -66,7 +71,7 @@ class ECDIREClassifier(BaseEarlyClassifier):
         margin_percentile: float = 25.0,
         n_neighbors: int = 1,
     ) -> None:
-        super().__init__()
+        super().__init__(n_neighbors=n_neighbors)
         if not 0.0 < accuracy_threshold <= 1.0:
             raise ValueError("accuracy_threshold must be in (0, 1]")
         if n_checkpoints < 2:
@@ -77,7 +82,6 @@ class ECDIREClassifier(BaseEarlyClassifier):
         self.n_checkpoints = n_checkpoints
         self.margin_percentile = margin_percentile
         self.n_neighbors = n_neighbors
-        self._base = PrefixProbabilisticClassifier(n_neighbors=n_neighbors)
         self._checkpoints: list[int] = []
         self.safe_timestamps_: dict = {}
         self.margin_thresholds_: dict[int, float] = {}
@@ -88,7 +92,7 @@ class ECDIREClassifier(BaseEarlyClassifier):
         data, label_arr = self._validate_training_data(series, labels)
         self._store_training_shape(data, label_arr)
         self._checkpoints = default_checkpoints(data.shape[1], self.n_checkpoints)
-        self._base = PrefixProbabilisticClassifier(
+        self._model = PrefixProbabilisticClassifier(
             checkpoints=self._checkpoints, n_neighbors=self.n_neighbors
         ).fit(data, label_arr)
 
@@ -111,7 +115,7 @@ class ECDIREClassifier(BaseEarlyClassifier):
         per_class_accuracy: dict = {c: {} for c in self._checkpoints}
         margins: dict = {c: [] for c in self._checkpoints}
         classes = tuple(np.unique(labels).tolist())
-        loo = self._base.predict_proba_prefixes(data, self._checkpoints, exclude_self=True)
+        loo = self._model.predict_proba_prefixes(data, self._checkpoints, exclude_self=True)
         for checkpoint in self._checkpoints:
             correct = {cls: 0 for cls in classes}
             total = {cls: 0 for cls in classes}
@@ -153,25 +157,19 @@ class ECDIREClassifier(BaseEarlyClassifier):
         return thresholds
 
     # ------------------------------------------------------------ prediction
-    def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
-        """Classify a prefix; ready once the class is safe and the margin clears its threshold."""
-        arr = self._validate_prefix(prefix)
-        result = self._base.predict_proba_prefix(arr)
-        checkpoint = min(self._checkpoints, key=lambda c: abs(c - arr.shape[0]))
-        safe_from = self.safe_timestamps_.get(result.label, self.train_length_)
-        margin_ok = result.margin >= self.margin_thresholds_.get(checkpoint, float("inf"))
-        ready = bool(arr.shape[0] >= safe_from and margin_ok)
-        if arr.shape[0] >= self.train_length_:
-            ready = True
-        return PartialPrediction(
-            label=result.label,
-            ready=ready,
-            confidence=result.confidence,
-            prefix_length=arr.shape[0],
-            probabilities=result.probabilities,
-        )
-
     def checkpoints(self) -> list[int]:
         """The evaluated prefix lengths (one per calibrated checkpoint)."""
         self._require_fitted()
         return list(self._checkpoints)
+
+    def _ready(self, result: PrefixProbabilities, length: int) -> bool:
+        """Ready once the class is safe and the margin clears its threshold.
+
+        The whole exemplar is always ready.
+        """
+        if length >= self.train_length_:
+            return True
+        checkpoint = nearest_checkpoint(self._checkpoints, length)
+        safe_from = self.safe_timestamps_.get(result.label, self.train_length_)
+        margin_ok = result.margin >= self.margin_thresholds_.get(checkpoint, float("inf"))
+        return bool(length >= safe_from and margin_ok)

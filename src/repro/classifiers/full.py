@@ -17,16 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
 from repro.classifiers.prefix_probability import (
-    PrefixProbabilisticClassifier,
-    partial_prediction_evaluators,
+    PrefixProbabilities,
+    ProbabilisticEarlyClassifier,
 )
 
 __all__ = ["FullLengthClassifier", "FixedTruncationClassifier"]
 
 
-class FullLengthClassifier(BaseEarlyClassifier):
+class FullLengthClassifier(ProbabilisticEarlyClassifier):
     """1-NN classification that only answers once the whole exemplar is seen.
 
     Not an early classifier at all -- it is the reference point every early
@@ -34,8 +33,7 @@ class FullLengthClassifier(BaseEarlyClassifier):
     """
 
     def __init__(self, n_neighbors: int = 1) -> None:
-        super().__init__()
-        self._model = PrefixProbabilisticClassifier(n_neighbors=n_neighbors)
+        super().__init__(n_neighbors=n_neighbors)
 
     def fit(self, series: np.ndarray, labels: Sequence) -> "FullLengthClassifier":
         """Fit the underlying full-length probabilistic classifier."""
@@ -44,35 +42,17 @@ class FullLengthClassifier(BaseEarlyClassifier):
         self._store_training_shape(data, label_arr)
         return self
 
-    def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
-        """Classify a prefix; only ready once the whole exemplar has been seen."""
-        arr = self._validate_prefix(prefix)
-        result = self._model.predict_proba_prefix(arr)
-        ready = arr.shape[0] >= self.train_length_
-        return PartialPrediction(
-            label=result.label,
-            ready=ready,
-            confidence=result.confidence,
-            prefix_length=arr.shape[0],
-            probabilities=result.probabilities,
-        )
-
     def checkpoints(self) -> list[int]:
         """A single checkpoint: the full exemplar length."""
         self._require_fitted()
         return [self.train_length_]
 
-    def _batch_partial_evaluators(self, data: np.ndarray):
-        """Batched evaluation of the single full-length checkpoint."""
-        return partial_prediction_evaluators(
-            self._model,
-            data,
-            self.checkpoints(),
-            lambda result, length: length >= self.train_length_,
-        )
+    def _ready(self, result: PrefixProbabilities, length: int) -> bool:
+        """Ready only once the whole exemplar has been seen."""
+        return length >= self.train_length_
 
 
-class FixedTruncationClassifier(BaseEarlyClassifier):
+class FixedTruncationClassifier(ProbabilisticEarlyClassifier):
     """Classify after a fixed prefix length.
 
     Parameters
@@ -94,25 +74,30 @@ class FixedTruncationClassifier(BaseEarlyClassifier):
         tolerance: float = 0.01,
         n_neighbors: int = 1,
     ) -> None:
-        super().__init__()
+        super().__init__(n_neighbors=n_neighbors)
         if trigger_length is not None and trigger_length < 1:
             raise ValueError("trigger_length must be >= 1")
         if tolerance < 0:
             raise ValueError("tolerance must be non-negative")
         self.requested_trigger_length = trigger_length
         self.tolerance = tolerance
-        self._model = PrefixProbabilisticClassifier(n_neighbors=n_neighbors)
         self.trigger_length_: int | None = None
 
     def fit(self, series: np.ndarray, labels: Sequence) -> "FixedTruncationClassifier":
         """Fit the base classifier and select the cheapest accurate trigger length."""
         data, label_arr = self._validate_training_data(series, labels)
+        requested = self.requested_trigger_length
+        if requested is not None and requested > data.shape[1]:
+            raise ValueError("trigger_length exceeds the training length")
+        if requested is not None and requested < self._model.min_length:
+            raise ValueError(
+                f"trigger_length {requested} is below the model's min_length "
+                f"of {self._model.min_length}"
+            )
         self._model.fit(data, label_arr)
         self._store_training_shape(data, label_arr)
-        if self.requested_trigger_length is not None:
-            if self.requested_trigger_length > data.shape[1]:
-                raise ValueError("trigger_length exceeds the training length")
-            self.trigger_length_ = int(self.requested_trigger_length)
+        if requested is not None:
+            self.trigger_length_ = int(requested)
         else:
             self.trigger_length_ = self._select_length(data, label_arr)
         return self
@@ -137,32 +122,13 @@ class FixedTruncationClassifier(BaseEarlyClassifier):
                 return candidate
         return length
 
-    def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
-        """Classify a prefix; ready once the learned trigger length is reached."""
-        arr = self._validate_prefix(prefix)
-        result = self._model.predict_proba_prefix(arr)
-        assert self.trigger_length_ is not None  # set in fit
-        ready = arr.shape[0] >= self.trigger_length_
-        return PartialPrediction(
-            label=result.label,
-            ready=ready,
-            confidence=result.confidence,
-            prefix_length=arr.shape[0],
-            probabilities=result.probabilities,
-        )
-
     def checkpoints(self) -> list[int]:
         """Two checkpoints: the learned trigger length and the full length."""
         self._require_fitted()
         assert self.trigger_length_ is not None
         return [self.trigger_length_, self.train_length_]
 
-    def _batch_partial_evaluators(self, data: np.ndarray):
-        """Batched evaluation of the trigger-length and full-length checkpoints."""
+    def _ready(self, result: PrefixProbabilities, length: int) -> bool:
+        """Ready once the learned trigger length is reached."""
         assert self.trigger_length_ is not None
-        return partial_prediction_evaluators(
-            self._model,
-            data,
-            self.checkpoints(),
-            lambda result, length: length >= self.trigger_length_,
-        )
+        return length >= self.trigger_length_

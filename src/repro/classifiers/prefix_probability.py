@@ -1,34 +1,43 @@
 """Per-prefix-length probabilistic classification.
 
-Several of the early classifiers (the probability-threshold model of Fig. 3,
-TEASER's slave classifiers, and the streaming detector) need the same
-primitive: *given a prefix of length L, produce class probabilities*.  The
-published systems use a variety of base classifiers for this (1-NN, WEASEL,
-logistic regression); following the UCR-evaluation tradition -- and to keep
-the reproduction dependency-free -- this module uses nearest-neighbour
-evidence converted into probabilities with a distance softmax whose
-temperature is calibrated per prefix length on the training data.
+Six of the early classifiers (TEASER's slave classifiers, ECDIRE, the
+cost-aware rule, the probability-threshold model of Fig. 3 and the
+full-length and fixed-truncation baselines) need the same primitive: *given
+a prefix of length L, produce class probabilities*.  The published systems
+use a variety of base classifiers for this (1-NN, WEASEL, logistic
+regression); following the UCR-evaluation tradition -- and to keep the
+reproduction dependency-free -- this module uses nearest-neighbour evidence
+converted into probabilities with a distance softmax whose temperature is
+calibrated per prefix length on the training data.
 
 The calibration matters: raw distances grow with the prefix length, so a
 single global temperature would make early probabilities artificially sharp
 or flat.  Calibrating per length is also what keeps the model honest about
 how little it knows early on.
+
+:class:`ProbabilisticEarlyClassifier` is the common base of those six
+classifiers: it evaluates the primitive at their checkpoints, and each of
+them states only its checkpoints and its stopping rule.
 """
 
 from __future__ import annotations
 
+import bisect
+from abc import abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.classifiers.base import BaseEarlyClassifier, BatchCheckpoint, PartialPrediction
 from repro.distance.engine import iter_prefix_distances
 from repro.distance.euclidean import pairwise_euclidean
 
 __all__ = [
     "PrefixProbabilisticClassifier",
     "PrefixProbabilities",
-    "partial_prediction_evaluators",
+    "ProbabilisticEarlyClassifier",
+    "nearest_checkpoint",
 ]
 
 
@@ -47,64 +56,20 @@ class PrefixProbabilities:
         return float(self.probabilities[self.label])
 
 
-def partial_prediction_evaluators(
-    model: "PrefixProbabilisticClassifier",
-    rows: np.ndarray,
-    lengths: Sequence[int],
-    ready_at: Callable[["PrefixProbabilities", int], bool],
-):
-    """Batched checkpoint evaluators for classifiers built on this primitive.
+def nearest_checkpoint(checkpoints: Sequence[int], length: int) -> int:
+    """The checkpoint closest to ``length``; the lower one on a tie.
 
-    The probability-threshold model and the full-length/fixed-truncation
-    baselines all evaluate the same prefix-probability primitive at their
-    checkpoints and differ only in when a prediction counts as *ready*.
-    This helper batches the probability computation with
-    :meth:`PrefixProbabilisticClassifier.predict_proba_batch` -- one length
-    at a time, lazily, so checkpoints past every row's trigger point are
-    never computed -- and wraps each checkpoint in the
-    :class:`repro.classifiers.base.BatchCheckpoint` shape that
-    :meth:`repro.classifiers.base.BaseEarlyClassifier._batch_partial_evaluators`
-    expects, applying ``ready_at(result, length)`` per row.
-
-    Returns an empty list when no requested length fits the rows, which
-    makes ``predict_early_batch`` raise the same "shorter than the first
-    checkpoint" error as the per-row walk.
+    ``checkpoints`` must be non-empty and strictly increasing.  A bisection
+    gives the same answer as a ``min`` scan over ``abs(c - length)``, whose
+    first minimum is the lower of two equidistant checkpoints.
     """
-    from repro.classifiers.base import BatchCheckpoint, PartialPrediction
-
-    usable = [int(v) for v in lengths if int(v) <= rows.shape[1]]
-    if not usable:
-        return []
-
-    def make(length: int) -> BatchCheckpoint:
-        cache: list = []
-
-        def compute() -> list:
-            if not cache:
-                cache.extend(model.predict_proba_batch(rows, [length])[length])
-            return cache
-
-        def partial(i: int) -> PartialPrediction:
-            result = compute()[i]
-            return PartialPrediction(
-                label=result.label,
-                ready=ready_at(result, length),
-                confidence=result.confidence,
-                prefix_length=length,
-                probabilities=result.probabilities,
-            )
-
-        def ready(indices: np.ndarray) -> np.ndarray:
-            results = compute()
-            return np.fromiter(
-                (ready_at(results[i], length) for i in indices),
-                dtype=bool,
-                count=len(indices),
-            )
-
-        return BatchCheckpoint(length=length, partial=partial, ready=ready)
-
-    return [make(length) for length in usable]
+    index = bisect.bisect_left(checkpoints, length)
+    if index == 0:
+        return checkpoints[0]
+    if index == len(checkpoints):
+        return checkpoints[-1]
+    lower, upper = checkpoints[index - 1], checkpoints[index]
+    return lower if length - lower <= upper - length else upper
 
 
 class PrefixProbabilisticClassifier:
@@ -157,11 +122,16 @@ class PrefixProbabilisticClassifier:
             data = data[:, :, 0]
         if label_arr.shape[0] != data.shape[0]:
             raise ValueError("labels must have one entry per exemplar")
+        length = data.shape[1]
+        if length < self.min_length:
+            raise ValueError(
+                f"the series have {length} samples, fewer than "
+                f"min_length={self.min_length}: no prefix is long enough to classify"
+            )
         self._train = data
         self._labels = label_arr
         self._classes = tuple(np.unique(label_arr).tolist())
 
-        length = data.shape[1]
         if self._requested_checkpoints is None:
             step = max(1, length // 30)
             checkpoints = list(range(self.min_length, length + 1, step))
@@ -231,60 +201,7 @@ class PrefixProbabilisticClassifier:
 
     # ------------------------------------------------------------ inference
     def _temperature_for(self, length: int) -> float:
-        calibrated = self.calibrated_checkpoints
-        nearest = min(calibrated, key=lambda c: abs(c - length))
-        return self._temperatures[nearest]
-
-    def predict_proba_prefix(
-        self, prefix: np.ndarray, exclude: int | None = None
-    ) -> PrefixProbabilities:
-        """Class probabilities for a single observed prefix.
-
-        Parameters
-        ----------
-        prefix:
-            The observed prefix (1-D).
-        exclude:
-            Optional index of a training exemplar to leave out of the
-            neighbour search.  Callers evaluating the model *on its own
-            training data* (e.g. TEASER's master training and parameter
-            selection) must pass the exemplar's own index here, otherwise the
-            exemplar finds itself at distance zero and the evaluation is
-            meaninglessly optimistic.
-        """
-        if self._train is None or self._labels is None:
-            raise RuntimeError("classifier must be fitted before use")
-        arr = np.asarray(prefix, dtype=float)
-        channels = self.n_channels_
-        if channels == 1:
-            if arr.ndim != 1:
-                raise ValueError("prefix must be 1-D")
-        elif arr.ndim != 2 or arr.shape[1] != channels:
-            raise ValueError(
-                "prefix must be a 2-D (length, n_channels) exemplar with "
-                f"n_channels={channels} (axis 0 = time, axis 1 = channel); "
-                f"got shape {arr.shape}"
-            )
-        length = arr.shape[0]
-        if length < self.min_length:
-            raise ValueError(f"prefix must have at least {self.min_length} samples")
-        if length > self.train_length_:
-            raise ValueError("prefix is longer than the training exemplars")
-
-        train_prefix = self._train[:, :length]
-        distances = pairwise_euclidean(arr[None, :], train_prefix)[0]
-        if exclude is not None:
-            if not 0 <= exclude < distances.shape[0]:
-                raise IndexError("exclude index out of range")
-            distances = distances.copy()
-            distances[exclude] = np.inf
-
-        class_evidence: dict = {}
-        for cls in self._classes:
-            cls_distances = np.sort(distances[self._labels == cls])
-            k = min(self.n_neighbors, cls_distances.shape[0])
-            class_evidence[cls] = float(np.mean(cls_distances[:k]))
-        return self._result_from_evidence(class_evidence, length)
+        return self._temperatures[nearest_checkpoint(self.calibrated_checkpoints, length)]
 
     def _result_from_evidence(self, class_evidence: dict, length: int) -> PrefixProbabilities:
         """Convert per-class distance evidence into calibrated probabilities."""
@@ -308,22 +225,19 @@ class PrefixProbabilisticClassifier:
     def predict_proba_batch(
         self, rows: np.ndarray, lengths: Sequence[int]
     ) -> dict[int, list[PrefixProbabilities]]:
-        """Batched inference counterpart of :meth:`predict_proba_prefix`.
+        """Class probabilities of a batch of rows at a few prefix lengths.
 
         One vectorised :func:`repro.distance.euclidean.pairwise_euclidean`
-        matrix per requested length answers every query at once, and the
-        per-class evidence is reduced with the *same* sort-then-mean the
-        per-row path uses, so a batched evaluation reproduces the per-row
-        probabilities to floating-point round-off.  This is the kernel under
-        the early classifiers' ``predict_early_batch`` fast paths (TEASER,
-        the probability-threshold model and the full-length/fixed-truncation
-        baselines).
+        matrix per requested length answers every row at once, and a class's
+        evidence is the mean of its ``n_neighbors`` smallest distances, taken
+        from a sort.  This is the kernel every
+        :class:`ProbabilisticEarlyClassifier` checkpoint runs, for a batch
+        and for a single prefix alike.
 
         Distinct from :meth:`predict_proba_prefixes`, which serves *training*
         sweeps over dense length grids from one incremental engine pass and
         supports leave-one-out; here the lengths are the handful of inference
-        checkpoints and fidelity to :meth:`predict_proba_prefix` is what
-        matters.
+        checkpoints.
 
         Parameters
         ----------
@@ -379,9 +293,10 @@ class PrefixProbabilisticClassifier:
     ) -> dict[int, list[PrefixProbabilities]]:
         """Batched probabilities for many series at many prefix lengths.
 
-        This is the hot path of TEASER's master training / ``v`` selection
-        and ECDIRE's cross-validated safe-timestamp estimation: every
-        training exemplar evaluated at every checkpoint.  All distances come
+        This is the hot path of TEASER's master training / ``v`` selection,
+        ECDIRE's cross-validated safe-timestamp estimation and the cost-aware
+        rule's error estimates: every training exemplar evaluated at every
+        checkpoint.  All distances come
         from a single incremental sweep of
         :func:`repro.distance.engine.iter_prefix_distances`, so the whole
         table costs one full-length distance matrix instead of one matrix
@@ -397,7 +312,9 @@ class PrefixProbabilisticClassifier:
             Leave-one-out mode: ``rows`` must be the training set itself
             (same shape), and row ``i`` ignores training exemplar ``i`` in
             the neighbour search.  This is the honest way to evaluate the
-            model on its own training data (see :meth:`predict_proba_prefix`).
+            model on its own training data: otherwise every exemplar finds
+            itself at distance zero and the evaluation is meaninglessly
+            optimistic.
 
         Returns
         -------
@@ -437,3 +354,88 @@ class PrefixProbabilisticClassifier:
                 for row in range(data.shape[0])
             ]
         return results
+
+
+class ProbabilisticEarlyClassifier(BaseEarlyClassifier):
+    """An early classifier that commits on :class:`PrefixProbabilisticClassifier` evidence.
+
+    TEASER, ECDIRE, the cost-aware rule, the probability-threshold model and
+    the full-length and fixed-truncation baselines differ only in their
+    checkpoints and in when a prediction counts as *ready*.  A subclass fits
+    ``self._model`` in :meth:`fit` and writes :meth:`checkpoints` and
+    :meth:`_ready`.  Both walks then run one evaluator:
+    ``predict_early_batch`` evaluates each checkpoint for the whole batch,
+    and :meth:`predict_partial` evaluates one prefix the same way, as a
+    batch of one row at its own length.
+
+    Parameters
+    ----------
+    n_neighbors:
+        Neighbours per class whose mean distance forms the class evidence.
+    min_length:
+        Smallest prefix length the model classifies.
+    """
+
+    def __init__(self, n_neighbors: int = 1, min_length: int = 3) -> None:
+        super().__init__()
+        self._model = PrefixProbabilisticClassifier(
+            min_length=min_length, n_neighbors=n_neighbors
+        )
+
+    @abstractmethod
+    def _ready(self, result: PrefixProbabilities, length: int) -> bool:
+        """The stopping rule: whether ``result``, seen after ``length`` samples, commits."""
+
+    def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
+        """Classify a prefix; ``ready`` is the stopping rule at the prefix's length."""
+        arr = self._validate_prefix(prefix)
+        return self._checkpoint(arr[None], arr.shape[0]).partial(0)
+
+    def _batch_partial_evaluators(self, data: np.ndarray) -> list[BatchCheckpoint]:
+        """One checkpoint evaluator per checkpoint that fits the rows.
+
+        An empty list, when no checkpoint fits, makes ``predict_early_batch``
+        raise its "shorter than the first checkpoint" error.
+        """
+        return [
+            self._checkpoint(data, length)
+            for length in self.checkpoints()
+            if length <= data.shape[1]
+        ]
+
+    def _checkpoint(self, rows: np.ndarray, length: int) -> BatchCheckpoint:
+        """Every row's evidence at ``length``, computed when first asked for.
+
+        The walk asks only once a row reaches ``length``, so checkpoints past
+        every row's trigger point never run
+        :meth:`PrefixProbabilisticClassifier.predict_proba_batch`.
+        """
+        cache: list[PrefixProbabilities] = []
+
+        def results() -> list[PrefixProbabilities]:
+            if not cache:
+                cache.extend(self._model.predict_proba_batch(rows, [length])[length])
+            return cache
+
+        def partial(i: int) -> PartialPrediction:
+            return self._partial(results()[i], length)
+
+        def ready(indices: np.ndarray) -> np.ndarray:
+            found = results()
+            return np.fromiter(
+                (self._ready(found[i], length) for i in indices),
+                dtype=bool,
+                count=len(indices),
+            )
+
+        return BatchCheckpoint(length=length, partial=partial, ready=ready)
+
+    def _partial(self, result: PrefixProbabilities, length: int) -> PartialPrediction:
+        """``result`` at ``length`` as the :class:`PartialPrediction` a walk reads."""
+        return PartialPrediction(
+            label=result.label,
+            ready=self._ready(result, length),
+            confidence=result.confidence,
+            prefix_length=length,
+            probabilities=result.probabilities,
+        )

@@ -28,17 +28,17 @@ accept/require-consistency structure that defines TEASER.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.classifiers.base import (
-    BaseEarlyClassifier,
-    BatchCheckpoint,
-    PartialPrediction,
-    default_checkpoints,
+from repro.classifiers.base import PartialPrediction, default_checkpoints
+from repro.classifiers.prefix_probability import (
+    PrefixProbabilisticClassifier,
+    PrefixProbabilities,
+    ProbabilisticEarlyClassifier,
+    nearest_checkpoint,
 )
-from repro.classifiers.prefix_probability import PrefixProbabilisticClassifier
 from repro.evaluation.earliness import harmonic_mean_accuracy_earliness
 
 __all__ = ["TEASERClassifier"]
@@ -71,7 +71,33 @@ class _OneClassGaussian:
         return distance <= self.threshold
 
 
-class TEASERClassifier(BaseEarlyClassifier):
+def _streak_rule(required: int) -> Callable[[PartialPrediction], bool]:
+    """A fresh consecutive-agreement rule: commit once ``required`` accepts agree.
+
+    An accepted prediction extends the streak if its label matches the
+    previous accepted one and starts a new streak otherwise; a rejected one
+    breaks the streak.
+    """
+    streak_label: object = None
+    streak = 0
+
+    def should_trigger(partial: PartialPrediction) -> bool:
+        nonlocal streak_label, streak
+        if not partial.ready:
+            streak_label = None
+            streak = 0
+            return False
+        if partial.label == streak_label:
+            streak += 1
+        else:
+            streak_label = partial.label
+            streak = 1
+        return streak >= required
+
+    return should_trigger
+
+
+class TEASERClassifier(ProbabilisticEarlyClassifier):
     """The TEASER early classifier.
 
     Parameters
@@ -108,7 +134,7 @@ class TEASERClassifier(BaseEarlyClassifier):
         min_checkpoint_accuracy: float = 0.7,
         n_neighbors: int = 1,
     ) -> None:
-        super().__init__()
+        super().__init__(n_neighbors=n_neighbors)
         if n_checkpoints < 2:
             raise ValueError("n_checkpoints must be at least 2")
         if consecutive_required is not None and consecutive_required < 1:
@@ -125,7 +151,6 @@ class TEASERClassifier(BaseEarlyClassifier):
         self.master_quantile = master_quantile
         self.min_checkpoint_accuracy = min_checkpoint_accuracy
         self.n_neighbors = n_neighbors
-        self._slave = PrefixProbabilisticClassifier(n_neighbors=n_neighbors)
         self._checkpoints: list[int] = []
         self._masters: dict[int, _OneClassGaussian | None] = {}
         self.consecutive_required_: int | None = None
@@ -136,14 +161,14 @@ class TEASERClassifier(BaseEarlyClassifier):
         data, label_arr = self._validate_training_data(series, labels)
         self._store_training_shape(data, label_arr)
         self._checkpoints = default_checkpoints(data.shape[1], self.n_checkpoints)
-        self._slave = PrefixProbabilisticClassifier(
+        self._model = PrefixProbabilisticClassifier(
             checkpoints=self._checkpoints, n_neighbors=self.n_neighbors
         ).fit(data, label_arr)
         # Every training step below consumes the same leave-one-out slave
         # evaluations (one per exemplar per checkpoint); computing the whole
         # table in one incremental prefix-distance sweep is what makes
         # training O(n^2 * L) instead of O(n^2 * L * n_checkpoints).
-        loo = self._slave.predict_proba_prefixes(
+        loo = self._model.predict_proba_prefixes(
             data, self._checkpoints, exclude_self=True
         )
         self._fit_masters(data, label_arr, loo)
@@ -186,22 +211,6 @@ class TEASERClassifier(BaseEarlyClassifier):
                 # to fit an envelope: the master rejects everything here.
                 self._masters[checkpoint] = None
 
-    def _gated_partial(self, result, checkpoint: int) -> PartialPrediction:
-        """Gate one slave result through the checkpoint's master acceptance model."""
-        master = self._masters.get(checkpoint)
-        accepted = False
-        if master is not None:
-            accepted = master.accepts(
-                self._acceptance_feature(result.probabilities, result.margin)
-            )
-        return PartialPrediction(
-            label=result.label,
-            ready=accepted,
-            confidence=result.confidence,
-            prefix_length=checkpoint,
-            probabilities=result.probabilities,
-        )
-
     def _select_consecutive(self, data: np.ndarray, labels: np.ndarray, loo: dict) -> int:
         """Pick v maximising the harmonic mean of training accuracy and earliness.
 
@@ -209,14 +218,12 @@ class TEASERClassifier(BaseEarlyClassifier):
         with itself excluded from the slave's neighbour search.  The
         per-(exemplar, checkpoint) partial predictions do not depend on
         ``v``, so the precomputed ``loo`` table is gated through the masters
-        once and each candidate ``v`` only replays the cheap streak logic.
+        once and each candidate ``v`` only replays the streak rule of
+        :meth:`_trigger_rule`.
         """
         full_length = data.shape[1]
         partials_per_exemplar = [
-            [
-                (checkpoint, self._gated_partial(loo[checkpoint][index], checkpoint))
-                for checkpoint in self._checkpoints
-            ]
+            [self._partial(loo[checkpoint][index], checkpoint) for checkpoint in self._checkpoints]
             for index in range(data.shape[0])
         ]
         best_v = self.candidate_v[0]
@@ -225,14 +232,13 @@ class TEASERClassifier(BaseEarlyClassifier):
             predictions = []
             earliness = []
             for partials in partials_per_exemplar:
-                trigger_index, last = self._walk_streak((p for _, p in partials), v)
-                if trigger_index is not None:
-                    checkpoint, partial = partials[trigger_index]
-                    predictions.append(partial.label)
-                    earliness.append(checkpoint / full_length)
+                should_trigger = _streak_rule(v)
+                trigger = next((p for p in partials if should_trigger(p)), None)
+                if trigger is not None:
+                    predictions.append(trigger.label)
+                    earliness.append(trigger.prefix_length / full_length)
                 else:
-                    assert last is not None
-                    predictions.append(last.label)
+                    predictions.append(partials[-1].label)
                     earliness.append(1.0)
             accuracy = float(np.mean(np.asarray(predictions) == labels))
             score = harmonic_mean_accuracy_earliness(accuracy, float(np.mean(earliness)))
@@ -242,135 +248,31 @@ class TEASERClassifier(BaseEarlyClassifier):
         return int(best_v)
 
     # ------------------------------------------------------------ prediction
-    def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
-        """Single-snapshot view: the slave's prediction gated by the master.
-
-        ``ready`` here means "this snapshot's master accepted the slave
-        prediction"; the consecutive-agreement requirement is applied by
-        :meth:`predict_early`, which is the entry point that reproduces the
-        full TEASER behaviour.
-        """
-        arr = self._validate_prefix(prefix)
-        return self._partial_at(arr, exclude=None)
-
-    def _nearest_checkpoint(self, length: int) -> int:
-        return min(self._checkpoints, key=lambda c: abs(c - length))
-
     def checkpoints(self) -> list[int]:
         """The snapshot lengths (one per slave/master pair)."""
         self._require_fitted()
         return list(self._checkpoints)
 
-    def _trigger_rule(self):
+    def _ready(self, result: PrefixProbabilities, length: int) -> bool:
+        """Whether the master of the nearest snapshot accepts the slave's result.
+
+        ``ready`` here means "this snapshot's master accepted the slave
+        prediction"; the consecutive-agreement requirement is the stopping
+        rule of :meth:`_trigger_rule`, which ``predict_early`` and
+        ``predict_early_batch`` apply on top.
+        """
+        master = self._masters.get(nearest_checkpoint(self._checkpoints, length))
+        return master is not None and master.accepts(
+            self._acceptance_feature(result.probabilities, result.margin)
+        )
+
+    def _trigger_rule(self) -> Callable[[PartialPrediction], bool]:
         """The consecutive-agreement rule as a stateful stopping rule.
 
-        ``predict_early`` (and the streaming :class:`ClassifierStream`) walk
-        the snapshot checkpoints through the base class; this rule replays
-        the accept + streak logic of :meth:`_walk_streak` one checkpoint at a
-        time, committing once the same class has been accepted ``v`` times in
-        a row.
+        The walks evaluate the snapshot checkpoints through the base class;
+        this rule commits once the same class has been accepted ``v`` times
+        in a row.
         """
         self._require_fitted()
         assert self.consecutive_required_ is not None
-        required = int(self.consecutive_required_)
-        streak_label: object = None
-        streak = 0
-
-        def should_trigger(partial: PartialPrediction) -> bool:
-            nonlocal streak_label, streak
-            if not partial.ready:
-                streak_label = None
-                streak = 0
-                return False
-            if partial.label == streak_label:
-                streak += 1
-            else:
-                streak_label = partial.label
-                streak = 1
-            return streak >= required
-
-        return should_trigger
-
-    def _batch_partial_evaluators(self, data: np.ndarray):
-        """Batched snapshot evaluation: slave probabilities for the whole batch.
-
-        Each snapshot's class probabilities come from one vectorised
-        :meth:`PrefixProbabilisticClassifier.predict_proba_batch` matrix --
-        computed lazily, on the first row that reaches the snapshot, so
-        snapshots past every row's trigger streak are never evaluated -- and
-        are gated through that snapshot's master exactly as the per-row walk
-        does; the consecutive-agreement rule stays per-row in
-        :meth:`~repro.classifiers.base.BaseEarlyClassifier.predict_early_batch`'s
-        walk via :meth:`_trigger_rule`.
-        """
-        lengths = [c for c in self._checkpoints if c <= data.shape[1]]
-        if not lengths:
-            return []
-
-        def make(length: int) -> BatchCheckpoint:
-            cache: list = []
-
-            def partial(i: int) -> PartialPrediction:
-                if not cache:
-                    cache.extend(self._slave.predict_proba_batch(data, [length])[length])
-                return self._gated_partial(cache[i], length)
-
-            # No vectorised ``ready``: TEASER's stopping rule is the
-            # consecutive-agreement streak (an overridden _trigger_rule), so
-            # the base walk replays it per row from these partials anyway.
-            return BatchCheckpoint(length=length, partial=partial)
-
-        return [make(length) for length in lengths]
-
-    def _partial_at(self, prefix: np.ndarray, exclude: int | None) -> PartialPrediction:
-        """Slave + master evaluation of one prefix, optionally leave-one-out."""
-        result = self._slave.predict_proba_prefix(prefix, exclude=exclude)
-        checkpoint = self._nearest_checkpoint(prefix.shape[0])
-        partial = self._gated_partial(result, checkpoint)
-        if partial.prefix_length != prefix.shape[0]:
-            partial = PartialPrediction(
-                label=partial.label,
-                ready=partial.ready,
-                confidence=partial.confidence,
-                prefix_length=prefix.shape[0],
-                probabilities=partial.probabilities,
-            )
-        return partial
-
-    @staticmethod
-    def _walk_streak(partials, consecutive_required: int):
-        """Apply the accept + consecutive-agreement rule to partial predictions.
-
-        Parameters
-        ----------
-        partials:
-            Iterable of :class:`PartialPrediction`, one per checkpoint in
-            increasing order.  Consumed lazily, so a generator that computes
-            predictions on demand stops as soon as the streak completes.
-        consecutive_required:
-            The agreement requirement ``v``.
-
-        Returns
-        -------
-        tuple
-            ``(trigger_index, last_partial)`` where ``trigger_index`` is the
-            position (into ``partials``) at which the streak completed, or
-            ``None`` if it never did.
-        """
-        streak_label = None
-        streak = 0
-        last: PartialPrediction | None = None
-        for index, partial in enumerate(partials):
-            last = partial
-            if partial.ready:
-                if partial.label == streak_label:
-                    streak += 1
-                else:
-                    streak_label = partial.label
-                    streak = 1
-                if streak >= consecutive_required:
-                    return index, last
-            else:
-                streak_label = None
-                streak = 0
-        return None, last
+        return _streak_rule(int(self.consecutive_required_))

@@ -12,16 +12,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
+from repro.classifiers.base import PartialPrediction
 from repro.classifiers.prefix_probability import (
-    PrefixProbabilisticClassifier,
-    partial_prediction_evaluators,
+    PrefixProbabilities,
+    ProbabilisticEarlyClassifier,
 )
 
 __all__ = ["ProbabilityThresholdClassifier"]
 
 
-class ProbabilityThresholdClassifier(BaseEarlyClassifier):
+class ProbabilityThresholdClassifier(ProbabilisticEarlyClassifier):
     """Commit as soon as the predicted class probability exceeds a threshold.
 
     Parameters
@@ -44,17 +44,14 @@ class ProbabilityThresholdClassifier(BaseEarlyClassifier):
         checkpoint_step: int = 1,
         n_neighbors: int = 1,
     ) -> None:
-        super().__init__()
+        super().__init__(n_neighbors=n_neighbors, min_length=min_length)
         if not 0.5 < threshold <= 1.0:
             raise ValueError("threshold must be in (0.5, 1.0]")
-        if min_length < 1:
-            raise ValueError("min_length must be >= 1")
         if checkpoint_step < 1:
             raise ValueError("checkpoint_step must be >= 1")
         self.threshold = threshold
         self.min_length = min_length
         self.checkpoint_step = checkpoint_step
-        self._model = PrefixProbabilisticClassifier(min_length=min_length, n_neighbors=n_neighbors)
 
     def fit(self, series: np.ndarray, labels: Sequence) -> "ProbabilityThresholdClassifier":
         """Fit the prefix probabilistic model used to test the threshold."""
@@ -68,24 +65,16 @@ class ProbabilityThresholdClassifier(BaseEarlyClassifier):
     def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
         """Classify a prefix; ready once the winning probability clears the threshold."""
         arr = self._validate_prefix(prefix)
-        if arr.shape[0] < self.min_length:
-            # Too little data to even form probabilities; report an even split.
-            uniform = 1.0 / len(self.classes_)
-            return PartialPrediction(
-                label=self.classes_[0],
-                ready=False,
-                confidence=uniform,
-                prefix_length=arr.shape[0],
-                probabilities={cls: uniform for cls in self.classes_},
-            )
-        result = self._model.predict_proba_prefix(arr)
-        ready = result.confidence >= self.threshold
+        if arr.shape[0] >= self.min_length:
+            return super().predict_partial(arr)
+        # Too little data to even form probabilities; report an even split.
+        uniform = 1.0 / len(self.classes_)
         return PartialPrediction(
-            label=result.label,
-            ready=ready,
-            confidence=result.confidence,
+            label=self.classes_[0],
+            ready=False,
+            confidence=uniform,
             prefix_length=arr.shape[0],
-            probabilities=result.probabilities,
+            probabilities={cls: uniform for cls in self.classes_},
         )
 
     def checkpoints(self) -> list[int]:
@@ -96,11 +85,6 @@ class ProbabilityThresholdClassifier(BaseEarlyClassifier):
             points.append(self.train_length_)
         return points
 
-    def _batch_partial_evaluators(self, data: np.ndarray):
-        """Batched checkpoint evaluation: one distance matrix per checkpoint."""
-        return partial_prediction_evaluators(
-            self._model,
-            data,
-            self.checkpoints(),
-            lambda result, length: result.confidence >= self.threshold,
-        )
+    def _ready(self, result: PrefixProbabilities, length: int) -> bool:
+        """Ready once the winning class's probability clears the threshold."""
+        return result.confidence >= self.threshold

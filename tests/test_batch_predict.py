@@ -3,15 +3,18 @@
 ``predict_early_batch`` answers a whole test set from batched matrix
 kernels; ``predict_early`` row by row is the reference implementation.  The
 two must agree -- outcome by outcome and metric by metric -- for every
-classifier with a batched override, across z-normalisation modes, or the
-batched fast path has silently drifted (a tie-break or voting regression).
+classifier, across z-normalisation modes, or the batched fast path has
+silently drifted (a tie-break or voting regression).  Every classifier
+implements the batched hook; ``predict_early_batch`` has no per-row fallback.
 This suite is the drift gate the CI workflow runs explicitly.
 
 All datasets here are fixed-seed, so the assertions are deterministic.  One
-caveat for future failures: the probability-based classifiers' batched path
-computes distances with a (n x m) GEMM where the per-row path uses a
-(1 x m) GEMV, which agree only to ~1e-15; a slave confidence landing within
-that sliver of a trigger threshold would legitimately shift one checkpoint.
+caveat for future failures: the six classifiers built on
+``ProbabilisticEarlyClassifier`` (TEASER, ECDIRE, cost-aware, the threshold
+model and the two baselines) evaluate a whole batch with an (n x m) distance
+product, while the per-row walk evaluates a batch of one row, (1 x m); the
+two agree only to ~1e-15, so a confidence or margin landing within that
+sliver of a stopping threshold would legitimately shift one checkpoint.
 If this gate ever trips with a one-checkpoint trigger_length difference and
 a near-threshold confidence, suspect that razor's edge before suspecting
 real drift (ECTS is immune: its kernel is bit-identical to the reference).
@@ -24,7 +27,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.classifiers.base import BaseEarlyClassifier, PartialPrediction
+from repro.classifiers.base import BaseEarlyClassifier, BatchCheckpoint, PartialPrediction
+from repro.classifiers.cost_aware import CostAwareEarlyClassifier
 from repro.classifiers.ecdire import ECDIREClassifier
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
 from repro.classifiers.edsc import EDSCClassifier
@@ -47,11 +51,13 @@ METRIC_FIELDS = (
     "n_exemplars",
 )
 
-#: Classifier factories with a vectorised ``_batch_partial_evaluators``.
+#: Factories of every exported early classifier.
 BATCHED_CLASSIFIERS = {
     "ects": lambda: ECTSClassifier(min_support=0.0),
     "relaxed-ects": lambda: RelaxedECTSClassifier(min_support=0.0),
     "teaser": lambda: TEASERClassifier(n_checkpoints=8),
+    "ecdire": lambda: ECDIREClassifier(n_checkpoints=8),
+    "cost-aware": lambda: CostAwareEarlyClassifier(n_checkpoints=8),
     "threshold": lambda: ProbabilityThresholdClassifier(threshold=0.8, min_length=5),
     "full-length": lambda: FullLengthClassifier(),
     "fixed-truncation": lambda: FixedTruncationClassifier(),
@@ -64,6 +70,17 @@ BATCHED_CLASSIFIERS = {
         threshold_method="kde", position_step=6, max_candidates_per_class=60
     ),
 }
+
+#: The classifiers built on ``ProbabilisticEarlyClassifier``: one evaluator
+#: answers their batched walk and their ``predict_partial``.
+PROBABILISTIC_CLASSIFIERS = (
+    "teaser",
+    "ecdire",
+    "cost-aware",
+    "threshold",
+    "full-length",
+    "fixed-truncation",
+)
 
 #: Shapelet classifiers: the batched walk reads first-match lengths.
 SHAPELET_CLASSIFIERS = ("edsc-che", "edsc-kde")
@@ -103,7 +120,6 @@ class TestPredictEarlyBatchEquivalence:
     ):
         train, test = gunpoint_small if znorm == "znormalized" else gunpoint_small_raw
         model = BATCHED_CLASSIFIERS[name]().fit(train.series, train.labels)
-        assert model._batch_partial_evaluators(test.series) is not None
         batched = model.predict_early_batch(test.series)
         reference = [model.predict_early(row) for row in test.series]
         _assert_outcomes_match(batched, reference)
@@ -124,9 +140,13 @@ class TestPredictEarlyBatchEquivalence:
         chunked = model.predict_early_batch(test.series, batch_size=3)
         _assert_outcomes_match(chunked, whole)
 
-    def test_keep_history_matches_per_row(self, gunpoint_small):
-        train, test = gunpoint_small
-        model = ProbabilityThresholdClassifier(min_length=5).fit(train.series, train.labels)
+    @pytest.mark.parametrize("name", PROBABILISTIC_CLASSIFIERS)
+    @pytest.mark.parametrize("znorm", ["znormalized", "raw"])
+    def test_keep_history_matches_per_row(
+        self, name, znorm, gunpoint_small, gunpoint_small_raw
+    ):
+        train, test = gunpoint_small if znorm == "znormalized" else gunpoint_small_raw
+        model = BATCHED_CLASSIFIERS[name]().fit(train.series, train.labels)
         _assert_histories_match(model, test.series[:6])
 
     @pytest.mark.parametrize("name", SHAPELET_CLASSIFIERS)
@@ -158,15 +178,6 @@ class TestPredictEarlyBatchEquivalence:
         batched = model.predict_early_batch(short)
         _assert_outcomes_match(batched, [model.predict_early(row) for row in short])
         _assert_outcomes_match(batched, without)
-
-    def test_fallback_path_without_override(self, gunpoint_small):
-        """Classifiers without a batched override ride the per-row reference."""
-        train, test = gunpoint_small
-        model = ECDIREClassifier(n_checkpoints=6).fit(train.series, train.labels)
-        assert model._batch_partial_evaluators(test.series) is None
-        batched = model.predict_early_batch(test.series[:8])
-        reference = [model.predict_early(row) for row in test.series[:8]]
-        _assert_outcomes_match(batched, reference)
 
     def test_predict_and_scores_ride_the_batched_path(self, gunpoint_small):
         train, test = gunpoint_small
@@ -275,6 +286,19 @@ class _NeverReady(BaseEarlyClassifier):
         return PartialPrediction(
             label=self.classes_[0], ready=False, confidence=0.0, prefix_length=arr.shape[0]
         )
+
+    def _batch_partial_evaluators(self, data):
+        # A vectorised ``ready`` sends the batched walk down its first-ready
+        # path, whose rows all fall through to the last checkpoint here.
+        return [
+            BatchCheckpoint(
+                length=length,
+                partial=lambda i, length=length: self.predict_partial(data[i, :length]),
+                ready=lambda rows: np.zeros(len(rows), dtype=bool),
+            )
+            for length in self.checkpoints()
+            if length <= data.shape[1]
+        ]
 
 
 class TestTriggerlessBatch:

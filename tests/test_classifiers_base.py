@@ -5,6 +5,7 @@ import pytest
 
 from repro.classifiers.base import (
     BaseEarlyClassifier,
+    BatchCheckpoint,
     EarlyPrediction,
     PartialPrediction,
     default_checkpoints,
@@ -61,6 +62,18 @@ class _TriggerAtLength(BaseEarlyClassifier):
             confidence=1.0,
             prefix_length=arr.shape[0],
         )
+
+    def _batch_partial_evaluators(self, data):
+        # Row by row through predict_partial, with no vectorised ``ready``:
+        # the batched walk then runs its per-row stopping-rule path.
+        return [
+            BatchCheckpoint(
+                length=length,
+                partial=lambda i, length=length: self.predict_partial(data[i, :length]),
+            )
+            for length in self.checkpoints()
+            if length <= data.shape[1]
+        ]
 
 
 class TestBaseBehaviour:

@@ -45,6 +45,23 @@ class TestFixedTruncationClassifier:
         with pytest.raises(ValueError):
             FixedTruncationClassifier(trigger_length=999).fit(series, labels)
 
+    @pytest.mark.parametrize("trigger_length", [1, 2])
+    def test_trigger_length_below_the_model_minimum_rejected_at_fit(
+        self, tiny_two_class, trigger_length
+    ):
+        # The model cannot classify a prefix shorter than 3 samples, so such a
+        # trigger length would make every prediction fail.
+        series, labels = tiny_two_class
+        model = FixedTruncationClassifier(trigger_length=trigger_length)
+        with pytest.raises(ValueError, match="min_length of 3"):
+            model.fit(series, labels)
+
+    def test_shortest_allowed_trigger_length_predicts(self, tiny_two_class):
+        series, labels = tiny_two_class
+        model = FixedTruncationClassifier(trigger_length=3).fit(series, labels)
+        assert [o.trigger_length for o in model.predict_early_batch(series[:4])] == [3] * 4
+        assert model.predict_early(series[0]).trigger_length == 3
+
     def test_auto_selected_length_is_shorter_than_full(self, gunpoint_medium_raw):
         # On GunPoint-like data, the informative part ends well before the
         # exemplar does, so the auto-selected truncation should be < length.

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.classifiers.prefix_probability import PrefixProbabilisticClassifier
+from repro.classifiers.full import FullLengthClassifier
+from repro.classifiers.prefix_probability import (
+    PrefixProbabilisticClassifier,
+    nearest_checkpoint,
+)
+
+from tests.oracles.prefix_probability import predict_proba_prefix
 
 
 class TestFit:
@@ -25,62 +31,169 @@ class TestFit:
         with pytest.raises(ValueError):
             PrefixProbabilisticClassifier().fit(np.zeros(10), ["a"])
 
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_rejects_series_shorter_than_min_length(self, tiny_two_class, length):
+        series, labels = tiny_two_class
+        with pytest.raises(ValueError, match=rf"{length} samples.*min_length=3"):
+            PrefixProbabilisticClassifier().fit(series[:, :length], labels)
+        with pytest.raises(ValueError, match=rf"{length} samples.*min_length=3"):
+            FullLengthClassifier().fit(series[:, :length], labels)
+
     def test_unfitted_query_raises(self):
         with pytest.raises(RuntimeError):
-            PrefixProbabilisticClassifier().predict_proba_prefix(np.zeros(5))
+            PrefixProbabilisticClassifier().predict_proba_batch(np.zeros((1, 5)), [5])
+        with pytest.raises(RuntimeError):
+            PrefixProbabilisticClassifier().predict_proba_prefixes(np.zeros((1, 5)), [5])
 
 
 class TestPrediction:
     def test_probabilities_sum_to_one(self, tiny_two_class):
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series, labels)
-        result = model.predict_proba_prefix(series[0][:20])
+        result = model.predict_proba_batch(series[:1], [20])[20][0]
+        assert result.prefix_length == 20
         assert sum(result.probabilities.values()) == pytest.approx(1.0)
         assert 0.0 <= result.margin <= 1.0
 
     def test_full_prefix_classifies_correctly(self, tiny_two_class):
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series[::2], labels[::2])
-        for row, label in zip(series[1::2], labels[1::2]):
-            assert model.predict_proba_prefix(row).label == label
+        length = series.shape[1]
+        results = model.predict_proba_batch(series[1::2], [length])[length]
+        assert [result.label for result in results] == labels[1::2].tolist()
 
     def test_confidence_grows_with_evidence(self, tiny_two_class):
         # On a separable problem, seeing more of the exemplar should (weakly)
         # increase the winner's probability.
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series[::2], labels[::2])
-        row = series[1]
-        early = model.predict_proba_prefix(row[:5]).confidence
-        late = model.predict_proba_prefix(row).confidence
-        assert late >= early - 0.05
+        length = series.shape[1]
+        results = model.predict_proba_batch(series[1:2], [5, length])
+        assert results[length][0].confidence >= results[5][0].confidence - 0.05
 
-    def test_exclude_removes_self_match(self, tiny_two_class):
+    def test_exclude_self_removes_self_match(self, tiny_two_class):
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series, labels)
-        with_self = model.predict_proba_prefix(series[0])
-        without_self = model.predict_proba_prefix(series[0], exclude=0)
-        assert without_self.confidence <= with_self.confidence + 1e-9
+        length = series.shape[1]
+        with_self = model.predict_proba_prefixes(series, [length])[length]
+        without_self = model.predict_proba_prefixes(series, [length], exclude_self=True)[length]
+        for kept, left_out in zip(with_self, without_self):
+            assert left_out.confidence <= kept.confidence + 1e-9
 
-    def test_exclude_out_of_range(self, tiny_two_class):
+    def test_exclude_self_requires_the_training_rows(self, tiny_two_class):
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series, labels)
-        with pytest.raises(IndexError):
-            model.predict_proba_prefix(series[0], exclude=99)
+        with pytest.raises(ValueError, match="training set"):
+            model.predict_proba_prefixes(series[:3], [10], exclude_self=True)
 
     def test_prefix_too_short_rejected(self, tiny_two_class):
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier(min_length=5).fit(series, labels)
-        with pytest.raises(ValueError):
-            model.predict_proba_prefix(series[0][:3])
+        with pytest.raises(ValueError, match="at least 5"):
+            model.predict_proba_batch(series[:1], [3])
+        with pytest.raises(ValueError, match="at least 5"):
+            model.predict_proba_prefixes(series, [3, 10])
 
     def test_prefix_too_long_rejected(self, tiny_two_class):
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series, labels)
-        with pytest.raises(ValueError):
-            model.predict_proba_prefix(np.zeros(series.shape[1] + 1))
+        too_long = series.shape[1] + 1
+        with pytest.raises(ValueError, match="longer than the training"):
+            model.predict_proba_batch(np.zeros((1, too_long)), [too_long])
+
+    def test_rows_shorter_than_the_prefix_rejected(self, tiny_two_class):
+        series, labels = tiny_two_class
+        model = PrefixProbabilisticClassifier().fit(series, labels)
+        with pytest.raises(ValueError, match="shorter than the longest"):
+            model.predict_proba_batch(series[:1, :10], [20])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             PrefixProbabilisticClassifier(min_length=0)
         with pytest.raises(ValueError):
             PrefixProbabilisticClassifier(n_neighbors=0)
+
+
+#: Prefix lengths checked against the oracle: the shortest allowed, lengths
+#: between and on calibrated checkpoints, and the full length.
+ORACLE_LENGTHS = (3, 4, 10, 25, 31, 59, 60)
+
+
+def _datasets(gunpoint_small, gunpoint_small_raw):
+    """Raw and z-normalised GunPoint, plus a 3-channel stack of both."""
+    (train, test), (train_raw, test_raw) = gunpoint_small, gunpoint_small_raw
+
+    def stacked(a, b):
+        return np.stack([a.series, b.series, np.cumsum(a.series, axis=1) / 10.0], axis=2)
+
+    return {
+        "znormalized": (train.series, train.labels, test.series),
+        "raw": (train_raw.series, train_raw.labels, test_raw.series),
+        "3-channel": (stacked(train, train_raw), train.labels, stacked(test, test_raw)),
+    }
+
+
+@pytest.mark.parametrize("dataset", ["znormalized", "raw", "3-channel"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+class TestOracleEquivalence:
+    """The batched entry points against the one-prefix oracle."""
+
+    def test_one_row_batches_match_the_oracle_exactly(
+        self, dataset, k, gunpoint_small, gunpoint_small_raw
+    ):
+        # A batch of one row is what predict_partial evaluates.
+        train, labels, test = _datasets(gunpoint_small, gunpoint_small_raw)[dataset]
+        model = PrefixProbabilisticClassifier(n_neighbors=k).fit(train, labels)
+        for row in test:
+            batched = model.predict_proba_batch(row[None], ORACLE_LENGTHS)
+            for length in ORACLE_LENGTHS:
+                (got,) = batched[length]
+                want = predict_proba_prefix(model, row[:length])
+                assert got.label == want.label
+                assert got.margin == want.margin
+                assert got.probabilities == want.probabilities
+                assert got.prefix_length == want.prefix_length == length
+
+    def test_whole_batch_matches_the_oracle(
+        self, dataset, k, gunpoint_small, gunpoint_small_raw
+    ):
+        # An (n x m) distance product may round differently from the
+        # oracle's (1 x m) one, so probabilities agree to round-off.
+        train, labels, test = _datasets(gunpoint_small, gunpoint_small_raw)[dataset]
+        model = PrefixProbabilisticClassifier(n_neighbors=k).fit(train, labels)
+        batched = model.predict_proba_batch(test, ORACLE_LENGTHS)
+        for length in ORACLE_LENGTHS:
+            for row, got in zip(test, batched[length]):
+                want = predict_proba_prefix(model, row[:length])
+                assert got.label == want.label
+                assert got.probabilities.keys() == want.probabilities.keys()
+                for cls, probability in want.probabilities.items():
+                    assert abs(got.probabilities[cls] - probability) <= 1e-9
+
+    def test_leave_one_out_sweep_matches_the_oracle(
+        self, dataset, k, gunpoint_small, gunpoint_small_raw
+    ):
+        train, labels, _ = _datasets(gunpoint_small, gunpoint_small_raw)[dataset]
+        model = PrefixProbabilisticClassifier(n_neighbors=k).fit(train, labels)
+        swept = model.predict_proba_prefixes(train, ORACLE_LENGTHS, exclude_self=True)
+        for length in ORACLE_LENGTHS:
+            for i, got in enumerate(swept[length]):
+                want = predict_proba_prefix(model, train[i, :length], exclude=i)
+                assert got.label == want.label
+                assert got.probabilities.keys() == want.probabilities.keys()
+                for cls, probability in want.probabilities.items():
+                    assert abs(got.probabilities[cls] - probability) <= 1e-9
+
+
+class TestNearestCheckpoint:
+    @pytest.mark.parametrize(
+        "checkpoints", [[7], [3, 5], [3, 6, 10, 30], [1, 2, 3, 4], [5, 9, 13, 14, 20]]
+    )
+    def test_matches_a_min_scan_with_the_lower_checkpoint_winning_ties(self, checkpoints):
+        for length in range(0, checkpoints[-1] + 5):
+            scanned = min(checkpoints, key=lambda c: abs(c - length))
+            assert nearest_checkpoint(checkpoints, length) == scanned
+
+    def test_tie_goes_to_the_lower_checkpoint(self):
+        assert nearest_checkpoint([4, 8], 6) == 4
+        assert nearest_checkpoint([4, 8], 7) == 8

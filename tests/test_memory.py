@@ -106,16 +106,20 @@ class TestChunkingEquivalence:
     queries = rng.normal(size=(13, 40))
     train = rng.normal(size=(7, 40))
 
+    # Each test makes its chunked call first, so no earlier identical result
+    # can be left in the memory the chunked output is allocated from.
+
     def test_batch_prefix_distances(self):
-        reference = batch_prefix_distances(self.queries, self.train, [10, 25, 40])
         with memory_budget(1024):  # a few rows per chunk
             chunked = batch_prefix_distances(self.queries, self.train, [10, 25, 40])
+        reference = batch_prefix_distances(self.queries, self.train, [10, 25, 40])
         np.testing.assert_array_equal(chunked, reference)
 
     def test_environment_variable_reaches_the_kernels(self, monkeypatch):
-        reference = batch_prefix_distances(self.queries, self.train, [40])
         monkeypatch.setenv(MEMORY_BUDGET_ENV_VAR, "512")
         chunked = batch_prefix_distances(self.queries, self.train, [40])
+        monkeypatch.delenv(MEMORY_BUDGET_ENV_VAR)
+        reference = batch_prefix_distances(self.queries, self.train, [40])
         np.testing.assert_array_equal(chunked, reference)
 
     def test_chunked_finiteness_validation_matches(self):
@@ -139,9 +143,9 @@ class TestChunkingEquivalence:
     def test_multichannel_batch_prefix_distances(self):
         queries = self.rng.normal(size=(11, 20, 3))
         train = self.rng.normal(size=(6, 20, 3))
-        reference = batch_prefix_distances(queries, train, [4, 20], squared=True)
         with memory_budget(1024):
             chunked = batch_prefix_distances(queries, train, [4, 20], squared=True)
+        reference = batch_prefix_distances(queries, train, [4, 20], squared=True)
         np.testing.assert_array_equal(chunked, reference)
 
 

@@ -4,8 +4,118 @@ from __future__ import annotations
 
 import pytest
 
+import repro.classifiers as classifiers
 import repro.runtime.cache as cache_module
+from repro.classifiers.base import BaseEarlyClassifier
 from repro.runtime.cache import PrepareCache, UncacheableParams
+
+#: The schema version :data:`PINNED_LAYOUT` was pinned at.
+PINNED_SCHEMA_VERSION = 4
+
+#: The pickled layout of every exported early classifier fitted on a toy
+#: set: for each ``repro`` class reachable from a fitted model, the sorted
+#: names of its attributes.  Prepare-cache entries and serving-registry
+#: models are pickled fitted classifiers, so a layout change must bump
+#: ``CACHE_SCHEMA_VERSION``; change both pins together with it.
+PINNED_LAYOUT = {
+    "repro.classifiers.cost_aware.CostAwareEarlyClassifier": (
+        "_checkpoints", "_classes", "_model", "_train_channels", "_train_length",
+        "delay_cost_per_unit", "expected_error_", "misclassification_cost",
+        "n_checkpoints", "n_neighbors",
+    ),
+    "repro.classifiers.ecdire.ECDIREClassifier": (
+        "_checkpoints", "_classes", "_model", "_train_channels", "_train_length",
+        "accuracy_threshold", "margin_percentile", "margin_thresholds_",
+        "n_checkpoints", "n_neighbors", "safe_timestamps_",
+    ),
+    "repro.classifiers.ects.ECTSClassifier": (
+        "_classes", "_eligible", "_engine", "_labels", "_train", "_train_channels",
+        "_train_length", "checkpoint_step", "min_length", "min_support", "mpl_",
+        "support_",
+    ),
+    "repro.classifiers.ects.RelaxedECTSClassifier": (
+        "_classes", "_eligible", "_engine", "_labels", "_train", "_train_channels",
+        "_train_length", "checkpoint_step", "min_length", "min_support", "mpl_",
+        "support_",
+    ),
+    "repro.classifiers.edsc.EDSCClassifier": (
+        "_classes", "_fallback_label", "_train_channels", "_train_length",
+        "chebyshev_k", "max_candidates_per_class", "min_length", "position_step",
+        "random_state", "shapelet_length_fractions", "shapelets_", "target_precision",
+        "threshold_method",
+    ),
+    "repro.classifiers.edsc.Shapelet": (
+        "label", "precision", "source_index", "source_position", "threshold", "utility",
+        "values",
+    ),
+    "repro.classifiers.full.FixedTruncationClassifier": (
+        "_classes", "_model", "_train_channels", "_train_length",
+        "requested_trigger_length", "tolerance", "trigger_length_",
+    ),
+    "repro.classifiers.full.FullLengthClassifier": (
+        "_classes", "_model", "_train_channels", "_train_length",
+    ),
+    "repro.classifiers.prefix_probability.PrefixProbabilisticClassifier": (
+        "_classes", "_labels", "_requested_checkpoints", "_temperatures", "_train",
+        "min_length", "n_neighbors",
+    ),
+    "repro.classifiers.reliable.LDGReliableEarlyClassifier": (
+        "_classes", "_labels", "_models", "_train", "_train_channels", "_train_length",
+        "checkpoint_fractions", "n_local", "n_monte_carlo", "posterior_tempering",
+        "random_state", "shrinkage", "tau",
+    ),
+    "repro.classifiers.reliable.ReliableEarlyClassifier": (
+        "_classes", "_labels", "_models", "_train", "_train_channels", "_train_length",
+        "checkpoint_fractions", "n_monte_carlo", "posterior_tempering", "random_state",
+        "shrinkage", "tau",
+    ),
+    "repro.classifiers.reliable._GaussianClassModel": (
+        "_cores", "_samplers", "diagonal", "factor", "label", "mean", "prior",
+    ),
+    "repro.classifiers.teaser.TEASERClassifier": (
+        "_checkpoints", "_classes", "_masters", "_model", "_train_channels",
+        "_train_length", "candidate_v", "consecutive_required_", "master_quantile",
+        "min_checkpoint_accuracy", "n_checkpoints", "n_neighbors",
+        "requested_consecutive",
+    ),
+    "repro.classifiers.teaser._OneClassGaussian": (
+        "inv_covariance", "mean", "threshold",
+    ),
+    "repro.classifiers.threshold.ProbabilityThresholdClassifier": (
+        "_classes", "_model", "_train_channels", "_train_length", "checkpoint_step",
+        "min_length", "threshold",
+    ),
+    "repro.distance.engine.PrefixDistanceEngine": (
+        "_channels", "_sweep", "_time_length", "_train", "_train_t",
+    ),
+}
+
+
+def _repro_layout(roots) -> dict[str, tuple[str, ...]]:
+    """Sorted attribute names of every ``repro`` object reachable from ``roots``."""
+    layout: dict[str, set[str]] = {}
+    seen: set[int] = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            state = dict(getattr(obj, "__dict__", {}))
+            for klass in type(obj).__mro__:
+                for name in getattr(klass, "__slots__", ()):
+                    if hasattr(obj, name):
+                        state[name] = getattr(obj, name)
+            name = f"{type(obj).__module__}.{type(obj).__qualname__}"
+            layout.setdefault(name, set()).update(state)
+            stack.extend(state.values())
+    return {name: tuple(sorted(names)) for name, names in sorted(layout.items())}
 
 
 @pytest.fixture
@@ -137,3 +247,25 @@ class TestStore:
         cache = PrepareCache(tmp_path / "never-created")
         assert cache.is_miss(cache.load("figure1", "0" * 64))
         assert cache.entries() == []
+
+
+class TestPickledLayout:
+    def test_fitted_classifier_layout_is_pinned_to_the_schema(self, tiny_two_class):
+        series, labels = tiny_two_class
+        exported = [getattr(classifiers, name) for name in classifiers.__all__]
+        fitted = [
+            cls().fit(series, labels)
+            for cls in exported
+            if isinstance(cls, type)
+            and issubclass(cls, BaseEarlyClassifier)
+            and cls is not BaseEarlyClassifier
+        ]
+        assert len(fitted) == 11
+        hint = (
+            "the pickled layout of a fitted early classifier changed, so cached "
+            "prepare stages and serving models pickled before it would load as "
+            "broken objects: bump CACHE_SCHEMA_VERSION in repro/runtime/cache.py, "
+            "then re-pin PINNED_SCHEMA_VERSION and PINNED_LAYOUT in this file"
+        )
+        assert cache_module.CACHE_SCHEMA_VERSION == PINNED_SCHEMA_VERSION, hint
+        assert _repro_layout(fitted) == PINNED_LAYOUT, hint
