@@ -1,19 +1,22 @@
 """Benchmark for the batched test-set-at-once prediction engine.
 
 Every headline number of the paper (Table 1, Figures 6-9) is a full test set
-driven through an early classifier.  The seed behaviour fed exemplars one at
-a time through ``predict_early``; ``predict_early_batch`` answers the whole
-test set from one :func:`repro.distance.engine.batch_prefix_distances` pass
-plus vectorised per-checkpoint statistics.  This benchmark times a Table 1
+driven through an early classifier.  ``predict_early_batch`` answers the
+whole test set in one walk and, under the default first-ready stopping rule,
+commits each row from vectorised readiness arrays; ``predict_early`` runs
+the same evaluators on one row at a time and applies the stopping rule to a
+``PartialPrediction`` at every checkpoint.  This benchmark times a Table 1
 style evaluation (ECTS, the table's lead algorithm, on a GunPoint-like
 split) both ways and asserts the batched path is at least 5x faster while
 reproducing the per-row metrics exactly.
 
 The EDSC record does the same for Table 1's two shapelet rows on the table's
 own 50-row test split, normalised and denormalised: the batched walk reads
-one first-match length per (shapelet, row), the per-row walk rescans every
-shapelet at every checkpoint.  It records both sides' rows per second (each
-the median of ``REPEATS`` timed evaluations) and their ratio.
+one first-match length per (shapelet, row) for the whole test set and
+assembles a prediction only at each row's trigger point, while the per-row
+walk reads one row's first-match lengths per call and assembles a
+prediction at every checkpoint.  It records both sides' rows per second
+(each the median of ``REPEATS`` timed evaluations) and their ratio.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Table 1's "Rel. Class." and "LDG Rel. Class." rows estimate the reliability
 of every prefix decision by Monte Carlo.  Their batched path evaluates each
 checkpoint for all rows that have not triggered with one GEMM per class
 (per neighbour group for LDG); the per-row ``predict_early`` walk runs
-the same evaluator on one row at a time and stays the reference.  Because
-each prefix owns its Monte Carlo noise, the two must give identical metrics.
+the same evaluator on one row at a time.  Because each prefix owns its
+Monte Carlo noise, the two must give identical metrics.
 
 The record holds both sides' throughput in test rows per second, their
 ratio and the Monte Carlo sample count, at Table 1's full classifier

@@ -5,8 +5,8 @@ windows sliding over a long smoothed-random-walk stream with genuine
 exemplars embedded, causal normalisation (the only honest mode a live system
 has) and an engine-backed ECTS classifier.  The offline reference
 (``tests/oracles/streaming.py``) re-normalises every window with an
-``O(L^2)`` Python loop and re-runs ``predict_early`` from scratch per
-candidate; the online engine normalises and classifies each chunk's
+``O(L^2)`` Python loop and re-runs the per-row walk oracle from scratch
+per candidate; the online engine normalises and classifies each chunk's
 completed windows in batches.  The reference is timed on a slice of the
 stream (it is the slow side by construction), the engine on the full
 100k-sample stream, and the speedup is asserted on the samples/second

@@ -4,11 +4,8 @@ from repro.experiments import run_experiment
 
 
 def test_bench_table1_normalization_sensitivity(run_once):
-    # Full-size split with table1's cheaper classifier settings (``fast``):
-    # the explicit split overrides win over the spec's fast overrides.
-    result = run_once(
-        run_experiment, "table1", fast=True, n_train_per_class=25, n_test_per_class=75
-    )
+    # Full-size split with table1's cheaper classifier settings.
+    result = run_once(run_experiment, "table1", fast_classifiers=True)
     assert len(result.audits) == 6
     for audit in result.audits:
         # Every algorithm looks publishable on normalised data...

@@ -16,7 +16,8 @@ critique cannot be reproduced without them.  All of them share the
     point (or at full length if the model never triggers).
 ``predict_early_batch(series)``
     The same walk for a whole test set at once.  Every classifier answers
-    its checkpoints from batched kernels; none falls back to a per-row loop.
+    its checkpoints from batched kernels, and ``predict_early`` is this walk
+    on a batch of one row.
 
 TEASER, ECDIRE, the cost-aware rule, the probability-threshold model and the
 two baselines share one evaluator,

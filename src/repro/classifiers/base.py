@@ -143,11 +143,11 @@ class BatchCheckpoint:
     """One checkpoint of a batched prediction walk.
 
     Produced by :meth:`BaseEarlyClassifier._batch_partial_evaluators`, which
-    every classifier implements, and consumed by
-    :meth:`BaseEarlyClassifier.predict_early_batch`.  The classifiers built
-    on :class:`repro.classifiers.prefix_probability.ProbabilisticEarlyClassifier`,
-    EDSC and Reliable/LDG also answer ``predict_partial`` with a checkpoint
-    evaluated on a batch of one row.
+    every classifier implements, and walked by
+    :meth:`BaseEarlyClassifier.predict_early_batch` and, on a batch of one
+    row, by :meth:`BaseEarlyClassifier.predict_early`.  Every classifier
+    also answers ``predict_partial`` with a checkpoint evaluated on a batch
+    of one row.
 
     Attributes
     ----------
@@ -155,20 +155,19 @@ class BatchCheckpoint:
         The checkpoint's prefix length.
     partial:
         ``partial(i)`` builds the :class:`PartialPrediction` of batch row
-        ``i`` at this checkpoint -- identical to what ``predict_early``
-        would have computed there.  The heavy numerics should be batched
+        ``i`` at this checkpoint.  The heavy numerics should be batched
         (and may be cached lazily) inside the closure, so the call itself
         only assembles the per-row object.
     ready:
-        Optional callable taking an integer array of batch row indices --
-        the rows still walking at this checkpoint -- and returning their
-        boolean readiness (exactly ``partial(i).ready`` for each ``i``),
-        vectorised.  Evaluators whose per-row work is expensive compute
-        only the rows they are asked about, so rows that triggered earlier
-        cost nothing here.  When every checkpoint provides it and the
-        classifier uses the default first-ready trigger rule, the batched
-        walk resolves trigger points from these arrays and only materialises
-        a :class:`PartialPrediction` per row at its commitment point.
+        Callable taking an integer array of batch row indices -- the rows
+        still walking at this checkpoint -- and returning their boolean
+        readiness (exactly ``partial(i).ready`` for each ``i``), vectorised.
+        Evaluators whose per-row work is expensive compute only the rows
+        they are asked about, so rows that triggered earlier cost nothing
+        here.  With the default first-ready trigger rule and no history,
+        the batched walk resolves trigger points from these arrays and only
+        materialises a :class:`PartialPrediction` per row at its commitment
+        point.
     answers:
         Optional callable taking the same kind of row index array and
         returning ``(labels, confidences)`` arrays aligned with it (exactly
@@ -179,7 +178,7 @@ class BatchCheckpoint:
 
     length: int
     partial: Callable[[int], PartialPrediction]
-    ready: Callable[[np.ndarray], np.ndarray] | None = None
+    ready: Callable[[np.ndarray], np.ndarray]
     answers: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
@@ -341,29 +340,6 @@ class BaseEarlyClassifier(ABC):
         self._require_fitted()
         return list(range(1, self.train_length_ + 1))
 
-    # ---------------------------------------------------- incremental hooks
-    def _stream_context(self, series: np.ndarray) -> object | None:
-        """Create per-exemplar state reused across the checkpoints of one walk.
-
-        Subclasses whose per-prefix evaluation can be made incremental (e.g.
-        ECTS, whose 1-NN distances extend in O(n_train) per sample via
-        :class:`repro.distance.engine.PrefixDistanceEngine`) return a sweep
-        or similar state here; the default ``None`` keeps the naive
-        slice-and-recompute behaviour of :meth:`predict_partial`.
-
-        Contract (relied on by :class:`ClassifierStream`):
-
-        * the returned state must be **independent** -- creating a second
-          context must not invalidate the first, because any number of
-          walks over one fitted classifier may be live at once;
-        * ``series`` may be a pre-allocated buffer that is filled in as
-          stream samples arrive, so the implementation must not *read*
-          values at construction time, and a later
-          :meth:`_partial_at_length` call must only consume samples
-          ``< length``.
-        """
-        return None
-
     def _trigger_rule(self) -> Callable[[PartialPrediction], bool]:
         """Fresh per-exemplar stopping rule applied to the checkpoint walk.
 
@@ -373,23 +349,15 @@ class BaseEarlyClassifier(ABC):
         checkpoint whose :class:`PartialPrediction` reports ``ready``;
         TEASER overrides this with its consecutive-agreement streak.  The
         callable may be stateful -- a new one is created for every exemplar
-        walk (each ``predict_early`` call and each :class:`ClassifierStream`).
+        walk (each row of a batched walk and each :class:`ClassifierStream`).
         """
         return lambda partial: partial.ready
 
-    def _partial_at_length(
-        self, series: np.ndarray, length: int, context: object | None = None
-    ) -> PartialPrediction:
-        """Evaluate one checkpoint of :meth:`predict_early`.
-
-        The default ignores ``context`` and recomputes from the sliced
-        prefix; subclasses override it together with :meth:`_stream_context`
-        to reuse running state between successive checkpoints.
-        """
-        return self.predict_partial(series[:length])
-
     def predict_early(self, series: np.ndarray, keep_history: bool = False) -> EarlyPrediction:
         """Feed one exemplar incrementally and stop at the trigger point.
+
+        This is the batched walk of :meth:`predict_early_batch` on a batch
+        of one row, applying the per-row stopping rule at every checkpoint.
 
         Parameters
         ----------
@@ -404,37 +372,8 @@ class BaseEarlyClassifier(ABC):
         -------
         EarlyPrediction
         """
-        arr = self._validate_prefix(series)
-        history: list[PartialPrediction] = []
-        last: PartialPrediction | None = None
-        context = self._stream_context(arr)
-        should_trigger = self._trigger_rule()
-        for length in self.checkpoints():
-            if length > arr.shape[0]:
-                break
-            partial = self._partial_at_length(arr, length, context)
-            if keep_history:
-                history.append(partial)
-            last = partial
-            if should_trigger(partial):
-                return EarlyPrediction(
-                    label=partial.label,
-                    trigger_length=length,
-                    series_length=arr.shape[0],
-                    triggered=True,
-                    confidence=partial.confidence,
-                    history=tuple(history),
-                )
-        if last is None:
-            raise ValueError("series is shorter than the first checkpoint")
-        return EarlyPrediction(
-            label=last.label,
-            trigger_length=arr.shape[0],
-            series_length=arr.shape[0],
-            triggered=False,
-            confidence=last.confidence,
-            history=tuple(history),
-        )
+        row = self._validate_prefix(series)[None]
+        return self._walk_batch(row, self._batch_partial_evaluators(row), keep_history)[0]
 
     # ------------------------------------------------------------ batching
     def _validate_batch(self, series: np.ndarray) -> np.ndarray:
@@ -490,10 +429,11 @@ class BaseEarlyClassifier(ABC):
         rows, in increasing length order.  :meth:`predict_early_batch` walks
         the checkpoints with the usual per-row stopping rules, evaluating
         :attr:`BatchCheckpoint.partial` only for rows that have not yet
-        triggered -- or, when every checkpoint carries a vectorised
-        :attr:`BatchCheckpoint.ready` and the classifier keeps the default
-        first-ready trigger rule, only at each row's trigger point.  An
-        empty list means the rows are shorter than the first checkpoint.
+        triggered -- or, when the classifier keeps the default first-ready
+        trigger rule and no history is asked for, reading the vectorised
+        :attr:`BatchCheckpoint.ready` and answering each row only at its
+        trigger point.  An empty list means the rows are shorter than the
+        first checkpoint.
         """
 
     def predict_early_batch(
@@ -505,10 +445,10 @@ class BaseEarlyClassifier(ABC):
         """Vectorised test-set-at-once counterpart of :meth:`predict_early`.
 
         Every classifier answers each checkpoint of every exemplar through
-        its :meth:`_batch_partial_evaluators`; the checkpoint walk, trigger
-        rules and returned :class:`EarlyPrediction` objects are otherwise
-        identical to feeding each row through :meth:`predict_early` (the
-        equivalence suite pins this).
+        its :meth:`_batch_partial_evaluators`, and each row keeps its own
+        stopping rule, so an outcome equals that of :meth:`predict_early`
+        on the row alone (the equivalence suite pins both walks to the
+        per-row oracle in ``tests/oracles/walk.py``).
 
         Parameters
         ----------
@@ -542,8 +482,6 @@ class BaseEarlyClassifier(ABC):
             if (
                 not keep_history
                 and type(self)._trigger_rule is BaseEarlyClassifier._trigger_rule
-                and checkpoints
-                and all(cp.ready is not None for cp in checkpoints)
             ):
                 results.extend(self._walk_batch_first_ready(chunk, checkpoints))
             else:
@@ -560,8 +498,7 @@ class BaseEarlyClassifier(ABC):
         at the last evaluated checkpoint for rows that never trigger) --
         from the checkpoint's ``answers`` arrays where it has them, else
         from one :class:`PartialPrediction`.  Decisions are identical to
-        :meth:`_walk_batch` with the default rule, which in turn mirrors the
-        per-row reference walk.
+        :meth:`_walk_batch` with the default rule.
         """
         n_rows, row_length = data.shape[0], data.shape[1]
         outcomes: list[EarlyPrediction | None] = [None] * n_rows
@@ -571,7 +508,6 @@ class BaseEarlyClassifier(ABC):
             if checkpoint.length > row_length or active.size == 0:
                 break
             last = checkpoint
-            assert checkpoint.ready is not None
             ready = np.asarray(checkpoint.ready(active), dtype=bool)
             for i, label, confidence in _row_answers(checkpoint, active[ready]):
                 outcomes[i] = EarlyPrediction(
@@ -605,12 +541,12 @@ class BaseEarlyClassifier(ABC):
     ) -> list[EarlyPrediction]:
         """Apply per-row stopping rules to batched checkpoint evaluators.
 
-        This is :meth:`predict_early`'s walk with the exemplar loop turned
-        inside out: checkpoints advance in lockstep across the batch, each
-        row keeps its own fresh :meth:`_trigger_rule`, and rows drop out of
-        the walk at their trigger point (so no partials are materialised for
-        checkpoints a row never reaches -- same work profile as the per-row
-        reference).
+        The one walk behind :meth:`predict_early` (a batch of one row), any
+        ``keep_history`` request and any non-default :meth:`_trigger_rule`:
+        checkpoints advance in lockstep across the batch, each row keeps its
+        own fresh stopping rule, and rows drop out of the walk at their
+        trigger point, so no partials are materialised for checkpoints a row
+        never reaches.
         """
         n_rows, row_length = data.shape[0], data.shape[1]
         rules = [self._trigger_rule() for _ in range(n_rows)]
@@ -691,19 +627,17 @@ class ClassifierStream:
 
     This is the sample-at-a-time counterpart of
     :meth:`BaseEarlyClassifier.predict_early`: samples arrive via
-    :meth:`push`, checkpoints (from :meth:`BaseEarlyClassifier.checkpoints`)
-    are evaluated through the same :meth:`BaseEarlyClassifier._partial_at_length`
-    hook with the same per-exemplar context and stopping rule, so the two
-    entry points reach identical decisions (the streaming equivalence tests
-    pin this).  Unlike ``predict_early`` it never needs the full exemplar up
-    front, which suits one exemplar arriving frame by frame (the
-    ``multivariate`` experiment and ``examples/keyword_spotting.py``); many
-    streams can be live at once over one fitted classifier.
-
-    Samples are written into a pre-allocated buffer of the training length;
-    the incremental context (e.g. a
-    :class:`repro.distance.engine.PrefixSweep`) holds a view of that buffer
-    and only ever consumes samples the walk has already received.
+    :meth:`push` or :meth:`feed` into a buffer of the training length, and
+    each checkpoint (from :meth:`BaseEarlyClassifier.checkpoints`) the
+    buffer reaches is answered by
+    :meth:`BaseEarlyClassifier.predict_partial` on the prefix received so
+    far, under the classifier's stopping rule.  The decisions equal those
+    of the per-row walk (the streaming tests pin every classifier to the
+    oracle in ``tests/oracles/walk.py``).  Unlike ``predict_early`` it never
+    needs the full exemplar up front, which suits one exemplar arriving
+    frame by frame (the ``multivariate`` experiment and
+    ``examples/keyword_spotting.py``); many streams can be live at once
+    over one fitted classifier.
     """
 
     __slots__ = (
@@ -712,7 +646,6 @@ class ClassifierStream:
         "_length",
         "_checkpoints",
         "_next_checkpoint",
-        "_context",
         "_rule",
         "_last",
         "_outcome",
@@ -730,7 +663,6 @@ class ClassifierStream:
         self._length = 0
         self._checkpoints = classifier.checkpoints()
         self._next_checkpoint = 0
-        self._context = classifier._stream_context(self._buffer)
         self._rule = classifier._trigger_rule()
         self._last: PartialPrediction | None = None
         self._outcome: EarlyPrediction | None = None
@@ -754,11 +686,6 @@ class ClassifierStream:
     def length(self) -> int:
         """Number of samples pushed so far."""
         return self._length
-
-    @property
-    def last_partial(self) -> PartialPrediction | None:
-        """The most recent checkpoint evaluation, if any."""
-        return self._last
 
     @property
     def outcome(self) -> EarlyPrediction | None:
@@ -840,7 +767,7 @@ class ClassifierStream:
             and checkpoints[self._next_checkpoint] <= self._length
         ):
             length = checkpoints[self._next_checkpoint]
-            partial = self._classifier._partial_at_length(self._buffer, length, self._context)
+            partial = self._classifier.predict_partial(self._buffer[:length])
             self._next_checkpoint += 1
             self._last = partial
             if self._rule(partial):

@@ -264,68 +264,22 @@ class ECTSClassifier(BaseEarlyClassifier):
     def predict_partial(self, prefix: np.ndarray) -> PartialPrediction:
         """1-NN match of the prefix; ready once the match's MPL has been reached.
 
-        Distances come from a one-shot :class:`PrefixDistanceEngine` sweep --
-        the same exact-term accumulation the incremental walk of
-        :meth:`predict_early` uses -- so both entry points agree on
+        The prefix is a one-row :class:`PrefixSweep` over the fitted engine,
+        answered by the checkpoint builder the batched walk uses, so both
+        accumulate the same exact squared-difference terms and agree on
         tie-breaks as well as values (a dot-product-expansion distance would
         differ at ~1e-7 relative on near-duplicate exemplars).
         """
         arr = self._validate_prefix(prefix)
-        assert self._engine is not None
-        length = arr.shape[0]
-        # One independent sweep over the *fitted* engine: no per-call engine
-        # construction (and no per-call transpose of the training matrix).
-        sq = self._engine.open(arr).advance_to(length)
-        return self._partial_from_distances(np.sqrt(sq[0]), length)
-
-    def _stream_context(self, series: np.ndarray) -> PrefixSweep:
-        """An independent prefix sweep on this exemplar: O(n_train) per extra sample.
-
-        The sweep shares the fitted engine's training matrix but owns its
-        running state, so any number of walks can be live at once.
-        ``series`` may be a buffer still being filled in; the sweep only
-        reads samples ``advance_to`` has been asked for.
-        """
-        assert self._engine is not None
-        return self._engine.open(series)
-
-    def _partial_at_length(
-        self, series: np.ndarray, length: int, context: object | None = None
-    ) -> PartialPrediction:
-        if not isinstance(context, PrefixSweep):
-            return self.predict_partial(series[:length])
-        sq = context.advance_to(length)
-        return self._partial_from_distances(np.sqrt(sq[0]), length)
-
-    def _partial_from_distances(
-        self, distances: np.ndarray, length: int
-    ) -> PartialPrediction:
-        """Turn 1-NN distances at one prefix length into a partial prediction."""
-        assert self._labels is not None
-        assert self.mpl_ is not None and self._eligible is not None
-        order = np.argsort(distances, kind="stable")
-        nearest = int(order[0])
-        label = self._labels[nearest]
-
-        # The model is ready if the nearest neighbour is an eligible exemplar
-        # whose MPL has been reached.
-        ready = bool(self._eligible[nearest] and self.mpl_[nearest] <= length)
-
-        # Confidence: how much closer the nearest neighbour is than the best
-        # neighbour of any other class (mapped to (0, 1)).
-        other_mask = self._labels != label
-        if np.any(other_mask):
-            best_other = float(np.min(distances[other_mask]))
-            best_same = float(distances[nearest])
-            confidence = best_other / (best_other + best_same + 1e-12)
-        else:
-            confidence = 1.0
-        return self._partial_from_statistics(label, ready, confidence, length)
+        assert self._engine is not None and self._labels is not None
+        class_masks = [self._labels == cls for cls in self.classes_]
+        checkpoint = self._checkpoint(self._engine.open(arr), arr.shape[0], class_masks)
+        return checkpoint.partial(0)
 
     def _partial_from_statistics(
         self, label: object, ready: bool, confidence: float, length: int
     ) -> PartialPrediction:
-        """Assemble the :class:`PartialPrediction` shared by both walk paths."""
+        """Assemble the :class:`PartialPrediction` of one row's 1-NN statistics."""
         probabilities = {cls: 0.0 for cls in self.classes_}
         probabilities[label] = confidence
         remaining = 1.0 - confidence
@@ -354,82 +308,75 @@ class ECTSClassifier(BaseEarlyClassifier):
         """Vectorised checkpoint evaluation for a whole test batch.
 
         The whole batch shares one :class:`PrefixSweep` over the fitted
-        engine -- the per-row walk's advance sequence, vectorised across
-        rows, so the distances match the reference bit for bit while the
-        running state stays ``O(n_rows * n_train)`` regardless of how many
-        checkpoints the series length implies (ECTS defaults to one per
-        sample).  The sweep is advanced lazily, on the first row that
-        actually reaches a checkpoint: once every row has triggered, the
-        remaining checkpoints cost nothing, matching the work profile of
-        the per-row reference walk.  Per-checkpoint 1-NN statistics
-        (nearest index via the lowest-index tie-break, readiness, margin
-        confidence) are computed across the batch with array operations;
-        the vectorised readiness and answer arrays let the base walk commit
-        every row without building a partial.
+        engine, advanced checkpoint by checkpoint, so the running state
+        stays ``O(n_rows * n_train)`` regardless of how many checkpoints the
+        series length implies (ECTS defaults to one per sample).
         """
-        assert self._train is not None and self._labels is not None
-        assert self._engine is not None
-        assert self.mpl_ is not None and self._eligible is not None
-        labels = self._labels
-        lengths = [c for c in self.checkpoints() if c <= data.shape[1]]
-        if not lengths:
-            return []
+        assert self._engine is not None and self._labels is not None
         sweep = self._engine.open(data)
-        class_masks = [labels == cls for cls in self.classes_]
+        class_masks = [self._labels == cls for cls in self.classes_]
+        return [
+            self._checkpoint(sweep, length, class_masks)
+            for length in self.checkpoints()
+            if length <= data.shape[1]
+        ]
 
-        def make_checkpoint(length: int) -> BatchCheckpoint:
-            stats: dict = {}
+    def _checkpoint(
+        self, sweep: PrefixSweep, length: int, class_masks: list[np.ndarray]
+    ) -> BatchCheckpoint:
+        """Every sweep row's 1-NN statistics at ``length``, computed when first asked for.
 
-            def compute() -> dict:
-                if not stats:
-                    # Checkpoints are consumed in increasing length order, so
-                    # the shared sweep only ever advances forward.
-                    distances = np.sqrt(sweep.advance_to(length))
-                    # np.argmin returns the first occurrence of the minimum:
-                    # the same lowest-index tie-break as the stable argsort
-                    # of the per-row path.
-                    nearest = np.argmin(distances, axis=1)
-                    stats["labels"] = labels[nearest]
-                    stats["ready"] = self._eligible[nearest] & (
-                        self.mpl_[nearest] <= length
-                    )
-                    best_same = distances[np.arange(distances.shape[0]), nearest]
-                    class_minima = np.stack(
-                        [distances[:, mask].min(axis=1) for mask in class_masks],
-                        axis=1,
-                    )
-                    own_class = np.stack(
-                        [mask[nearest] for mask in class_masks], axis=1
-                    )
-                    best_other = np.min(
-                        np.where(own_class, np.inf, class_minima), axis=1
-                    )
-                    stats["confidence"] = best_other / (
-                        best_other + best_same + 1e-12
-                    )
-                return stats
+        The sweep is advanced on the first row that reaches the checkpoint,
+        so once every row has triggered the remaining checkpoints cost
+        nothing.  The statistics (nearest index via the lowest-index
+        tie-break, readiness, margin confidence) are array operations over
+        the sweep's rows; the vectorised readiness and answer arrays let the
+        first-ready walk commit every row without building a partial.
+        ``class_masks`` holds one boolean training-row mask per class.
+        """
+        assert self._labels is not None
+        assert self.mpl_ is not None and self._eligible is not None
+        labels, mpl, eligible = self._labels, self.mpl_, self._eligible
+        stats: dict = {}
 
-            def partial(i: int) -> PartialPrediction:
-                values = compute()
-                return self._partial_from_statistics(
-                    values["labels"][i],
-                    bool(values["ready"][i]),
-                    float(values["confidence"][i]),
-                    length,
+        def compute() -> dict:
+            if not stats:
+                # Checkpoints are consumed in increasing length order, so a
+                # shared sweep only ever advances forward.
+                distances = np.sqrt(sweep.advance_to(length))
+                # np.argmin returns the first occurrence of the minimum: the
+                # lowest-index tie-break.
+                nearest = np.argmin(distances, axis=1)
+                stats["labels"] = labels[nearest]
+                stats["ready"] = eligible[nearest] & (mpl[nearest] <= length)
+                best_same = distances[np.arange(distances.shape[0]), nearest]
+                class_minima = np.stack(
+                    [distances[:, mask].min(axis=1) for mask in class_masks], axis=1
                 )
+                own_class = np.stack([mask[nearest] for mask in class_masks], axis=1)
+                best_other = np.min(np.where(own_class, np.inf, class_minima), axis=1)
+                stats["confidence"] = best_other / (best_other + best_same + 1e-12)
+            return stats
 
-            def answers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                values = compute()
-                return values["labels"][rows], values["confidence"][rows]
-
-            return BatchCheckpoint(
-                length=length,
-                partial=partial,
-                ready=lambda rows: compute()["ready"][rows],
-                answers=answers,
+        def partial(i: int) -> PartialPrediction:
+            values = compute()
+            return self._partial_from_statistics(
+                values["labels"][i],
+                bool(values["ready"][i]),
+                float(values["confidence"][i]),
+                length,
             )
 
-        return [make_checkpoint(length) for length in lengths]
+        def answers(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            values = compute()
+            return values["labels"][rows], values["confidence"][rows]
+
+        return BatchCheckpoint(
+            length=length,
+            partial=partial,
+            ready=lambda rows: compute()["ready"][rows],
+            answers=answers,
+        )
 
 
 class RelaxedECTSClassifier(ECTSClassifier):

@@ -4,9 +4,9 @@ Every experiment in the paper that touches early classification evaluates
 1-NN evidence at *many prefix lengths of the same series*: ECTS computes
 neighbour structures at every length during training, TEASER and ECDIRE
 evaluate their slave classifier at every checkpoint for every training
-exemplar, Fig. 3 and Fig. 9 sweep accuracy over prefix lengths, and a
-:class:`~repro.classifiers.base.ClassifierStream` extends an exemplar one
-sample at a time.  Recomputing a full Euclidean distance at each length
+exemplar, Fig. 3 and Fig. 9 sweep accuracy over prefix lengths, and ECTS's
+prediction walk reads 1-NN distances at every checkpoint of a test batch.
+Recomputing a full Euclidean distance at each length
 costs ``O(t)`` per step and ``O(L^2)`` per series overall; this module
 removes that redundancy.
 
@@ -30,9 +30,9 @@ Four entry points:
   current distances.  :meth:`~PrefixDistanceEngine.open` hands out an
   *independent* :class:`PrefixSweep` sharing the engine's training matrix,
   so many sweeps can be live at once, each at its own prefix length.  ECTS
-  predicts on sweeps: one per ``predict_early`` exemplar or
-  :class:`~repro.classifiers.base.ClassifierStream`, and one shared by all
-  rows of a ``predict_early_batch`` call.
+  predicts on sweeps: one shared by all rows of a batched walk, advanced
+  checkpoint by checkpoint, and a one-row sweep per ``predict_partial``
+  call.
 * :func:`iter_prefix_distances` -- generator over ``(length, distances)``
   snapshots; used by training loops that need one distance matrix per
   checkpoint without holding all of them in memory at once.
@@ -184,11 +184,7 @@ class PrefixSweep:
     at its own prefix length.
 
     The query array is held *by reference* (no copy is made for float64
-    input), and :meth:`advance_to` only ever reads columns ``< length``.  A
-    caller may therefore hand over a pre-allocated buffer that is filled in
-    as stream samples arrive, provided it never advances past what has been
-    written -- this is exactly how
-    :class:`repro.classifiers.base.ClassifierStream` uses it.
+    input), and :meth:`advance_to` only ever reads columns ``< length``.
     """
 
     __slots__ = ("_train_t", "_queries", "_sq", "_length", "_channels")
@@ -303,7 +299,7 @@ class PrefixDistanceEngine:
     (``advance_to`` with a smaller length raises); restarting a query batch
     is a :meth:`start` call, which is O(n_queries * n_train).  The engine's
     own ``start``/``advance_to`` surface drives a single current sweep (the
-    one-exemplar-at-a-time pattern of ``predict_early``); :meth:`open` hands
+    pattern of :func:`iter_prefix_distances`); :meth:`open` hands
     out independent :class:`PrefixSweep` objects for callers that need many
     concurrent sweeps over the same training matrix.
     """
@@ -366,8 +362,7 @@ class PrefixDistanceEngine:
             full series is held by reference (the multichannel flattening
             copies); samples are only *consumed* by
             :meth:`PrefixSweep.advance_to`, so a caller may hand the whole
-            exemplar up front (or a buffer filled in as samples arrive) and
-            still evaluate it incrementally.
+            exemplar up front and still evaluate it incrementally.
         """
         arr = _as_query_tensor(queries, self._channels)
         if arr.shape[1] > self.train_length:

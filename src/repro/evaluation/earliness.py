@@ -94,10 +94,12 @@ def evaluate_early_classifier(
 
     The whole test set is handed to the classifier's vectorised
     ``predict_early_batch`` entry point when it has one (every
-    :class:`~repro.classifiers.base.BaseEarlyClassifier` does); the per-row
-    ``predict_early`` loop is kept as the reference implementation, selected
-    with ``batch=False``, and the equivalence suite asserts the two agree on
-    every metric.
+    :class:`~repro.classifiers.base.BaseEarlyClassifier` does).
+    ``batch=False`` calls ``predict_early`` row by row instead: the batched
+    walk on a batch of one row, with the per-row stopping rule at every
+    checkpoint.  The equivalence suite asserts the two agree on every
+    metric, and the batch-vs-per-row speed gates time one against the
+    other.
 
     An empty test set is well-defined: every metric is reported as ``0.0``
     with ``n_exemplars == 0`` (rather than propagating NaN means), and the
@@ -117,7 +119,7 @@ def evaluate_early_classifier(
         Ground-truth labels, one per exemplar.
     batch:
         Use the vectorised batch path when available (default).  ``False``
-        forces the per-row reference loop.
+        walks one row at a time through ``predict_early``.
     ids:
         Optional per-exemplar identities, one per row.  When given, they
         must be unique: a duplicate id means the same exemplar was handed

@@ -13,22 +13,19 @@ from repro.evaluation.earliness import EarlinessAccuracyResult, evaluate_early_c
 __all__ = ["fit_and_score", "prefix_accuracy_curve"]
 
 
-def fit_and_score(
-    classifier, train: UCRDataset, test: UCRDataset, batch: bool = True
-) -> EarlinessAccuracyResult:
+def fit_and_score(classifier, train: UCRDataset, test: UCRDataset) -> EarlinessAccuracyResult:
     """Fit an early classifier on one dataset and evaluate it on another.
 
     The datasets are used exactly as given -- no re-normalisation happens
     here, so passing a denormalised test set reproduces the Table 1 setting.
     Evaluation runs through the classifier's vectorised
-    ``predict_early_batch`` path; ``batch=False`` selects the per-row
-    reference loop instead (see
+    ``predict_early_batch`` path (see
     :func:`repro.evaluation.earliness.evaluate_early_classifier`).
     """
     if train.series_length != test.series_length:
         raise ValueError("train and test must have the same series length")
     classifier.fit(train.series, train.labels)
-    return evaluate_early_classifier(classifier, test.series, test.labels, batch=batch)
+    return evaluate_early_classifier(classifier, test.series, test.labels)
 
 
 def prefix_accuracy_curve(

@@ -83,7 +83,11 @@ SPECS: dict[str, ExperimentSpec] = {
         ),
         _spec(
             "table1",
-            fast_overrides={"n_train_per_class": 20, "n_test_per_class": 25, "fast": True},
+            fast_overrides={
+                "n_train_per_class": 20,
+                "n_test_per_class": 25,
+                "fast_classifiers": True,
+            },
             tags=("table", "gunpoint", "normalization", "classification"),
             description="accuracy of six early classification algorithms",
         ),

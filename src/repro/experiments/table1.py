@@ -154,7 +154,7 @@ def compute(
     prepared: Table1Prepared,
     algorithms: Mapping[str, Callable[[], BaseEarlyClassifier]] | None = None,
     offset_range: tuple[float, float] = (-1.0, 1.0),
-    fast: bool = False,
+    fast_classifiers: bool = False,
     denormalize_seed: int = 11,
 ) -> Table1Result:
     """Audit every algorithm's normalisation sensitivity on the split.
@@ -166,16 +166,17 @@ def compute(
         algorithms of the table.
     offset_range:
         The denormalisation offset range (the paper uses [-1, 1]).
-    fast:
-        Forwarded to :func:`default_algorithms`.
+    fast_classifiers:
+        Forwarded to :func:`default_algorithms` as ``fast``.
     denormalize_seed:
         Perturbation seed.
     """
     train, test = prepared.train, prepared.test
-    factories = dict(algorithms) if algorithms is not None else default_algorithms(fast=fast)
+    if algorithms is None:
+        algorithms = default_algorithms(fast=fast_classifiers)
 
     audits = []
-    for name, factory in factories.items():
+    for name, factory in algorithms.items():
         audits.append(
             audit_normalization_sensitivity(
                 factory,

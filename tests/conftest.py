@@ -10,12 +10,6 @@ from repro.data.ucr_format import UCRDataset
 from repro.data.words import make_word_dataset
 
 
-@pytest.fixture(scope="session")
-def rng() -> np.random.Generator:
-    """A deterministic random generator for ad-hoc test data."""
-    return np.random.default_rng(12345)
-
-
 def _small_gunpoint(n_train_per_class: int, n_test_per_class: int, length: int, znormalize: bool):
     generator = GunPointGenerator(length=length, seed=7)
     full = generator.generate(n_per_class=n_train_per_class + n_test_per_class, seed=7)

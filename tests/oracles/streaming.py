@@ -3,8 +3,8 @@
 * :func:`detect_reference` runs a
   :class:`~repro.streaming.detector.StreamingEarlyDetector`'s settings the
   obvious way: materialise the stream, slice every ``stride``-th candidate
-  window, normalise it with :func:`prepare_window` and run
-  ``predict_early`` on it from scratch.  ``StreamingEarlyDetector.detect``,
+  window, normalise it with :func:`prepare_window` and walk it from scratch
+  with the per-row oracle :func:`~oracles.walk.predict_early_reference`.  ``StreamingEarlyDetector.detect``,
   ``StreamingSession`` and ``ServingEngine`` must emit the identical alarm
   list.
 * :func:`prepare_window` is the per-window normalisation, including the
@@ -20,6 +20,8 @@ import numpy as np
 from repro.distance.znorm import znormalize
 from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.online import Alarm
+
+from .walk import predict_early_reference
 
 
 def prepare_window(detector: StreamingEarlyDetector, window: np.ndarray) -> np.ndarray:
@@ -51,7 +53,7 @@ def detect_reference(detector: StreamingEarlyDetector, stream) -> list[Alarm]:
     :meth:`~repro.streaming.detector.StreamingEarlyDetector.detect` produces
     the identical alarm list, and the streaming benchmark measures the
     engine's speedup over this loop.  ``O(L^2)`` causal normalisation per
-    window and one ``predict_early`` from scratch per candidate.
+    window and one per-row walk from scratch per candidate.
     """
     values = detector._as_values(stream)
     if values.shape[0] < detector.window_length:
@@ -65,7 +67,7 @@ def detect_reference(detector: StreamingEarlyDetector, stream) -> list[Alarm]:
             break
         window = values[start : start + detector.window_length]
         prepared = prepare_window(detector, window)
-        outcome = detector.classifier.predict_early(prepared)
+        outcome = predict_early_reference(detector.classifier, prepared)
         if not outcome.triggered:
             continue
         position = start + outcome.trigger_length - 1

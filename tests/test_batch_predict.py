@@ -1,12 +1,14 @@
 """Batch-vs-reference equivalence for the vectorised prediction engine.
 
 ``predict_early_batch`` answers a whole test set from batched matrix
-kernels; ``predict_early`` row by row is the reference implementation.  The
-two must agree -- outcome by outcome and metric by metric -- for every
-classifier, across z-normalisation modes, or the batched fast path has
-silently drifted (a tie-break or voting regression).  Every classifier
-implements the batched hook; ``predict_early_batch`` has no per-row fallback.
-This suite is the drift gate the CI workflow runs explicitly.
+kernels, and ``predict_early`` runs the same walk on a batch of one row.
+The reference is the per-row walk in ``tests/oracles/walk.py``: one
+``predict_partial`` per checkpoint (one prefix sweep with stable-argsort
+statistics for ECTS).  Both library walks must agree with it -- outcome by
+outcome and metric by metric -- for every classifier, across
+z-normalisation modes, or the batched path has silently drifted (a
+tie-break or voting regression).  This suite is the drift gate the CI
+workflow runs explicitly.
 
 All datasets here are fixed-seed, so the assertions are deterministic.  One
 caveat for future failures: the six classifiers built on
@@ -38,6 +40,7 @@ from repro.classifiers.teaser import TEASERClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.evaluation.earliness import evaluate_early_classifier
 
+from oracles.walk import predict_early_reference
 from tests.test_classifiers_reliable import FAST as RELIABLE_FAST
 
 TOLERANCE = 1e-10
@@ -100,16 +103,23 @@ def _assert_outcomes_match(batched, reference):
         assert abs(got.confidence - want.confidence) <= TOLERANCE
 
 
+def _reference(model, rows, keep_history=False):
+    return [predict_early_reference(model, row, keep_history) for row in rows]
+
+
 def _assert_histories_match(model, rows):
+    reference = _reference(model, rows, keep_history=True)
     batched = model.predict_early_batch(rows, keep_history=True)
-    for got, row in zip(batched, rows):
-        want = model.predict_early(row, keep_history=True)
-        assert len(got.history) == len(want.history)
-        for g, w in zip(got.history, want.history):
-            assert g.label == w.label
-            assert g.ready == w.ready
-            assert g.prefix_length == w.prefix_length
-            assert abs(g.confidence - w.confidence) <= TOLERANCE
+    per_row = [model.predict_early(row, keep_history=True) for row in rows]
+    for outcomes in (batched, per_row):
+        _assert_outcomes_match(outcomes, reference)
+        for got, want in zip(outcomes, reference):
+            assert len(got.history) == len(want.history)
+            for g, w in zip(got.history, want.history):
+                assert g.label == w.label
+                assert g.ready == w.ready
+                assert g.prefix_length == w.prefix_length
+                assert abs(g.confidence - w.confidence) <= TOLERANCE
 
 
 class TestPredictEarlyBatchEquivalence:
@@ -120,9 +130,9 @@ class TestPredictEarlyBatchEquivalence:
     ):
         train, test = gunpoint_small if znorm == "znormalized" else gunpoint_small_raw
         model = BATCHED_CLASSIFIERS[name]().fit(train.series, train.labels)
-        batched = model.predict_early_batch(test.series)
-        reference = [model.predict_early(row) for row in test.series]
-        _assert_outcomes_match(batched, reference)
+        reference = _reference(model, test.series)
+        _assert_outcomes_match(model.predict_early_batch(test.series), reference)
+        _assert_outcomes_match([model.predict_early(row) for row in test.series], reference)
 
     @pytest.mark.parametrize("name", sorted(BATCHED_CLASSIFIERS))
     def test_metrics_match_per_row_reference(self, name, gunpoint_small):
@@ -176,13 +186,13 @@ class TestPredictEarlyBatchEquivalence:
         )
         assert np.all(model._first_match_lengths(short)[-1] > short.shape[1])
         batched = model.predict_early_batch(short)
-        _assert_outcomes_match(batched, [model.predict_early(row) for row in short])
+        _assert_outcomes_match(batched, _reference(model, short))
         _assert_outcomes_match(batched, without)
 
     def test_predict_and_scores_ride_the_batched_path(self, gunpoint_small):
         train, test = gunpoint_small
         model = ECTSClassifier().fit(train.series, train.labels)
-        reference = [model.predict_early(row) for row in test.series]
+        reference = _reference(model, test.series)
         assert np.array_equal(
             model.predict(test.series), np.asarray([o.label for o in reference])
         )
@@ -245,7 +255,7 @@ class TestPredictEarlyBatchValidation:
         train, test = gunpoint_small
         model = ECTSClassifier().fit(train.series, train.labels)
         outcomes = model.predict_early_batch(test.series[0])
-        _assert_outcomes_match(outcomes, [model.predict_early(test.series[0])])
+        _assert_outcomes_match(outcomes, _reference(model, test.series[:1]))
 
     def test_rejects_unfitted_and_bad_input(self, gunpoint_small):
         train, test = gunpoint_small
@@ -306,8 +316,7 @@ class TestTriggerlessBatch:
         train, test = gunpoint_small
         model = _NeverReady().fit(train.series, train.labels)
         batched = model.predict_early_batch(test.series)
-        reference = [model.predict_early(row) for row in test.series]
-        _assert_outcomes_match(batched, reference)
+        _assert_outcomes_match(batched, _reference(model, test.series))
         assert all(not outcome.triggered for outcome in batched)
         assert all(
             outcome.trigger_length == test.series_length for outcome in batched

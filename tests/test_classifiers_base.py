@@ -64,12 +64,15 @@ class _TriggerAtLength(BaseEarlyClassifier):
         )
 
     def _batch_partial_evaluators(self, data):
-        # Row by row through predict_partial, with no vectorised ``ready``:
-        # the batched walk then runs its per-row stopping-rule path.
+        # Row by row through predict_partial; every row is ready from
+        # ``trigger_at`` on.
         return [
             BatchCheckpoint(
                 length=length,
                 partial=lambda i, length=length: self.predict_partial(data[i, :length]),
+                ready=lambda rows, length=length: np.full(
+                    len(rows), length >= self.trigger_at
+                ),
             )
             for length in self.checkpoints()
             if length <= data.shape[1]

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
+from repro.data.ucr_like import make_multichannel_cbf_dataset
+
+from oracles.walk import ects_partial_reference
 
 
 class TestConstruction:
@@ -92,3 +95,23 @@ class TestPrediction:
         shifted = denormalize_dataset(test, seed=1)
         perturbed = model.score(shifted.series, shifted.labels)
         assert perturbed < clean
+
+
+class TestPredictPartialOracle:
+    """``predict_partial`` equals the oracle's statistics on a one-row sweep."""
+
+    @pytest.mark.parametrize("data", ["znormalized", "raw", "3-channel"])
+    def test_every_checkpoint_matches_exactly(self, data, gunpoint_small, gunpoint_small_raw):
+        if data == "3-channel":
+            dataset = make_multichannel_cbf_dataset(n_per_class=8, length=48, n_channels=3)
+            n = dataset.series.shape[0]
+            train, test = dataset.subset(range(0, n, 2)), dataset.subset(range(1, n, 2))
+        else:
+            train, test = gunpoint_small if data == "znormalized" else gunpoint_small_raw
+        model = ECTSClassifier(min_support=0.0).fit(train.series, train.labels)
+        for row in test.series[:5]:
+            for length in model.checkpoints():
+                got = model.predict_partial(row[:length])
+                distances = np.sqrt(model._engine.open(row[:length]).advance_to(length)[0])
+                want = ects_partial_reference(model, distances, length)
+                assert got == want, length

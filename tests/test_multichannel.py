@@ -27,9 +27,19 @@ from repro.distance.engine import batch_prefix_distances
 from repro.distance.znorm import causal_znormalize, znormalize
 from repro.streaming.online import causal_znormalize_batch
 
-RNG = np.random.default_rng(20260808)
+from oracles.walk import predict_early_reference
 
 ATOL = 1e-10
+
+
+@pytest.fixture
+def rng():
+    """A fresh generator per test.
+
+    A test's data then never depends on which tests ran before it, so a
+    ``-k`` selection runs on the same data as the whole module.
+    """
+    return np.random.default_rng(20260808)
 
 
 def _naive_prefix_distance(query: np.ndarray, train_row: np.ndarray, length: int) -> float:
@@ -55,9 +65,9 @@ def _naive_causal_znorm(window: np.ndarray) -> np.ndarray:
 
 
 class TestPrefixEuclideanNaive:
-    def test_batch_prefix_distances_match_per_channel_loop(self):
-        queries = RNG.normal(size=(4, 12, 3))
-        train = RNG.normal(size=(5, 15, 3))
+    def test_batch_prefix_distances_match_per_channel_loop(self, rng):
+        queries = rng.normal(size=(4, 12, 3))
+        train = rng.normal(size=(5, 15, 3))
         lengths = [1, 4, 12]
         result = batch_prefix_distances(queries, train, lengths)
         assert result.shape == (len(lengths), queries.shape[0], train.shape[0])
@@ -69,17 +79,17 @@ class TestPrefixEuclideanNaive:
 
 
 class TestCausalZnormNaive:
-    def test_causal_znormalize_matches_per_channel_loop(self):
+    def test_causal_znormalize_matches_per_channel_loop(self, rng):
         # A trailing window spanning the whole stream with min_periods=1 is
         # the expanding (every-sample-seen-so-far) statistic.
-        window = RNG.normal(size=(20, 3))
+        window = rng.normal(size=(20, 3))
         result = causal_znormalize(
             window, window=20, min_periods=1, channel_axis=-1
         )
         assert np.allclose(result, _naive_causal_znorm(window), atol=ATOL)
 
-    def test_causal_znormalize_trailing_window_matches_loop(self):
-        window = RNG.normal(size=(20, 3))
+    def test_causal_znormalize_trailing_window_matches_loop(self, rng):
+        window = rng.normal(size=(20, 3))
         trailing = 6
         result = causal_znormalize(
             window, window=trailing, min_periods=1, channel_axis=-1
@@ -93,8 +103,8 @@ class TestCausalZnormNaive:
                     expected[t, c] = (window[t, c] - seen.mean()) / std
         assert np.allclose(result, expected, atol=ATOL)
 
-    def test_batch_kernel_matches_per_channel_loop(self):
-        windows = RNG.normal(size=(5, 16, 2))
+    def test_batch_kernel_matches_per_channel_loop(self, rng):
+        windows = rng.normal(size=(5, 16, 2))
         result = causal_znormalize_batch(windows)
         for row in range(windows.shape[0]):
             assert np.allclose(result[row], _naive_causal_znorm(windows[row]), atol=ATOL)
@@ -120,7 +130,7 @@ def test_edsc_batched_walk_matches_per_row_d3(method):
     batched = model.predict_early_batch(test.series)
     assert any(outcome.triggered for outcome in batched)
     for got, row in zip(batched, test.series):
-        want = model.predict_early(row)
+        want = predict_early_reference(model, row)
         assert (got.label, got.trigger_length, got.triggered, got.confidence) == (
             want.label,
             want.trigger_length,
@@ -163,17 +173,17 @@ class TestTrailingSingletonBitEquality:
                 b.confidence,
             )
 
-    def test_distances_bit_identical(self):
-        queries = RNG.normal(size=(3, 10))
-        train = RNG.normal(size=(5, 12))
+    def test_distances_bit_identical(self, rng):
+        queries = rng.normal(size=(3, 10))
+        train = rng.normal(size=(5, 12))
         flat = batch_prefix_distances(queries, train, [2, 10])
         cube = batch_prefix_distances(queries[:, :, None], train[:, :, None], [2, 10])
         assert np.array_equal(flat, cube)
 
 
 class TestShardBackCompat:
-    def test_version_1_manifest_rejected(self, tmp_path):
-        series = RNG.normal(size=(10, 8))
+    def test_version_1_manifest_rejected(self, tmp_path, rng):
+        series = rng.normal(size=(10, 8))
         labels = np.arange(10)
         write_shards((series, labels), tmp_path, shard_exemplars=4)
         manifest_path = tmp_path / "manifest.json"
@@ -196,8 +206,8 @@ class TestShardBackCompat:
         assert manifest["n_channels"] == dataset.n_channels
         assert np.array_equal(np.asarray(sharded.series), dataset.series)
 
-    def test_unknown_future_schema_rejected(self, tmp_path):
-        series = RNG.normal(size=(4, 6))
+    def test_unknown_future_schema_rejected(self, tmp_path, rng):
+        series = rng.normal(size=(4, 6))
         write_shards((series, np.arange(4)), tmp_path, shard_exemplars=4)
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())

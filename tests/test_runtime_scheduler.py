@@ -50,6 +50,14 @@ class TestSpecTable:
             assert prepare[keyword].default == compute[keyword].default, keyword
             assert params[keyword] == prepare[keyword].default, keyword
 
+    def test_no_stage_declares_the_registry_fast_keyword(self):
+        # ``run_experiment(name, fast=...)`` consumes ``fast`` itself, so a
+        # stage keyword of that name could never be set through it.
+        for spec in SPECS.values():
+            for stage in ("prepare", "compute"):
+                parameters = inspect.signature(spec.stage(stage)).parameters
+                assert "fast" not in parameters, (spec.name, stage)
+
     def test_every_spec_exposes_a_default_seed(self):
         for spec in SPECS.values():
             assert isinstance(spec.default_seed, int), spec.name

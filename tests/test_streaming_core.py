@@ -29,6 +29,7 @@ from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.online import _WINDOW_BLOCK, Alarm, StreamingSession
 
 from oracles.streaming import detect_reference
+from oracles.walk import predict_early_reference
 from tests.test_multichannel import _naive_causal_znorm
 from tests.test_serving import _interleaved_push
 from tests.test_streaming_online import assert_alarms_equivalent
@@ -197,7 +198,7 @@ def _per_window_alarms(model, values, normalization, stride, refractory):
     expected: list[Alarm] = []
     last_position = -np.inf
     for start in range(0, values.shape[0] - length + 1, stride):
-        outcome = model.predict_early(prepare(values[start : start + length]))
+        outcome = predict_early_reference(model, prepare(values[start : start + length]))
         position = start + outcome.trigger_length - 1
         if outcome.triggered and position - last_position >= refractory:
             expected.append(

@@ -6,9 +6,13 @@ produces the *identical* alarm list to the offline reference loop
 ``candidate_start``, ``label`` and ``prefix_length``, confidence to within
 1e-10 -- across all three normalisation modes, strides, refractory settings
 and ``max_alarms`` truncation, and for classifiers exercising every walk
-flavour: the default slice-and-recompute path (probability threshold), the
-engine-backed incremental context (ECTS) and the stateful streak trigger
-rule (TEASER).
+flavour: a lazily evaluated probability evaluator (probability threshold),
+ECTS's shared prefix sweep with its answer arrays, and the stateful streak
+trigger rule (TEASER).
+
+:class:`~repro.classifiers.base.ClassifierStream` is pinned to the per-row
+walk oracle (``tests/oracles/walk.py``) for every exported classifier, fed
+sample by sample and in blocks.
 """
 
 import numpy as np
@@ -23,6 +27,8 @@ from repro.streaming.detector import StreamingEarlyDetector
 from repro.streaming.online import StreamingSession
 
 from oracles.streaming import detect_reference
+from oracles.walk import predict_early_reference
+from tests.test_batch_predict import BATCHED_CLASSIFIERS, _assert_outcomes_match
 
 
 def assert_alarms_equivalent(reference, candidate):
@@ -210,30 +216,43 @@ class TestSessionBehaviour:
         assert session.finalize() == []
 
 
+def _pushed(model, row):
+    walker = model.open_stream()
+    for value in row:
+        walker.push(value)
+        if walker.outcome is not None:
+            break
+    return walker.outcome
+
+
+def _fed(model, row, block):
+    walker = model.open_stream()
+    for start in range(0, row.shape[0], block):
+        if walker.feed(row[start : start + block]) is not None:
+            break
+    return walker.outcome
+
+
 class TestClassifierStream:
-    def test_matches_predict_early_on_exemplars(self, ects_classifier, tiny_two_class):
-        series, _ = tiny_two_class
-        for row in series[:6]:
-            expected = ects_classifier.predict_early(row)
-            walker = ects_classifier.open_stream()
-            for value in row:
-                walker.push(value)
-                if walker.outcome is not None:
-                    break
-            outcome = walker.outcome
-            assert outcome is not None
-            assert outcome.triggered == expected.triggered
-            assert outcome.label == expected.label
-            assert outcome.trigger_length == expected.trigger_length
-            assert abs(outcome.confidence - expected.confidence) <= 1e-10
+    @pytest.mark.parametrize("name", sorted(BATCHED_CLASSIFIERS))
+    @pytest.mark.parametrize("znorm", ["znormalized", "raw"])
+    def test_every_classifier_streams_like_the_per_row_walk(
+        self, name, znorm, gunpoint_small, gunpoint_small_raw
+    ):
+        train, test = gunpoint_small if znorm == "znormalized" else gunpoint_small_raw
+        model = BATCHED_CLASSIFIERS[name]().fit(train.series, train.labels)
+        rows = test.series[::2]
+        reference = [predict_early_reference(model, row) for row in rows]
+        _assert_outcomes_match([_pushed(model, row) for row in rows], reference)
+        _assert_outcomes_match([_fed(model, row, block=7) for row in rows], reference)
 
     def test_concurrent_walkers_do_not_interfere(self, ects_classifier, tiny_two_class):
         series, _ = tiny_two_class
-        solo = ects_classifier.predict_early(series[0])
+        solo = predict_early_reference(ects_classifier, series[0])
         first = ects_classifier.open_stream()
         second = ects_classifier.open_stream()
         # Interleave two walks over different exemplars; the first must reach
-        # the same outcome as an isolated predict_early.
+        # the same outcome as the per-row walk on its own.
         for a, b in zip(series[0], series[1]):
             if first.outcome is None:
                 first.push(a)
@@ -245,8 +264,8 @@ class TestClassifierStream:
 
     def test_feed_rejects_non_finite_blocks(self, ects_classifier):
         # feed is the block-mode twin of push and must enforce the same
-        # finiteness contract -- the engine-backed sweep path would otherwise
-        # silently produce NaN distances.
+        # finiteness contract -- a checkpoint past the bad sample would
+        # otherwise be answered from NaN distances.
         walker = ects_classifier.open_stream()
         with pytest.raises(ValueError):
             walker.feed(np.asarray([0.0, float("nan"), 1.0]))
