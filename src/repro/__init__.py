@@ -6,7 +6,7 @@ The package is organised in layers (see docs/ARCHITECTURE.md for the full
 inventory):
 
 * :mod:`repro.distance` -- z-normalisation, Euclidean distances, sliding
-  distance profiles, nearest-neighbour classifiers.
+  distance profiles, the 1-NN Euclidean classifier.
 * :mod:`repro.data` -- synthetic stand-ins for the datasets the paper draws
   its evidence from (GunPoint, spoken words, ECG, chicken accelerometer, EOG,
   EPG, random walks), plus the UCR-format container and a stream composer.
@@ -17,8 +17,8 @@ inventory):
   online detection engine (completed candidate windows classified in
   batches, batched causal normalisation), alarm/ground-truth matching,
   false positive accounting and the Appendix B cost model.
-* :mod:`repro.evaluation` -- accuracy/earliness metrics and significance
-  tests for the offline (UCR-style) experiments.
+* :mod:`repro.evaluation` -- earliness-accuracy metrics and the significance
+  test for the offline (UCR-style) experiments.
 * :mod:`repro.core` -- the paper's actual contribution: the meaningfulness
   criteria (prefix / inclusion / homophone analysis, normalisation audit,
   cost and prior-probability criteria) combined into a per-domain report.

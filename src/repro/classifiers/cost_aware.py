@@ -54,8 +54,6 @@ class CostAwareEarlyClassifier(ProbabilisticEarlyClassifier):
         stopping after a fraction ``f`` of the exemplar is ``C_d * f``.
     n_checkpoints:
         Number of prefix lengths examined.
-    n_neighbors:
-        Neighbours per class used by the probabilistic base classifier.
     """
 
     #: Univariate-only: the per-length statistics this algorithm is
@@ -68,9 +66,8 @@ class CostAwareEarlyClassifier(ProbabilisticEarlyClassifier):
         misclassification_cost: float = 1.0,
         delay_cost_per_unit: float = 1.0,
         n_checkpoints: int = 20,
-        n_neighbors: int = 1,
     ) -> None:
-        super().__init__(n_neighbors=n_neighbors)
+        super().__init__()
         if misclassification_cost <= 0:
             raise ValueError("misclassification_cost must be positive")
         if delay_cost_per_unit < 0:
@@ -80,7 +77,6 @@ class CostAwareEarlyClassifier(ProbabilisticEarlyClassifier):
         self.misclassification_cost = misclassification_cost
         self.delay_cost_per_unit = delay_cost_per_unit
         self.n_checkpoints = n_checkpoints
-        self.n_neighbors = n_neighbors
         self._checkpoints: list[int] = []
         self.expected_error_: dict[int, float] = {}
 
@@ -90,9 +86,9 @@ class CostAwareEarlyClassifier(ProbabilisticEarlyClassifier):
         data, label_arr = self._validate_training_data(series, labels)
         self._store_training_shape(data, label_arr)
         self._checkpoints = default_checkpoints(data.shape[1], self.n_checkpoints)
-        self._model = PrefixProbabilisticClassifier(
-            checkpoints=self._checkpoints, n_neighbors=self.n_neighbors
-        ).fit(data, label_arr)
+        self._model = PrefixProbabilisticClassifier(checkpoints=self._checkpoints).fit(
+            data, label_arr
+        )
         self.expected_error_ = self._leave_one_out_error(data, label_arr)
         return self
 

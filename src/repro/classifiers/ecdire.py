@@ -55,8 +55,6 @@ class ECDIREClassifier(ProbabilisticEarlyClassifier):
     margin_percentile:
         Percentile of the correct-prediction margins used as the reliability
         threshold at each checkpoint (lower = more permissive).
-    n_neighbors:
-        Neighbours per class used by the probabilistic base classifier.
     """
 
     #: Univariate-only: the per-length statistics this algorithm is
@@ -69,9 +67,8 @@ class ECDIREClassifier(ProbabilisticEarlyClassifier):
         accuracy_threshold: float = 1.0,
         n_checkpoints: int = 20,
         margin_percentile: float = 25.0,
-        n_neighbors: int = 1,
     ) -> None:
-        super().__init__(n_neighbors=n_neighbors)
+        super().__init__()
         if not 0.0 < accuracy_threshold <= 1.0:
             raise ValueError("accuracy_threshold must be in (0, 1]")
         if n_checkpoints < 2:
@@ -81,7 +78,6 @@ class ECDIREClassifier(ProbabilisticEarlyClassifier):
         self.accuracy_threshold = accuracy_threshold
         self.n_checkpoints = n_checkpoints
         self.margin_percentile = margin_percentile
-        self.n_neighbors = n_neighbors
         self._checkpoints: list[int] = []
         self.safe_timestamps_: dict = {}
         self.margin_thresholds_: dict[int, float] = {}
@@ -92,9 +88,9 @@ class ECDIREClassifier(ProbabilisticEarlyClassifier):
         data, label_arr = self._validate_training_data(series, labels)
         self._store_training_shape(data, label_arr)
         self._checkpoints = default_checkpoints(data.shape[1], self.n_checkpoints)
-        self._model = PrefixProbabilisticClassifier(
-            checkpoints=self._checkpoints, n_neighbors=self.n_neighbors
-        ).fit(data, label_arr)
+        self._model = PrefixProbabilisticClassifier(checkpoints=self._checkpoints).fit(
+            data, label_arr
+        )
 
         per_class_accuracy, margins = self._cross_validated_behaviour(data, label_arr)
         self.safe_timestamps_ = self._compute_safe_timestamps(per_class_accuracy)

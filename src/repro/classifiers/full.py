@@ -32,8 +32,8 @@ class FullLengthClassifier(ProbabilisticEarlyClassifier):
     classifier should be compared against.
     """
 
-    def __init__(self, n_neighbors: int = 1) -> None:
-        super().__init__(n_neighbors=n_neighbors)
+    def __init__(self) -> None:
+        super().__init__()
 
     def fit(self, series: np.ndarray, labels: Sequence) -> "FullLengthClassifier":
         """Fit the underlying full-length probabilistic classifier."""
@@ -64,17 +64,14 @@ class FixedTruncationClassifier(ProbabilisticEarlyClassifier):
         noticing that most of the exemplar is padding.
     tolerance:
         Allowed accuracy gap (absolute) when auto-selecting the length.
-    n_neighbors:
-        Neighbours used by the underlying prefix classifier.
     """
 
     def __init__(
         self,
         trigger_length: int | None = None,
         tolerance: float = 0.01,
-        n_neighbors: int = 1,
     ) -> None:
-        super().__init__(n_neighbors=n_neighbors)
+        super().__init__()
         if trigger_length is not None and trigger_length < 1:
             raise ValueError("trigger_length must be >= 1")
         if tolerance < 0:

@@ -6,9 +6,10 @@ full-length and fixed-truncation baselines) need the same primitive: *given
 a prefix of length L, produce class probabilities*.  The published systems
 use a variety of base classifiers for this (1-NN, WEASEL, logistic
 regression); following the UCR-evaluation tradition -- and to keep the
-reproduction dependency-free -- this module uses nearest-neighbour evidence
-converted into probabilities with a distance softmax whose temperature is
-calibrated per prefix length on the training data.
+reproduction dependency-free -- this module uses 1-NN evidence (each
+class's nearest Euclidean distance) converted into probabilities with a
+distance softmax whose temperature is calibrated per prefix length on the
+training data.
 
 The calibration matters: raw distances grow with the prefix length, so a
 single global temperature would make early probabilities artificially sharp
@@ -73,7 +74,10 @@ def nearest_checkpoint(checkpoints: Sequence[int], length: int) -> int:
 
 
 class PrefixProbabilisticClassifier:
-    """Nearest-neighbour class probabilities at arbitrary prefix lengths.
+    """1-NN class probabilities at arbitrary prefix lengths.
+
+    A class's evidence is its nearest training exemplar's Euclidean distance
+    to the prefix.
 
     Parameters
     ----------
@@ -84,23 +88,16 @@ class PrefixProbabilisticClassifier:
         full training length in steps of ``max(1, length // 30)``.
     min_length:
         Smallest usable prefix length.
-    n_neighbors:
-        Number of neighbours per class whose mean distance forms the class
-        evidence (1 reproduces plain 1-NN behaviour).
     """
 
     def __init__(
         self,
         checkpoints: Sequence[int] | None = None,
         min_length: int = 3,
-        n_neighbors: int = 1,
     ) -> None:
         if min_length < 1:
             raise ValueError("min_length must be >= 1")
-        if n_neighbors < 1:
-            raise ValueError("n_neighbors must be >= 1")
         self.min_length = min_length
-        self.n_neighbors = n_neighbors
         self._requested_checkpoints = list(checkpoints) if checkpoints is not None else None
         self._train: np.ndarray | None = None
         self._labels: np.ndarray | None = None
@@ -229,8 +226,7 @@ class PrefixProbabilisticClassifier:
 
         One vectorised :func:`repro.distance.euclidean.pairwise_euclidean`
         matrix per requested length answers every row at once, and a class's
-        evidence is the mean of its ``n_neighbors`` smallest distances, taken
-        from a sort.  This is the kernel every
+        evidence is the minimum of its columns.  This is the kernel every
         :class:`ProbabilisticEarlyClassifier` checkpoint runs, for a batch
         and for a single prefix alike.
 
@@ -268,11 +264,7 @@ class PrefixProbabilisticClassifier:
         results: dict[int, list[PrefixProbabilities]] = {}
         for length in lengths:
             distances = pairwise_euclidean(data[:, :length], self._train[:, :length])
-            evidence_per_class = []
-            for mask in class_masks:
-                cls_distances = np.sort(distances[:, mask], axis=1)
-                k = min(self.n_neighbors, cls_distances.shape[1])
-                evidence_per_class.append(cls_distances[:, :k].mean(axis=1))
+            evidence_per_class = [distances[:, mask].min(axis=1) for mask in class_masks]
             results[length] = [
                 self._result_from_evidence(
                     {
@@ -337,12 +329,7 @@ class PrefixProbabilisticClassifier:
         for length, distances in iter_prefix_distances(data, self._train, lengths):
             if exclude_self:
                 np.fill_diagonal(distances, np.inf)
-            evidence_per_class = []
-            for mask in class_masks:
-                cls_distances = distances[:, mask]
-                k = min(self.n_neighbors, cls_distances.shape[1])
-                smallest = np.partition(cls_distances, k - 1, axis=1)[:, :k]
-                evidence_per_class.append(smallest.mean(axis=1))
+            evidence_per_class = [distances[:, mask].min(axis=1) for mask in class_masks]
             results[length] = [
                 self._result_from_evidence(
                     {
@@ -370,17 +357,13 @@ class ProbabilisticEarlyClassifier(BaseEarlyClassifier):
 
     Parameters
     ----------
-    n_neighbors:
-        Neighbours per class whose mean distance forms the class evidence.
     min_length:
         Smallest prefix length the model classifies.
     """
 
-    def __init__(self, n_neighbors: int = 1, min_length: int = 3) -> None:
+    def __init__(self, min_length: int = 3) -> None:
         super().__init__()
-        self._model = PrefixProbabilisticClassifier(
-            min_length=min_length, n_neighbors=n_neighbors
-        )
+        self._model = PrefixProbabilisticClassifier(min_length=min_length)
 
     @abstractmethod
     def _ready(self, result: PrefixProbabilities, length: int) -> bool:

@@ -121,8 +121,6 @@ class TEASERClassifier(ProbabilisticEarlyClassifier):
         one-class model fitted to coin-flip feature vectors cannot tell good
         predictions from bad ones; refusing to accept from such snapshots is
         what keeps the earliest checkpoints from firing on noise.
-    n_neighbors:
-        Neighbours per class used by the slave classifiers.
     """
 
     def __init__(
@@ -132,9 +130,8 @@ class TEASERClassifier(ProbabilisticEarlyClassifier):
         candidate_v: Sequence[int] = (1, 2, 3, 4, 5),
         master_quantile: float = 0.95,
         min_checkpoint_accuracy: float = 0.7,
-        n_neighbors: int = 1,
     ) -> None:
-        super().__init__(n_neighbors=n_neighbors)
+        super().__init__()
         if n_checkpoints < 2:
             raise ValueError("n_checkpoints must be at least 2")
         if consecutive_required is not None and consecutive_required < 1:
@@ -150,7 +147,6 @@ class TEASERClassifier(ProbabilisticEarlyClassifier):
         self.candidate_v = tuple(candidate_v)
         self.master_quantile = master_quantile
         self.min_checkpoint_accuracy = min_checkpoint_accuracy
-        self.n_neighbors = n_neighbors
         self._checkpoints: list[int] = []
         self._masters: dict[int, _OneClassGaussian | None] = {}
         self.consecutive_required_: int | None = None
@@ -161,9 +157,9 @@ class TEASERClassifier(ProbabilisticEarlyClassifier):
         data, label_arr = self._validate_training_data(series, labels)
         self._store_training_shape(data, label_arr)
         self._checkpoints = default_checkpoints(data.shape[1], self.n_checkpoints)
-        self._model = PrefixProbabilisticClassifier(
-            checkpoints=self._checkpoints, n_neighbors=self.n_neighbors
-        ).fit(data, label_arr)
+        self._model = PrefixProbabilisticClassifier(checkpoints=self._checkpoints).fit(
+            data, label_arr
+        )
         # Every training step below consumes the same leave-one-out slave
         # evaluations (one per exemplar per checkpoint); computing the whole
         # table in one incremental prefix-distance sweep is what makes

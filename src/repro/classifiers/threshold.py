@@ -33,8 +33,6 @@ class ProbabilityThresholdClassifier(ProbabilisticEarlyClassifier):
     checkpoint_step:
         Evaluate every ``checkpoint_step`` samples (1 = every new sample, the
         purest form of "incrementally arriving data").
-    n_neighbors:
-        Neighbours per class used by the underlying prefix classifier.
     """
 
     def __init__(
@@ -42,9 +40,8 @@ class ProbabilityThresholdClassifier(ProbabilisticEarlyClassifier):
         threshold: float = 0.8,
         min_length: int = 5,
         checkpoint_step: int = 1,
-        n_neighbors: int = 1,
     ) -> None:
-        super().__init__(n_neighbors=n_neighbors, min_length=min_length)
+        super().__init__(min_length=min_length)
         if not 0.5 < threshold <= 1.0:
             raise ValueError("threshold must be in (0.5, 1.0]")
         if checkpoint_step < 1:

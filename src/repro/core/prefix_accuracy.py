@@ -113,7 +113,6 @@ def compute_prefix_accuracy_curve(
     test: UCRDataset,
     lengths: Sequence[int] | None = None,
     renormalize: bool = True,
-    n_neighbors: int = 1,
 ) -> PrefixAccuracyCurve:
     """Compute the Fig. 9 curve for a train/test pair.
 
@@ -131,8 +130,6 @@ def compute_prefix_accuracy_curve(
         the sweep runs on the incremental
         :class:`repro.distance.engine.PrefixDistanceEngine` fast path, which
         answers every length for the cost of one full-length distance matrix.
-    n_neighbors:
-        Neighbours for the underlying classifier.
     """
     full_length = train.series_length
     if lengths is None:
@@ -141,9 +138,7 @@ def compute_prefix_accuracy_curve(
         if lengths[-1] != full_length:
             lengths.append(full_length)
     lengths = sorted({int(length) for length in lengths})
-    curve = prefix_accuracy_curve(
-        train, test, lengths, renormalize=renormalize, n_neighbors=n_neighbors
-    )
+    curve = prefix_accuracy_curve(train, test, lengths, renormalize=renormalize)
     return PrefixAccuracyCurve(
         lengths=tuple(lengths),
         accuracies=tuple(curve[length] for length in lengths),

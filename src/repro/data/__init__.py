@@ -13,16 +13,15 @@ All generators are deterministic given a seed and produce either
 * a long 1-D stream plus ground-truth event annotations (the format a
   real-world deployment actually sees), built with
   :class:`~repro.data.stream.StreamComposer`.
+
+:mod:`repro.data.shards` stores a dataset on disk as fixed-size npy shards
+of series and labels behind a hashed manifest, for archive-scale sweeps that
+must not hold every dataset in memory.
 """
 
 from repro.data.ucr_format import UCRDataset, train_test_split
 from repro.data.gunpoint import GunPointGenerator, make_gunpoint_dataset
-from repro.data.words import (
-    WordSynthesizer,
-    make_word_dataset,
-    synthesize_sentence,
-    LEXICON,
-)
+from repro.data.words import WordSynthesizer, make_word_dataset, LEXICON
 from repro.data.ecg import ECGGenerator, make_ecg_beat_dataset
 from repro.data.chicken import ChickenBehaviorSimulator, dustbathing_template
 from repro.data.eog import generate_eog
@@ -38,7 +37,6 @@ from repro.data.ucr_like import (
 )
 from repro.data.shards import (
     ShardedDataset,
-    ShardedSeriesView,
     ShardIntegrityError,
     synthesize_sharded_archive,
     write_shards,
@@ -51,7 +49,6 @@ __all__ = [
     "make_gunpoint_dataset",
     "WordSynthesizer",
     "make_word_dataset",
-    "synthesize_sentence",
     "LEXICON",
     "ECGGenerator",
     "make_ecg_beat_dataset",
@@ -70,7 +67,6 @@ __all__ = [
     "make_cbf_dataset",
     "make_trace_dataset",
     "ShardedDataset",
-    "ShardedSeriesView",
     "ShardIntegrityError",
     "synthesize_sharded_archive",
     "write_shards",

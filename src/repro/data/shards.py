@@ -7,22 +7,18 @@ This module is the on-disk counterpart:
 
 * :func:`write_shards` converts any in-memory dataset, ``(series, labels)``
   pair, or *streaming generator of chunks* into a shard directory: fixed-row
-  ``shard-NNNN.series.npy`` files plus per-shard label arrays and a
-  per-shard z-normalisation stats header (per-exemplar mean/std, computed
-  once at write time so readers can normalise lazily without rescanning).
+  ``shard-NNNN.series.npy`` files plus one ``shard-NNNN.labels.npy`` label
+  array per shard.
 * ``manifest.json`` records the layout and a SHA-256 content hash of every
   file, so a resumable sweep can trust (and :meth:`ShardedDataset.verify`
   can re-check) what is on disk.
-* :class:`ShardedDataset` presents the familiar dataset surface --
+* :class:`ShardedDataset` presents the dataset's header facts --
   ``n_exemplars`` / ``series_length`` / ``labels`` / ``classes`` /
-  ``class_counts`` / ``series`` -- **lazily**: every shard is opened as a
-  read-only :func:`numpy.load` memmap, and nothing materialises the whole
-  dataset unless the caller explicitly asks (:meth:`materialize`, or
-  ``np.asarray`` on the :class:`ShardedSeriesView`).  Shard views are
-  handed out as ordinary :class:`UCRDataset` objects built with
-  ``validate=False`` (the write-time hash already vouches for the bytes),
-  so the entire classifier/distance stack runs on out-of-core data
-  unchanged, paging in only what a kernel actually touches.
+  ``class_counts`` -- from the manifest, and its bulk **lazily**: each
+  shard's series is opened on demand as a read-only :func:`numpy.load`
+  memmap (:meth:`~ShardedDataset.shard_series`), so a kernel pages in only
+  what it touches.  Nothing materialises the whole dataset unless the
+  caller explicitly asks (:meth:`~ShardedDataset.materialize`).
 * :func:`synthesize_sharded_archive` mass-produces CBF-style synthetic
   datasets straight to shards -- the substrate of the 100+-dataset sweep
   benchmark -- holding at most one dataset in memory at a time.
@@ -44,20 +40,19 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.ucr_format import UCRDataset
-from repro.memory import get_memory_budget
 
 __all__ = [
     "SHARD_SCHEMA_VERSION",
     "ShardIntegrityError",
     "ShardedDataset",
-    "ShardedSeriesView",
+    "file_sha256",
     "synthesize_sharded_archive",
     "write_shards",
 ]
 
 #: Bump when the on-disk layout changes incompatibly; :meth:`ShardedDataset.open`
 #: reads this version only.
-SHARD_SCHEMA_VERSION = 2
+SHARD_SCHEMA_VERSION = 3
 
 #: Default number of exemplars per shard when the caller does not choose.
 DEFAULT_SHARD_EXEMPLARS = 256
@@ -69,7 +64,8 @@ class ShardIntegrityError(RuntimeError):
     """A shard file is missing or its bytes no longer match the manifest."""
 
 
-def _sha256_file(path: Path) -> str:
+def file_sha256(path: str | Path) -> str:
+    """SHA-256 hex digest of a file's bytes, read in 1 MiB blocks."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
@@ -171,24 +167,16 @@ def write_shards(
             stem = f"shard-{index:04d}"
             series_file = f"{stem}.series.npy"
             labels_file = f"{stem}.labels.npy"
-            stats_file = f"{stem}.stats.npy"
             np.save(root / series_file, np.ascontiguousarray(shard_series))
             np.save(root / labels_file, shard_labels)
-            # The z-norm stats header: per-exemplar mean and (population) std
-            # over the time axis (per channel for 3-D shards), so a reader
-            # can normalise a shard without a second full scan.
-            stats = np.stack([shard_series.mean(axis=1), shard_series.std(axis=1)])
-            np.save(root / stats_file, stats)
             shards.append(
                 {
                     "index": index,
                     "n_exemplars": int(take),
                     "series": series_file,
-                    "series_sha256": _sha256_file(root / series_file),
+                    "series_sha256": file_sha256(root / series_file),
                     "labels": labels_file,
-                    "labels_sha256": _sha256_file(root / labels_file),
-                    "stats": stats_file,
-                    "stats_sha256": _sha256_file(root / stats_file),
+                    "labels_sha256": file_sha256(root / labels_file),
                 }
             )
             total_rows += take
@@ -253,85 +241,6 @@ def write_shards(
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     tmp.replace(root / _MANIFEST)
     return ShardedDataset.open(root)
-
-
-class ShardedSeriesView:
-    """Lazy row-addressable stand-in for a dense ``(n, L)`` series array.
-
-    Supports ``shape`` / ``dtype`` / ``len`` / integer and slice / fancy row
-    indexing (each access loads only the shards the requested rows live in)
-    and explicit materialisation via ``np.asarray``.  It deliberately does
-    *not* pretend to be a full ndarray: whole-array arithmetic should go
-    through :meth:`ShardedDataset.iter_batches` so the working set stays
-    budget-bounded.
-    """
-
-    def __init__(self, dataset: "ShardedDataset") -> None:
-        self._dataset = dataset
-        starts = np.cumsum([0] + [s["n_exemplars"] for s in dataset._shards])
-        self._starts = starts  # shard i holds rows [starts[i], starts[i+1])
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        base = (self._dataset.n_exemplars, self._dataset.series_length)
-        if self._dataset.n_channels > 1:
-            return base + (self._dataset.n_channels,)
-        return base
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.float64)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def _rows(self, rows: np.ndarray) -> np.ndarray:
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise IndexError(f"row index out of range [0, {self.shape[0]})")
-        out = np.empty((rows.size,) + self.shape[1:])
-        shard_of = np.searchsorted(self._starts, rows, side="right") - 1
-        for shard in np.unique(shard_of):
-            mask = shard_of == shard
-            local = rows[mask] - self._starts[shard]
-            out[mask] = self._dataset.shard_series(int(shard))[local]
-        return out
-
-    def __getitem__(self, item):
-        if isinstance(item, (int, np.integer)):
-            index = int(item)
-            if index < 0:
-                index += self.shape[0]
-            return self._rows(np.asarray([index]))[0]
-        if isinstance(item, slice):
-            return self._rows(np.arange(*item.indices(self.shape[0])))
-        rows = np.asarray(item)
-        if rows.dtype == bool:
-            rows = np.flatnonzero(rows)
-        if rows.ndim != 1:
-            raise IndexError("only 1-D row indexing is supported")
-        rows = np.where(rows < 0, rows + self.shape[0], rows)
-        return self._rows(rows.astype(np.intp))
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        for series, _ in self._dataset.iter_batches():
-            yield from series
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        # Explicit materialisation (np.asarray(view)); lazy access everywhere
-        # else.  Kept working because "load it all" is sometimes the right
-        # call -- but it is always a *visible* one in the caller's code.
-        dense = self._rows(np.arange(self.shape[0]))
-        return dense.astype(dtype) if dtype is not None else dense
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedSeriesView(shape={self.shape}, "
-            f"shards={self._dataset.n_shards}, lazy)"
-        )
 
 
 class ShardedDataset:
@@ -422,11 +331,6 @@ class ShardedDataset:
         values, counts = np.unique(self.labels, return_counts=True)
         return {v.item() if hasattr(v, "item") else v: int(c) for v, c in zip(values, counts)}
 
-    @property
-    def series(self) -> ShardedSeriesView:
-        """Lazy 2-D view over every exemplar (see :class:`ShardedSeriesView`)."""
-        return ShardedSeriesView(self)
-
     # ------------------------------------------------------------ shard access
     def _entry(self, index: int) -> dict:
         if not 0 <= index < self.n_shards:
@@ -434,62 +338,11 @@ class ShardedDataset:
         return self._shards[index]
 
     def shard_series(self, index: int) -> np.ndarray:
-        """The shard's ``(n, L)`` series as a read-only memmap."""
+        """The shard's ``(n, L)`` (or ``(n, L, d)``) series as a read-only memmap."""
         return np.load(self.root / self._entry(index)["series"], mmap_mode="r")
 
     def shard_labels(self, index: int) -> np.ndarray:
         return np.load(self.root / self._entry(index)["labels"], allow_pickle=False)
-
-    def shard_stats(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Write-time per-exemplar ``(means, stds)`` of one shard."""
-        stats = np.load(self.root / self._entry(index)["stats"], allow_pickle=False)
-        return stats[0], stats[1]
-
-    def shard_dataset(self, index: int) -> UCRDataset:
-        """One shard as a memmap-backed :class:`UCRDataset` view.
-
-        Built with ``validate=False``: the finiteness of the bytes was
-        checked (and hashed) at write time, so re-scanning here would page
-        the whole shard in just to construct the view.
-        """
-        entry = self._entry(index)
-        return UCRDataset(
-            name=f"{self.name}[shard {index}]",
-            series=self.shard_series(index),
-            labels=self.shard_labels(index),
-            znormalized=self.znormalized,
-            metadata={**self.metadata, "shard_index": index, "shard_of": self.name},
-            validate=False,
-        )
-
-    def iter_shards(self) -> Iterator[UCRDataset]:
-        """Yield every shard as a memmap-backed :class:`UCRDataset` view."""
-        for index in range(self.n_shards):
-            yield self.shard_dataset(index)
-
-    def iter_batches(
-        self, max_rows: int | None = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(series, labels)`` blocks bounded by the memory budget.
-
-        ``max_rows`` caps rows per block explicitly; by default the cap is
-        derived from :func:`repro.memory.get_memory_budget` so a sweep
-        under ``REPRO_MAX_BLOCK_BYTES`` never stages more than one budget's
-        worth of exemplars at a time.  Blocks never span shards, so each
-        yield touches exactly one memmap.
-        """
-        if max_rows is None:
-            max_rows = max(
-                1, get_memory_budget() // (self.series_length * self.n_channels * 8)
-            )
-        if max_rows < 1:
-            raise ValueError("max_rows must be >= 1")
-        for index in range(self.n_shards):
-            series = self.shard_series(index)
-            labels = self.shard_labels(index)
-            for start in range(0, series.shape[0], max_rows):
-                stop = min(start + max_rows, series.shape[0])
-                yield series[start:stop], labels[start:stop]
 
     # ------------------------------------------------------------ conversions
     def materialize(self, validate: bool = False) -> UCRDataset:
@@ -520,11 +373,11 @@ class ShardedDataset:
             Naming the first missing or modified file.
         """
         for entry in self._shards:
-            for kind in ("series", "labels", "stats"):
+            for kind in ("series", "labels"):
                 path = self.root / entry[kind]
                 if not path.is_file():
                     raise ShardIntegrityError(f"missing shard file: {path}")
-                digest = _sha256_file(path)
+                digest = file_sha256(path)
                 if digest != entry[f"{kind}_sha256"]:
                     raise ShardIntegrityError(
                         f"content hash mismatch for {path}: manifest "

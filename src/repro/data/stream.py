@@ -40,17 +40,9 @@ class GroundTruthEvent:
     def length(self) -> int:
         return self.end - self.start
 
-    def contains(self, index: int) -> bool:
-        """Whether a stream index falls inside the event."""
-        return self.start <= index < self.end
-
     def overlaps(self, start: int, end: int) -> bool:
         """Whether the half-open interval [start, end) overlaps the event."""
         return start < self.end and self.start < end
-
-    def overlap_length(self, start: int, end: int) -> int:
-        """Number of samples shared with the interval [start, end)."""
-        return max(0, min(self.end, end) - max(self.start, start))
 
 
 @dataclass
@@ -90,15 +82,6 @@ class ComposedStream:
     def events_with_label(self, label) -> list[GroundTruthEvent]:
         """All events carrying the given label."""
         return [e for e in self.events if e.label == label]
-
-    def event_at(self, index: int) -> GroundTruthEvent | None:
-        """The event covering stream index ``index``, if any."""
-        for event in self.events:
-            if event.contains(index):
-                return event
-            if event.start > index:
-                break
-        return None
 
     def extract(self, event: GroundTruthEvent) -> np.ndarray:
         """The raw values of the stream under an event."""
@@ -269,30 +252,4 @@ class StreamComposer:
             events=events,
             name=name,
             metadata={"gap_range": self.gap_range, "level_match": self.level_match},
-        )
-
-    def compose_from_dataset(
-        self,
-        series: np.ndarray,
-        labels: Sequence,
-        n_events: int,
-        name: str = "composed",
-        rng: np.random.Generator | None = None,
-    ) -> ComposedStream:
-        """Embed ``n_events`` exemplars sampled (with replacement) from a dataset."""
-        series = np.asarray(series, dtype=float)
-        if series.ndim != 2:
-            raise ValueError("series must be a 2-D array of exemplars")
-        labels = np.asarray(labels)
-        if labels.shape[0] != series.shape[0]:
-            raise ValueError("labels must have one entry per exemplar")
-        if n_events < 1:
-            raise ValueError("n_events must be >= 1")
-        rng = rng or self._rng
-        picks = rng.integers(0, series.shape[0], size=n_events)
-        return self.compose(
-            [series[i] for i in picks],
-            [labels[i] for i in picks],
-            name=name,
-            rng=rng,
         )

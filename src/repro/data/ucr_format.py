@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.distance.znorm import is_znormalized, znormalize
+from repro.distance.znorm import znormalize
 from repro.memory import get_memory_budget
 
 __all__ = ["UCRDataset", "train_test_split"]
@@ -67,12 +67,10 @@ class UCRDataset:
     metadata:
         Free-form dictionary (generator parameters, provenance, ...).
     validate:
-        Run the (chunked) finiteness scan at construction time.  ``True``
-        for every in-memory dataset; :mod:`repro.data.shards` passes
-        ``False`` for memory-mapped shard views whose contents were already
-        validated and content-hashed at write time -- scanning them again
-        would page the whole shard in just to construct the view.  Excluded
-        from equality and ``repr``.
+        Run the (chunked) finiteness scan at construction time.
+        :mod:`repro.data.shards` passes ``False`` for series whose contents
+        were already validated and content-hashed at write time, so they are
+        not scanned twice.  Excluded from equality and ``repr``.
     """
 
     name: str
@@ -151,19 +149,6 @@ class UCRDataset:
     def z_normalized(self) -> "UCRDataset":
         """Return a copy with every exemplar individually z-normalised."""
         return replace(self, series=znormalize(self.series), znormalized=True)
-
-    def verify_znormalized(self, atol: float = 1e-6) -> bool:
-        """Check that every exemplar really is z-normalised.
-
-        Multichannel exemplars must be z-normalised per channel over the
-        time axis (statistics are never pooled across channels).
-        """
-        if self.series.ndim == 3:
-            return all(
-                is_znormalized(row, atol=atol, channel_axis=-1)
-                for row in self.series
-            )
-        return all(is_znormalized(row, atol=atol) for row in self.series)
 
     def truncated(self, length: int, renormalize: bool = False) -> "UCRDataset":
         """Keep only the first ``length`` samples of every exemplar.

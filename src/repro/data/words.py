@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.stream import ComposedStream, GroundTruthEvent
 from repro.data.ucr_format import UCRDataset
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "LEXICON",
     "WordSynthesizer",
     "make_word_dataset",
-    "synthesize_sentence",
-    "resample_to_length",
 ]
 
 
@@ -179,28 +176,9 @@ LEXICON: dict[str, tuple[str, ...]] = {
 }
 
 
-def resample_to_length(series: np.ndarray, length: int) -> np.ndarray:
-    """Linearly resample a 1-D series to exactly ``length`` samples.
-
-    This is the step that forces variable-duration utterances into the
-    fixed-length UCR format (and is itself one of the formatting conventions
-    the paper warns about).
-    """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("series must be 1-D")
-    if arr.shape[0] < 2:
-        raise ValueError("series must have at least 2 points")
-    if length < 2:
-        raise ValueError("length must be >= 2")
-    old_positions = np.linspace(0.0, 1.0, arr.shape[0])
-    new_positions = np.linspace(0.0, 1.0, length)
-    return np.interp(new_positions, old_positions, arr)
-
-
 @dataclass
 class WordSynthesizer:
-    """Synthesise word and sentence traces from the phoneme inventory.
+    """Synthesise word traces from the phoneme inventory.
 
     Parameters
     ----------
@@ -300,58 +278,6 @@ class WordSynthesizer:
         trace = trace + rng.normal(0.0, self.noise_scale, size=trace.shape[0])
         return trace
 
-    def synthesize_sentence(
-        self,
-        words: list[str] | str,
-        rng: np.random.Generator | None = None,
-        pause_samples: tuple[int, int] = (8, 22),
-    ) -> ComposedStream:
-        """Synthesise a sentence and return the stream with word annotations.
-
-        Parameters
-        ----------
-        words:
-            Either a list of lexicon words or a whitespace-separated string
-            (punctuation and possessives are stripped, so the Fig. 2 sentence
-            can be passed verbatim).
-        rng:
-            Source of randomness.
-        pause_samples:
-            Inclusive range of the silence (low-level noise) gap inserted
-            between words.
-
-        Returns
-        -------
-        ComposedStream
-            ``values`` is the concatenated trace; ``events`` holds one
-            :class:`GroundTruthEvent` per word, labelled with that word.
-        """
-        rng = rng or self._rng
-        if isinstance(words, str):
-            words = [self.normalize_token(tok) for tok in words.split()]
-            words = [w for w in words if w]
-        if not words:
-            raise ValueError("sentence must contain at least one word")
-
-        chunks: list[np.ndarray] = []
-        events: list[GroundTruthEvent] = []
-        cursor = 0
-        low, high = pause_samples
-        for word in words:
-            gap = int(rng.integers(low, high + 1))
-            if gap:
-                chunks.append(rng.normal(0.0, self.noise_scale * 0.5, size=gap))
-                cursor += gap
-            trace = self.synthesize_word(word, rng=rng)
-            chunks.append(trace)
-            events.append(GroundTruthEvent(start=cursor, end=cursor + trace.shape[0], label=word))
-            cursor += trace.shape[0]
-        # trailing silence
-        tail = int(rng.integers(low, high + 1))
-        chunks.append(rng.normal(0.0, self.noise_scale * 0.5, size=tail))
-        values = np.concatenate(chunks)
-        return ComposedStream(values=values, events=events, name="sentence")
-
     @staticmethod
     def normalize_token(token: str) -> str:
         """Strip punctuation/possessives so raw sentence text can be used."""
@@ -360,27 +286,6 @@ class WordSynthesizer:
             cleaned = cleaned[:-1]
         return cleaned
 
-    def words_with_prefix(self, prefix_word: str) -> list[str]:
-        """All lexicon words whose spelling begins with ``prefix_word``.
-
-        This is the lexical counterpart of the prefix problem: *cat* returns
-        cat, cathy, cattle, catalog, catechism, catholic.
-        """
-        prefix = prefix_word.lower()
-        return sorted(w for w in self.lexicon if w.startswith(prefix))
-
-    def words_containing(self, target_word: str) -> list[str]:
-        """All lexicon words that contain ``target_word`` as a substring."""
-        target = target_word.lower()
-        return sorted(w for w in self.lexicon if target in w)
-
-    def homophones_of(self, word: str) -> list[str]:
-        """Lexicon words with an identical phoneme sequence but different spelling."""
-        target = self.phonemes_for(word)
-        return sorted(
-            w for w, seq in self.lexicon.items() if seq == target and w != word.lower()
-        )
-
 
 def make_word_dataset(
     words: tuple[str, ...] = ("cat", "dog"),
@@ -388,28 +293,22 @@ def make_word_dataset(
     length: int = 150,
     seed: int = 3,
     znormalize: bool = True,
-    mode: str = "pad",
     synthesizer: WordSynthesizer | None = None,
 ) -> UCRDataset:
     """Build a UCR-format dataset of word utterances (Fig. 1).
 
     Each utterance is synthesised at its natural (variable) duration and then
     forced to a common ``length`` -- which is precisely the "forcing into the
-    UCR format" step the paper discusses.  Two conventions are available:
-
-    * ``mode="pad"`` (default): the utterance keeps its natural time scale and
-      is padded on the right with low-level silence (or truncated).  This is
-      the convention of the archive's word datasets and the one that makes
-      streaming confounders comparable to training exemplars.
-    * ``mode="resample"``: the utterance is linearly resampled to ``length``,
-      distorting its time scale (useful for ablations).
+    UCR format" step the paper discusses.  The utterance keeps its natural
+    time scale and is padded on the right with low-level silence (or
+    truncated).  This is the convention of the archive's word datasets and
+    the one that makes streaming confounders comparable to training
+    exemplars.
     """
     if len(words) < 2:
         raise ValueError("need at least two word classes")
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
-    if mode not in ("pad", "resample"):
-        raise ValueError("mode must be 'pad' or 'resample'")
     synth = synthesizer or WordSynthesizer(seed=seed)
     rng = np.random.default_rng(seed)
     series = []
@@ -417,9 +316,7 @@ def make_word_dataset(
     for word in words:
         for _ in range(n_per_class):
             trace = synth.synthesize_word(word, rng=rng)
-            if mode == "resample":
-                fixed = resample_to_length(trace, length)
-            elif trace.shape[0] >= length:
+            if trace.shape[0] >= length:
                 fixed = trace[:length]
             else:
                 padding = rng.normal(0.0, synth.noise_scale * 0.5, size=length - trace.shape[0])
@@ -435,15 +332,6 @@ def make_word_dataset(
             "words": list(words),
             "n_per_class": n_per_class,
             "length": length,
-            "mode": mode,
         },
     )
     return dataset.z_normalized() if znormalize else dataset
-
-
-def synthesize_sentence(
-    text: str, seed: int = 3, synthesizer: WordSynthesizer | None = None
-) -> ComposedStream:
-    """Module-level convenience wrapper around :meth:`WordSynthesizer.synthesize_sentence`."""
-    synth = synthesizer or WordSynthesizer(seed=seed)
-    return synth.synthesize_sentence(text, rng=np.random.default_rng(seed))

@@ -2,9 +2,12 @@
 
 Everything the ETSC algorithms and the meaningfulness analyses rest on:
 
-* :mod:`repro.distance.znorm` -- z-normalisation in its batch, prefix-safe and
-  causal (rolling) variants.  The distinction between these variants is the
-  core of Section 4 of the paper ("peeking into the future").
+* :mod:`repro.distance.znorm` -- whole-exemplar z-normalisation, which is
+  also the honest prefix normaliser when applied to a prefix alone.  The
+  third mode, causal normalisation, is
+  :func:`repro.streaming.online.causal_znormalize_batch`.  The distinction
+  between the modes is the core of Section 4 of the paper ("peeking into the
+  future").
 * :mod:`repro.distance.euclidean` -- Euclidean and z-normalised Euclidean
   distances between equal-length series.
 * :mod:`repro.distance.profile` -- sliding-window z-normalised distance
@@ -14,9 +17,8 @@ Everything the ETSC algorithms and the meaningfulness analyses rest on:
   running squared-Euclidean partial sums that let a prefix grow from length
   ``t`` to ``t + 1`` in O(n_train) instead of O(n_train * t).  Every
   per-prefix-length sweep in the classifiers and experiments rides on it.
-* :mod:`repro.distance.neighbors` -- 1-NN / k-NN classifiers over the
-  Euclidean distance or any callable metric, including a batched
-  prefix-sweep prediction path.
+* :mod:`repro.distance.neighbors` -- the 1-NN Euclidean classifier,
+  including a batched prefix-sweep prediction path.
 """
 
 from repro.distance.engine import (
@@ -27,39 +29,26 @@ from repro.distance.engine import (
 )
 from repro.distance.euclidean import (
     euclidean_distance,
-    squared_euclidean_distance,
     znormalized_euclidean_distance,
 )
-from repro.distance.znorm import (
-    causal_znormalize,
-    is_znormalized,
-    znormalize,
-    znormalize_prefix,
-)
+from repro.distance.znorm import znormalize
 from repro.distance.profile import (
-    DistanceProfileIndex,
     distance_profile,
     sliding_mean_std,
     top_k_nearest_subsequences,
 )
-from repro.distance.neighbors import KNeighborsTimeSeriesClassifier, NearestNeighborResult
+from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
 
 __all__ = [
     "euclidean_distance",
-    "squared_euclidean_distance",
     "znormalized_euclidean_distance",
     "znormalize",
-    "znormalize_prefix",
-    "causal_znormalize",
-    "is_znormalized",
     "distance_profile",
     "sliding_mean_std",
     "top_k_nearest_subsequences",
-    "DistanceProfileIndex",
     "PrefixDistanceEngine",
     "batch_prefix_distances",
     "iter_prefix_distances",
     "pairwise_prefix_distances",
     "KNeighborsTimeSeriesClassifier",
-    "NearestNeighborResult",
 ]

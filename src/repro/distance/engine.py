@@ -41,7 +41,7 @@ Four entry points:
 * :func:`batch_prefix_distances` -- the test-set-at-once kernel: the same
   ``(n_lengths, n_queries, n_train)`` array computed by cumulative-sum matrix
   algebra in one shot (no per-length Python iteration), chunked over queries
-  to bound the working set.  The k-NN prefix sweeps
+  to bound the working set.  The 1-NN prefix sweeps
   (:meth:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier.predict_prefixes`)
   and the archive sweep (:mod:`repro.runtime.sweep`) are built on it.
 
@@ -201,26 +201,10 @@ class PrefixSweep:
         self._sq = np.zeros((queries.shape[0], train_t.shape[1]))
         self._length = 0
 
-    # ------------------------------------------------------------ properties
-    @property
-    def length(self) -> int:
-        """Prefix length (in time steps) the sweep has currently consumed."""
-        return self._length
-
-    @property
-    def n_queries(self) -> int:
-        """Number of query series in this sweep."""
-        return self._queries.shape[0]
-
     @property
     def query_length(self) -> int:
         """Time length of the query series (the maximum prefix length)."""
         return self._queries.shape[1] // self._channels
-
-    @property
-    def n_channels(self) -> int:
-        """Channels per time step (1 for univariate sweeps)."""
-        return self._channels
 
     # ------------------------------------------------------------ streaming
     def advance_to(self, length: int) -> np.ndarray:
@@ -259,19 +243,6 @@ class PrefixSweep:
         self._length = length
         return sq
 
-    def squared_distances(self) -> np.ndarray:
-        """Copy of the current squared prefix distances, shape ``(n_queries, n_train)``."""
-        return self._sq.copy()
-
-    def distances(self) -> np.ndarray:
-        """Current Euclidean prefix distances, shape ``(n_queries, n_train)``.
-
-        The partial sums are sums of squares and therefore exactly
-        nonnegative in floating point (unlike the dot-product expansion,
-        which needs clipping), so the square root is always well defined.
-        """
-        return np.sqrt(self._sq)
-
 
 class PrefixDistanceEngine:
     """Running squared-Euclidean prefix distances against a fixed training set.
@@ -290,8 +261,8 @@ class PrefixDistanceEngine:
     >>> train = np.arange(12.0).reshape(3, 4)
     >>> engine = PrefixDistanceEngine(train).start(train[:1])
     >>> squared = engine.advance_to(2)
-    >>> bool(np.isclose(engine.distances()[0, 0], 0.0))
-    True
+    >>> squared.tolist()
+    [[0.0, 32.0, 128.0]]
 
     Notes
     -----
@@ -315,29 +286,9 @@ class PrefixDistanceEngine:
 
     # ------------------------------------------------------------ properties
     @property
-    def n_train(self) -> int:
-        """Number of training series."""
-        return self._train.shape[0]
-
-    @property
     def train_length(self) -> int:
         """Time length of the training series (the maximum prefix length)."""
         return self._time_length
-
-    @property
-    def n_channels(self) -> int:
-        """Channels per time step (1 for univariate training data)."""
-        return self._channels
-
-    @property
-    def length(self) -> int:
-        """Prefix length the engine's current sweep has consumed."""
-        return 0 if self._sweep is None else self._sweep.length
-
-    @property
-    def n_queries(self) -> int:
-        """Number of query series in the current sweep (requires :meth:`start`)."""
-        return self._require_started().n_queries
 
     @property
     def query_length(self) -> int:
@@ -388,14 +339,6 @@ class PrefixDistanceEngine:
     def advance_to(self, length: int) -> np.ndarray:
         """Advance the current sweep; see :meth:`PrefixSweep.advance_to`."""
         return self._require_started().advance_to(length)
-
-    def squared_distances(self) -> np.ndarray:
-        """Copy of the current squared prefix distances, shape ``(n_queries, n_train)``."""
-        return self._require_started().squared_distances()
-
-    def distances(self) -> np.ndarray:
-        """Current Euclidean prefix distances of the current sweep."""
-        return self._require_started().distances()
 
 
 def iter_prefix_distances(
@@ -462,7 +405,9 @@ def pairwise_prefix_distances(
     """
     engine = PrefixDistanceEngine(train).start(queries)
     lengths = _validated_lengths(lengths, engine.query_length)
-    out = np.empty((len(lengths), engine.n_queries, engine.n_train))
+    # The first snapshot gives the (n_queries, n_train) shape; advancing to
+    # the same length again in the loop adds nothing.
+    out = np.empty((len(lengths),) + engine.advance_to(lengths[0]).shape)
     for k, length in enumerate(lengths):
         sq = engine.advance_to(length)
         if squared:
@@ -547,20 +492,3 @@ def batch_prefix_distances(
     if not squared:
         np.sqrt(out, out=out)
     return out
-
-
-def _stable_k_smallest(
-    distances: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row indices and values of the ``k`` smallest entries, ties by index.
-
-    The repo-wide neighbour convention: candidates are ordered
-    lexicographically by ``(distance, column index)``, so an exact tie always
-    resolves to the lowest training index -- ``np.argmin`` for ``k == 1``, a
-    stable argsort otherwise.
-    """
-    if k == 1:
-        idx = np.argmin(distances, axis=1)[:, None]
-    else:
-        idx = np.argsort(distances, axis=1, kind="stable")[:, :k]
-    return idx, np.take_along_axis(distances, idx, axis=1)

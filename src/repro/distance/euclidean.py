@@ -16,7 +16,6 @@ import numpy as np
 from repro.distance.znorm import znormalize
 
 __all__ = [
-    "squared_euclidean_distance",
     "euclidean_distance",
     "znormalized_euclidean_distance",
     "pairwise_euclidean",
@@ -42,20 +41,15 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def squared_euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two equal-length series.
+def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance between two equal-length series.
 
     For ``(length, n_channels)`` exemplars the distance is channel-summed:
-    ``sum_t sum_c (a[t, c] - b[t, c])^2``.
+    ``sqrt(sum_t sum_c (a[t, c] - b[t, c])^2)``.
     """
     a, b = _check_pair(a, b)
     diff = (a - b).ravel()
-    return float(np.dot(diff, diff))
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two equal-length series."""
-    return float(np.sqrt(squared_euclidean_distance(a, b)))
+    return float(np.sqrt(float(np.dot(diff, diff))))
 
 
 def znormalized_euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -68,9 +62,8 @@ def znormalized_euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     """
     a, b = _check_pair(a, b)
     if a.ndim == 2:
-        return euclidean_distance(
-            znormalize(a, channel_axis=-1), znormalize(b, channel_axis=-1)
-        )
+        # A (length, n_channels) exemplar is a 3-D batch of one.
+        return euclidean_distance(znormalize(a[None])[0], znormalize(b[None])[0])
     return euclidean_distance(znormalize(a), znormalize(b))
 
 

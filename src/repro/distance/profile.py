@@ -11,8 +11,6 @@ laptop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.distance.znorm import EPSILON, znormalize
@@ -22,8 +20,6 @@ __all__ = [
     "sliding_dot_product",
     "distance_profile",
     "top_k_nearest_subsequences",
-    "count_matches_below",
-    "DistanceProfileIndex",
 ]
 
 
@@ -169,63 +165,3 @@ def top_k_nearest_subsequences(
         results.append((idx, dist))
         profile[_exclusion_mask(profile.shape[0], idx, exclusion)] = np.inf
     return results
-
-
-def count_matches_below(
-    query: np.ndarray,
-    series: np.ndarray,
-    threshold: float,
-    exclusion: int | None = None,
-    znormalized: bool = True,
-) -> int:
-    """Count non-overlapping subsequences within ``threshold`` of the query.
-
-    Used by the Fig. 8 experiment ("any subsequence within 2.3 of z-normalised
-    Euclidean distance of this template is essentially guaranteed to be
-    dustbathing").
-    """
-    profile = distance_profile(query, series, znormalized=znormalized).copy()
-    m = len(np.asarray(query))
-    if exclusion is None:
-        exclusion = max(1, m // 2)
-    count = 0
-    while True:
-        idx = int(np.argmin(profile))
-        if not np.isfinite(profile[idx]) or profile[idx] > threshold:
-            break
-        count += 1
-        profile[_exclusion_mask(profile.shape[0], idx, exclusion)] = np.inf
-    return count
-
-
-@dataclass
-class DistanceProfileIndex:
-    """A tiny convenience wrapper bundling a long series with query helpers.
-
-    The homophone analysis (Fig. 5) runs the same queries against several
-    corpora; wrapping each corpus in an index keeps that code tidy.
-    """
-
-    name: str
-    series: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.series = np.asarray(self.series, dtype=float)
-        if self.series.ndim != 1:
-            raise ValueError("DistanceProfileIndex expects a 1-D series")
-        if self.series.shape[0] < 4:
-            raise ValueError("series is too short to index")
-
-    def nearest(self, query: np.ndarray, k: int = 1) -> list[tuple[int, float]]:
-        """Top-``k`` nearest subsequences of the indexed series to ``query``."""
-        return top_k_nearest_subsequences(query, self.series, k=k)
-
-    def nearest_distance(self, query: np.ndarray) -> float:
-        """Distance of the single nearest subsequence to ``query``."""
-        return self.nearest(query, k=1)[0][1]
-
-    def extract(self, index: int, length: int) -> np.ndarray:
-        """Return the subsequence starting at ``index`` with the given length."""
-        if not 0 <= index <= self.series.shape[0] - length:
-            raise IndexError("subsequence out of range")
-        return self.series[index : index + length].copy()

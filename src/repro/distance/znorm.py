@@ -1,141 +1,62 @@
-"""Z-normalisation utilities.
+"""Z-normalisation.
 
 The paper's Section 4 ("Peeking into the future") hinges on the distinction
-between three ways of normalising a time-series exemplar:
+between three ways of normalising a time-series exemplar.  Each has one
+implementation:
 
-* **batch** z-normalisation (:func:`znormalize`) -- subtract the mean and
-  divide by the standard deviation of the *whole* exemplar.  This is how the
-  UCR archive is prepared, and it is only possible once the whole exemplar has
+* **whole exemplar** -- :func:`znormalize`: subtract the mean and divide by
+  the standard deviation of the *whole* exemplar.  This is how the UCR
+  archive is prepared, and it is only possible once the whole exemplar has
   been observed.
-* **prefix** z-normalisation (:func:`znormalize_prefix`) -- z-normalise a
-  prefix using only the statistics of that prefix.  This is the only honest
-  option for an early classifier: the suffix does not exist yet.
-* **causal / rolling** z-normalisation (:func:`causal_znormalize`) -- at every
-  time step, normalise the trailing window using statistics of data seen so
-  far.  This is what a streaming deployment has to do.
+* **honest prefix** -- :func:`znormalize` of the observed prefix alone, so
+  its statistics come from the prefix only.  This is the only honest option
+  for an early classifier (the suffix does not exist yet), and it is what
+  :meth:`repro.data.ucr_format.UCRDataset.truncated` does with
+  ``renormalize=True``.
+* **causal** -- :func:`repro.streaming.online.causal_znormalize_batch`:
+  sample ``i`` of a window is normalised with the statistics of the samples
+  up to and including ``i``.  This is what a streaming deployment has to do.
 
 Most published ETSC algorithms implicitly assume the first option while
 claiming to operate in a setting where only the second or third is available;
 quantifying the damage this does is the purpose of
 :mod:`repro.core.normalization_audit` and the Table 1 experiment.
 
-Axis convention (multichannel)
-------------------------------
-Every function in this module follows one explicit axis contract:
+Axis convention
+---------------
+:func:`znormalize` reads its input by rank:
 
 * 1-D ``(length,)`` -- a single univariate series (time on axis 0).
-* 2-D ``(n_series, length)`` -- by default, a **batch of univariate rows**
-  (axis 0 = series, axis 1 = time).  This is the historical meaning and it
-  is preserved.  A single multichannel exemplar ``(length, n_channels)`` is
-  also a 2-D array; because the two readings cannot be told apart from the
-  shape alone, callers opt into the exemplar reading *explicitly* with
-  ``channel_axis=-1``.  Functions never guess.
+* 2-D ``(n_series, length)`` -- a batch of univariate rows (axis 0 =
+  series, axis 1 = time).
 * 3-D ``(n_series, length, n_channels)`` -- a batch of multichannel series
-  (axis 0 = series, axis 1 = time, axis 2 = channel).  Statistics are
-  always per-exemplar *and* per-channel, over the time axis.
+  (axis 0 = series, axis 1 = time, axis 2 = channel).  Statistics are per
+  exemplar *and* per channel, over the time axis; a single ``(length,
+  n_channels)`` exemplar is normalised as a batch of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "znormalize",
-    "znormalize_prefix",
-    "causal_znormalize",
-    "is_znormalized",
-    "EPSILON",
-]
+__all__ = ["znormalize", "EPSILON"]
 
 #: Standard deviations below this value are treated as zero (constant series).
 EPSILON = 1e-12
 
 
-def _as_float_array(
-    series: np.ndarray, name: str = "series", allow_3d: bool = False
-) -> np.ndarray:
-    """Validate and convert ``series`` to a float array of supported rank.
-
-    Accepts 1-D ``(length,)`` and 2-D arrays; the meaning of a 2-D array is
-    decided by the caller's ``channel_axis`` argument -- by default it is a
-    batch ``(n_series, length)`` of univariate rows (axis 0 = series,
-    axis 1 = time), with ``channel_axis=-1`` it is one multichannel exemplar
-    ``(length, n_channels)`` (axis 0 = time, axis 1 = channel).  3-D batches
-    ``(n_series, length, n_channels)`` are accepted only where the caller
-    allows them.
-    """
-    arr = np.asarray(series, dtype=float)
-    if allow_3d:
-        allowed, shapes = (1, 2, 3), (
-            "1-D (length,), 2-D (n_series, length) rows / (length, n_channels) "
-            "with channel_axis=-1, or 3-D (n_series, length, n_channels)"
-        )
-    else:
-        allowed, shapes = (1, 2), (
-            "1-D (length,) or 2-D -- (n_series, length) rows by default, "
-            "(length, n_channels) with channel_axis=-1"
-        )
-    if arr.ndim not in allowed:
-        raise ValueError(f"{name} must be {shapes}; got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
-def _check_channel_axis(arr: np.ndarray, channel_axis, name: str = "series") -> bool:
-    """Return ``True`` when ``arr`` should be read with a trailing channel axis.
-
-    ``channel_axis`` may be ``None`` (no channel axis for 1-D/2-D input;
-    implied trailing channel axis for 3-D input) or the trailing axis
-    (``-1`` or ``arr.ndim - 1``).  Anything else is a named-axis error: the
-    stack only supports channel-last layouts.
-    """
-    if channel_axis is None:
-        return arr.ndim == 3
-    if channel_axis not in (-1, arr.ndim - 1):
-        raise ValueError(
-            f"channel_axis must be the trailing axis (-1 or {arr.ndim - 1}) "
-            f"for a {arr.ndim}-D {name} of shape {arr.shape}; channels-first "
-            "layouts are not supported"
-        )
-    if arr.ndim == 1:
-        raise ValueError(
-            f"a 1-D {name} of shape {arr.shape} has no channel axis; drop "
-            "channel_axis or reshape to (length, n_channels)"
-        )
-    return True
-
-
-def _safe_divide(centered: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """``centered / std`` with constant (std < EPSILON) slots mapped to 0."""
-    constant = std < EPSILON
-    denom = np.where(constant, 1.0, std)
-    return np.where(constant, 0.0, centered / denom)
-
-
-def znormalize(series: np.ndarray, ddof: int = 0, channel_axis=None) -> np.ndarray:
-    """Batch z-normalise a series (or each row / channel of a batch).
+def znormalize(series: np.ndarray) -> np.ndarray:
+    """Z-normalise a series (or each row / channel of a batch).
 
     Constant (zero-variance) series are returned as all zeros rather than
-    raising, matching the convention used by the UCR archive tooling.
+    raising, matching the convention used by the UCR archive tooling.  The
+    standard deviation is the population one, as in the UCR archive.
 
     Parameters
     ----------
     series:
-        A 1-D array ``(length,)``; a 2-D array, read as ``(n_series, length)``
-        univariate rows by default or as one ``(length, n_channels)``
-        multichannel exemplar when ``channel_axis=-1``; or a 3-D array
-        ``(n_series, length, n_channels)``.
-    ddof:
-        Delta degrees of freedom for the standard deviation (0 gives the
-        population standard deviation used by the UCR archive).
-    channel_axis:
-        ``None`` (default) keeps the historical readings above; ``-1`` marks
-        the trailing axis of a 2-D input as channels (statistics are then
-        per channel over the time axis).  For 3-D input the trailing channel
-        axis is implied; passing ``-1`` is accepted and equivalent.
+        A 1-D array ``(length,)``, a 2-D array of ``(n_series, length)``
+        univariate rows, or a 3-D array ``(n_series, length, n_channels)``.
 
     Returns
     -------
@@ -143,201 +64,35 @@ def znormalize(series: np.ndarray, ddof: int = 0, channel_axis=None) -> np.ndarr
         Array of the same shape with zero mean and unit variance per series
         (univariate) or per series per channel (multichannel).
     """
-    arr = _as_float_array(series, allow_3d=True)
-    multichannel = _check_channel_axis(arr, channel_axis)
+    arr = np.asarray(series, dtype=float)
+    if arr.ndim not in (1, 2, 3):
+        raise ValueError(
+            "series must be 1-D (length,), 2-D (n_series, length) rows or 3-D "
+            f"(n_series, length, n_channels); got shape {arr.shape}"
+        )
+    if arr.size == 0:
+        raise ValueError("series must not be empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("series contains non-finite values")
     if arr.ndim == 1:
         mean = arr.mean()
-        std = arr.std(ddof=ddof)
+        std = arr.std()
         if std < EPSILON:
             return np.zeros_like(arr)
         return (arr - mean) / std
 
-    if not multichannel:
+    if arr.ndim == 2:
         mean = arr.mean(axis=1, keepdims=True)
-        std = arr.std(axis=1, ddof=ddof, keepdims=True)
+        std = arr.std(axis=1, keepdims=True)
         out = np.zeros_like(arr)
         nonconstant = (std >= EPSILON).ravel()
         if np.any(nonconstant):
             out[nonconstant] = (arr[nonconstant] - mean[nonconstant]) / std[nonconstant]
         return out
 
-    # Multichannel: statistics over the time axis, independently per channel
-    # (and per exemplar for 3-D batches).
-    time_axis = arr.ndim - 2
-    mean = arr.mean(axis=time_axis, keepdims=True)
-    std = arr.std(axis=time_axis, ddof=ddof, keepdims=True)
-    return _safe_divide(arr - mean, std)
-
-
-def znormalize_prefix(
-    series: np.ndarray, prefix_length: int, ddof: int = 0, channel_axis=None
-) -> np.ndarray:
-    """Z-normalise the first ``prefix_length`` points using only those points.
-
-    This is the honest normalisation available to an early classifier that has
-    observed only a prefix of the incoming exemplar.  It is what Fig. 9 of the
-    paper uses ("we are correctly z-normalizing the truncated data").
-
-    Parameters
-    ----------
-    series:
-        A single exemplar: 1-D ``(length,)``, or 2-D ``(length, n_channels)``
-        with ``channel_axis=-1``.  Batches of rows are rejected -- slice them
-        and normalise per exemplar.
-    prefix_length:
-        Number of leading time steps that have been observed.  Must be at
-        least 1 and at most the exemplar's time length.
-    channel_axis:
-        Must be ``-1`` for a 2-D ``(length, n_channels)`` exemplar; per-channel
-        statistics are then computed over the observed prefix.
-
-    Returns
-    -------
-    numpy.ndarray
-        The z-normalised prefix: ``(prefix_length,)`` or
-        ``(prefix_length, n_channels)``.
-    """
-    arr = _as_float_array(series)
-    if arr.ndim == 2 and channel_axis is None:
-        raise ValueError(
-            "znormalize_prefix expects a single exemplar: 1-D (length,), or "
-            "2-D (length, n_channels) with channel_axis=-1 -- a 2-D batch of "
-            "univariate rows (n_series, length) is not supported here"
-        )
-    multichannel = _check_channel_axis(arr, channel_axis)
-    if not 1 <= prefix_length <= arr.shape[0]:
-        raise ValueError(
-            f"prefix_length must be in [1, {arr.shape[0]}], got {prefix_length}"
-        )
-    if multichannel:
-        return znormalize(arr[:prefix_length], ddof=ddof, channel_axis=-1)
-    return znormalize(arr[:prefix_length], ddof=ddof)
-
-
-def causal_znormalize(
-    series: np.ndarray,
-    window: int,
-    min_periods: int | None = None,
-    ddof: int = 0,
-    channel_axis=None,
-) -> np.ndarray:
-    """Causally z-normalise a stream with a trailing window.
-
-    At index ``i`` the output is ``(x[i] - mean) / std`` where the statistics
-    are computed over ``series[max(0, i - window + 1) : i + 1]`` -- i.e. using
-    only values observed up to and including time ``i``.  This is the only
-    normalisation available to a genuinely streaming deployment.
-
-    Parameters
-    ----------
-    series:
-        A single stream: 1-D ``(length,)``, or 2-D ``(length, n_channels)``
-        with ``channel_axis=-1`` (statistics per channel, windows aligned in
-        time).  A 2-D batch of univariate rows is rejected -- use
-        :func:`repro.streaming.online.causal_znormalize_batch` for batches.
-    window:
-        Length of the trailing window used for the statistics.
-    min_periods:
-        Minimum number of observations required before normalisation kicks in;
-        earlier outputs are 0.  Defaults to ``window``.
-    ddof:
-        Delta degrees of freedom for the standard deviation.
-    channel_axis:
-        Must be ``-1`` for a 2-D ``(length, n_channels)`` stream of d-vector
-        samples.
-
-    Returns
-    -------
-    numpy.ndarray
-        The causally normalised stream, same shape as the input.
-    """
-    arr = _as_float_array(series)
-    if arr.ndim == 2 and channel_axis is None:
-        raise ValueError(
-            "causal_znormalize expects a single stream: 1-D (length,), or "
-            "2-D (length, n_channels) with channel_axis=-1 -- a 2-D batch of "
-            "univariate rows (n_series, length) is not supported here"
-        )
-    multichannel = _check_channel_axis(arr, channel_axis)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if min_periods is None:
-        min_periods = window
-    if min_periods < 1:
-        raise ValueError("min_periods must be >= 1")
-
-    if not multichannel:
-        n = arr.shape[0]
-        out = np.zeros(n)
-        cumsum = np.concatenate(([0.0], np.cumsum(arr)))
-        cumsum_sq = np.concatenate(([0.0], np.cumsum(arr * arr)))
-        for i in range(n):
-            start = max(0, i - window + 1)
-            count = i - start + 1
-            if count < min_periods:
-                continue
-            total = cumsum[i + 1] - cumsum[start]
-            total_sq = cumsum_sq[i + 1] - cumsum_sq[start]
-            mean = total / count
-            denom = count - ddof
-            if denom <= 0:
-                continue
-            variance = max(total_sq / denom - (count / denom) * mean * mean, 0.0)
-            std = np.sqrt(variance)
-            if std < EPSILON:
-                out[i] = 0.0
-            else:
-                out[i] = (arr[i] - mean) / std
-        return out
-
-    # Multichannel stream: the same trailing-window recurrence, with the
-    # running sums carried per channel (windows are aligned in time).
-    n, d = arr.shape
-    out = np.zeros_like(arr)
-    zero = np.zeros((1, d))
-    cumsum = np.concatenate([zero, np.cumsum(arr, axis=0)])
-    cumsum_sq = np.concatenate([zero, np.cumsum(arr * arr, axis=0)])
-    for i in range(n):
-        start = max(0, i - window + 1)
-        count = i - start + 1
-        if count < min_periods:
-            continue
-        denom = count - ddof
-        if denom <= 0:
-            continue
-        total = cumsum[i + 1] - cumsum[start]
-        total_sq = cumsum_sq[i + 1] - cumsum_sq[start]
-        mean = total / count
-        variance = np.maximum(total_sq / denom - (count / denom) * mean * mean, 0.0)
-        out[i] = _safe_divide(arr[i] - mean, np.sqrt(variance))
-    return out
-
-
-def is_znormalized(series: np.ndarray, atol: float = 1e-6, channel_axis=None) -> bool:
-    """Return ``True`` if the series has (approximately) zero mean and unit std.
-
-    Constant series (which z-normalise to all zeros) are also accepted, again
-    matching the UCR convention.
-
-    Accepts a single exemplar: 1-D ``(length,)``, or 2-D
-    ``(length, n_channels)`` with ``channel_axis=-1`` (every channel must then
-    individually pass the check).  A 2-D batch of univariate rows is rejected
-    with a named-axis error -- iterate the rows instead.
-    """
-    arr = _as_float_array(series)
-    if arr.ndim == 2 and channel_axis is None:
-        raise ValueError(
-            "is_znormalized expects a single exemplar: 1-D (length,), or "
-            "2-D (length, n_channels) with channel_axis=-1 -- for a 2-D batch "
-            "of univariate rows (n_series, length), check each row"
-        )
-    multichannel = _check_channel_axis(arr, channel_axis)
-    if multichannel:
-        return all(
-            is_znormalized(arr[:, channel], atol=atol)
-            for channel in range(arr.shape[1])
-        )
-    std = arr.std()
-    if std < EPSILON and abs(arr.mean()) <= atol:
-        return True
-    return bool(abs(arr.mean()) <= atol and abs(std - 1.0) <= atol)
+    # Multichannel: statistics over the time axis, independently per
+    # exemplar and channel; constant channels map to zeros.
+    mean = arr.mean(axis=1, keepdims=True)
+    std = arr.std(axis=1, keepdims=True)
+    constant = std < EPSILON
+    return np.where(constant, 0.0, (arr - mean) / np.where(constant, 1.0, std))

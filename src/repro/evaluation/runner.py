@@ -33,7 +33,6 @@ def prefix_accuracy_curve(
     test: UCRDataset,
     prefix_lengths: Sequence[int],
     renormalize: bool = True,
-    n_neighbors: int = 1,
 ) -> dict[int, float]:
     """Hold-out 1-NN accuracy as a function of the prefix length (Fig. 9).
 
@@ -47,8 +46,6 @@ def prefix_accuracy_curve(
         If ``True`` each truncated exemplar is re-z-normalised using only the
         retained prefix (the honest treatment, used by Fig. 9); if ``False``
         the raw prefix values are compared directly.
-    n_neighbors:
-        Neighbours used by the classifier.
 
     Returns
     -------
@@ -66,7 +63,7 @@ def prefix_accuracy_curve(
     (the per-prefix mean and standard deviation move), so there is no
     shared-prefix structure to exploit and each length is evaluated with one
     vectorised distance matrix (``model.score`` answers the whole test set
-    from it for any ``n_neighbors``).
+    from it).
     """
     if train.series_length != test.series_length:
         raise ValueError("train and test must have the same series length")
@@ -79,7 +76,7 @@ def prefix_accuracy_curve(
     truth = np.asarray(test.labels)
     curve: dict[int, float] = {}
     if not renormalize and lengths == sorted(set(lengths)):
-        model = KNeighborsTimeSeriesClassifier(n_neighbors=n_neighbors)
+        model = KNeighborsTimeSeriesClassifier()
         model.fit(train.series, train.labels)
         predicted = model.predict_prefixes(test.series, lengths)
         for k, length in enumerate(lengths):
@@ -88,7 +85,7 @@ def prefix_accuracy_curve(
     for length in lengths:
         train_prefix = train.truncated(length, renormalize=renormalize)
         test_prefix = test.truncated(length, renormalize=renormalize)
-        model = KNeighborsTimeSeriesClassifier(n_neighbors=n_neighbors)
+        model = KNeighborsTimeSeriesClassifier()
         model.fit(train_prefix.series, train_prefix.labels)
         curve[length] = model.score(test_prefix.series, test_prefix.labels)
     return curve

@@ -1,10 +1,9 @@
-"""Significance tests used by the reproduction.
+"""The significance test used by the reproduction.
 
 Fig. 8's claim is that a truncated dustbathing template classifies "with an
 accuracy that is not statistically significantly different" from the full
-template.  The natural tests for that claim are the two-proportion z-test (two
-independent sets of match decisions) and McNemar's test (paired decisions on
-the same exemplars); both are provided here.
+template.  The two templates' match decisions are two independent sets of
+successes, so the test is the two-proportion z-test.
 """
 
 from __future__ import annotations
@@ -12,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
+from scipy.special import ndtr
 
-__all__ = ["SignificanceResult", "two_proportion_z_test", "mcnemar_test"]
+__all__ = ["SignificanceResult", "two_proportion_z_test"]
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class SignificanceResult:
     Attributes
     ----------
     statistic:
-        The test statistic (z or chi-squared, depending on the test).
+        The test statistic (z).
     p_value:
         Two-sided p-value.
     significant:
@@ -83,36 +82,3 @@ def two_proportion_z_test(
         alpha=alpha,
     )
 
-
-def mcnemar_test(
-    both_correct: int,
-    only_a_correct: int,
-    only_b_correct: int,
-    both_wrong: int,
-    alpha: float = 0.05,
-) -> SignificanceResult:
-    """McNemar's test (with continuity correction) on paired decisions.
-
-    Parameters
-    ----------
-    both_correct, only_a_correct, only_b_correct, both_wrong:
-        The 2x2 paired contingency table.
-    alpha:
-        Significance level.
-    """
-    for value in (both_correct, only_a_correct, only_b_correct, both_wrong):
-        if value < 0:
-            raise ValueError("contingency counts must be non-negative")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    discordant = only_a_correct + only_b_correct
-    if discordant == 0:
-        return SignificanceResult(statistic=0.0, p_value=1.0, significant=False, alpha=alpha)
-    statistic = (abs(only_a_correct - only_b_correct) - 1.0) ** 2 / discordant
-    p_value = float(chdtrc(1, statistic))
-    return SignificanceResult(
-        statistic=float(statistic),
-        p_value=p_value,
-        significant=bool(p_value < alpha),
-        alpha=alpha,
-    )

@@ -20,7 +20,6 @@ restarted sweep re-executes only unfinished work.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -28,21 +27,14 @@ import time
 from pathlib import Path
 from typing import Iterable
 
+from repro.data.shards import file_sha256
+
 __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "file_sha256"]
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_SCHEMA_VERSION = 1
 
 _STATES = ("pending", "running", "done", "failed")
-
-
-def file_sha256(path: str | Path) -> str:
-    """SHA-256 hex digest of a file's bytes (streamed, not slurped)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 class RunManifest:

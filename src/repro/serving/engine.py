@@ -129,6 +129,9 @@ class ServingEngine:
         self._streams: dict[tuple[str, object], _StreamLedger] = {}
         self._retired: set[tuple[str, object]] = set()
         self._counters: dict[str, TenantCounters] = {}
+        # Alarms a finalize_stream flush confirmed on other streams; the next
+        # flush() returns them first.
+        self._undelivered: list[ServedAlarm] = []
         self.n_flushes = 0
 
     # ------------------------------------------------------------ inspection
@@ -255,8 +258,15 @@ class ServingEngine:
         and normalisation mode) and confirmed through each stream's
         :class:`~repro.streaming.online.AlarmGate` in FIFO order -- which
         per stream is candidate-start order, the order the gate's refractory
-        and saturation rules require.
+        and saturation rules require.  Alarms that a :meth:`finalize_stream`
+        confirmed on other streams since the last flush come first.
         """
+        emitted, self._undelivered = self._undelivered, []
+        emitted.extend(self._confirm_queued())
+        return emitted
+
+    def _confirm_queued(self) -> list[ServedAlarm]:
+        """Evaluate and confirm every queued candidate; return the new alarms."""
         items = self._scheduler.take_all()
         live: list[PendingCandidate] = []
         for item in items:
@@ -323,13 +333,19 @@ class ServingEngine:
 
         Flushes first so every completed candidate of the stream is
         confirmed; incomplete candidates (window never filled) are
-        discarded, matching session/offline eligibility.  The stream id is
-        retired -- reusing it raises.
+        discarded, matching session/offline eligibility.  Alarms that flush
+        confirms on *other* streams are kept for the next :meth:`flush`.
+        The stream id is retired -- reusing it raises.
         """
         self._ledger(tenant, stream_id)  # raise before flushing if unknown
-        self.flush()
-        ledger = self._streams.pop((tenant, stream_id))
-        self._retired.add((tenant, stream_id))
+        key = (tenant, stream_id)
+        self._undelivered.extend(
+            served
+            for served in self._confirm_queued()
+            if (served.tenant, served.stream_id) != key
+        )
+        ledger = self._streams.pop(key)
+        self._retired.add(key)
         ledger.finalized = True
         if not ledger.shed:
             ledger.counters.streams_open -= 1

@@ -2,7 +2,8 @@
 
 * :func:`predict_proba_prefix` gives the class probabilities of a single
   prefix from a ``(1, n_train)`` distance vector, with an optional training
-  exemplar left out of the neighbour search.
+  exemplar left out of the neighbour search.  Each class's evidence is its
+  nearest exemplar's distance, taken by a scan of its own.
   ``PrefixProbabilisticClassifier.predict_proba_batch`` must match it row by
   row exactly, and ``predict_proba_prefixes(exclude_self=True)`` must give
   its labels, and its probabilities to round-off, with ``exclude=i``.
@@ -40,9 +41,10 @@ def predict_proba_prefix(
         distances = distances.copy()
         distances[exclude] = np.inf
 
-    class_evidence: dict = {}
-    for cls in model.classes_:
-        cls_distances = np.sort(distances[model._labels == cls])
-        k = min(model.n_neighbors, cls_distances.shape[0])
-        class_evidence[cls] = float(np.mean(cls_distances[:k]))
+    # A class's evidence is its nearest exemplar's distance, found here by
+    # a plain scan.
+    class_evidence = dict.fromkeys(model.classes_, np.inf)
+    for distance, label in zip(distances, model._labels.tolist()):
+        if distance < class_evidence[label]:
+            class_evidence[label] = float(distance)
     return model._result_from_evidence(class_evidence, length)

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.classifiers.full import FullLengthClassifier
+from repro.classifiers.cost_aware import CostAwareEarlyClassifier
+from repro.classifiers.ecdire import ECDIREClassifier
+from repro.classifiers.full import FixedTruncationClassifier, FullLengthClassifier
 from repro.classifiers.prefix_probability import (
     PrefixProbabilisticClassifier,
     nearest_checkpoint,
 )
+from repro.classifiers.teaser import TEASERClassifier
+from repro.classifiers.threshold import ProbabilityThresholdClassifier
 
 from tests.oracles.prefix_probability import predict_proba_prefix
 
@@ -110,8 +114,19 @@ class TestPrediction:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             PrefixProbabilisticClassifier(min_length=0)
-        with pytest.raises(ValueError):
-            PrefixProbabilisticClassifier(n_neighbors=0)
+
+    def test_evidence_is_each_class_nearest_distance(self):
+        # Class "a" has exemplars at distance 1 and 5 from the query, class
+        # "b" at distance 2 and 3: the evidence is (1, 2), not a mean.
+        train = np.asarray(
+            [[1.0, 0.0, 0.0], [5.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]
+        )
+        model = PrefixProbabilisticClassifier(checkpoints=[3]).fit(
+            train, ["a", "a", "b", "b"]
+        )
+        (got,) = model.predict_proba_batch(np.zeros((1, 3)), [3])[3]
+        assert got == model._result_from_evidence({"a": 1.0, "b": 2.0}, 3)
+        assert got.label == "a"
 
 
 #: Prefix lengths checked against the oracle: the shortest allowed, lengths
@@ -120,30 +135,42 @@ ORACLE_LENGTHS = (3, 4, 10, 25, 31, 59, 60)
 
 
 def _datasets(gunpoint_small, gunpoint_small_raw):
-    """Raw and z-normalised GunPoint, plus a 3-channel stack of both."""
+    """Raw and z-normalised GunPoint, a 3-channel stack of both, three classes
+    and integer data whose duplicated exemplars tie across classes."""
     (train, test), (train_raw, test_raw) = gunpoint_small, gunpoint_small_raw
 
     def stacked(a, b):
         return np.stack([a.series, b.series, np.cumsum(a.series, axis=1) / 10.0], axis=2)
 
+    rng = np.random.default_rng(5)
+    three = rng.normal(size=(24, 60)) + np.repeat(np.arange(3.0), 8)[:, None]
+    integers = rng.integers(-2, 3, size=(10, 60)).astype(float)
+    integers = np.vstack([integers, integers[:4]])
     return {
         "znormalized": (train.series, train.labels, test.series),
         "raw": (train_raw.series, train_raw.labels, test_raw.series),
         "3-channel": (stacked(train, train_raw), train.labels, stacked(test, test_raw)),
+        "three-class": (three, np.repeat(["x", "y", "z"], 8), rng.normal(size=(9, 60)) + 1.0),
+        "integer-ties": (
+            integers,
+            np.asarray(list("ab") * 5 + list("ba") * 2),
+            np.vstack([integers[:4], rng.integers(-2, 3, size=(4, 60)).astype(float)]),
+        ),
     }
 
 
-@pytest.mark.parametrize("dataset", ["znormalized", "raw", "3-channel"])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "dataset", ["znormalized", "raw", "3-channel", "three-class", "integer-ties"]
+)
 class TestOracleEquivalence:
     """The batched entry points against the one-prefix oracle."""
 
     def test_one_row_batches_match_the_oracle_exactly(
-        self, dataset, k, gunpoint_small, gunpoint_small_raw
+        self, dataset, gunpoint_small, gunpoint_small_raw
     ):
         # A batch of one row is what predict_partial evaluates.
         train, labels, test = _datasets(gunpoint_small, gunpoint_small_raw)[dataset]
-        model = PrefixProbabilisticClassifier(n_neighbors=k).fit(train, labels)
+        model = PrefixProbabilisticClassifier().fit(train, labels)
         for row in test:
             batched = model.predict_proba_batch(row[None], ORACLE_LENGTHS)
             for length in ORACLE_LENGTHS:
@@ -155,12 +182,12 @@ class TestOracleEquivalence:
                 assert got.prefix_length == want.prefix_length == length
 
     def test_whole_batch_matches_the_oracle(
-        self, dataset, k, gunpoint_small, gunpoint_small_raw
+        self, dataset, gunpoint_small, gunpoint_small_raw
     ):
         # An (n x m) distance product may round differently from the
         # oracle's (1 x m) one, so probabilities agree to round-off.
         train, labels, test = _datasets(gunpoint_small, gunpoint_small_raw)[dataset]
-        model = PrefixProbabilisticClassifier(n_neighbors=k).fit(train, labels)
+        model = PrefixProbabilisticClassifier().fit(train, labels)
         batched = model.predict_proba_batch(test, ORACLE_LENGTHS)
         for length in ORACLE_LENGTHS:
             for row, got in zip(test, batched[length]):
@@ -171,10 +198,10 @@ class TestOracleEquivalence:
                     assert abs(got.probabilities[cls] - probability) <= 1e-9
 
     def test_leave_one_out_sweep_matches_the_oracle(
-        self, dataset, k, gunpoint_small, gunpoint_small_raw
+        self, dataset, gunpoint_small, gunpoint_small_raw
     ):
         train, labels, _ = _datasets(gunpoint_small, gunpoint_small_raw)[dataset]
-        model = PrefixProbabilisticClassifier(n_neighbors=k).fit(train, labels)
+        model = PrefixProbabilisticClassifier().fit(train, labels)
         swept = model.predict_proba_prefixes(train, ORACLE_LENGTHS, exclude_self=True)
         for length in ORACLE_LENGTHS:
             for i, got in enumerate(swept[length]):
@@ -183,6 +210,31 @@ class TestOracleEquivalence:
                 assert got.probabilities.keys() == want.probabilities.keys()
                 for cls, probability in want.probabilities.items():
                     assert abs(got.probabilities[cls] - probability) <= 1e-9
+
+
+PROBABILISTIC_CLASSIFIERS = {
+    "teaser": lambda: TEASERClassifier(n_checkpoints=6),
+    "ecdire": lambda: ECDIREClassifier(n_checkpoints=6),
+    "cost_aware": lambda: CostAwareEarlyClassifier(n_checkpoints=6),
+    "threshold": lambda: ProbabilityThresholdClassifier(min_length=5, checkpoint_step=7),
+    "full_length": FullLengthClassifier,
+    "fixed_truncation": lambda: FixedTruncationClassifier(trigger_length=20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBABILISTIC_CLASSIFIERS))
+def test_every_checkpoint_partial_carries_the_oracle_probabilities(name, gunpoint_small):
+    """The six classifiers' shared evaluator reads 1-NN evidence at each checkpoint."""
+    train, test = gunpoint_small
+    model = PROBABILISTIC_CLASSIFIERS[name]().fit(train.series, train.labels)
+    for row in test.series[:4]:
+        for length in model.checkpoints():
+            partial = model.predict_partial(row[:length])
+            want = predict_proba_prefix(model._model, row[:length])
+            assert partial.label == want.label
+            assert partial.probabilities == want.probabilities
+            assert partial.confidence == want.confidence
+            assert partial.prefix_length == length
 
 
 class TestNearestCheckpoint:

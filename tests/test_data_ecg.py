@@ -112,4 +112,6 @@ class TestBeatDataset:
 
     def test_znormalized_by_default(self):
         dataset = make_ecg_beat_dataset(n_per_class=3)
-        assert dataset.verify_znormalized()
+        assert dataset.znormalized
+        np.testing.assert_allclose(dataset.series.mean(axis=1), 0.0, atol=1e-9)
+        np.testing.assert_allclose(dataset.series.std(axis=1), 1.0, atol=1e-9)

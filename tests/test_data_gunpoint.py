@@ -66,8 +66,10 @@ class TestMakeGunpointDataset:
 
     def test_znormalized_by_default(self):
         train, test = make_gunpoint_dataset(n_train_per_class=5, n_test_per_class=5)
-        assert train.verify_znormalized()
-        assert test.verify_znormalized()
+        for dataset in (train, test):
+            assert dataset.znormalized
+            np.testing.assert_allclose(dataset.series.mean(axis=1), 0.0, atol=1e-9)
+            np.testing.assert_allclose(dataset.series.std(axis=1), 1.0, atol=1e-9)
 
     def test_raw_option(self):
         train, _ = make_gunpoint_dataset(n_train_per_class=5, n_test_per_class=5, znormalize=False)

@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from repro.data.shards import (
+    SHARD_SCHEMA_VERSION,
     ShardIntegrityError,
     ShardedDataset,
-    ShardedSeriesView,
+    file_sha256,
     synthesize_sharded_archive,
     write_shards,
 )
+from repro.data.ucr_format import UCRDataset
 from repro.data.ucr_like import make_cbf_dataset, make_multichannel_cbf_dataset
-from repro.memory import memory_budget
 
 
 @pytest.fixture()
@@ -28,9 +30,50 @@ def sharded(dataset, tmp_path):
     return write_shards(dataset, tmp_path / "ds", shard_exemplars=7)
 
 
+def _source(kind: str, dataset):
+    """The dataset as each accepted ``write_shards`` source."""
+    if kind == "dataset":
+        return dataset
+    if kind == "tuple":
+        return dataset.series, dataset.labels
+    return (
+        (dataset.series[start : start + 5], dataset.labels[start : start + 5])
+        for start in range(0, dataset.n_exemplars, 5)
+    )
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("source", ["dataset", "tuple", "chunks"])
+@pytest.mark.parametrize("shard_exemplars", [1, 7, 24, 100])
+def test_roundtrip_is_exact_for_every_source_and_shard_size(
+    tmp_path, channels, source, shard_exemplars
+):
+    if channels == 1:
+        dataset = make_cbf_dataset(n_per_class=8, length=32, seed=3)
+    else:
+        multichannel = make_multichannel_cbf_dataset(n_per_class=4, length=32)
+        dataset = UCRDataset(
+            "mv", multichannel.series[:, :, :channels], multichannel.labels
+        )
+    n = dataset.n_exemplars
+    out = write_shards(
+        _source(source, dataset), tmp_path / "ds", shard_exemplars=shard_exemplars
+    )
+    sizes = [out.shard_series(i).shape[0] for i in range(out.n_shards)]
+    assert sizes == [shard_exemplars] * (n // shard_exemplars) + (
+        [n % shard_exemplars] if n % shard_exemplars else []
+    )
+    reopened = ShardedDataset.open(tmp_path / "ds")
+    assert reopened.n_channels == dataset.n_channels
+    dense = reopened.materialize()
+    np.testing.assert_array_equal(dense.series, dataset.series)
+    np.testing.assert_array_equal(dense.labels, dataset.labels)
+    reopened.verify()
+
+
 class TestWriter:
     def test_roundtrip_series_and_labels(self, dataset, sharded):
-        np.testing.assert_array_equal(np.asarray(sharded.series), dataset.series)
+        np.testing.assert_array_equal(sharded.materialize().series, dataset.series)
         np.testing.assert_array_equal(sharded.labels, dataset.labels)
         assert sharded.name == dataset.name
         assert sharded.n_exemplars == dataset.n_exemplars
@@ -48,11 +91,37 @@ class TestWriter:
         assert manifest["n_exemplars"] == 24
         assert len(manifest["shards"]) == 4
 
+    def test_schema_3_writes_only_series_and_labels(self, sharded, tmp_path):
+        root = tmp_path / "ds"
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest["schema_version"] == SHARD_SCHEMA_VERSION == 3
+        files = sorted(path.name for path in root.iterdir())
+        expected = [
+            f"shard-{i:04d}.{kind}.npy" for i in range(4) for kind in ("labels", "series")
+        ]
+        assert files == sorted(expected + ["manifest.json"])
+        for entry in manifest["shards"]:
+            assert set(entry) == {
+                "index", "n_exemplars", "series", "series_sha256", "labels", "labels_sha256"
+            }
+            for kind in ("series", "labels"):
+                assert entry[f"{kind}_sha256"] == file_sha256(root / entry[kind])
+
+    def test_multichannel_roundtrip(self, tmp_path):
+        dataset = make_multichannel_cbf_dataset(n_per_class=4, length=40)
+        assert dataset.n_channels > 1
+        out = write_shards(dataset, tmp_path / "mv", shard_exemplars=5)
+        assert out.n_channels == dataset.n_channels
+        assert out.shard_series(0).shape == (5, 40, dataset.n_channels)
+        dense = ShardedDataset.open(tmp_path / "mv").materialize()
+        np.testing.assert_array_equal(dense.series, dataset.series)
+        np.testing.assert_array_equal(dense.labels, dataset.labels)
+
     def test_tuple_source(self, dataset, tmp_path):
         out = write_shards(
             (dataset.series, dataset.labels), tmp_path / "t", shard_exemplars=10
         )
-        np.testing.assert_array_equal(np.asarray(out.series), dataset.series)
+        np.testing.assert_array_equal(out.materialize().series, dataset.series)
 
     def test_streaming_chunk_source_reblocks(self, dataset, tmp_path):
         def chunks():
@@ -61,7 +130,7 @@ class TestWriter:
 
         out = write_shards(chunks(), tmp_path / "s", shard_exemplars=9)
         assert [out.shard_series(i).shape[0] for i in range(out.n_shards)] == [9, 9, 6]
-        np.testing.assert_array_equal(np.asarray(out.series), dataset.series)
+        np.testing.assert_array_equal(out.materialize().series, dataset.series)
         np.testing.assert_array_equal(out.labels, dataset.labels)
 
     def test_refuses_to_overwrite_without_flag(self, dataset, sharded, tmp_path):
@@ -87,68 +156,20 @@ class TestWriter:
         with pytest.raises(ValueError, match="no exemplars"):
             write_shards(iter(()), tmp_path / "empty")
 
-    def test_znorm_stats_header(self, dataset, sharded):
-        means, stds = sharded.shard_stats(0)
-        np.testing.assert_allclose(means, dataset.series[:7].mean(axis=1))
-        np.testing.assert_allclose(stds, dataset.series[:7].std(axis=1))
-
 
 class TestLaziness:
     def test_shard_series_is_a_memmap(self, sharded):
         assert isinstance(sharded.shard_series(0), np.memmap)
 
-    def test_shard_dataset_keeps_the_memmap(self, sharded):
-        # The whole point: building the UCRDataset view must not materialise
-        # (or even scan) the shard.
-        view = sharded.shard_dataset(1)
-        assert isinstance(view.series, np.memmap)
-        assert view.n_exemplars == 7
-        assert view.metadata["shard_index"] == 1
-
-    def test_series_view_is_lazy_and_indexable(self, dataset, sharded):
-        view = sharded.series
-        assert isinstance(view, ShardedSeriesView)
-        assert view.shape == dataset.series.shape
-        assert len(view) == 24
-        np.testing.assert_array_equal(view[5], dataset.series[5])
-        np.testing.assert_array_equal(view[-1], dataset.series[-1])
-        np.testing.assert_array_equal(view[3:20], dataset.series[3:20])
-        np.testing.assert_array_equal(view[[0, 9, 23]], dataset.series[[0, 9, 23]])
-        mask = np.zeros(24, dtype=bool)
-        mask[[2, 8]] = True
-        np.testing.assert_array_equal(view[mask], dataset.series[mask])
-
-    def test_series_view_rejects_out_of_range(self, sharded):
-        with pytest.raises(IndexError):
-            sharded.series[24]
-
-    def test_iter_batches_respects_the_budget(self, dataset, sharded):
-        # 48 float64 samples/row = 384 bytes; a 1 KiB budget caps rows at 2.
-        with memory_budget(1024):
-            batches = list(sharded.iter_batches())
-        assert max(series.shape[0] for series, _ in batches) <= 2
+    def test_shards_concatenate_to_the_dataset(self, dataset, sharded):
         np.testing.assert_array_equal(
-            np.concatenate([series for series, _ in batches]), dataset.series
+            np.concatenate([sharded.shard_series(i) for i in range(sharded.n_shards)]),
+            dataset.series,
         )
         np.testing.assert_array_equal(
-            np.concatenate([labels for _, labels in batches]), dataset.labels
+            np.concatenate([sharded.shard_labels(i) for i in range(sharded.n_shards)]),
+            dataset.labels,
         )
-
-    def test_iter_batches_budget_counts_every_channel(self, tmp_path):
-        dataset = make_multichannel_cbf_dataset(n_per_class=4, length=40)
-        assert dataset.n_channels > 1
-        sharded = write_shards(dataset, tmp_path / "mv", shard_exemplars=5)
-        row_bytes = dataset.series_length * dataset.n_channels * 8
-        with memory_budget(2 * row_bytes):
-            batches = list(sharded.iter_batches())
-        assert max(series.shape[0] for series, _ in batches) == 2
-        np.testing.assert_array_equal(
-            np.concatenate([series for series, _ in batches]), dataset.series
-        )
-
-    def test_iter_shards_covers_everything(self, dataset, sharded):
-        stacked = np.concatenate([shard.series for shard in sharded.iter_shards()])
-        np.testing.assert_array_equal(stacked, dataset.series)
 
     def test_materialize_is_the_explicit_dense_path(self, dataset, sharded):
         dense = sharded.materialize()
@@ -161,18 +182,30 @@ class TestIntegrity:
     def test_verify_passes_on_untouched_files(self, sharded):
         sharded.verify()
 
-    def test_verify_catches_modified_bytes(self, sharded, tmp_path):
-        target = tmp_path / "ds" / "shard-0001.series.npy"
+    @pytest.mark.parametrize("shard", [0, 3])
+    @pytest.mark.parametrize("kind", ["series", "labels"])
+    def test_verify_catches_modified_bytes(self, sharded, tmp_path, kind, shard):
+        target = tmp_path / "ds" / f"shard-{shard:04d}.{kind}.npy"
         raw = bytearray(target.read_bytes())
         raw[-1] ^= 0xFF
         target.write_bytes(bytes(raw))
         with pytest.raises(ShardIntegrityError, match="hash mismatch"):
             sharded.verify()
 
-    def test_verify_catches_missing_files(self, sharded, tmp_path):
-        (tmp_path / "ds" / "shard-0002.labels.npy").unlink()
+    @pytest.mark.parametrize("shard", [0, 3])
+    @pytest.mark.parametrize("kind", ["series", "labels"])
+    def test_verify_catches_missing_files(self, sharded, tmp_path, kind, shard):
+        (tmp_path / "ds" / f"shard-{shard:04d}.{kind}.npy").unlink()
         with pytest.raises(ShardIntegrityError, match="missing"):
             sharded.verify()
+
+    def test_open_rejects_other_schema_versions(self, sharded, tmp_path):
+        path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["schema_version"] = 2
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unsupported shard schema 2"):
+            ShardedDataset.open(tmp_path / "ds")
 
     def test_open_rejects_non_manifest_directories(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -193,7 +226,7 @@ class TestSyntheticArchive:
         assert len(dirs) == 3
         for left, right in zip(dirs, again):
             one, two = ShardedDataset.open(left), ShardedDataset.open(right)
-            np.testing.assert_array_equal(np.asarray(one.series), np.asarray(two.series))
+            np.testing.assert_array_equal(one.materialize().series, two.materialize().series)
             np.testing.assert_array_equal(one.labels, two.labels)
             one.verify()
 
@@ -201,8 +234,8 @@ class TestSyntheticArchive:
         dirs = synthesize_sharded_archive(
             tmp_path / "a", 2, n_exemplars_per_class=4, length=48, seed=5
         )
-        one = np.asarray(ShardedDataset.open(dirs[0]).series)
-        two = np.asarray(ShardedDataset.open(dirs[1]).series)
+        one = ShardedDataset.open(dirs[0]).materialize().series
+        two = ShardedDataset.open(dirs[1]).materialize().series
         assert not np.array_equal(one, two)
 
     def test_shard_zero_is_class_mixed(self, tmp_path):
@@ -213,3 +246,19 @@ class TestSyntheticArchive:
         )
         sharded = ShardedDataset.open(directory)
         assert len(np.unique(sharded.shard_labels(0))) > 1
+
+
+class TestFileSha256:
+    @pytest.mark.parametrize("size", [0, 1, 1 << 20, (1 << 20) + 7, 3 * (1 << 20)])
+    def test_matches_hashlib_over_the_whole_file(self, tmp_path, size):
+        payload = np.random.default_rng(size).integers(0, 256, size=size, dtype=np.uint8)
+        path = tmp_path / "blob.bin"
+        path.write_bytes(payload.tobytes())
+        assert file_sha256(path) == hashlib.sha256(payload.tobytes()).hexdigest()
+
+    def test_runtime_manifests_share_the_helper(self):
+        import repro.runtime
+        import repro.runtime.manifest
+
+        assert repro.runtime.file_sha256 is file_sha256
+        assert repro.runtime.manifest.file_sha256 is file_sha256

@@ -8,11 +8,17 @@ from repro.data.words import (
     PHONEME_INVENTORY,
     WordSynthesizer,
     make_word_dataset,
-    resample_to_length,
-    synthesize_sentence,
 )
 from repro.distance.euclidean import znormalized_euclidean_distance
 from repro.distance.neighbors import KNeighborsTimeSeriesClassifier
+from repro.experiments.figure2 import FIG2_SENTENCE
+
+
+def _resampled(trace: np.ndarray, length: int) -> np.ndarray:
+    """Linear resampling to ``length`` samples, so two utterances compare."""
+    return np.interp(
+        np.linspace(0.0, 1.0, length), np.linspace(0.0, 1.0, trace.shape[0]), trace
+    )
 
 
 class TestLexicon:
@@ -50,9 +56,9 @@ class TestWordSynthesizer:
         rng = np.random.default_rng(1)
         a = synth.synthesize_word("cat", rng=rng)
         b = synth.synthesize_word("cat", rng=rng)
-        fixed_a = resample_to_length(a, 150)
-        fixed_b = resample_to_length(b, 150)
-        different = resample_to_length(synth.synthesize_word("dog", rng=rng), 150)
+        fixed_a = _resampled(a, 150)
+        fixed_b = _resampled(b, 150)
+        different = _resampled(synth.synthesize_word("dog", rng=rng), 150)
         same_distance = znormalized_euclidean_distance(fixed_a, fixed_b)
         cross_distance = znormalized_euclidean_distance(fixed_a, different)
         assert same_distance < cross_distance
@@ -69,45 +75,39 @@ class TestWordSynthesizer:
         correlation = np.corrcoef(cat[:overlap], catalog[:overlap])[0, 1]
         assert correlation > 0.95
 
-    def test_words_with_prefix(self):
-        synth = WordSynthesizer()
-        family = synth.words_with_prefix("cat")
-        assert "catalog" in family and "catechism" in family and "cat" in family
-
-    def test_words_containing(self):
-        synth = WordSynthesizer()
-        containing = synth.words_containing("point")
-        assert "appointment" in containing and "disappointing" in containing
-
-    def test_homophones_of(self):
-        synth = WordSynthesizer()
-        assert synth.homophones_of("flower") == ["flour"]
-        assert synth.homophones_of("wither") == ["whither"]
-
     def test_normalize_token_strips_punctuation(self):
         assert WordSynthesizer.normalize_token("Cathy's") == "cathy"
         assert WordSynthesizer.normalize_token("doggery.") == "doggery"
 
 
-class TestSentences:
-    def test_sentence_events_cover_all_words(self):
-        stream = synthesize_sentence("it was said that cathy's dogmatic catechism")
-        assert [e.label for e in stream.events] == [
-            "it", "was", "said", "that", "cathy", "dogmatic", "catechism",
+class TestFigure2Sentence:
+    def test_every_token_normalises_to_a_lexicon_word(self):
+        words = [WordSynthesizer.normalize_token(token) for token in FIG2_SENTENCE.split()]
+        assert all(word in LEXICON for word in words)
+        assert words == [
+            "it", "was", "said", "that", "cathy",
+            "dogmatic", "catechism", "dogmatized", "catholic", "doggery",
         ]
 
-    def test_sentence_events_are_ordered_and_disjoint(self):
-        stream = synthesize_sentence("the cat and the dog")
-        for first, second in zip(stream.events, stream.events[1:]):
-            assert first.end <= second.start
+    @pytest.mark.parametrize(
+        "token, word",
+        [
+            ("Cathy's", "cathy"),
+            ("doggery.", "doggery"),
+            ("dog's", "dog"),
+            ("WAS", "was"),
+            ("it,", "it"),
+            ("Catholic!", "catholic"),
+            ("cats", "cat"),
+        ],
+    )
+    def test_tokens_normalise_to_lexicon_words(self, token, word):
+        assert WordSynthesizer.normalize_token(token) == word
+        assert word in LEXICON
 
-    def test_sentence_values_match_event_extents(self):
-        stream = synthesize_sentence("cat dog")
-        assert stream.events[-1].end <= len(stream)
-
-    def test_empty_sentence_rejected(self):
-        with pytest.raises(ValueError):
-            WordSynthesizer().synthesize_sentence([])
+    def test_possessive_of_a_lexicon_word_drops_the_s(self):
+        assert WordSynthesizer.normalize_token("dog's") == "dog"
+        assert WordSynthesizer.normalize_token("was") == "was"
 
 
 class TestMakeWordDataset:
@@ -118,7 +118,9 @@ class TestMakeWordDataset:
 
     def test_znormalized_by_default(self):
         dataset = make_word_dataset(n_per_class=3)
-        assert dataset.verify_znormalized()
+        assert dataset.znormalized
+        np.testing.assert_allclose(dataset.series.mean(axis=1), 0.0, atol=1e-9)
+        np.testing.assert_allclose(dataset.series.std(axis=1), 1.0, atol=1e-9)
 
     def test_separable_in_ucr_format(self, word_dataset_small):
         dataset = word_dataset_small
@@ -127,27 +129,24 @@ class TestMakeWordDataset:
         model = KNeighborsTimeSeriesClassifier().fit(train.series, train.labels)
         assert model.score(test.series, test.labels) >= 0.9
 
-    def test_resample_mode(self):
-        dataset = make_word_dataset(n_per_class=3, mode="resample")
-        assert dataset.series.shape[1] == 150
+    def test_utterances_are_padded_not_resampled(self):
+        # Each utterance keeps its natural time scale: the first samples of
+        # an exemplar are the synthesiser's trace, then low-level padding.
+        dataset = make_word_dataset(n_per_class=2, length=150, znormalize=False, seed=4)
+        synth = WordSynthesizer(seed=4)
+        rng = np.random.default_rng(4)
+        trace = synth.synthesize_word("cat", rng=rng)
+        assert trace.shape[0] < 150
+        assert np.array_equal(dataset.series[0, : trace.shape[0]], trace)
+        padding = dataset.series[0, trace.shape[0] :]
+        assert np.abs(padding).max() < 10 * synth.noise_scale
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            make_word_dataset(mode="stretch")
+    def test_long_utterances_are_truncated(self):
+        dataset = make_word_dataset(n_per_class=2, length=20, znormalize=False, seed=4)
+        synth = WordSynthesizer(seed=4)
+        trace = synth.synthesize_word("cat", rng=np.random.default_rng(4))
+        assert np.array_equal(dataset.series[0], trace[:20])
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             make_word_dataset(words=("cat",))
-
-
-class TestResample:
-    def test_length_and_endpoints(self):
-        series = np.linspace(0, 1, 37)
-        resampled = resample_to_length(series, 100)
-        assert resampled.shape == (100,)
-        assert resampled[0] == pytest.approx(series[0])
-        assert resampled[-1] == pytest.approx(series[-1])
-
-    def test_rejects_too_short(self):
-        with pytest.raises(ValueError):
-            resample_to_length(np.array([1.0]), 10)

@@ -96,18 +96,18 @@ class TestPrefixDistanceEngine:
         queries, train = walks
         engine = PrefixDistanceEngine(train).start(queries)
         for length in range(1, train.shape[1] + 1):
-            engine.advance_to(length)
-            got = engine.distances()
+            got = np.sqrt(engine.advance_to(length))
             want = _naive_prefix_distances(queries, train, [length])[0]
             np.testing.assert_allclose(got, want, atol=TOLERANCE, rtol=0)
 
-    def test_squared_distances_consistent(self, walks):
+    def test_advance_to_returns_the_running_squared_sums(self, walks):
         queries, train = walks
         engine = PrefixDistanceEngine(train).start(queries)
-        engine.advance_to(17)
-        np.testing.assert_allclose(
-            np.sqrt(engine.squared_distances()), engine.distances(), atol=TOLERANCE
-        )
+        first = engine.advance_to(17)
+        expected = pairwise_prefix_distances(queries, train, [17], squared=True)[0]
+        np.testing.assert_array_equal(first, expected)
+        # The return value is the engine's running state, advanced in place.
+        assert engine.advance_to(30) is first
 
     def test_single_series_query(self, walks):
         queries, train = walks
@@ -128,7 +128,7 @@ class TestPrefixDistanceEngine:
         with pytest.raises(RuntimeError):
             engine.advance_to(3)
         with pytest.raises(RuntimeError):
-            engine.distances()
+            engine.query_length
 
     def test_rejects_overlong_queries(self, walks):
         queries, train = walks

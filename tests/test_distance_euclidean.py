@@ -6,7 +6,6 @@ import pytest
 from repro.distance.euclidean import (
     euclidean_distance,
     pairwise_euclidean,
-    squared_euclidean_distance,
     znormalized_euclidean_distance,
 )
 from repro.distance.znorm import znormalize
@@ -32,10 +31,10 @@ class TestEuclideanDistance:
         a, b, c = (rng.standard_normal(15) for _ in range(3))
         assert euclidean_distance(a, c) <= euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
 
-    def test_squared_is_square(self):
+    def test_is_the_root_of_the_summed_squares(self):
         rng = np.random.default_rng(2)
         a, b = rng.standard_normal(10), rng.standard_normal(10)
-        assert squared_euclidean_distance(a, b) == pytest.approx(euclidean_distance(a, b) ** 2)
+        assert euclidean_distance(a, b) ** 2 == pytest.approx(float(np.sum((a - b) ** 2)))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -44,10 +43,8 @@ class TestEuclideanDistance:
     def test_2d_pair_is_channel_summed(self):
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((12, 3)), rng.standard_normal((12, 3))
-        per_channel = sum(
-            squared_euclidean_distance(a[:, c], b[:, c]) for c in range(3)
-        )
-        assert squared_euclidean_distance(a, b) == pytest.approx(per_channel, abs=1e-10)
+        per_channel = sum(euclidean_distance(a[:, c], b[:, c]) ** 2 for c in range(3))
+        assert euclidean_distance(a, b) ** 2 == pytest.approx(per_channel, abs=1e-10)
 
     def test_rejects_mismatched_ranks(self):
         with pytest.raises(ValueError):
@@ -89,6 +86,24 @@ class TestZnormalizedEuclidean:
         m = 40
         a, b = rng.standard_normal(m), rng.standard_normal(m)
         assert znormalized_euclidean_distance(a, b) <= 2.0 * np.sqrt(m) + 1e-9
+
+    def test_multichannel_exemplars_are_normalised_per_channel(self):
+        rng = np.random.default_rng(9)
+        a = rng.normal(4.0, 2.0, size=(30, 3))
+        b = rng.normal(-1.0, 0.5, size=(30, 3))
+        per_channel = [
+            znormalized_euclidean_distance(a[:, c], b[:, c]) ** 2 for c in range(3)
+        ]
+        assert znormalized_euclidean_distance(a, b) == pytest.approx(
+            np.sqrt(sum(per_channel)), rel=1e-12
+        )
+
+    def test_multichannel_exemplar_is_a_batch_of_one(self):
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(20, 2)), rng.normal(size=(20, 2))
+        a[:, 1] = 5.0  # a constant channel normalises to zeros
+        expected = euclidean_distance(znormalize(a[None])[0], znormalize(b[None])[0])
+        assert znormalized_euclidean_distance(a, b) == expected
 
 
 class TestPairwiseEuclidean:

@@ -5,8 +5,6 @@ import pytest
 
 from repro.distance.euclidean import euclidean_distance, znormalized_euclidean_distance
 from repro.distance.profile import (
-    DistanceProfileIndex,
-    count_matches_below,
     distance_profile,
     sliding_dot_product,
     sliding_mean_std,
@@ -134,45 +132,49 @@ class TestTopKNearest:
             top_k_nearest_subsequences(np.arange(5.0), np.arange(50.0), k=0)
 
 
-class TestCountMatchesBelow:
-    def test_counts_planted_matches(self):
+class TestPlantedMatches:
+    """The Fig. 5 / Fig. 8 uses: find planted copies of a template."""
+
+    @pytest.fixture
+    def planted(self):
         rng = np.random.default_rng(8)
         template = np.sin(np.linspace(0, 4 * np.pi, 40))
-        background = rng.standard_normal(2000) * 0.5
-        series = background.copy()
+        series = rng.standard_normal(2000) * 0.5
         for start in (100, 700, 1500):
             series[start : start + 40] = template + 0.01 * rng.standard_normal(40)
-        count = count_matches_below(template, series, threshold=1.0)
-        assert count == 3
+        return template, series
 
-    def test_zero_when_threshold_tiny(self):
-        rng = np.random.default_rng(9)
-        series = rng.standard_normal(500)
-        query = rng.standard_normal(20)
-        assert count_matches_below(query, series, threshold=1e-6) == 0
+    def test_profile_dips_below_threshold_only_at_planted_copies(self, planted):
+        template, series = planted
+        below = np.flatnonzero(distance_profile(template, series) < 1.0)
+        assert below.size
+        assert all(any(abs(i - start) < 20 for start in (100, 700, 1500)) for i in below)
+        assert all(any(abs(i - start) < 20 for i in below) for start in (100, 700, 1500))
 
+    def test_top_k_returns_the_planted_copies_first(self, planted):
+        template, series = planted
+        hits = top_k_nearest_subsequences(template, series, k=3)
+        assert sorted(position for position, _ in hits) == [100, 700, 1500]
+        assert all(distance < 1.0 for _, distance in hits)
 
-class TestDistanceProfileIndex:
-    def test_nearest_and_extract(self):
+    def test_exact_subsequence_is_found_at_distance_zero(self):
         rng = np.random.default_rng(10)
         series = rng.standard_normal(400)
-        index = DistanceProfileIndex(name="corpus", series=series)
-        query = series[100:130].copy()
-        hits = index.nearest(query, k=1)
+        hits = top_k_nearest_subsequences(series[100:130].copy(), series, k=1)
         assert hits[0][0] == 100
-        np.testing.assert_allclose(index.extract(100, 30), series[100:130])
+        assert hits[0][1] == pytest.approx(0.0, abs=1e-5)
 
-    def test_nearest_distance_scalar(self):
+    def test_fewer_hits_when_exclusion_zones_exhaust_the_profile(self):
         rng = np.random.default_rng(11)
+        series = rng.standard_normal(60)
+        hits = top_k_nearest_subsequences(series[:20].copy(), series, k=10, exclusion=20)
+        assert 1 <= len(hits) < 10
+
+    def test_raw_mode_is_not_offset_invariant(self):
+        rng = np.random.default_rng(12)
         series = rng.standard_normal(300)
-        index = DistanceProfileIndex(name="corpus", series=series)
-        assert index.nearest_distance(series[10:40]) == pytest.approx(0.0, abs=1e-5)
-
-    def test_extract_rejects_out_of_range(self):
-        index = DistanceProfileIndex(name="c", series=np.arange(50.0))
-        with pytest.raises(IndexError):
-            index.extract(45, 10)
-
-    def test_rejects_2d_series(self):
-        with pytest.raises(ValueError):
-            DistanceProfileIndex(name="c", series=np.zeros((4, 5)))
+        query = series[50:80] + 10.0
+        znorm_hit = top_k_nearest_subsequences(query, series, k=1)[0]
+        raw_hit = top_k_nearest_subsequences(query, series, k=1, znormalized=False)[0]
+        assert znorm_hit[0] == 50
+        assert raw_hit[1] > 10.0

@@ -1,44 +1,17 @@
-"""Unit tests for repro.evaluation (accuracy, earliness, significance, runner)."""
+"""Unit tests for repro.evaluation (earliness, significance, runner)."""
 
 import numpy as np
 import pytest
 
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.ucr_format import UCRDataset
-from repro.evaluation.accuracy import accuracy, confusion_counts, error_rate, per_class_accuracy
+from repro.distance.euclidean import euclidean_distance
 from repro.evaluation.earliness import (
     evaluate_early_classifier,
     harmonic_mean_accuracy_earliness,
 )
 from repro.evaluation.runner import fit_and_score, prefix_accuracy_curve
-from repro.evaluation.significance import mcnemar_test, two_proportion_z_test
-
-
-class TestAccuracyMetrics:
-    def test_accuracy_and_error(self):
-        predictions = ["a", "a", "b", "b"]
-        truth = ["a", "b", "b", "b"]
-        assert accuracy(predictions, truth) == pytest.approx(0.75)
-        assert error_rate(predictions, truth) == pytest.approx(0.25)
-
-    def test_per_class_accuracy(self):
-        predictions = ["a", "a", "b", "b"]
-        truth = ["a", "b", "b", "b"]
-        result = per_class_accuracy(predictions, truth)
-        assert result["a"] == 1.0
-        assert result["b"] == pytest.approx(2 / 3)
-
-    def test_confusion_counts(self):
-        counts = confusion_counts(["a", "b", "a"], ["a", "a", "b"])
-        assert counts[("a", "a")] == 1
-        assert counts[("a", "b")] == 1
-        assert counts[("b", "a")] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            accuracy(["a"], ["a", "b"])
-        with pytest.raises(ValueError):
-            accuracy([], [])
+from repro.evaluation.significance import two_proportion_z_test
 
 
 class TestHarmonicMean:
@@ -162,20 +135,8 @@ class TestSignificance:
         with pytest.raises(ValueError):
             two_proportion_z_test(1, 10, 1, 10, alpha=2.0)
 
-    def test_mcnemar_no_discordance(self):
-        result = mcnemar_test(50, 0, 0, 10)
-        assert not result.significant
-
-    def test_mcnemar_strong_discordance(self):
-        result = mcnemar_test(50, 40, 2, 10)
-        assert result.significant
-
-    def test_mcnemar_validation(self):
-        with pytest.raises(ValueError):
-            mcnemar_test(-1, 0, 0, 0)
-
     def test_p_values_equal_scipy_stats(self):
-        """The ``scipy.special`` kernels give ``scipy.stats``'s p-values exactly."""
+        """The ``scipy.special`` kernel gives ``scipy.stats``'s p-values exactly."""
         from scipy import stats
 
         rng = np.random.default_rng(4)
@@ -185,8 +146,6 @@ class TestSignificance:
             result = two_proportion_z_test(a, total_a, b, total_b)
             expected = 2.0 * (1.0 - stats.norm.cdf(abs(result.statistic)))
             assert result.p_value == float(expected)
-            result = mcnemar_test(*(int(n) for n in rng.integers(0, 60, size=4)))
-            assert result.p_value == float(stats.chi2.sf(result.statistic, df=1))
 
 
 class TestRunner:
@@ -219,3 +178,26 @@ class TestRunner:
             prefix_accuracy_curve(train, test, [0])
         with pytest.raises(ValueError):
             prefix_accuracy_curve(train, test, [999])
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    def test_prefix_accuracy_curve_is_brute_force_1nn(self, gunpoint_small_raw, renormalize):
+        train, test = gunpoint_small_raw
+        lengths = [5, 17, 40, train.series_length]
+        curve = prefix_accuracy_curve(train, test, lengths, renormalize=renormalize)
+        for length in lengths:
+            train_prefix = train.truncated(length, renormalize=renormalize)
+            test_prefix = test.truncated(length, renormalize=renormalize)
+            correct = 0
+            for row, label in zip(test_prefix.series, test_prefix.labels):
+                distances = [euclidean_distance(row, t) for t in train_prefix.series]
+                correct += train_prefix.labels[int(np.argmin(distances))] == label
+            assert curve[length] == pytest.approx(correct / len(test_prefix.series))
+
+    def test_raw_curve_fast_path_matches_the_per_length_path(self, gunpoint_small_raw):
+        # Sorted distinct lengths take the one-pass prefix sweep; any other
+        # order refits one model per length.
+        train, test = gunpoint_small_raw
+        lengths = [5, 17, 40, train.series_length]
+        fast = prefix_accuracy_curve(train, test, lengths, renormalize=False)
+        slow = prefix_accuracy_curve(train, test, lengths[::-1], renormalize=False)
+        assert fast == slow

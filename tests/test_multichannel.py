@@ -24,7 +24,7 @@ from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.data.shards import SHARD_SCHEMA_VERSION, ShardedDataset, write_shards
 from repro.data.ucr_like import make_multichannel_cbf_dataset
 from repro.distance.engine import batch_prefix_distances
-from repro.distance.znorm import causal_znormalize, znormalize
+from repro.distance.znorm import znormalize
 from repro.streaming.online import causal_znormalize_batch
 
 from oracles.walk import predict_early_reference
@@ -78,30 +78,22 @@ class TestPrefixEuclideanNaive:
                     assert abs(result[li, qi, ti] - expected) <= ATOL
 
 
-class TestCausalZnormNaive:
-    def test_causal_znormalize_matches_per_channel_loop(self, rng):
-        # A trailing window spanning the whole stream with min_periods=1 is
-        # the expanding (every-sample-seen-so-far) statistic.
+class TestZnormNaive:
+    def test_single_window_causal_matches_per_channel_loop(self, rng):
         window = rng.normal(size=(20, 3))
-        result = causal_znormalize(
-            window, window=20, min_periods=1, channel_axis=-1
-        )
+        result = causal_znormalize_batch(window[None])[0]
         assert np.allclose(result, _naive_causal_znorm(window), atol=ATOL)
 
-    def test_causal_znormalize_trailing_window_matches_loop(self, rng):
-        window = rng.normal(size=(20, 3))
-        trailing = 6
-        result = causal_znormalize(
-            window, window=trailing, min_periods=1, channel_axis=-1
-        )
-        expected = np.zeros_like(window)
-        for c in range(window.shape[1]):
-            for t in range(window.shape[0]):
-                seen = window[max(0, t - trailing + 1) : t + 1, c]
-                std = seen.std()
-                if std >= 1e-12:
-                    expected[t, c] = (window[t, c] - seen.mean()) / std
-        assert np.allclose(result, expected, atol=ATOL)
+    def test_whole_window_znormalize_matches_per_channel_loop(self, rng):
+        windows = rng.normal(3.0, 2.0, size=(4, 20, 3))
+        windows[1, :, 2] = 7.0  # a constant channel normalises to zeros
+        result = znormalize(windows)
+        for row in range(windows.shape[0]):
+            for c in range(windows.shape[2]):
+                channel = windows[row, :, c]
+                std = channel.std()
+                expected = (channel - channel.mean()) / std if std >= 1e-12 else 0.0
+                assert np.allclose(result[row, :, c], expected, atol=ATOL)
 
     def test_batch_kernel_matches_per_channel_loop(self, rng):
         windows = rng.normal(size=(5, 16, 2))
@@ -202,9 +194,20 @@ class TestShardBackCompat:
         sharded = write_shards(dataset, tmp_path / "mv", shard_exemplars=5)
         assert sharded.n_channels == dataset.n_channels
         manifest = json.loads((tmp_path / "mv" / "manifest.json").read_text())
-        assert manifest["schema_version"] == 2
+        assert manifest["schema_version"] == SHARD_SCHEMA_VERSION == 3
         assert manifest["n_channels"] == dataset.n_channels
-        assert np.array_equal(np.asarray(sharded.series), dataset.series)
+        assert np.array_equal(sharded.materialize().series, dataset.series)
+
+    def test_version_2_manifest_rejected(self, tmp_path, rng):
+        # Version 2 also listed a per-shard z-norm stats file; no reader for
+        # it is kept.
+        write_shards((rng.normal(size=(6, 5)), np.arange(6)), tmp_path, shard_exemplars=4)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema_version"] = 2
+        manifest_path.write_text(json.dumps(manifest) + "\n")
+        with pytest.raises(ValueError, match="unsupported shard schema 2"):
+            ShardedDataset.open(tmp_path)
 
     def test_unknown_future_schema_rejected(self, tmp_path, rng):
         series = rng.normal(size=(4, 6))

@@ -15,18 +15,21 @@ PINNED_SCHEMA_VERSION = 4
 #: The pickled layout of every exported early classifier fitted on a toy
 #: set: for each ``repro`` class reachable from a fitted model, the sorted
 #: names of its attributes.  Prepare-cache entries and serving-registry
-#: models are pickled fitted classifiers, so a layout change must bump
-#: ``CACHE_SCHEMA_VERSION``; change both pins together with it.
+#: models are pickled fitted classifiers, so a layout change that old pickles
+#: cannot satisfy (an added or renamed attribute) must bump
+#: ``CACHE_SCHEMA_VERSION``; change both pins together with it.  Dropping an
+#: attribute that no code reads any more leaves old pickles loadable (they
+#: carry one unread attribute), so only :data:`PINNED_LAYOUT` changes.
 PINNED_LAYOUT = {
     "repro.classifiers.cost_aware.CostAwareEarlyClassifier": (
         "_checkpoints", "_classes", "_model", "_train_channels", "_train_length",
         "delay_cost_per_unit", "expected_error_", "misclassification_cost",
-        "n_checkpoints", "n_neighbors",
+        "n_checkpoints",
     ),
     "repro.classifiers.ecdire.ECDIREClassifier": (
         "_checkpoints", "_classes", "_model", "_train_channels", "_train_length",
         "accuracy_threshold", "margin_percentile", "margin_thresholds_",
-        "n_checkpoints", "n_neighbors", "safe_timestamps_",
+        "n_checkpoints", "safe_timestamps_",
     ),
     "repro.classifiers.ects.ECTSClassifier": (
         "_classes", "_eligible", "_engine", "_labels", "_train", "_train_channels",
@@ -57,7 +60,7 @@ PINNED_LAYOUT = {
     ),
     "repro.classifiers.prefix_probability.PrefixProbabilisticClassifier": (
         "_classes", "_labels", "_requested_checkpoints", "_temperatures", "_train",
-        "min_length", "n_neighbors",
+        "min_length",
     ),
     "repro.classifiers.reliable.LDGReliableEarlyClassifier": (
         "_classes", "_labels", "_models", "_train", "_train_channels", "_train_length",
@@ -75,8 +78,7 @@ PINNED_LAYOUT = {
     "repro.classifiers.teaser.TEASERClassifier": (
         "_checkpoints", "_classes", "_masters", "_model", "_train_channels",
         "_train_length", "candidate_v", "consecutive_required_", "master_quantile",
-        "min_checkpoint_accuracy", "n_checkpoints", "n_neighbors",
-        "requested_consecutive",
+        "min_checkpoint_accuracy", "n_checkpoints", "requested_consecutive",
     ),
     "repro.classifiers.teaser._OneClassGaussian": (
         "inv_covariance", "mean", "threshold",

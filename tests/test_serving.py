@@ -313,6 +313,7 @@ def test_fuzzed_lifecycles_preserve_invariants(threshold_classifier, ects_classi
     shed_alarm_counts: dict = {}
     last_counts: dict = {}
     evicted: set = set()
+    delivered: list = []  # every ServedAlarm a flush() returned
 
     def check_invariants():
         snapshot = engine.metrics()
@@ -351,7 +352,7 @@ def test_fuzzed_lifecycles_preserve_invariants(threshold_classifier, ects_classi
             else:
                 offsets[key] += admitted
         elif action < 0.85:
-            engine.flush()
+            delivered.extend(engine.flush())
         elif action < 0.97:
             open_keys = engine.streams()
             if open_keys:
@@ -365,6 +366,20 @@ def test_fuzzed_lifecycles_preserve_invariants(threshold_classifier, ects_classi
 
     for key in engine.streams():
         finalized[key] = engine.finalize_stream(*key)
+    delivered.extend(engine.flush())
+
+    # Exactly-once delivery: a stream's alarms reach flush() in confirmation
+    # order, and the rest of its finalize list are the alarms its own
+    # finalize confirmed -- so every emitted alarm is accounted for once.
+    by_stream: dict = {}
+    for served in delivered:
+        by_stream.setdefault((served.tenant, served.stream_id), []).append(served.alarm)
+    own_finalize = 0
+    for key, served in finalized.items():
+        flushed = by_stream.get(key, [])
+        assert served[: len(flushed)] == flushed
+        own_finalize += len(served) - len(flushed)
+    assert engine.metrics().alarms_emitted == len(delivered) + own_finalize
 
     # No cross-tenant leakage: every finalized, never-shed stream matches its
     # dedicated session on exactly the samples that were admitted.
@@ -533,6 +548,61 @@ def test_finalized_stream_id_cannot_be_reused(threshold_classifier):
     # The same id under another tenant is a different stream -- fine.
     registry.register("u", threshold_classifier, TenantConfig(stride=5))
     assert engine.push("u", "s", np.zeros(10)) == 10
+
+
+@pytest.mark.parametrize("normalization", ["none", "window", "causal"])
+@pytest.mark.parametrize("model", ["threshold", "ects"])
+def test_finalize_keeps_other_streams_alarms_for_the_next_flush(
+    threshold_classifier, ects_classifier, tiny_two_class, model, normalization
+):
+    """A finalize flush's alarms on other streams reach exactly one flush()."""
+    series, _ = tiny_two_class
+    classifier = {"threshold": threshold_classifier, "ects": ects_classifier}[model]
+    config = TenantConfig(stride=10, normalization=normalization)
+    registry = ModelRegistry()
+    registry.register("t", classifier, config)
+    engine = ServingEngine(registry)
+    rng = np.random.default_rng(3)
+    values = {
+        stream: np.concatenate([series[index], rng.normal(0.0, 0.3, 90)])
+        for stream, index in (("A", 0), ("B", 1))
+    }
+    for stream, chunk in values.items():
+        engine.push("t", stream, chunk)  # no flush before the finalize
+
+    finalized = engine.finalize_stream("t", "A")
+    expected_b = engine.alarms("t", "B")
+    assert finalized and expected_b
+    assert engine.metrics().alarms_emitted == len(finalized) + len(expected_b)
+
+    delivered = engine.flush()
+    assert [(served.tenant, served.stream_id) for served in delivered] == [("t", "B")] * len(
+        expected_b
+    )
+    assert [served.alarm for served in delivered] == expected_b
+    assert engine.flush() == []
+    reference = _session_reference(classifier, values["B"], config.resolve(classifier))
+    assert_alarms_equivalent(reference, [served.alarm for served in delivered])
+
+
+def test_undelivered_alarms_come_before_new_ones(threshold_classifier, tiny_two_class):
+    series, _ = tiny_two_class
+    registry = ModelRegistry()
+    registry.register("t", threshold_classifier, TenantConfig(stride=10, normalization="none"))
+    engine = ServingEngine(registry)
+    for stream in ("A", "B", "C"):
+        engine.push("t", stream, series[0])
+    engine.finalize_stream("t", "A")  # confirms B's and C's alarms
+    stashed_b, stashed_c = engine.alarms("t", "B"), engine.alarms("t", "C")
+    assert stashed_b and stashed_c
+    engine.push("t", "B", series[0])
+    delivered = engine.flush()
+    alarms_b = [served.alarm for served in delivered if served.stream_id == "B"]
+    assert [served.stream_id for served in delivered[: len(stashed_b) + len(stashed_c)]] == (
+        ["B"] * len(stashed_b) + ["C"] * len(stashed_c)
+    )
+    assert alarms_b == engine.alarms("t", "B")
+    assert alarms_b[: len(stashed_b)] == stashed_b
 
 
 def test_evicted_tenant_discards_queued_work(threshold_classifier, tiny_two_class):

@@ -191,7 +191,7 @@ def _per_window_alarms(model, values, normalization, stride, refractory):
     """Slice every ``(L, d)`` window, normalise it per channel, predict it."""
     prepare = {
         "none": lambda window: window,
-        "window": lambda window: znormalize(window, channel_axis=-1),
+        "window": lambda window: znormalize(window[None])[0],
         "causal": _naive_causal_znorm,
     }[normalization]
     length = model.train_length_
