@@ -55,12 +55,14 @@ serve-check:
 	$(PYTHON) -m pytest tests/test_serving.py benchmarks/test_bench_serving.py -q
 
 ## out-of-core/resume drift gate: memory-budget chunking must stay
-## bit-identical, the sharded format must round-trip + verify, the work-queue
-## scheduler must survive worker death, and the 104-dataset sweep benchmark
-## must hold its peak-RSS cap and >= 5x warm-resume speedup (run by CI on
-## every push)
+## bit-identical, the sweep's kernels (the prefix-distance engine, including
+## its one-length sum, and row-wise z-norm) must match their dense formulas,
+## the sharded format must round-trip + verify, the work-queue scheduler must
+## survive worker death, the sweep task must equal a dense 1-NN oracle, and
+## the 104-dataset sweep benchmark must hold its peak-RSS cap and >= 5x
+## warm-resume speedup (run by CI on every push)
 sweep-check:
-	$(PYTHON) -m pytest tests/test_memory.py tests/test_data_shards.py tests/test_runtime_sweep.py benchmarks/test_bench_sweep.py -q
+	$(PYTHON) -m pytest tests/test_memory.py tests/test_distance_engine.py tests/test_distance_znorm.py tests/test_data_shards.py tests/test_runtime_sweep.py benchmarks/test_bench_sweep.py -q
 
 ## multichannel drift gate: (n, L, 1) tensors must stay bit-identical to the
 ## legacy (n, L) layout (so every d=1 golden summary is byte-stable), every

@@ -344,6 +344,10 @@ class ShardedDataset:
     def shard_labels(self, index: int) -> np.ndarray:
         return np.load(self.root / self._entry(index)["labels"], allow_pickle=False)
 
+    def shard_rows(self, index: int) -> int:
+        """The shard's row count, from the manifest (reads no shard file)."""
+        return int(self._entry(index)["n_exemplars"])
+
     # ------------------------------------------------------------ conversions
     def materialize(self, validate: bool = False) -> UCRDataset:
         """Load *everything* into one dense in-memory :class:`UCRDataset`.

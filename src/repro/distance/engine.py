@@ -41,7 +41,8 @@ Four entry points:
 * :func:`batch_prefix_distances` -- the test-set-at-once kernel: the same
   ``(n_lengths, n_queries, n_train)`` array computed by cumulative-sum matrix
   algebra in one shot (no per-length Python iteration), chunked over queries
-  to bound the working set.  The 1-NN prefix sweeps
+  to bound the working set.  A request for one length needs no running sum
+  and is a plain sum of the squared differences.  The 1-NN prefix sweeps
   (:meth:`repro.distance.neighbors.KNeighborsTimeSeriesClassifier.predict_prefixes`)
   and the archive sweep (:mod:`repro.runtime.sweep`) are built on it.
 
@@ -433,11 +434,16 @@ def batch_prefix_distances(
     :func:`numpy.cumsum`, and every requested prefix length is a column
     lookup into that running sum.  The accumulation is the *exact* term
     sequence the per-row :class:`PrefixSweep` adds one sample at a time, so
-    the two paths agree to the last bit on the dominant single-step walk and
-    to ``<= 1e-10`` always (the equivalence tests pin both).  Queries are
-    processed in chunks whose ``(chunk, n_train, max(lengths))`` float64
-    temporary fits the :mod:`repro.memory` budget, so arbitrarily large test
-    sets run in bounded memory.
+    a request for consecutive lengths agrees with that single-step walk to
+    the last bit.  A request for one length reads only the last column, so
+    it skips the running sum and is a plain :func:`numpy.sum` over time --
+    bit for bit ``((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)``.
+    Every request agrees with the walk to ``<= 1e-10`` (the equivalence
+    tests pin all three).  Queries are processed in chunks whose
+    ``(chunk, n_train, max(lengths))`` float64 temporary fits the
+    :mod:`repro.memory` budget, so arbitrarily large test sets run in
+    bounded memory; each pair's sum is independent of its chunk, so the
+    budget never changes a bit of the result.
 
     Parameters
     ----------
@@ -486,6 +492,10 @@ def batch_prefix_distances(
         stop = min(start + chunk, n_queries)
         block = arr[start:stop, None, :full] - train_prefix
         np.square(block, out=block)
+        if len(lengths) == 1:
+            # One length reads only the last column: sum it directly.
+            np.sum(block, axis=2, out=out[0, start:stop])
+            continue
         np.cumsum(block, axis=2, out=block)
         # (chunk, n_train, n_lengths) -> (n_lengths, chunk, n_train)
         out[:, start:stop, :] = np.moveaxis(block[:, :, columns], 2, 0)

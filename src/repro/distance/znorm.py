@@ -84,8 +84,10 @@ def znormalize(series: np.ndarray) -> np.ndarray:
     if arr.ndim == 2:
         mean = arr.mean(axis=1, keepdims=True)
         std = arr.std(axis=1, keepdims=True)
-        out = np.zeros_like(arr)
         nonconstant = (std >= EPSILON).ravel()
+        if nonconstant.all():
+            return (arr - mean) / std
+        out = np.zeros_like(arr)
         if np.any(nonconstant):
             out[nonconstant] = (arr[nonconstant] - mean[nonconstant]) / std[nonconstant]
         return out

@@ -7,8 +7,9 @@ directory, recording for every task its lifecycle state --
 produced) or ``failed`` (with a structured error record per attempt)
 
 -- plus how many attempts it has consumed.  The file is rewritten atomically
-(tmp + ``os.replace``) after every transition, and **only the parent process
-writes it**: workers return values, the scheduler owns the book-keeping.
+(tmp + ``os.replace``) as single-line JSON after every transition, and
+**only the parent process writes it**: workers return values, the scheduler
+owns the book-keeping.
 That single-writer discipline is what makes a SIGKILL anywhere safe -- the
 manifest on disk is always a consistent snapshot of some prefix of the run.
 
@@ -134,9 +135,14 @@ class RunManifest:
         }
 
     def save(self) -> None:
-        """Atomically persist the manifest (tmp file + ``os.replace``)."""
+        """Atomically persist the manifest (tmp file + ``os.replace``).
+
+        The manifest is written as single-line JSON: without ``indent``,
+        :func:`json.dumps` runs its C encoder, and a sweep saves the whole
+        document after every transition.
+        """
         path = self.run_dir / self.FILENAME
-        text = json.dumps(self._document, indent=2, sort_keys=True)
+        text = json.dumps(self._document, sort_keys=True)
         descriptor, temp_name = tempfile.mkstemp(
             dir=self.run_dir, prefix=".manifest-", suffix=".tmp"
         )

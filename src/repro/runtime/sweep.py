@@ -6,7 +6,10 @@ exists for: one task per sharded dataset directory
 (:mod:`repro.data.shards`), each opening its dataset lazily, fitting a
 full-length 1-NN Euclidean classifier on the first shard and scoring the
 remaining shards through the budget-capped
-:func:`~repro.distance.engine.batch_prefix_distances` kernel.  Every task
+:func:`~repro.distance.engine.batch_prefix_distances` kernel.  The task also
+scores honestly re-z-normalised prefixes at a few cuts: each cut is its own
+distance problem, and its training side is z-normalised once per dataset,
+not once per eval shard.  Every task
 drops its memmap references on exit, so a sequential sweep's peak RSS tracks
 *one dataset's working set*, not the archive -- the property the
 ``benchmarks/test_bench_sweep.py`` gate pins against a hard cap that the
@@ -85,7 +88,8 @@ def sweep_one_dataset(
 
     Shard 0 is the training set; every remaining shard is scored against it
     in budget-bounded batches (a single-shard dataset is split down the
-    middle instead).  Two measurements per dataset:
+    middle instead; :func:`_train_rows` is the split).  Two measurements per
+    dataset:
 
     * ``accuracy`` -- full-length Euclidean 1-NN over every eval row (the
       headline number, identical to the dense loader's scoring).
@@ -93,7 +97,9 @@ def sweep_one_dataset(
       cut, with both train and query prefixes re-z-normalised per cut.
       Honest renormalisation means each prefix is an independent distance
       problem (the shared-cumsum trick does not apply), which is exactly
-      the per-dataset compute profile of a real ETSC sweep.
+      the per-dataset compute profile of a real ETSC sweep.  The training
+      cuts do not depend on the eval shard, so each is z-normalised once
+      per dataset; the query cuts are z-normalised per eval shard.
 
     Only memmap views are touched, and nothing outlives the call, so the
     task's RSS contribution is transient.  Returns a JSON-able record (this
@@ -107,6 +113,7 @@ def sweep_one_dataset(
     started = time.perf_counter()
     dataset = ShardedDataset.open(dataset_dir)
     length = dataset.series_length
+    n_train = _train_rows(dataset)
     if dataset.n_shards > 1:
         train_series = dataset.shard_series(0)
         train_labels = dataset.shard_labels(0)
@@ -115,13 +122,19 @@ def sweep_one_dataset(
     else:
         whole_series = dataset.shard_series(0)
         whole_labels = dataset.shard_labels(0)
-        half = max(1, whole_series.shape[0] // 2)
-        train_series, train_labels = whole_series[:half], whole_labels[:half]
+        train_series, train_labels = whole_series[:n_train], whole_labels[:n_train]
         eval_shards = range(1)
-        eval_of = (lambda _i: whole_series[half:]), (lambda _i: whole_labels[half:])
+        eval_of = (
+            (lambda _i: whole_series[n_train:]),
+            (lambda _i: whole_labels[n_train:]),
+        )
 
     cuts = sorted({max(2, int(round(length * f))) for f in prefix_fractions})
     train_labels = np.asarray(train_labels)
+    # Honest prefixes: renormalise with prefix-only statistics, so each cut
+    # is an independent full distance problem.  The training side of a cut
+    # is the same for every eval shard, so normalise it once here.
+    train_cuts = [znormalize(np.asarray(train_series[:, :cut])) for cut in cuts]
     correct = 0
     total = 0
     prefix_correct = {cut: 0 for cut in cuts}
@@ -135,10 +148,7 @@ def sweep_one_dataset(
         predicted = train_labels[np.argmin(distances, axis=1)]
         correct += int(np.sum(predicted == eval_labels))
         total += int(queries.shape[0])
-        for cut in cuts:
-            # Honest prefixes: renormalise with prefix-only statistics, so
-            # each cut is an independent full distance problem.
-            train_cut = znormalize(np.asarray(train_series[:, :cut]))
+        for cut, train_cut in zip(cuts, train_cuts):
             query_cut = znormalize(np.asarray(queries[:, :cut]))
             cut_distances = batch_prefix_distances(query_cut, train_cut, [cut])[0]
             cut_predicted = train_labels[np.argmin(cut_distances, axis=1)]
@@ -150,7 +160,7 @@ def sweep_one_dataset(
         "n_exemplars": dataset.n_exemplars,
         "series_length": length,
         "n_shards": dataset.n_shards,
-        "n_train": int(np.asarray(train_labels).shape[0]),
+        "n_train": n_train,
         "n_eval": total,
         "accuracy": (correct / total) if total else None,
         "prefix_accuracies": {
@@ -161,19 +171,35 @@ def sweep_one_dataset(
     }
 
 
-def _score_materialized(dataset) -> dict:
-    """The dense-path equivalent of :func:`sweep_one_dataset` (same split)."""
+def _train_rows(dataset) -> int:
+    """The sweep's split: how many leading rows of a dataset it trains on.
+
+    Shard 0 of a multi-shard :class:`~repro.data.shards.ShardedDataset`, or
+    the first half of a single shard.  It is read from the shard manifest,
+    so the dense loader takes the same split before it materialises the
+    dataset.
+    """
+    if dataset.n_shards > 1:
+        return dataset.shard_rows(0)
+    return max(1, dataset.n_exemplars // 2)
+
+
+def _score_materialized(dataset, n_train: int) -> dict:
+    """The dense-path equivalent of :func:`sweep_one_dataset`'s ``accuracy``.
+
+    Trains on the first ``n_train`` rows (:func:`_train_rows`) and scores
+    the rest, the rows the sharded task trains on and scores.
+    """
     from repro.distance.engine import batch_prefix_distances
 
     length = dataset.series_length
-    half = max(1, dataset.n_exemplars // 4)  # mirrors shard 0 proportions loosely
-    train_series, train_labels = dataset.series[:half], dataset.labels[:half]
-    queries, labels = dataset.series[half:], dataset.labels[half:]
+    train_series, train_labels = dataset.series[:n_train], dataset.labels[:n_train]
+    queries, labels = dataset.series[n_train:], dataset.labels[n_train:]
     distances = batch_prefix_distances(queries, train_series, [length])[0]
     predicted = train_labels[np.argmin(distances, axis=1)]
     return {
         "dataset": dataset.name,
-        "n_train": int(half),
+        "n_train": int(n_train),
         "n_eval": int(queries.shape[0]),
         "accuracy": float(np.mean(predicted == labels)) if queries.shape[0] else None,
     }
@@ -235,12 +261,15 @@ def run_sweep(
         from repro.data.shards import ShardedDataset
 
         # The RSS cliff, on purpose: every dataset materialised and held.
-        resident = {
-            d.name: ShardedDataset.open(d).materialize() for d in dataset_dirs
-        }
+        # The split comes from the shard manifest, as in the sharded task.
+        opened = [ShardedDataset.open(d) for d in dataset_dirs]
         tasks = [
-            QueueTask(task_id, _score_materialized, (resident[task_id],))
-            for task_id in task_ids
+            QueueTask(
+                task_id,
+                _score_materialized,
+                (dataset.materialize(), _train_rows(dataset)),
+            )
+            for task_id, dataset in zip(task_ids, opened)
         ]
     else:
         tasks = [

@@ -65,6 +65,7 @@ def test_roundtrip_is_exact_for_every_source_and_shard_size(
     )
     reopened = ShardedDataset.open(tmp_path / "ds")
     assert reopened.n_channels == dataset.n_channels
+    assert [reopened.shard_rows(i) for i in range(reopened.n_shards)] == sizes
     dense = reopened.materialize()
     np.testing.assert_array_equal(dense.series, dataset.series)
     np.testing.assert_array_equal(dense.labels, dataset.labels)

@@ -173,7 +173,7 @@ class TestIterAndBatchedHelpers:
 
 
 class TestBatchPrefixDistances:
-    """The one-shot cumulative-sum kernel under the batched prediction paths."""
+    """The one-shot kernel under the batched prediction paths."""
 
     def test_matches_naive_recomputation(self, walks):
         queries, train = walks
@@ -238,6 +238,36 @@ class TestBatchPrefixDistances:
             batch_prefix_distances(queries, train, [61])
         with pytest.raises(ValueError):
             batch_prefix_distances(np.empty((2, 0)), train, [1])
+
+
+def _dense_sum(queries, train, length):
+    """Squared prefix distances as one dense broadcast and a plain sum."""
+    q, t = queries[:, :length], train[:, :length]
+    return ((q[:, None, :] - t[None, :, :]) ** 2).sum(axis=2)
+
+
+class TestOneLengthRequest:
+    """A one-length request sums each pair's squared differences directly."""
+
+    @pytest.mark.parametrize("length", [1, 33, 60])
+    def test_is_the_dense_sum_bit_for_bit(self, walks, length):
+        queries, train = walks
+        got = batch_prefix_distances(queries, train, [length], squared=True)
+        assert np.array_equal(got[0], _dense_sum(queries, train, length))
+
+    def test_one_query_chunks_are_the_dense_sum_bit_for_bit(self, walks):
+        queries, train = walks
+        with memory_budget(train.shape[0] * 60 * 8):  # one query per chunk
+            got = batch_prefix_distances(queries, train, [60], squared=True)
+        assert np.array_equal(got[0], _dense_sum(queries, train, 60))
+
+    def test_multichannel_is_the_dense_sum_of_the_time_major_flattening(self):
+        rng = np.random.default_rng(5)
+        queries = rng.normal(size=(4, 30, 3))
+        train = rng.normal(size=(6, 30, 3))
+        got = batch_prefix_distances(queries, train, [20], squared=True)
+        flat_queries, flat_train = queries.reshape(4, -1), train.reshape(6, -1)
+        assert np.array_equal(got[0], _dense_sum(flat_queries, flat_train, 20 * 3))
 
 
 class TestRewiredCallers:

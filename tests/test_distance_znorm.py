@@ -98,6 +98,31 @@ class TestZnormalize:
             znormalize(np.array([[1.0, np.inf, 3.0]]))
 
 
+def _row_by_row(rows: np.ndarray) -> np.ndarray:
+    """``(row - row.mean()) / row.std()`` one row at a time; constants to zeros."""
+    out = np.zeros_like(rows)
+    for i, row in enumerate(rows):
+        if row.std() >= 1e-12:
+            out[i] = (row - row.mean()) / row.std()
+    return out
+
+
+class TestRowBatches:
+    """A 2-D batch is each row normalised on its own, bit for bit."""
+
+    def test_batch_without_constant_rows(self):
+        rows = 3.0 + 2.0 * np.random.default_rng(11).standard_normal((12, 1024))
+        assert np.array_equal(znormalize(rows), _row_by_row(rows))
+
+    def test_batch_with_constant_and_all_zero_rows(self):
+        rows = -1.0 + 0.5 * np.random.default_rng(12).standard_normal((8, 100))
+        rows[2] = 5.0
+        rows[5] = 0.0
+        got = znormalize(rows)
+        assert np.array_equal(got, _row_by_row(rows))
+        assert not got[[2, 5]].any()
+
+
 def _explicit_znormalize(arr: np.ndarray) -> np.ndarray:
     """The whole-exemplar formula spelled out per rank, constants to zeros."""
     if arr.ndim == 1:

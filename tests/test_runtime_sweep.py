@@ -6,12 +6,13 @@ import json
 import os
 import signal
 
+import numpy as np
 import pytest
 
-from repro.data.shards import synthesize_sharded_archive
+from repro.data.shards import ShardedDataset, synthesize_sharded_archive
 from repro.runtime.manifest import RunManifest, file_sha256
 from repro.runtime.scheduler import QueueTask, run_experiments, run_queue
-from repro.runtime.sweep import run_sweep, sweep_one_dataset
+from repro.runtime.sweep import PREFIX_FRACTIONS, run_sweep, sweep_one_dataset
 
 #: Cheap registry experiment reused from the scheduler tests.
 CHEAP = "figure1"
@@ -110,6 +111,18 @@ class TestRunManifest:
         assert resumed.state("c") == "pending"  # error history preserved
         assert resumed.entry("c")["errors"]
         assert resumed.state("d") == "pending"  # appended
+
+    def test_saves_single_line_json_and_resumes_an_indented_manifest(self, tmp_path):
+        manifest = RunManifest.open_or_create(tmp_path, ["a", "b"])
+        manifest.mark_running("a")
+        manifest.mark_done("a")
+        path = tmp_path / RunManifest.FILENAME
+        assert path.read_text().count("\n") == 1
+        # A manifest written with indent=2 (as older runs did) resumes alike.
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
+        resumed = RunManifest.open_or_create(tmp_path, ["a", "b"], resume=True)
+        assert (resumed.state("a"), resumed.state("b")) == ("done", "pending")
+        assert path.read_text().count("\n") == 1
 
     def test_unknown_task_raises(self, tmp_path):
         manifest = RunManifest.open_or_create(tmp_path, ["a"])
@@ -274,6 +287,84 @@ class TestRunSweep:
         two = sweep_one_dataset(archive[0])
         assert one["accuracy"] == two["accuracy"]
         assert one["n_train"] + one["n_eval"] == one["n_exemplars"]
+
+    @pytest.mark.parametrize("per_class", [4, 5, 6, 7, "single-shard"])
+    def test_dense_loader_scores_the_sharded_split(self, per_class, tmp_path):
+        """Shard 0 trains (half of a lone shard) whatever the shard size."""
+        shard_exemplars = None
+        if per_class == "single-shard":
+            per_class, shard_exemplars = 5, 1_000
+        archive = synthesize_sharded_archive(
+            tmp_path / "archive",
+            6,
+            n_exemplars_per_class=per_class,
+            length=64,
+            shard_exemplars=shard_exemplars,
+            seed=3,
+        )
+        sharded = run_sweep(archive, tmp_path / "sharded", retries=0)
+        dense = run_sweep(archive, tmp_path / "dense", retries=0, loader="dense")
+        assert sharded["done"] == dense["done"] == 6
+        assert sharded["mean_accuracy"] == dense["mean_accuracy"]
+
+
+def _znormalized_rows(rows: np.ndarray) -> np.ndarray:
+    return (rows - rows.mean(axis=1, keepdims=True)) / rows.std(axis=1, keepdims=True)
+
+
+def _dense_sweep_oracle(dataset_dir) -> tuple[float, dict]:
+    """Full-length and per-cut 1-NN accuracy from dense arrays and naive sums."""
+    dataset = ShardedDataset.open(dataset_dir)
+    series = np.concatenate(
+        [np.asarray(dataset.shard_series(i)) for i in range(dataset.n_shards)]
+    )
+    labels = np.asarray(dataset.labels)
+    n_train = (
+        dataset.shard_labels(0).shape[0]
+        if dataset.n_shards > 1
+        else series.shape[0] // 2
+    )
+    train, queries = series[:n_train], series[n_train:]
+    train_labels, truth = labels[:n_train], labels[n_train:]
+
+    def accuracy(query_rows, train_rows):
+        distances = ((query_rows[:, None, :] - train_rows[None, :, :]) ** 2).sum(axis=2)
+        predicted = train_labels[np.argmin(distances, axis=1)]
+        return np.count_nonzero(predicted == truth) / truth.shape[0]
+
+    length = dataset.series_length
+    cuts = sorted({max(2, int(round(length * f))) for f in PREFIX_FRACTIONS})
+    prefix = {
+        str(cut): accuracy(
+            _znormalized_rows(queries[:, :cut]), _znormalized_rows(train[:, :cut])
+        )
+        for cut in cuts
+    }
+    return accuracy(queries, train), prefix
+
+
+class TestSweepTaskOracle:
+    """``sweep_one_dataset`` against a dense 1-NN over the same split."""
+
+    def test_multi_shard_archive(self, archive):
+        for directory in archive:
+            result = sweep_one_dataset(directory)
+            assert result["n_shards"] > 2
+            assert (result["accuracy"], result["prefix_accuracies"]) == (
+                _dense_sweep_oracle(directory)
+            )
+
+    def test_single_shard_archive(self, tmp_path):
+        archive = synthesize_sharded_archive(
+            tmp_path, 3, n_exemplars_per_class=6, length=48, shard_exemplars=1_000, seed=9
+        )
+        for directory in archive:
+            result = sweep_one_dataset(directory)
+            assert result["n_shards"] == 1
+            assert (result["n_train"], result["n_eval"]) == (9, 9)
+            assert (result["accuracy"], result["prefix_accuracies"]) == (
+                _dense_sweep_oracle(directory)
+            )
 
 
 class TestRunExperimentsQueued:
