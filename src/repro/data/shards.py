@@ -11,7 +11,9 @@ This module is the on-disk counterpart:
   array per shard.
 * ``manifest.json`` records the layout and a SHA-256 content hash of every
   file, so a resumable sweep can trust (and :meth:`ShardedDataset.verify`
-  can re-check) what is on disk.
+  can re-check) what is on disk.  :func:`file_sha256` computes those
+  hashes, and :func:`write_atomic` -- the one temp-file-and-rename writer
+  of the package -- writes the manifest.
 * :class:`ShardedDataset` presents the dataset's header facts --
   ``n_exemplars`` / ``series_length`` / ``labels`` / ``classes`` /
   ``class_counts`` -- from the manifest, and its bulk **lazily**: each
@@ -34,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 from typing import Iterator
 
@@ -47,6 +50,7 @@ __all__ = [
     "ShardedDataset",
     "file_sha256",
     "synthesize_sharded_archive",
+    "write_atomic",
     "write_shards",
 ]
 
@@ -71,6 +75,30 @@ def file_sha256(path: str | Path) -> str:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> Path:
+    """Replace ``path`` with ``data`` (``str`` is UTF-8 encoded) in one step.
+
+    The bytes go to a hidden temp sibling (``.<name>.<random>.tmp``, created
+    exclusively, so concurrent writers of one path never share one) that
+    :func:`os.replace` then renames over ``path``.  A reader sees the old
+    file or the new one, never a torn one, and a process killed mid-write
+    leaves the old file in place.  There is no fsync: a power cut may still
+    lose the newest version.  Returns ``path``.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(temp, "xb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def _as_chunks(source) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -237,9 +265,7 @@ def write_shards(
         "metadata": metadata,
         "shards": shards,
     }
-    tmp = root / f".{_MANIFEST}.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    tmp.replace(root / _MANIFEST)
+    write_atomic(root / _MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ShardedDataset.open(root)
 
 

@@ -18,7 +18,7 @@ On top of that the runtime offers:
     Crash-resumable mode: track per-experiment state in a run manifest,
     retry failing tasks with exponential backoff, and on ``--resume`` re-run
     only unfinished work (completed experiments are replayed from their
-    artifacts).
+    artifacts; one whose artifact is missing or edited runs again).
 ``--list`` / ``--tag TAG`` / ``--seed N``
     Inspect the registry, select experiments by tag, re-seed a run.
 """
@@ -144,7 +144,7 @@ def _list_experiments() -> None:
 
 
 def _select_names(args, parser: argparse.ArgumentParser) -> list[str]:
-    names = list(args.names)
+    names = list(dict.fromkeys(args.names))
     unknown = [n for n in names if n not in SPECS]
     if unknown:
         parser.error(f"unknown experiment(s): {', '.join(unknown)}")

@@ -3,10 +3,12 @@
 The runtime is the outer orchestration layer of the reproduction: the
 experiments package declares *what* each table/figure needs
 (:class:`~repro.runtime.spec.ExperimentSpec`), and this package decides
-*how* to execute it -- sequentially or across a process pool
-(:mod:`repro.runtime.scheduler`), with the expensive ``prepare`` stage
-memoised on disk (:mod:`repro.runtime.cache`) and every run persisted as a
-machine-readable JSON artifact (:mod:`repro.runtime.artifacts`).
+*how* to execute it -- through one work queue, in-process or across a
+process pool (:mod:`repro.runtime.scheduler`), optionally crash-resumable
+through a run manifest (:mod:`repro.runtime.manifest`), with the expensive
+``prepare`` stage memoised on disk (:mod:`repro.runtime.cache`) and every
+run persisted as a machine-readable JSON artifact
+(:mod:`repro.runtime.artifacts`).
 """
 
 from repro.runtime.artifacts import (

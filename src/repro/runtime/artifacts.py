@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.data.shards import write_atomic
 from repro.runtime.spec import ExperimentResult
 
 __all__ = [
@@ -73,15 +72,8 @@ def write_artifact(result: ExperimentResult, results_dir: str | Path) -> Path:
     """Atomically write ``<results_dir>/<name>.json`` and return its path."""
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / f"{result.name}.json"
     text = json.dumps(artifact_payload(result), indent=2, sort_keys=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=results_dir, prefix=f".{result.name}-", suffix=".tmp"
-    )
-    with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    os.replace(temp_name, path)
-    return path
+    return write_atomic(results_dir / f"{result.name}.json", text + "\n")
 
 
 def load_artifact(path: str | Path) -> dict[str, Any]:

@@ -8,25 +8,25 @@ parameters)`` -- the parameters include the experiment's seed, so two runs
 agree on a cache entry exactly when they would have produced identical
 prepared data.
 
-Entries are pickles written atomically (temp file + ``os.replace``), so
-concurrent scheduler workers can race on the same key without corrupting
-the store.  Values that cannot be pickled, and parameter dicts that cannot
-be canonicalised (e.g. a caller-supplied classifier object), simply bypass
-the cache instead of failing the run.
+Entries are pickles written atomically
+(:func:`~repro.data.shards.write_atomic`), so concurrent scheduler workers
+can race on the same key without corrupting the store.  Values that cannot
+be pickled, and parameter dicts that cannot be canonicalised (e.g. a
+caller-supplied classifier object), simply bypass the cache instead of
+failing the run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro._version import __version__
+from repro.data.shards import write_atomic
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "PrepareCache", "UncacheableParams"]
 
@@ -137,20 +137,18 @@ class PrepareCache:
         return value is _MISS
 
     def store(self, experiment: str, key: str, value: Any) -> bool:
-        """Atomically persist one prepared payload; False if unpicklable."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(experiment, key)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self.root, prefix=f".{experiment}-", suffix=".tmp"
-        )
+        """Atomically persist one prepared payload; False if unpicklable.
+
+        The value is pickled in memory first, so an unpicklable one writes
+        nothing at all.
+        """
         try:
-            with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError, AttributeError):
-            os.unlink(temp_name)
             self.stats.skips += 1
             return False
-        os.replace(temp_name, path)
+        self.root.mkdir(parents=True, exist_ok=True)
+        write_atomic(self.path_for(experiment, key), data)
         self.stats.stores += 1
         return True
 

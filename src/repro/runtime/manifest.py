@@ -7,28 +7,28 @@ directory, recording for every task its lifecycle state --
 produced) or ``failed`` (with a structured error record per attempt)
 
 -- plus how many attempts it has consumed.  The file is rewritten atomically
-(tmp + ``os.replace``) as single-line JSON after every transition, and
-**only the parent process writes it**: workers return values, the scheduler
-owns the book-keeping.
+(:func:`~repro.data.shards.write_atomic`) as single-line JSON after every
+transition, and **only the parent process writes it**: workers return
+values, the scheduler owns the book-keeping.
 That single-writer discipline is what makes a SIGKILL anywhere safe -- the
 manifest on disk is always a consistent snapshot of some prefix of the run.
 
 Resuming (:meth:`RunManifest.open_or_create` with ``resume=True``) reloads
-the snapshot, demotes any task caught mid-flight (``running`` at the moment
-of death) back to ``pending``, and leaves ``done`` entries untouched so a
-restarted sweep re-executes only unfinished work.
+the snapshot and demotes back to ``pending`` every task caught mid-flight
+(``running`` at the moment of death), every ``failed`` task, and every
+``done`` task whose recorded artifact is missing or no longer matches its
+hash, so a restarted run re-executes only the work it cannot trust.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Iterable
 
-from repro.data.shards import file_sha256
+from repro.data.shards import file_sha256, write_atomic
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "file_sha256"]
 
@@ -70,8 +70,10 @@ class RunManifest:
         accident is exactly the failure mode manifests exist to prevent.  On
         resume, tasks found ``running`` (in flight when the previous process
         died) are demoted to ``pending``; ``failed`` tasks are re-queued
-        with their error history preserved; ``done`` tasks are kept;
-        task ids not yet present are appended as ``pending``.
+        with their error history preserved; ``done`` tasks are kept only
+        while their recorded artifact exists with the recorded SHA-256 (a
+        ``done`` task with no artifact is kept as is), and are otherwise
+        re-queued; task ids not yet present are appended as ``pending``.
         """
         run_dir = Path(run_dir)
         path = run_dir / cls.FILENAME
@@ -89,9 +91,12 @@ class RunManifest:
                 entry = tasks.get(task_id)
                 if entry is None:
                     tasks[task_id] = cls._fresh_entry()
-                elif entry["state"] in ("running", "failed"):
-                    # Caught mid-flight by the crash, or out of retries last
-                    # time: both are work the resumed run should attempt.
+                elif entry["state"] in ("running", "failed") or (
+                    entry["state"] == "done" and not manifest._artifact_intact(entry)
+                ):
+                    # Caught mid-flight by the crash, out of retries last
+                    # time, or its artifact lost or edited since: all work
+                    # the resumed run should attempt.
                     entry["state"] = "pending"
             manifest._document["resumed"] = int(manifest._document.get("resumed", 0)) + 1
             manifest.save()
@@ -135,20 +140,21 @@ class RunManifest:
         }
 
     def save(self) -> None:
-        """Atomically persist the manifest (tmp file + ``os.replace``).
+        """Atomically persist the manifest (:func:`write_atomic`).
 
         The manifest is written as single-line JSON: without ``indent``,
         :func:`json.dumps` runs its C encoder, and a sweep saves the whole
         document after every transition.
         """
-        path = self.run_dir / self.FILENAME
         text = json.dumps(self._document, sort_keys=True)
-        descriptor, temp_name = tempfile.mkstemp(
-            dir=self.run_dir, prefix=".manifest-", suffix=".tmp"
-        )
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        os.replace(temp_name, path)
+        write_atomic(self.run_dir / self.FILENAME, text + "\n")
+
+    def _artifact_intact(self, entry: dict) -> bool:
+        """Whether a ``done`` entry's artifact, if any, is the file it hashed."""
+        if entry["artifact"] is None:
+            return True
+        path = self.run_dir / entry["artifact"]
+        return path.is_file() and file_sha256(path) == entry["artifact_sha256"]
 
     # ------------------------------------------------------------ queries
     @property
@@ -192,15 +198,20 @@ class RunManifest:
     def mark_done(
         self, task_id: str, *, artifact: str | Path | None = None
     ) -> None:
-        """Record success, hashing the artifact file when one was written."""
+        """Record success, hashing the artifact file when one was written.
+
+        An artifact inside the run directory is recorded by its path
+        relative to it, so the run directory can move; one outside it by its
+        absolute path, so a resume from another working directory still
+        finds it.
+        """
         entry = self._entry(task_id)
         entry["state"] = "done"
         if artifact is not None:
-            artifact = Path(artifact)
+            artifact = Path(os.path.abspath(artifact))
+            run_dir = os.path.abspath(self.run_dir)
             entry["artifact"] = str(
-                artifact.relative_to(self.run_dir)
-                if artifact.is_relative_to(self.run_dir)
-                else artifact
+                artifact.relative_to(run_dir) if artifact.is_relative_to(run_dir) else artifact
             )
             entry["artifact_sha256"] = file_sha256(artifact)
         self.save()

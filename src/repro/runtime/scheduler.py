@@ -1,33 +1,31 @@
-"""Experiment executor and process-parallel scheduler.
+"""Experiment executor and crash-resumable work queue.
 
 :func:`execute_spec` runs one experiment through its ``prepare`` /
 ``compute`` stages and renders the result, timing each and memoising
 ``prepare`` through an optional :class:`~repro.runtime.cache.PrepareCache`.
 
-:func:`run_experiments` runs a batch.  With ``jobs <= 1`` it executes
-in-process and in order -- the exact code path the golden ``--fast`` output
-is pinned to.  With ``jobs > 1`` independent experiments are fanned out
-across a :class:`concurrent.futures.ProcessPoolExecutor`; each worker
-resolves the spec by name from the registry (specs travel as names, results
-travel back stripped of their unpicklable/raw payload), and the parent
-re-orders completed results to the requested order so output stays
-deterministic regardless of completion order.
+:func:`run_queue` is the one executor.  It drains a list of
+:class:`QueueTask` objects in-process (``jobs <= 1``) or across a
+:class:`concurrent.futures.ProcessPoolExecutor`: a task exception or a
+SIGKILLed worker (``BrokenProcessPool``) is re-queued with exponential
+backoff up to a bounded ``retries`` budget, and an exhausted task is
+returned as a failure instead of raising.  Given a
+:class:`~repro.runtime.manifest.RunManifest` it persists every state
+transition atomically and skips tasks already ``done``, which is what makes
+a run crash-resumable.
 
-On top of that fire-and-forget mode sits a **persistent work queue**
-(:func:`run_queue`): give :func:`run_experiments` a ``run_dir`` and every
-experiment becomes a task in a crash-resumable
-:class:`~repro.runtime.manifest.RunManifest` -- state transitions persisted
-atomically, a SIGKILLed worker (``BrokenProcessPool``) or an ordinary task
-exception re-queued with exponential backoff up to a bounded ``retries``
-budget, exhausted tasks recorded as structured failures instead of an
-exception escaping the pool, and ``resume=True`` re-running only unfinished
-work (completed experiments are reconstructed from their JSON artifacts,
-and their prepare stages stay warm in the :class:`PrepareCache`).
+:func:`run_experiments` drains a batch of registered experiments through
+:func:`run_queue`, one task each, in every mode.  Results reach
+``on_result`` and the returned list in the requested order whatever order
+they finish in, so sequential and parallel runs render identically.  With a
+``run_dir`` the batch is tracked in a manifest, and ``resume=True`` recovers
+finished experiments from their JSON artifacts instead of re-running them.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -133,19 +131,6 @@ def execute_spec(
     )
 
 
-def _execute_named(
-    name: str,
-    fast: bool,
-    overrides: dict[str, Any] | None,
-    cache_dir: str | None,
-) -> ExperimentResult:
-    """Worker entry point: resolve by name, run, strip the raw payload."""
-    cache = PrepareCache(cache_dir) if cache_dir else None
-    return execute_spec(
-        name, fast=fast, overrides=overrides, cache=cache, keep_raw=False
-    )
-
-
 @dataclass
 class QueueTask:
     """One unit of work for :func:`run_queue`.
@@ -160,34 +145,6 @@ class QueueTask:
     kwargs: dict = field(default_factory=dict)
 
 
-def _queue_failure(
-    task_id: str,
-    error: BaseException,
-    *,
-    manifest: RunManifest | None,
-    attempts: dict[str, int],
-    retries: int,
-    retry_backoff: float,
-    ready_heap: list,
-    counter: list[int],
-    failed: dict[str, BaseException],
-) -> None:
-    """Record one attempt's failure; re-queue with backoff or mark failed."""
-    if manifest is not None:
-        manifest.record_error(task_id, error)
-    used = manifest.attempts(task_id) if manifest is not None else attempts[task_id]
-    if used <= retries:
-        delay = retry_backoff * (2 ** max(0, used - 1))
-        if manifest is not None:
-            manifest.mark_pending(task_id)
-        counter[0] += 1
-        heapq.heappush(ready_heap, (time.monotonic() + delay, counter[0], task_id))
-    else:
-        if manifest is not None:
-            manifest.mark_failed(task_id)
-        failed[task_id] = error
-
-
 def run_queue(
     tasks: Sequence[QueueTask],
     *,
@@ -199,7 +156,7 @@ def run_queue(
 ) -> tuple[dict[str, Any], dict[str, BaseException]]:
     """Drain a task queue with retries, worker-death recovery and a manifest.
 
-    The generic core under both manifest-mode :func:`run_experiments` and
+    The one executor under both :func:`run_experiments` and
     :mod:`repro.runtime.sweep`.  Semantics:
 
     * Tasks whose ``manifest`` state is already ``done`` are skipped.
@@ -212,8 +169,10 @@ def run_queue(
       (``retry_backoff * 2**(attempt-1)`` seconds) until its ``retries``
       budget is exhausted, then recorded as a structured failure -- the
       exception does not escape the pool.
-    * On worker death the pool is rebuilt and every in-flight task of the
-      dead pool is re-queued (their attempts count against the budget).
+    * ``jobs > 1`` runs the tasks on at most ``jobs`` worker processes
+      (never more than there are tasks to run).  On worker death the pool is
+      rebuilt and every in-flight task of the dead pool is re-queued (their
+      attempts count against the budget).
     * ``on_done`` runs in the parent after each success; its return value
       (an artifact path, or ``None``) is recorded in the manifest with a
       content hash.
@@ -231,13 +190,11 @@ def run_queue(
     results: dict[str, Any] = {}
     failed: dict[str, BaseException] = {}
 
-    counter = [0]  # tie-breaker so the heap never compares task ids' tasks
+    order = itertools.count()  # tie-breaker: equal ready times pop in queue order
     ready_heap: list[tuple[float, int, str]] = []
     for task in tasks:
-        if manifest is not None and manifest.state(task.task_id) == "done":
-            continue
-        counter[0] += 1
-        heapq.heappush(ready_heap, (0.0, counter[0], task.task_id))
+        if manifest is None or manifest.state(task.task_id) != "done":
+            heapq.heappush(ready_heap, (0.0, next(order), task.task_id))
 
     def _start(task_id: str) -> None:
         if manifest is not None:
@@ -251,17 +208,20 @@ def run_queue(
         results[task_id] = value
 
     def _failure(task_id: str, error: BaseException) -> None:
-        _queue_failure(
-            task_id,
-            error,
-            manifest=manifest,
-            attempts=attempts,
-            retries=retries,
-            retry_backoff=retry_backoff,
-            ready_heap=ready_heap,
-            counter=counter,
-            failed=failed,
-        )
+        # Record the attempt, then re-queue it with backoff or mark it failed.
+        # A manifest's attempt count includes the runs this one resumes.
+        if manifest is not None:
+            manifest.record_error(task_id, error)
+        used = manifest.attempts(task_id) if manifest is not None else attempts[task_id]
+        if used <= retries:
+            if manifest is not None:
+                manifest.mark_pending(task_id)
+            ready = time.monotonic() + retry_backoff * 2 ** max(0, used - 1)
+            heapq.heappush(ready_heap, (ready, next(order), task_id))
+        else:
+            if manifest is not None:
+                manifest.mark_failed(task_id)
+            failed[task_id] = error
 
     if jobs <= 1:
         while ready_heap:
@@ -279,7 +239,8 @@ def run_queue(
                 _success(task_id, value)
         return results, failed
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    workers = max(1, min(jobs, len(ready_heap)))
+    pool = ProcessPoolExecutor(max_workers=workers)
     in_flight: dict[Any, str] = {}
 
     def _drain_and_rebuild(dead_pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
@@ -292,12 +253,12 @@ def run_queue(
             _failure(task_id, error)
         in_flight.clear()
         dead_pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=jobs)
+        return ProcessPoolExecutor(max_workers=workers)
 
     try:
         while ready_heap or in_flight:
             now = time.monotonic()
-            while ready_heap and ready_heap[0][0] <= now and len(in_flight) < jobs:
+            while ready_heap and ready_heap[0][0] <= now and len(in_flight) < workers:
                 _, _, task_id = heapq.heappop(ready_heap)
                 _start(task_id)
                 task = by_id[task_id]
@@ -334,6 +295,8 @@ def run_queue(
     return results, failed
 
 
+
+
 def run_experiments(
     names: Sequence[str],
     *,
@@ -348,162 +311,108 @@ def run_experiments(
     retries: int = 0,
     retry_backoff: float = 0.5,
 ) -> list[ExperimentResult]:
-    """Run a batch of experiments, optionally across worker processes.
+    """Run a batch of experiments through :func:`run_queue`, one task each.
 
-    Results are returned (and ``on_result`` is invoked) in the order of
-    ``names`` regardless of which worker finishes first, so sequential and
+    Results are returned, and ``on_result`` is invoked, in the order of
+    ``names`` whatever order they finish in: each result is handed over as
+    soon as every experiment before it has finished, so sequential and
     parallel runs render identically.
 
     Parameters
     ----------
     names:
-        Registry identifiers to run.
+        Registry identifiers to run (unique).
     fast:
         Reduced-scale mode.
     jobs:
-        Worker processes; ``<= 1`` runs everything in-process.
+        Worker processes; ``<= 1`` runs everything in-process, where every
+        task uses ``cache`` itself and keeps its ``raw`` result.  Results
+        that cross the process boundary have ``raw=None``.
     cache:
-        Prepare-stage cache shared by all runs (workers re-open it by path).
+        Prepare-stage cache shared by all runs (workers get a copy of it,
+        which opens the same directory).
     overrides:
         Parameter overrides applied to every named experiment.
     results_dir:
         If given, write ``<results_dir>/<name>.json`` for every result.
-        In manifest mode this defaults to ``<run_dir>/results``.
+        With a ``run_dir`` this defaults to ``<run_dir>/results``.
     on_result:
         Callback invoked with each result in input order (the CLI's
         incremental printer).
     run_dir:
-        Switch to persistent work-queue mode: per-experiment state tracked
-        in ``<run_dir>/run_manifest.json``, an artifact written per result,
-        worker deaths and task exceptions retried up to ``retries`` times,
-        exhausted tasks recorded as structured failures (and omitted from
-        the returned list) instead of raising.
+        Track per-experiment state in ``<run_dir>/run_manifest.json``, write
+        an artifact per result, retry task exceptions and worker deaths up
+        to ``retries`` times, and record exhausted tasks as structured
+        failures (omitted from the returned list) instead of raising.
+        Without a ``run_dir``, the exception of the first failed experiment
+        in input order is raised once every experiment has finished.
     resume:
-        With ``run_dir``: reload an existing manifest and re-run only
-        unfinished work; completed experiments are reconstructed from their
+        With ``run_dir``: reload an existing manifest and re-run only the
+        work it cannot trust; finished experiments are recovered from their
         artifacts.
     retries / retry_backoff:
-        Bounded per-task retry budget and exponential-backoff base (manifest
-        mode only).
+        Bounded per-task retry budget (which needs a ``run_dir``) and
+        exponential-backoff base.
     """
     names = list(names)
     overrides = dict(overrides or {})
-    results: list[ExperimentResult]
-
+    manifest = None
     if run_dir is not None:
-        return _run_experiments_queued(
+        run_dir = Path(run_dir)
+        if results_dir is None:
+            results_dir = run_dir / "results"
+        manifest = RunManifest.open_or_create(
+            run_dir,
             names,
-            fast=fast,
-            jobs=jobs,
-            cache=cache,
-            overrides=overrides,
-            results_dir=results_dir,
-            on_result=on_result,
-            run_dir=Path(run_dir),
             resume=resume,
-            retries=retries,
-            retry_backoff=retry_backoff,
+            metadata={
+                "kind": "experiments",
+                "fast": bool(fast),
+                "overrides": {key: repr(value) for key, value in sorted(overrides.items())},
+            },
         )
-    if retries:
+    elif retries:
         raise ValueError("retries require a run_dir (the manifest records attempts)")
 
-    if jobs <= 1 or len(names) <= 1:
-        results = []
-        for name in names:
-            result = execute_spec(name, fast=fast, overrides=overrides, cache=cache)
-            if results_dir is not None:
-                write_artifact(result, results_dir)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-        return results
-
-    cache_dir = str(cache.root) if cache is not None else None
-    max_workers = min(jobs, len(names))
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_execute_named, name, fast, overrides or None, cache_dir)
-            for name in names
-        ]
-        results = []
-        for future in futures:  # input order, not completion order
-            result = future.result()
-            if results_dir is not None:
-                write_artifact(result, results_dir)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
-    return results
-
-
-def _run_experiments_queued(
-    names: list[str],
-    *,
-    fast: bool,
-    jobs: int,
-    cache: PrepareCache | None,
-    overrides: dict[str, Any],
-    results_dir: str | Path | None,
-    on_result: Callable[[ExperimentResult], None] | None,
-    run_dir: Path,
-    resume: bool,
-    retries: int,
-    retry_backoff: float,
-) -> list[ExperimentResult]:
-    """Manifest-backed work-queue mode of :func:`run_experiments`."""
-    artifacts_dir = Path(results_dir) if results_dir is not None else run_dir / "results"
-    manifest = RunManifest.open_or_create(
-        run_dir,
-        names,
-        resume=resume,
-        metadata={
-            "kind": "experiments",
-            "fast": bool(fast),
-            "overrides": {key: repr(value) for key, value in sorted(overrides.items())},
-        },
-    )
-
-    # Completed work is *recovered*, not re-run: the artifact is the result.
-    recovered: dict[str, ExperimentResult] = {}
+    # Finished work is recovered, not re-run: the artifact is the result.
+    finished: dict[str, ExperimentResult] = {}
     for name in names:
-        if manifest.state(name) != "done":
-            continue
-        entry = manifest.entry(name)
-        path = (
-            run_dir / entry["artifact"]
-            if entry["artifact"]
-            else artifacts_dir / f"{name}.json"
-        )
-        if path.is_file():
-            recovered[name] = result_from_payload(load_artifact(path))
-        else:
-            manifest.mark_pending(name)  # artifact lost: redo the work
+        if manifest is not None and manifest.state(name) == "done":
+            artifact = manifest.entry(name)["artifact"]
+            if artifact is not None:
+                finished[name] = result_from_payload(load_artifact(run_dir / artifact))
+    handed_over = 0
 
-    cache_dir = str(cache.root) if cache is not None else None
-    tasks = [
-        QueueTask(name, _execute_named, (name, fast, overrides or None, cache_dir))
-        for name in names
-        if manifest.state(name) != "done"
-    ]
+    def _hand_over_in_order() -> None:
+        # Pass on every result whose predecessors have all finished; a
+        # manifest's done or failed entry without a result is passed over.
+        nonlocal handed_over
+        while handed_over < len(names):
+            name = names[handed_over]
+            if name in finished:
+                if on_result is not None:
+                    on_result(finished[name])
+            elif manifest is None or manifest.state(name) not in ("done", "failed"):
+                return
+            handed_over += 1
 
-    def _persist(task: QueueTask, result: ExperimentResult) -> Path:
-        return write_artifact(result, artifacts_dir)
+    def _finish(task: QueueTask, result: ExperimentResult) -> Path | None:
+        path = write_artifact(result, results_dir) if results_dir is not None else None
+        finished[task.task_id] = result
+        _hand_over_in_order()
+        return path
 
-    computed, _failed = run_queue(
-        tasks,
+    _hand_over_in_order()
+    kwargs = {"fast": fast, "overrides": overrides, "cache": cache, "keep_raw": jobs <= 1}
+    _, failures = run_queue(
+        [QueueTask(name, execute_spec, (name,), kwargs) for name in names],
         jobs=jobs,
         manifest=manifest,
         retries=retries,
         retry_backoff=retry_backoff,
-        on_done=_persist,
+        on_done=_finish,
     )
-
-    results = []
-    for name in names:
-        result = recovered.get(name) or computed.get(name)
-        if result is None:
-            continue  # failed: the structured record lives in the manifest
-        if on_result is not None:
-            on_result(result)
-        results.append(result)
-    return results
+    if manifest is None and failures:
+        raise failures[next(name for name in names if name in failures)]
+    _hand_over_in_order()
+    return [finished[name] for name in names if name in finished]

@@ -18,8 +18,9 @@ provably violates.
 
 Runs live in a run directory with a
 :class:`~repro.runtime.manifest.RunManifest`: kill the process at any point
-and ``--resume`` re-executes only unfinished datasets, leaving completed
-artifacts byte-untouched.
+and ``--resume`` re-executes only unfinished datasets, and those whose
+artifact has gone missing or no longer matches its recorded hash, leaving
+intact artifacts byte-untouched.
 
 Command line::
 
@@ -235,6 +236,7 @@ def run_sweep(
 
     Returns the run summary (also written to ``<run_dir>/summary.json``).
     """
+    from repro.data.shards import write_atomic
     from repro.runtime.manifest import RunManifest
     from repro.runtime.scheduler import QueueTask, run_queue
 
@@ -278,11 +280,8 @@ def run_sweep(
 
     def _persist(task: QueueTask, payload: dict) -> Path:
         artifacts_dir.mkdir(parents=True, exist_ok=True)
-        path = artifacts_dir / f"{task.task_id}.json"
-        tmp = artifacts_dir / f".{task.task_id}.tmp"
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        tmp.replace(path)
-        return path
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return write_atomic(artifacts_dir / f"{task.task_id}.json", text)
 
     results, failures = run_queue(
         tasks,
@@ -315,9 +314,7 @@ def run_sweep(
             task_id: type(error).__name__ for task_id, error in failures.items()
         },
     }
-    tmp = run_dir / ".summary.tmp"
-    tmp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    tmp.replace(run_dir / "summary.json")
+    write_atomic(run_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

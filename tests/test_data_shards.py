@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.data.shards import (
     ShardedDataset,
     file_sha256,
     synthesize_sharded_archive,
+    write_atomic,
     write_shards,
 )
 from repro.data.ucr_format import UCRDataset
@@ -263,3 +265,43 @@ class TestFileSha256:
 
         assert repro.runtime.file_sha256 is file_sha256
         assert repro.runtime.manifest.file_sha256 is file_sha256
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("data", [b"\x00\xffbytes", "text \u00e9\n"])
+    def test_writes_bytes_and_utf8_text_and_leaves_no_temp_file(self, tmp_path, data):
+        path = tmp_path / "out.json"
+        assert write_atomic(path, data) == path
+        expected = data if isinstance(data, bytes) else data.encode("utf-8")
+        assert path.read_bytes() == expected
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.json"]
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        write_atomic(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.json"]
+
+    def test_a_failed_replace_keeps_the_target_and_removes_the_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "inside").write_text("kept\n")
+        with pytest.raises(OSError):
+            write_atomic(target, b"cannot replace a non-empty directory")
+        assert (target / "inside").read_text() == "kept\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["taken"]
+
+    def test_the_shard_manifest_is_written_through_it(self, dataset, tmp_path, monkeypatch):
+        import repro.data.shards as shards
+
+        written = []
+
+        def spy(path, data):
+            written.append(Path(path).name)
+            return write_atomic(path, data)
+
+        monkeypatch.setattr(shards, "write_atomic", spy)
+        write_shards(dataset, tmp_path / "ds", shard_exemplars=7)
+        assert written == ["manifest.json"]
+        assert not [entry for entry in (tmp_path / "ds").iterdir() if entry.name.startswith(".")]

@@ -6,9 +6,11 @@ import re
 
 import pytest
 
+import repro.runtime.scheduler as scheduler
 from repro.experiments.__main__ import main
 from repro.experiments import run_experiment
 from repro.experiments.registry import SPECS
+from repro.runtime.manifest import RunManifest
 
 
 class TestCLI:
@@ -19,6 +21,11 @@ class TestCLI:
         assert "Figure 1" in output
         assert "Figure 6" in output
         assert output.count("completed in") == 2
+
+    def test_a_repeated_name_runs_once(self, capsys):
+        # Each name is one task of the work queue, so a repeat is dropped.
+        assert main(["figure1", "figure1", "--fast", "--no-cache"]) == 0
+        assert capsys.readouterr().out.count("completed in") == 1
 
     def test_unknown_experiment_is_an_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -100,6 +107,68 @@ class TestCLI:
             return re.sub(r"completed in [0-9.]+ s", "completed in X s", text)
 
         assert normalise(sequential) == normalise(parallel)
+
+
+class TestCrashResumableFlags:
+    """``--run-dir``, ``--resume`` and ``--retries`` through ``main``."""
+
+    NAMES = ["figure1", "figure7"]
+
+    def test_resume_replays_a_finished_run_without_executing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        run_dir = tmp_path / "run"
+        base = [*self.NAMES, "--fast", "--no-cache"]
+        assert main([*base, "--run-dir", str(run_dir)]) == 0
+        first = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a resumed run executed an experiment")
+
+        monkeypatch.setattr(scheduler, "execute_spec", refuse)
+        assert main([*base, "--resume", str(run_dir)]) == 0
+        resumed = capsys.readouterr().out
+        assert f"[run manifest: 2 done, 0 failed ({run_dir}/run_manifest.json)]" in resumed
+        assert resumed == first  # the artifacts replay the same summaries
+        manifest = RunManifest.load(run_dir)
+        assert [manifest.attempts(name) for name in self.NAMES] == [1, 1]
+
+    def test_resume_and_run_dir_together_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure1", "--fast", "--resume", str(tmp_path), "--run-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+
+    def test_a_task_failing_every_attempt_makes_main_return_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def broken(name, **kwargs):
+            raise RuntimeError(f"{name} is broken")
+
+        monkeypatch.setattr(scheduler, "execute_spec", broken)
+        run_dir = tmp_path / "run"
+        argv = ["figure1", "--fast", "--no-cache", "--run-dir", str(run_dir), "--retries", "1"]
+        assert main(argv) == 1
+        assert "[run manifest: 0 done, 1 failed" in capsys.readouterr().out
+        entry = RunManifest.load(run_dir).entry("figure1")
+        assert (entry["state"], entry["attempts"]) == ("failed", 2)
+        assert [(error["type"], error["message"]) for error in entry["errors"]] == [
+            ("RuntimeError", "figure1 is broken")
+        ] * 2
+
+    @pytest.mark.parametrize("results_flags", [[], ["--results-dir", "elsewhere/out"]])
+    def test_resume_finds_json_artifacts_outside_the_run_dir(
+        self, results_flags, tmp_path, monkeypatch, capsys
+    ):
+        # The README's example: artifacts in ``results/`` under the working
+        # directory, the manifest in ``runs/all``.
+        monkeypatch.chdir(tmp_path)
+        base = [*self.NAMES, "--fast", "--no-cache", "--json", *results_flags]
+        assert main([*base, "--run-dir", "runs/all"]) == 0
+        assert main([*base, "--resume", "runs/all"]) == 0
+        manifest = RunManifest.load("runs/all")
+        assert [manifest.attempts(name) for name in self.NAMES] == [1, 1]
+        capsys.readouterr()
 
 
 class TestRegistry:

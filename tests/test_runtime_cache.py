@@ -210,6 +210,13 @@ class TestStore:
         # No half-written entry may remain behind.
         assert cache.entries() == []
 
+    def test_unpicklable_value_writes_no_file_at_all(self, cache):
+        # The value is pickled in memory before anything touches the disk,
+        # so not even a temp file is left behind.
+        cache.store("figure1", cache.key("figure1", {"seed": 3}), [1])
+        assert not cache.store("figure1", cache.key("figure1", {"seed": 4}), lambda: None)
+        assert [path.name for path in cache.root.iterdir()] == [cache.entries()[0].name]
+
     def test_corrupt_entry_reads_as_miss(self, cache):
         key = cache.key("figure1", {"seed": 3})
         cache.store("figure1", key, [1, 2, 3])

@@ -208,6 +208,46 @@ class TestRunExperiments:
         )
         assert [r.summary for r in parallel] == [r.summary for r in sequential]
 
+    def test_parallel_results_are_handed_over_in_input_order(self):
+        # figure2 takes about ten times as long as figure1 and figure7, so
+        # with two workers both finish before it.
+        names = ["figure2", CHEAP, "figure7"]
+        seen = []
+        results = run_experiments(
+            names, fast=True, jobs=2, on_result=lambda result: seen.append(result.name)
+        )
+        assert seen == names == [result.name for result in results]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_input_order_is_raised_once_the_queue_drains(
+        self, tmp_path, jobs
+    ):
+        seen = []
+        with pytest.raises(KeyError, match="nope-first"):
+            run_experiments(
+                [CHEAP, "nope-first", "figure7", "nope-second"],
+                fast=True,
+                jobs=jobs,
+                results_dir=tmp_path,
+                on_result=lambda result: seen.append(result.name),
+            )
+        # Every experiment before the failure was handed over; the one after
+        # it still ran (its artifact is written) but is not handed over.
+        assert seen == [CHEAP]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            f"{CHEAP}.json",
+            "figure7.json",
+        ]
+
+    def test_in_process_tasks_use_the_callers_cache_and_keep_raw(self, tmp_path):
+        cache = PrepareCache(tmp_path)
+        results = run_experiments([CHEAP, "figure7"], fast=True, jobs=1, cache=cache)
+        assert (cache.stats.misses, cache.stats.stores) == (2, 2)
+        assert all(result.raw is not None for result in results)
+        # Workers get a copy of the cache that reads the same directory.
+        parallel = run_experiments([CHEAP, "figure7"], fast=True, jobs=2, cache=cache)
+        assert all(result.cache_hit and result.raw is None for result in parallel)
+
     def test_results_dir_receives_one_artifact_per_experiment(self, tmp_path):
         run_experiments(
             [CHEAP], fast=True, jobs=1, results_dir=tmp_path / "results"

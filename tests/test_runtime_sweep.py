@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +112,49 @@ class TestRunManifest:
         assert resumed.state("c") == "pending"  # error history preserved
         assert resumed.entry("c")["errors"]
         assert resumed.state("d") == "pending"  # appended
+
+    def test_resume_requeues_done_tasks_whose_artifact_is_lost_or_edited(self, tmp_path):
+        task_ids = ["intact", "lost", "edited", "bare"]
+        manifest = RunManifest.open_or_create(tmp_path, task_ids)
+        for task_id in task_ids[:3]:
+            artifact = tmp_path / f"{task_id}.json"
+            artifact.write_text(json.dumps({"task": task_id}) + "\n")
+            manifest.mark_running(task_id)
+            manifest.mark_done(task_id, artifact=artifact)
+        manifest.mark_running("bare")
+        manifest.mark_done("bare")  # finished without an artifact
+        (tmp_path / "lost.json").unlink()
+        (tmp_path / "edited.json").write_text(json.dumps({"task": "tampered"}) + "\n")
+        resumed = RunManifest.open_or_create(tmp_path, task_ids, resume=True)
+        assert [resumed.state(task_id) for task_id in task_ids] == [
+            "done",
+            "pending",
+            "pending",
+            "done",
+        ]
+        assert [resumed.attempts(task_id) for task_id in task_ids] == [1, 1, 1, 1]
+
+    def test_artifact_outside_the_run_dir_is_recorded_by_absolute_path(
+        self, tmp_path, monkeypatch
+    ):
+        # Both paths are relative to the working directory, as the CLI's
+        # default ``--results-dir results`` is; resume joins the recorded
+        # path to the run directory, so only an absolute one still resolves.
+        monkeypatch.chdir(tmp_path)
+        run_dir = Path("runs") / "all"
+        manifest = RunManifest.open_or_create(run_dir, ["inside", "outside"])
+        for artifact in (run_dir / "results" / "inside.json", Path("results/outside.json")):
+            artifact.parent.mkdir(parents=True)
+            artifact.write_text("{}\n")
+            manifest.mark_running(artifact.stem)
+            manifest.mark_done(artifact.stem, artifact=artifact)
+        assert manifest.entry("inside")["artifact"] == str(Path("results/inside.json"))
+        assert manifest.entry("outside")["artifact"] == str(
+            tmp_path.resolve() / "results" / "outside.json"
+        )
+        monkeypatch.chdir(run_dir)  # a resume from elsewhere finds both
+        resumed = RunManifest.open_or_create(".", ["inside", "outside"], resume=True)
+        assert (resumed.state("inside"), resumed.state("outside")) == ("done", "done")
 
     def test_saves_single_line_json_and_resumes_an_indented_manifest(self, tmp_path):
         manifest = RunManifest.open_or_create(tmp_path, ["a", "b"])
@@ -273,6 +317,33 @@ class TestRunSweep:
         resumed = RunManifest.load(run_dir)
         assert [resumed.attempts(d.name) for d in archive] == [1, 1, 1, 2, 1]
 
+    def test_resume_reruns_a_deleted_artifact_and_only_that_one(self, archive, tmp_path):
+        run_dir = tmp_path / "run"
+        untouched = run_sweep(archive, run_dir, retries=0)
+        lost = run_dir / "artifacts" / f"{archive[1].name}.json"
+        lost.unlink()
+        summary = run_sweep(archive, run_dir, resume=True, retries=0)
+        assert (summary["executed"], summary["skipped"], summary["done"]) == (1, 4, 5)
+        assert summary["mean_accuracy"] == untouched["mean_accuracy"]
+        resumed = RunManifest.load(run_dir)
+        assert [resumed.attempts(d.name) for d in archive] == [1, 2, 1, 1, 1]
+        assert resumed.entry(archive[1].name)["artifact_sha256"] == file_sha256(lost)
+
+    def test_resume_reruns_an_edited_artifact(self, archive, tmp_path):
+        run_dir = tmp_path / "run"
+        untouched = run_sweep(archive, run_dir, retries=0)
+        edited = run_dir / "artifacts" / f"{archive[2].name}.json"
+        payload = json.loads(edited.read_text())
+        accuracy = payload["accuracy"]
+        payload["accuracy"] = 1.0 - accuracy  # a different number, still valid
+        edited.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        summary = run_sweep(archive, run_dir, resume=True, retries=0)
+        assert (summary["executed"], summary["skipped"], summary["done"]) == (1, 4, 5)
+        assert summary["mean_accuracy"] == untouched["mean_accuracy"]
+        assert json.loads(edited.read_text())["accuracy"] == accuracy
+        resumed = RunManifest.load(run_dir)
+        assert [resumed.attempts(d.name) for d in archive] == [1, 1, 2, 1, 1]
+
     def test_dense_loader_matches_dataset_count(self, archive, tmp_path):
         summary = run_sweep(archive, tmp_path / "dense", retries=0, loader="dense")
         assert summary["done"] == 5
@@ -410,6 +481,26 @@ class TestRunExperimentsQueued:
         )
         assert [r.name for r in results] == [CHEAP]
         assert RunManifest.load(run_dir).attempts(CHEAP) == 2
+
+    def test_recovered_experiments_are_handed_over_in_order_without_re_running(
+        self, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        names = [CHEAP, "figure7", "figure6"]
+        first = run_experiments(names, fast=True, run_dir=run_dir)
+        (run_dir / "results" / "figure7.json").unlink()
+        seen = []
+        resumed = run_experiments(
+            names,
+            fast=True,
+            run_dir=run_dir,
+            resume=True,
+            on_result=lambda result: seen.append(result.name),
+        )
+        assert seen == names == [result.name for result in resumed]
+        assert [r.summary for r in resumed] == [r.summary for r in first]
+        manifest = RunManifest.load(run_dir)
+        assert [manifest.attempts(name) for name in names] == [1, 2, 1]
 
     def test_failures_are_recorded_not_raised(self, tmp_path):
         run_dir = tmp_path / "run"
