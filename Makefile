@@ -59,11 +59,14 @@ serve-check:
 ## its one-length sum, and row-wise z-norm) must match their dense formulas,
 ## the sharded format must round-trip + verify, the work-queue scheduler must
 ## survive worker death, resume must re-run a task whose artifact is missing
-## or edited, the sweep task must equal a dense 1-NN oracle, and the
-## 104-dataset sweep benchmark must hold its peak-RSS cap and >= 5x
-## warm-resume speedup.  Experiment runs drain through the same queue and
-## resume through the same manifest check, so the scheduler and
-## experiments-CLI suites run here too (run by CI on every push)
+## or edited, a resume must replay the manifest's transition log (ignoring a
+## torn final record, at any byte a kill cuts it) and reach the same sweep
+## outputs after a SIGKILL at random moments, the sweep task must equal a
+## dense 1-NN oracle, and the 104-dataset sweep benchmark must hold its
+## peak-RSS cap and >= 5x warm-resume speedup.  Experiment runs drain
+## through the same queue and resume through the same manifest check, so
+## the scheduler and experiments-CLI suites run here too (run by CI on
+## every push)
 sweep-check:
 	$(PYTHON) -m pytest tests/test_memory.py tests/test_distance_engine.py tests/test_distance_znorm.py tests/test_data_shards.py tests/test_runtime_sweep.py tests/test_runtime_scheduler.py tests/test_experiments_cli.py benchmarks/test_bench_sweep.py -q
 

@@ -37,6 +37,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 from typing import Iterator
 
@@ -49,6 +50,7 @@ __all__ = [
     "ShardIntegrityError",
     "ShardedDataset",
     "file_sha256",
+    "remove_stale_temps",
     "synthesize_sharded_archive",
     "write_atomic",
     "write_shards",
@@ -84,8 +86,9 @@ def write_atomic(path: str | Path, data: bytes | str) -> Path:
     exclusively, so concurrent writers of one path never share one) that
     :func:`os.replace` then renames over ``path``.  A reader sees the old
     file or the new one, never a torn one, and a process killed mid-write
-    leaves the old file in place.  There is no fsync: a power cut may still
-    lose the newest version.  Returns ``path``.
+    leaves the old file in place (and its temp, which
+    :func:`remove_stale_temps` deletes).  There is no fsync: a power cut may
+    still lose the newest version.  Returns ``path``.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -99,6 +102,25 @@ def write_atomic(path: str | Path, data: bytes | str) -> Path:
         temp.unlink(missing_ok=True)
         raise
     return path
+
+
+#: The names :func:`write_atomic` gives its temp files.
+_TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{12}\.tmp")
+
+
+def remove_stale_temps(directory: str | Path) -> None:
+    """Delete the temp files a killed :func:`write_atomic` left in ``directory``.
+
+    A SIGKILL between creating the temp and renaming it leaves the hidden
+    ``.<name>.<12 hex digits>.tmp`` behind; only names of exactly that form
+    are removed, and a missing ``directory`` is skipped.  Call it only while
+    no other process writes into ``directory``.
+    """
+    directory = Path(directory)
+    if directory.is_dir():
+        for path in directory.iterdir():
+            if _TEMP_NAME.fullmatch(path.name):
+                path.unlink(missing_ok=True)
 
 
 def _as_chunks(source) -> Iterator[tuple[np.ndarray, np.ndarray]]:

@@ -15,10 +15,12 @@ On top of that the runtime offers:
     Write a machine-readable ``results/<name>.json`` artifact per
     experiment (parameters, metrics, summary, timings).
 ``--run-dir DIR`` / ``--resume DIR`` / ``--retries N``
-    Crash-resumable mode: track per-experiment state in a run manifest,
-    retry failing tasks with exponential backoff, and on ``--resume`` re-run
-    only unfinished work (completed experiments are replayed from their
-    artifacts; one whose artifact is missing or edited runs again).
+    Crash-resumable mode: track per-experiment state in a run manifest
+    (``DIR/run_manifest.json``), retry failing tasks with exponential
+    backoff, and on ``--resume`` re-run only unfinished work (completed
+    experiments are replayed from their artifacts; one whose artifact is
+    missing or edited runs again).  The artifacts go to ``DIR/results/``,
+    or with ``--json`` to the ``--results-dir`` directory.
 ``--list`` / ``--tag TAG`` / ``--seed N``
     Inspect the registry, select experiments by tag, re-seed a run.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.experiments.registry import (
     SPECS,
@@ -35,6 +38,7 @@ from repro.experiments.registry import (
     experiments_with_tag,
 )
 from repro.runtime.cache import PrepareCache
+from repro.runtime.manifest import RunManifest
 from repro.runtime.scheduler import run_experiments
 from repro.runtime.spec import ExperimentResult
 
@@ -96,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="crash-resumable mode: per-experiment state in DIR/run_manifest.json, "
-        "artifacts in DIR/results/",
+        "artifacts in DIR/results/ (with --json, in --results-dir)",
     )
     parser.add_argument(
         "--resume",
@@ -181,6 +185,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{result.name} completed in {result.timings['total']:.1f} s]")
         print()
 
+    # A resume replays finished experiments from their artifacts: only the
+    # experiments this invocation runs (each run is an attempt) write one.
+    attempts_before = {}
+    if args.resume is not None and (Path(run_dir) / RunManifest.FILENAME).is_file():
+        before = RunManifest.load(run_dir)
+        attempts_before = {name: before.attempts(name) for name in before.task_ids}
+
     results = run_experiments(
         names,
         fast=args.fast,
@@ -193,12 +204,16 @@ def main(argv: list[str] | None = None) -> int:
         resume=args.resume is not None,
         retries=args.retries if run_dir is not None else 0,
     )
+    manifest = RunManifest.load(run_dir) if run_dir is not None else None
     if results_dir is not None:
-        print(f"[wrote {len(results)} artifact(s) to {results_dir}/]")
-    if run_dir is not None:
-        from repro.runtime.manifest import RunManifest
-
-        counts = RunManifest.load(run_dir).counts()
+        written = sum(
+            manifest is None
+            or manifest.attempts(result.name) > attempts_before.get(result.name, 0)
+            for result in results
+        )
+        print(f"[wrote {written} artifact(s) to {results_dir}/]")
+    if manifest is not None:
+        counts = manifest.counts()
         print(
             f"[run manifest: {counts['done']} done, {counts['failed']} failed "
             f"({run_dir}/run_manifest.json)]"

@@ -1,23 +1,35 @@
 """Crash-resumable run manifests: per-task state for fleet-scale sweeps.
 
-A :class:`RunManifest` is one JSON file (``run_manifest.json``) inside a run
+A :class:`RunManifest` is one file (``run_manifest.json``) inside a run
 directory, recording for every task its lifecycle state --
 
 ``pending`` -> ``running`` -> ``done`` (with the SHA-256 of the artifact it
 produced) or ``failed`` (with a structured error record per attempt)
 
--- plus how many attempts it has consumed.  The file is rewritten atomically
-(:func:`~repro.data.shards.write_atomic`) as single-line JSON after every
-transition, and **only the parent process writes it**: workers return
-values, the scheduler owns the book-keeping.
-That single-writer discipline is what makes a SIGKILL anywhere safe -- the
-manifest on disk is always a consistent snapshot of some prefix of the run.
+-- plus how many attempts it has consumed.  The file is a transition log.
+Its first line is the whole document, written atomically
+(:func:`~repro.data.shards.write_atomic`) when a run is created or resumed;
+every later transition appends one line, a single-line JSON record of the
+changed task's full entry, so a transition costs one entry's bytes, not the
+document's.  Reading the file replays the records over the document in
+order.  **Only the parent process writes it**: workers return values, the
+scheduler owns the book-keeping.
+That single-writer discipline, with each record appended whole and ended
+by its newline, is what makes a SIGKILL anywhere safe -- a kill mid-append
+leaves a final line without its newline, which :meth:`RunManifest.load`
+ignores, so the file always reads as a consistent snapshot of some prefix
+of the run.  There is no fsync: a power cut may lose the newest lines.
 
-Resuming (:meth:`RunManifest.open_or_create` with ``resume=True``) reloads
-the snapshot and demotes back to ``pending`` every task caught mid-flight
+Resuming (:meth:`RunManifest.open_or_create` with ``resume=True``) replays
+the log and demotes back to ``pending`` every task caught mid-flight
 (``running`` at the moment of death), every ``failed`` task, and every
 ``done`` task whose recorded artifact is missing or no longer matches its
-hash, so a restarted run re-executes only the work it cannot trust.
+hash, so a restarted run re-executes only the work it cannot trust.  It
+then compacts the file back to one line, the folded document, through
+``write_atomic``: a torn record never gets a successor, and a kill during
+the compaction leaves either the old log or the folded document.  It also
+deletes the temp files a killed ``write_atomic`` left in the run directory
+and its ``artifacts/`` or ``results/`` subdirectory.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import time
 from pathlib import Path
 from typing import Iterable
 
-from repro.data.shards import file_sha256, write_atomic
+from repro.data.shards import file_sha256, remove_stale_temps, write_atomic
 
 __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "file_sha256"]
 
@@ -39,12 +51,12 @@ _STATES = ("pending", "running", "done", "failed")
 
 
 class RunManifest:
-    """Atomic per-task state ledger of one run directory.
+    """Per-task state ledger of one run directory, kept as a transition log.
 
-    Every mutating method persists the manifest before returning, so the
-    on-disk file is never more than one transition behind reality and a
-    crash between transitions loses at most the work of the task that was
-    in flight (which resume re-queues anyway).
+    Every mutating method persists its transition before returning (one
+    appended line), so the on-disk file is never more than one transition
+    behind reality and a crash between transitions loses at most the work
+    of the task that was in flight (which resume re-queues anyway).
     """
 
     FILENAME = "run_manifest.json"
@@ -52,6 +64,9 @@ class RunManifest:
     def __init__(self, run_dir: str | Path, document: dict) -> None:
         self.run_dir = Path(run_dir)
         self._document = document
+        # Tasks changed since the last save; None until this object has
+        # written the whole document, which its first save does.
+        self._changed: list[str] | None = None
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -74,6 +89,10 @@ class RunManifest:
         while their recorded artifact exists with the recorded SHA-256 (a
         ``done`` task with no artifact is kept as is), and are otherwise
         re-queued; task ids not yet present are appended as ``pending``.
+        A resume writes the folded document back as the file's one line, and
+        first deletes the temp files a killed
+        :func:`~repro.data.shards.write_atomic` left in ``run_dir`` and its
+        ``artifacts/`` or ``results/`` subdirectory.
         """
         run_dir = Path(run_dir)
         path = run_dir / cls.FILENAME
@@ -85,6 +104,8 @@ class RunManifest:
                 raise FileExistsError(
                     f"{path} already exists; resume the run or use a new directory"
                 )
+            for directory in (run_dir, run_dir / "artifacts", run_dir / "results"):
+                remove_stale_temps(directory)
             manifest = cls.load(run_dir)
             tasks = manifest._document["tasks"]
             for task_id in task_ids:
@@ -99,7 +120,7 @@ class RunManifest:
                     # the resumed run should attempt.
                     entry["state"] = "pending"
             manifest._document["resumed"] = int(manifest._document.get("resumed", 0)) + 1
-            manifest.save()
+            manifest.save()  # a loaded manifest's first save compacts the log
             return manifest
         run_dir.mkdir(parents=True, exist_ok=True)
         manifest = cls(
@@ -117,16 +138,41 @@ class RunManifest:
 
     @classmethod
     def load(cls, run_dir: str | Path) -> "RunManifest":
-        """Read an existing manifest (read-only callers use this directly)."""
+        """Read an existing manifest (read-only callers use this directly).
+
+        The first document is decoded with
+        :meth:`json.JSONDecoder.raw_decode`, so a manifest written with
+        ``indent=2`` by an older run loads too, and the transition records
+        after it are replayed in order.  A final line without its newline is
+        a record torn by a kill, or one a poller caught mid-append, and is
+        ignored; any other malformed line raises ``ValueError``.
+        """
         run_dir = Path(run_dir)
         path = run_dir / cls.FILENAME
-        document = json.loads(path.read_text())
+        text = path.read_text()
+        document, end = json.JSONDecoder().raw_decode(text)
         if document.get("format") != "repro-run-manifest":
             raise ValueError(f"{path} is not a run manifest")
         if document.get("schema_version") != MANIFEST_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported manifest schema {document.get('schema_version')!r}"
             )
+        # The rest of the document's line, one line per complete record,
+        # and whatever follows the last newline.
+        lines = text[end:].split("\n")
+        if lines[0].strip():
+            raise ValueError(f"{path}: unexpected data after the manifest document")
+        tasks = document["tasks"]
+        for number, line in enumerate(lines[1:-1], start=1):
+            try:
+                record = json.loads(line)
+                task_id, entry = record["task"], record["entry"]
+                valid = task_id in tasks and entry["state"] in _STATES
+            except (ValueError, KeyError, TypeError):
+                valid = False
+            if not valid:
+                raise ValueError(f"{path}: malformed transition record {number}")
+            tasks[task_id] = entry
         return cls(run_dir, document)
 
     @staticmethod
@@ -140,14 +186,29 @@ class RunManifest:
         }
 
     def save(self) -> None:
-        """Atomically persist the manifest (:func:`write_atomic`).
+        """Persist the transitions made since the last save.
 
-        The manifest is written as single-line JSON: without ``indent``,
-        :func:`json.dumps` runs its C encoder, and a sweep saves the whole
-        document after every transition.
+        The first save of a manifest object writes the whole document as the
+        file's one line, atomically (:func:`write_atomic`): a fresh run's
+        ledger, or a resumed run's folded one.  Each later save appends one
+        line per task changed since, a JSON record of its full entry.
+        :func:`json.dumps` escapes the newlines inside strings (a traceback's,
+        say), so a record is one line, and without ``indent`` its C encoder
+        runs.
         """
-        text = json.dumps(self._document, sort_keys=True)
-        write_atomic(self.run_dir / self.FILENAME, text + "\n")
+        path = self.run_dir / self.FILENAME
+        if self._changed is None:
+            write_atomic(path, json.dumps(self._document, sort_keys=True) + "\n")
+        else:
+            tasks = self._document["tasks"]
+            records = "".join(
+                json.dumps({"task": task_id, "entry": tasks[task_id]}, sort_keys=True)
+                + "\n"
+                for task_id in self._changed
+            )
+            with open(path, "ab") as handle:
+                handle.write(records.encode("utf-8"))
+        self._changed = []
 
     def _artifact_intact(self, entry: dict) -> bool:
         """Whether a ``done`` entry's artifact, if any, is the file it hashed."""
@@ -183,10 +244,14 @@ class RunManifest:
 
     # ------------------------------------------------------------ transitions
     def _entry(self, task_id: str) -> dict:
+        """The live entry of ``task_id``, marked for the next :meth:`save`."""
         try:
-            return self._document["tasks"][task_id]
+            entry = self._document["tasks"][task_id]
         except KeyError:
             raise KeyError(f"unknown task {task_id!r}") from None
+        if self._changed is not None:
+            self._changed.append(task_id)
+        return entry
 
     def mark_running(self, task_id: str) -> None:
         """``pending`` -> ``running``; one more attempt consumed."""

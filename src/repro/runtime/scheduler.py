@@ -11,8 +11,8 @@ SIGKILLed worker (``BrokenProcessPool``) is re-queued with exponential
 backoff up to a bounded ``retries`` budget, and an exhausted task is
 returned as a failure instead of raising.  Given a
 :class:`~repro.runtime.manifest.RunManifest` it persists every state
-transition atomically and skips tasks already ``done``, which is what makes
-a run crash-resumable.
+transition (one line appended to the manifest's log) and skips tasks
+already ``done``, which is what makes a run crash-resumable.
 
 :func:`run_experiments` drains a batch of registered experiments through
 :func:`run_queue`, one task each, in every mode.  Results reach
@@ -162,8 +162,9 @@ def run_queue(
     * Tasks whose ``manifest`` state is already ``done`` are skipped.
     * Each attempt transitions the manifest ``pending -> running`` before the
       work starts and to ``done`` / back to ``pending`` / ``failed`` after,
-      each transition persisted atomically -- a SIGKILL at any instant
-      leaves a ledger a resumed run can trust.
+      each transition appended to the manifest's log before the next step
+      -- a SIGKILL at any instant leaves a ledger a resumed run can trust
+      (a record torn by the kill is ignored).
     * A failed attempt (task exception, or a worker death surfacing as
       :class:`BrokenProcessPool`) is re-queued with exponential backoff
       (``retry_backoff * 2**(attempt-1)`` seconds) until its ``retries``

@@ -17,10 +17,13 @@ dense loader (``loader="dense"``: materialise every dataset up front)
 provably violates.
 
 Runs live in a run directory with a
-:class:`~repro.runtime.manifest.RunManifest`: kill the process at any point
-and ``--resume`` re-executes only unfinished datasets, and those whose
-artifact has gone missing or no longer matches its recorded hash, leaving
-intact artifacts byte-untouched.
+:class:`~repro.runtime.manifest.RunManifest`, a transition log that gains
+one line per task transition (about 200 short lines in a 104-dataset sweep)
+instead of being rewritten whole: kill the process at any point and
+``--resume`` replays the log, ignoring a record torn by the kill, and
+re-executes only unfinished datasets, and those whose artifact has gone
+missing or no longer matches its recorded hash, leaving intact artifacts
+byte-untouched.
 
 Command line::
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from repro.data.shards import (
     ShardIntegrityError,
     ShardedDataset,
     file_sha256,
+    remove_stale_temps,
     synthesize_sharded_archive,
     write_atomic,
     write_shards,
@@ -291,6 +296,34 @@ class TestWriteAtomic:
             write_atomic(target, b"cannot replace a non-empty directory")
         assert (target / "inside").read_text() == "kept\n"
         assert [entry.name for entry in tmp_path.iterdir()] == ["taken"]
+
+    def test_a_killed_write_leaves_a_temp_that_remove_stale_temps_deletes(self, tmp_path):
+        # SIGKILL the writer between writing its temp and renaming it.
+        code = (
+            "import os, signal, sys\n"
+            "import repro.data.shards as shards\n"
+            "os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "shards.write_atomic(sys.argv[1], b'{}')\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out.json")], env=env, timeout=60
+        )
+        assert proc.returncode == -signal.SIGKILL
+        (temp,) = tmp_path.iterdir()
+        assert temp.name.startswith(".out.json.") and temp.name.endswith(".tmp")
+        lookalikes = [
+            ".out.json.tmp",
+            ".out.json.ABCDEF012345.tmp",
+            "out.json.abcdef012345.tmp",
+        ]
+        for name in lookalikes:
+            (tmp_path / name).write_text("kept\n")
+        remove_stale_temps(tmp_path)
+        remove_stale_temps(tmp_path / "missing")  # a missing directory is skipped
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == sorted(lookalikes)
 
     def test_the_shard_manifest_is_written_through_it(self, dataset, tmp_path, monkeypatch):
         import repro.data.shards as shards

@@ -3,6 +3,7 @@
 import importlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +169,44 @@ class TestCrashResumableFlags:
         assert main([*base, "--resume", "runs/all"]) == 0
         manifest = RunManifest.load("runs/all")
         assert [manifest.attempts(name) for name in self.NAMES] == [1, 1]
+        capsys.readouterr()
+
+    def test_json_resume_reports_only_the_artifacts_it_wrote(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        base = [*self.NAMES, "--fast", "--no-cache", "--json"]
+        assert main([*base, "--run-dir", "runs/all"]) == 0
+        assert "[wrote 2 artifact(s) to results/]" in capsys.readouterr().out
+        results = Path("results")
+        written = {path.name: path.stat().st_mtime_ns for path in results.iterdir()}
+        assert main([*base, "--resume", "runs/all"]) == 0
+        assert "[wrote 0 artifact(s) to results/]" in capsys.readouterr().out
+        assert {path.name: path.stat().st_mtime_ns for path in results.iterdir()} == written
+        (results / "figure7.json").unlink()
+        assert main([*base, "--resume", "runs/all"]) == 0
+        assert "[wrote 1 artifact(s) to results/]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, results_dir",
+        [
+            ([], "runs/all/results"),
+            (["--json"], "results"),
+            (["--json", "--results-dir", "out"], "out"),
+        ],
+    )
+    def test_run_dir_artifacts_go_where_the_help_says(
+        self, flags, results_dir, tmp_path, monkeypatch, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        help_text = "".join(capsys.readouterr().out.split())  # unwrapped
+        assert "artifactsinDIR/results/(with--json,in--results-dir)" in help_text
+        monkeypatch.chdir(tmp_path)
+        argv = ["figure1", "--fast", "--no-cache", "--run-dir", "runs/all", *flags]
+        assert main(argv) == 0
+        assert list(Path(".").rglob("figure1.json")) == [Path(results_dir, "figure1.json")]
         capsys.readouterr()
 
 

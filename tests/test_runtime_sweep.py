@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import signal
+import subprocess
+import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.shards import ShardedDataset, synthesize_sharded_archive
 from repro.runtime.manifest import RunManifest, file_sha256
@@ -47,6 +54,40 @@ def _suicide_once(flag_path, value):
             handle.write("died")
         os.kill(os.getpid(), signal.SIGKILL)
     return value
+
+
+def _fold(manifest):
+    """A manifest's state through its public queries."""
+    entries = {task_id: manifest.entry(task_id) for task_id in manifest.task_ids}
+    return manifest.metadata, entries
+
+
+#: One step of the replay property: a transition (or a resume), its task,
+#: and text for an error message (``mark_done`` records an artifact if any).
+_STEP = st.tuples(
+    st.sampled_from(
+        ("mark_running", "mark_done", "record_error", "mark_pending", "mark_failed", "resume")
+    ),
+    st.sampled_from("abc"),
+    st.text(max_size=8),
+)
+
+
+def _without(payload: dict, *keys: str) -> dict:
+    return {key: value for key, value in payload.items() if key not in keys}
+
+
+def _sweep_outputs(run_dir: Path) -> tuple[dict, dict]:
+    """A sweep's artifacts and ``summary.json``, without timing and RSS fields."""
+    artifacts = {
+        path.name: _without(json.loads(path.read_text()), "elapsed_seconds")
+        for path in sorted((run_dir / "artifacts").glob("*.json"))
+    }
+    summary = json.loads((run_dir / "summary.json").read_text())
+    # executed/skipped count this invocation's work, not the run's outcome.
+    return artifacts, _without(
+        summary, "elapsed_seconds", "peak_rss_bytes", "executed", "skipped"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -161,12 +202,137 @@ class TestRunManifest:
         manifest.mark_running("a")
         manifest.mark_done("a")
         path = tmp_path / RunManifest.FILENAME
-        assert path.read_text().count("\n") == 1
+        # The document's line, then one single-line record per transition.
+        lines = path.read_text().split("\n")
+        assert len(lines) == 4 and lines[-1] == ""
+        assert [json.loads(line)["entry"]["state"] for line in lines[1:3]] == [
+            "running",
+            "done",
+        ]
+        RunManifest.open_or_create(tmp_path, ["a", "b"], resume=True)
+        assert path.read_text().count("\n") == 1  # a resume compacts the log
         # A manifest written with indent=2 (as older runs did) resumes alike.
         path.write_text(json.dumps(json.loads(path.read_text()), indent=2) + "\n")
         resumed = RunManifest.open_or_create(tmp_path, ["a", "b"], resume=True)
         assert (resumed.state("a"), resumed.state("b")) == ("done", "pending")
         assert path.read_text().count("\n") == 1
+
+    def test_a_record_cut_at_any_byte_loads_as_the_state_before_it(self, tmp_path):
+        manifest = RunManifest.open_or_create(tmp_path, ["a", "b"])
+        manifest.mark_running("a")
+        manifest.mark_done("a")
+        manifest.mark_running("b")
+        path = tmp_path / RunManifest.FILENAME
+        before_bytes = path.read_bytes()
+        before = _fold(RunManifest.load(tmp_path))
+        try:
+            raise RuntimeError("line one\nline two \u00e9")
+        except RuntimeError as error:
+            manifest.record_error("b", error)
+        full = path.read_bytes()
+        assert full.startswith(before_bytes) and full.count(b"\n") == 5
+        for offset in range(len(before_bytes), len(full)):
+            path.write_bytes(full[:offset])
+            assert _fold(RunManifest.load(tmp_path)) == before, offset
+            resumed = RunManifest.open_or_create(tmp_path, ["a", "b"], resume=True)
+            assert path.read_text().count("\n") == 1, offset
+            assert _fold(RunManifest.load(tmp_path)) == _fold(resumed)
+            assert (resumed.state("a"), resumed.state("b")) == ("done", "pending")
+            assert resumed.entry("b")["errors"] == []
+        path.write_bytes(full)
+        (error,) = RunManifest.load(tmp_path).entry("b")["errors"]
+        assert error["message"] == "line one\nline two \u00e9"
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "not json",
+            "",
+            "[1, 2]",
+            '{"task": "a"}',
+            '{"task": "nope", "entry": {"state": "done"}}',
+            '{"task": "a", "entry": {"state": "finished"}}',
+            '{"task": "a", "entry": "done"}',
+            '{"task": "a", "entry": {"state": "do',  # torn, then appended to
+        ],
+    )
+    def test_a_malformed_record_that_is_not_the_last_raises(self, tmp_path, bad_line):
+        manifest = RunManifest.open_or_create(tmp_path, ["a", "b"])
+        manifest.mark_running("a")
+        path = tmp_path / RunManifest.FILENAME
+        first, record = path.read_text().splitlines()
+        path.write_text(f"{first}\n{bad_line}\n{record}\n")
+        with pytest.raises(ValueError, match="malformed transition record 1"):
+            RunManifest.load(tmp_path)
+        with pytest.raises(ValueError, match="malformed transition record 1"):
+            RunManifest.open_or_create(tmp_path, ["a", "b"], resume=True)
+        # The same line last and without its newline is a torn record.
+        path.write_text(f"{first}\n{record}\n{bad_line}")
+        assert RunManifest.load(tmp_path).state("a") == "running"
+
+    def test_data_after_the_document_on_its_line_raises(self, tmp_path):
+        RunManifest.open_or_create(tmp_path, ["a"])
+        path = tmp_path / RunManifest.FILENAME
+        path.write_text(path.read_text().rstrip("\n") + " {}\n")
+        with pytest.raises(ValueError, match="after the manifest document"):
+            RunManifest.load(tmp_path)
+
+    @given(steps=st.lists(_STEP, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_load_replays_the_writers_document_after_every_step(self, steps):
+        task_ids = ["a", "b", "c"]
+        with tempfile.TemporaryDirectory() as run_dir:
+            writer = RunManifest.open_or_create(run_dir, task_ids, metadata={"k": 1})
+            artifact = Path(run_dir) / "artifact.json"
+            artifact.write_text("{}\n")
+            for step, task_id, text in steps:
+                if step == "resume":
+                    writer = RunManifest.open_or_create(run_dir, task_ids, resume=True)
+                elif step == "mark_done":
+                    writer.mark_done(task_id, artifact=artifact if text else None)
+                elif step == "record_error":
+                    writer.record_error(task_id, {"message": text, "time": 0.0})
+                else:
+                    getattr(writer, step)(task_id)
+                assert RunManifest.load(run_dir)._document == writer._document
+
+    def test_a_sweep_killed_at_random_moments_resumes_to_the_uninterrupted_run(
+        self, tmp_path
+    ):
+        directories = synthesize_sharded_archive(
+            tmp_path / "archive", 24, n_exemplars_per_class=8, length=512, seed=5
+        )
+        reference = run_sweep(directories, tmp_path / "reference", retries=0)
+        expected = _sweep_outputs(tmp_path / "reference")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        archive = str(directories[0].parent)
+        argv = [sys.executable, "-m", "repro.runtime.sweep", "run", archive]
+        rng = random.Random(29)
+        for kill in range(6):
+            run_dir = tmp_path / f"killed-{kill}"
+            proc = subprocess.Popen(
+                [*argv, "--run-dir", str(run_dir), "--retries", "0"],
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                env=env,
+            )
+            try:
+                # Once the run has started, kill it at a random moment of it.
+                deadline = time.monotonic() + 60
+                while not (run_dir / RunManifest.FILENAME).exists():
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.001)
+                time.sleep(rng.uniform(0.0, reference["elapsed_seconds"]))
+            finally:
+                proc.kill()
+                proc.wait(timeout=60)
+            done_at_kill = RunManifest.load(run_dir).counts()["done"]
+            summary = run_sweep(directories, run_dir, resume=True, retries=0)
+            assert summary["executed"] == len(directories) - done_at_kill
+            assert _sweep_outputs(run_dir) == expected
+            assert list(run_dir.rglob("*.tmp")) == []
 
     def test_unknown_task_raises(self, tmp_path):
         manifest = RunManifest.open_or_create(tmp_path, ["a"])
@@ -297,6 +463,32 @@ class TestRunSweep:
             for path in (run_dir / "artifacts").iterdir()
         }
         assert after == before  # done artifacts byte- and mtime-untouched
+
+    def test_resume_deletes_the_temps_a_killed_write_left(self, archive, tmp_path):
+        run_dir = tmp_path / "run"
+        run_sweep(archive, run_dir, retries=0)
+        before = {
+            path.name: (file_sha256(path), path.stat().st_mtime_ns)
+            for path in (run_dir / "artifacts").iterdir()
+        }
+        stale = [
+            run_dir / ".run_manifest.json.0123456789ab.tmp",
+            run_dir / "artifacts" / f".{archive[0].name}.json.ba9876543210.tmp",
+            run_dir / "results" / ".figure1.json.00ff00ff00ff.tmp",
+        ]
+        kept = [run_dir / ".notes.tmp", run_dir / "scratch.0123456789ab.tmp"]
+        (run_dir / "results").mkdir()
+        for path in stale + kept:
+            path.write_text('{"torn": ')
+        summary = run_sweep(archive, run_dir, resume=True, retries=0)
+        assert summary["executed"] == 0
+        assert [path for path in stale if path.exists()] == []
+        assert all(path.exists() for path in kept)  # not write_atomic's names
+        after = {
+            path.name: (file_sha256(path), path.stat().st_mtime_ns)
+            for path in (run_dir / "artifacts").iterdir()
+        }
+        assert after == before
 
     def test_resume_runs_only_unfinished_work(self, archive, tmp_path):
         run_dir = tmp_path / "run"
