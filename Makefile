@@ -49,10 +49,12 @@ fit-check:
 ## shedding suites) and keep its >= 5x fleet throughput over sequential
 ## sessions, timed as medians of 5 interleaved pairs.  Engine and sessions
 ## share one window ledger and batched classifier walk, so the ratio
-## measures batching across streams against batching within one stream
-## (run by CI on every push)
+## measures batching across streams against batching within one stream.
+## Every flush's ECTS walk rides the prefix-distance sweep, so its suite
+## (bit-identical to the cumulative-sum kernel at any step size) and its
+## >= 5x single-step gate run here too (run by CI on every push)
 serve-check:
-	$(PYTHON) -m pytest tests/test_serving.py benchmarks/test_bench_serving.py -q
+	$(PYTHON) -m pytest tests/test_serving.py tests/test_distance_engine.py benchmarks/test_bench_serving.py benchmarks/test_bench_prefix_engine.py -q
 
 ## out-of-core/resume drift gate: memory-budget chunking must stay
 ## bit-identical, the sweep's kernels (the prefix-distance engine, including

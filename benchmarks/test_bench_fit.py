@@ -6,11 +6,12 @@ kernels, each keeping its original Python-loop implementation as the
 semantic reference:
 
 * **ECTS** -- MPLs and supports from a ``(n_lengths, n)`` nearest-index
-  matrix (dense cumulative-sum pass or copy-free incremental sweep) instead
+  matrix (dense cumulative-sum pass or incremental sweep) instead
   of per-length frozenset RNN structures and an O(n * L) per-exemplar walk.
   The gate times a full ``checkpoint_step=1`` fit in the per-tenant refit
   regime the training engine is motivated by (small fresh training sets,
-  long series, a checkpoint at every sample).
+  long series, a checkpoint at every sample), both sides as medians of
+  interleaved runs of a few back-to-back fits.
 * **EDSC** -- candidate extraction via ``sliding_window_view`` and threshold
   learning / scoring batched across the whole ``(n_candidates, n_series)``
   best-match distance matrix.  The gate times the candidate-mining stage
@@ -59,6 +60,11 @@ MAX_KDE_GRID_SHARE = 0.25
 ECTS_N_PER_CLASS = 10
 ECTS_LENGTH = 300
 
+#: Fits per timed side of the ECTS gate, run back to back as a refit loop
+#: would: interleaving leaves each side's first fit to run on caches the
+#: other side has just cooled, which cost the vectorised fit about a third.
+ECTS_FITS_PER_SIDE = 4
+
 #: Table 1 scale (the paper's GunPoint split): 25 train exemplars per class,
 #: length 150.
 TABLE1_N_PER_CLASS = 25
@@ -82,20 +88,27 @@ def _best_of(function, repeats: int = 3):
     return best, result
 
 
-def test_bench_ects_fit_speedup(run_once):
+def test_bench_ects_fit_speedup(run_once, bench_metrics, interleaved_medians):
     """Full ECTS ``checkpoint_step=1`` fit: vectorised kernels vs the reference loops."""
     train = _gunpoint(ECTS_N_PER_CLASS, ECTS_LENGTH)
 
-    ref_seconds, reference = _best_of(
-        lambda: ects_fit_reference(
-            ECTSClassifier(checkpoint_step=1), train.series, train.labels
-        ),
-        repeats=5,
+    def reference_fits():
+        for _ in range(ECTS_FITS_PER_SIDE):
+            fitted = ects_fit_reference(
+                ECTSClassifier(checkpoint_step=1), train.series, train.labels
+            )
+        return fitted
+
+    def vectorised_fits():
+        for _ in range(ECTS_FITS_PER_SIDE):
+            fitted = ECTSClassifier(checkpoint_step=1).fit(train.series, train.labels)
+        return fitted
+
+    ref_seconds, new_seconds, reference, fitted = interleaved_medians(
+        reference_fits, vectorised_fits, pairs=5
     )
-    new_seconds, fitted = _best_of(
-        lambda: ECTSClassifier(checkpoint_step=1).fit(train.series, train.labels),
-        repeats=5,
-    )
+    ref_seconds /= ECTS_FITS_PER_SIDE
+    new_seconds /= ECTS_FITS_PER_SIDE
     run_once(
         lambda: ECTSClassifier(checkpoint_step=1).fit(train.series, train.labels)
     )
@@ -106,12 +119,16 @@ def test_bench_ects_fit_speedup(run_once):
     assert np.array_equal(fitted.support_, reference.support_)
 
     speedup = ref_seconds / new_seconds
+    bench_metrics.update(
+        speedup=speedup, reference_seconds=ref_seconds, vectorised_seconds=new_seconds
+    )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"expected >= {REQUIRED_SPEEDUP:.0f}x on a "
         f"{train.series.shape[0]}-exemplar length-{ECTS_LENGTH} "
         f"checkpoint_step=1 ECTS fit, measured {speedup:.1f}x "
         f"(reference {ref_seconds * 1e3:.1f} ms, vectorised "
-        f"{new_seconds * 1e3:.1f} ms)"
+        f"{new_seconds * 1e3:.1f} ms per fit; medians of 5 interleaved pairs "
+        f"of {ECTS_FITS_PER_SIDE} fits)"
     )
 
 

@@ -34,11 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.classifiers.base import BaseEarlyClassifier, BatchCheckpoint, PartialPrediction
-from repro.distance.engine import (
-    _BLOCK,
-    PrefixDistanceEngine,
-    PrefixSweep,
-)
+from repro.distance.engine import PrefixDistanceEngine, PrefixSweep
 
 __all__ = ["ECTSClassifier", "RelaxedECTSClassifier"]
 
@@ -125,22 +121,16 @@ class ECTSClassifier(BaseEarlyClassifier):
         dense time-major cumulative-sum pass: the ``(full, n, n)``
         squared-difference tensor, cumulative-summed over time, with the
         diagonal masked and one contiguous argmin over the checkpoint
-        planes.  The per-sample cumulative sum reproduces the incremental
-        engine's term sequence bit for bit only when the engine also
-        advances one sample at a time -- ``checkpoint_step == 1`` past a
-        first checkpoint inside one engine block (a multi-sample engine
-        advance groups its block sum before adding the running base, which
-        can differ in the last ulp) -- so exactly that case takes the dense
-        pass.  Everything else (larger steps, long ``min_length``, or a
-        stack past ``_FIT_BLOCK_BYTES`` where the big passes would turn into
-        main-memory traffic) runs a copy-free
-        :class:`~repro.distance.engine.PrefixSweep` over the fitted engine,
-        masking and restoring the diagonal in place (each exemplar's
-        self-distance is exactly zero at every prefix) -- trivially the
-        reference's own distances.  Both paths take the argmin on squared
-        distances (ordering is the same) and resolve ties to the lowest
-        training index, exactly like ``neighbour_structures`` in the
-        reference fit of ``tests/oracles/ects.py``.
+        planes.  Everything else (larger steps, or a stack past
+        ``_FIT_BLOCK_BYTES`` where the big passes would turn into
+        main-memory traffic) runs a :class:`~repro.distance.engine.PrefixSweep`
+        over the fitted engine, masking and restoring the diagonal in place
+        (each exemplar's self-distance is exactly zero at every prefix).
+        The sweep adds the squared terms in the cumulative sum's time order
+        at any step size, so both paths see the same bits.  Both take the
+        argmin on squared distances (ordering is the same) and resolve ties
+        to the lowest training index, exactly like ``neighbour_structures``
+        in the reference fit of ``tests/oracles/ects.py``.
         """
         assert self._engine is not None
         n = data.shape[0]
@@ -150,7 +140,6 @@ class ECTSClassifier(BaseEarlyClassifier):
         if (
             data.ndim == 2
             and self.checkpoint_step == 1
-            and lengths[0] <= _BLOCK
             and full * n * n * 8 <= _FIT_BLOCK_BYTES
         ):
             # The dense time-major pass is univariate-only; multichannel

@@ -21,7 +21,11 @@ per-prefix recomputation would sum, so the results agree with
 :func:`repro.distance.euclidean.euclidean_distance` to floating-point
 round-off (the equivalence tests assert ``<= 1e-10``) -- this is *not* the
 dot-product expansion used by :func:`~repro.distance.euclidean.pairwise_euclidean`,
-which trades a little accuracy for BLAS throughput.
+which trades a little accuracy for BLAS throughput.  Every entry point adds
+those terms one time step after another, the order of a cumulative sum, so
+a sweep advanced in steps of any size equals
+:func:`batch_prefix_distances` bit for bit (the equivalence tests assert
+equality).
 
 Four entry points:
 
@@ -32,7 +36,8 @@ Four entry points:
   so many sweeps can be live at once, each at its own prefix length.  ECTS
   predicts on sweeps: one shared by all rows of a batched walk, advanced
   checkpoint by checkpoint, and a one-row sweep per ``predict_partial``
-  call.
+  call, advanced straight to the prefix length -- the same bits either
+  way.
 * :func:`iter_prefix_distances` -- generator over ``(length, distances)``
   snapshots; used by training loops that need one distance matrix per
   checkpoint without holding all of them in memory at once.
@@ -74,10 +79,15 @@ __all__ = [
     "pairwise_prefix_distances",
 ]
 
-#: Number of time steps accumulated per vectorised block when advancing the
-#: engine across many samples at once (bounds the (n_q, block, n_train)
-#: temporary to a few megabytes for realistic sizes).
-_BLOCK = 64
+#: Bytes of squared differences a multi-step advance holds at once: a
+#: block of time steps small enough to stay cache-resident while it is
+#: added into the running sums.
+_ADVANCE_BLOCK_BYTES = 2**20
+
+#: Running sums of at most this many cells make a narrow sweep (a session's
+#: handful of windows, a one-row ``predict_partial``), where a ufunc call
+#: per time step costs more than cumulative-summing the block at once.
+_NARROW_CELLS = 256
 
 
 def _validated_lengths(lengths: Sequence[int], max_length: int) -> list[int]:
@@ -178,34 +188,65 @@ def _as_query_tensor(
 class PrefixSweep:
     """One independent prefix-distance sweep over a shared training matrix.
 
-    A sweep owns only the per-query running state (the query series and the
-    accumulated squared partial sums); the training matrix belongs to the
-    :class:`PrefixDistanceEngine` that :meth:`~PrefixDistanceEngine.open`\\ ed
-    it.  Any number of sweeps over the same engine can be live at once, each
-    at its own prefix length.
+    A sweep owns only the per-query running state: a time-major copy of the
+    query series and the accumulated squared partial sums.  The training
+    matrix belongs to the :class:`PrefixDistanceEngine` that
+    :meth:`~PrefixDistanceEngine.open`\\ ed it.  Any number of sweeps over
+    the same engine can be live at once, each at its own prefix length.
 
-    The query array is held *by reference* (no copy is made for float64
-    input), and :meth:`advance_to` only ever reads columns ``< length``.
+    The running sums keep the wider of the query and training-row axes
+    contiguous and innermost, so every array operation of an advance
+    streams along the long axis: many queries against a few training rows
+    (a serving flush) run train-major, everything else row-major.  Every
+    advance adds the squared terms one time step after another -- a
+    one-sample advance with three in-place ufuncs, a longer one by squaring
+    a cache-sized block of time steps and adding it plane by plane, or, on
+    a narrow sweep, with one cumulative sum down the block that later
+    advances read ahead from -- so any step size gives the bits of the
+    single-step walk and of :func:`batch_prefix_distances`'s cumulative
+    sum.
     """
 
-    __slots__ = ("_train_t", "_queries", "_sq", "_length", "_channels")
+    __slots__ = (
+        "_outer",
+        "_inner",
+        "_sq",
+        "_step",
+        "_distances",
+        "_train_major",
+        "_ahead",
+        "_ahead_start",
+        "_length",
+        "_channels",
+        "_query_length",
+    )
 
     def __init__(
-        self, train_t: np.ndarray, queries: np.ndarray, channels: int = 1
+        self, train_t: np.ndarray, queries_t: np.ndarray, channels: int = 1
     ) -> None:
-        # ``queries`` arrive time-major flattened (n_queries, t * channels),
-        # like the shared ``train_t`` (L * channels, n_train) transpose.  All
-        # public lengths stay in *time* units; the flat conversion is private.
-        self._train_t = train_t
-        self._queries = queries
+        # Both operands arrive time-major flattened: the shared
+        # (L * channels, n_train) training transpose and this sweep's own
+        # (t * channels, n_queries) query copy, so time step t of either is
+        # one contiguous row.  All public lengths stay in *time* units; the
+        # flat conversion is private.
+        train_major = queries_t.shape[1] > train_t.shape[1]
+        outer, inner = (train_t, queries_t) if train_major else (queries_t, train_t)
+        self._outer = outer[:, :, None]
+        self._inner = inner[:, None, :]
         self._channels = int(channels)
-        self._sq = np.zeros((queries.shape[0], train_t.shape[1]))
+        self._query_length = queries_t.shape[0] // self._channels
+        self._sq = np.zeros((outer.shape[1], inner.shape[1]))
+        self._step = np.empty_like(self._sq)
+        self._distances = self._sq.T if train_major else self._sq
+        self._train_major = train_major
+        self._ahead: np.ndarray | None = None
+        self._ahead_start = 0
         self._length = 0
 
     @property
     def query_length(self) -> int:
         """Time length of the query series (the maximum prefix length)."""
-        return self._queries.shape[1] // self._channels
+        return self._query_length
 
     # ------------------------------------------------------------ streaming
     def advance_to(self, length: int) -> np.ndarray:
@@ -219,10 +260,11 @@ class PrefixSweep:
         -------
         numpy.ndarray
             The ``(n_queries, n_train)`` channel-summed squared distances at
-            ``length`` (a reference to internal state: copy before mutating).
+            ``length`` (a view of internal state -- transposed when the sweep
+            runs train-major -- so copy before mutating).
         """
-        queries, sq = self._queries, self._sq
-        max_length = self.query_length
+        outer, inner, sq = self._outer, self._inner, self._sq
+        max_length = self._query_length
         if not self._length <= length <= max_length:
             raise ValueError(
                 f"length must be in [{self._length}, {max_length}] "
@@ -230,19 +272,59 @@ class PrefixSweep:
             )
         t = self._length * self._channels
         flat = length * self._channels
-        if flat - t == 1:
-            # The dominant call pattern (one new sample per checkpoint) skips
-            # the 3-D block machinery entirely.
-            diff = queries[:, t, None] - self._train_t[t][None, :]
-            sq += diff * diff
-        else:
-            while t < flat:
-                stop = min(t + _BLOCK, flat)
-                diff = queries[:, t:stop, None] - self._train_t[None, t:stop, :]
-                sq += np.einsum("qtn,qtn->qn", diff, diff)
+        if flat == t:
+            return self._distances
+        ahead, ahead_start = self._ahead, self._ahead_start
+        if ahead is not None and flat <= ahead_start + ahead.shape[0]:
+            np.copyto(sq, ahead[flat - 1 - ahead_start])
+        elif flat - t == 1:
+            # The dominant call pattern (one new sample per checkpoint):
+            # three in-place ufuncs on the preallocated step buffer.
+            step = self._step
+            np.subtract(outer[t], inner[t], out=step)
+            np.multiply(step, step, out=step)
+            np.add(sq, step, out=sq)
+        elif sq.size <= _NARROW_CELLS:
+            # Too few cells for one ufunc call per time step to pay: square
+            # a block of upcoming steps, fold in the current sums and
+            # cumulative-sum it down the time axis in one call; later
+            # advances into the block read their sums from it.
+            steps = max(1, _ADVANCE_BLOCK_BYTES // (8 * sq.size))
+            end = self._query_length * self._channels
+            while True:
+                stop = min(t + steps, end)
+                ahead = outer[t:stop] - inner[t:stop]
+                np.multiply(ahead, ahead, out=ahead)
+                ahead[0] += sq
+                np.cumsum(ahead, axis=0, out=ahead)
+                if flat <= stop:
+                    break
+                np.copyto(sq, ahead[-1])
                 t = stop
+            self._ahead, self._ahead_start = ahead, t
+            np.copyto(sq, ahead[flat - 1 - t])
+        else:
+            block = max(1, _ADVANCE_BLOCK_BYTES // (8 * sq.size))
+            # NumPy stages a broadcast operand through its ufunc buffer when
+            # a row is shorter than the buffer.  Train-major rows are the
+            # query axis -- a serving flush's thousand windows -- where the
+            # staging copies cost more than twice the subtraction itself;
+            # the smallest buffer lets it read both operands in place, with
+            # the same bits.
+            staging = np.setbufsize(16) if self._train_major else None
+            try:
+                for start in range(t, flat, block):
+                    stop = min(start + block, flat)
+                    squares = outer[start:stop] - inner[start:stop]
+                    np.multiply(squares, squares, out=squares)
+                    # One time step after another: the cumulative sum's order.
+                    for plane in squares:
+                        np.add(sq, plane, out=sq)
+            finally:
+                if staging is not None:
+                    np.setbufsize(staging)
         self._length = length
-        return sq
+        return self._distances
 
 
 class PrefixDistanceEngine:
@@ -280,8 +362,8 @@ class PrefixDistanceEngine:
         tensor = _as_train_tensor(train)
         self._train, self._channels = _flatten_time_major(tensor)
         self._time_length = int(tensor.shape[1])
-        # The inner loop reads one training *column* per new sample; a
-        # contiguous transpose keeps those reads cache-friendly.
+        # A sweep reads one training *column* per new sample; a contiguous
+        # transpose makes each of them one contiguous row.
         self._train_t = np.ascontiguousarray(self._train.T)
         self._sweep: PrefixSweep | None = None
 
@@ -311,10 +393,10 @@ class PrefixDistanceEngine:
             ``(n_queries, q_length)`` batch with ``q_length <= train_length``.
             For a multichannel engine: a single ``(q_length, n_channels)``
             exemplar or a ``(n_queries, q_length, n_channels)`` batch.  The
-            full series is held by reference (the multichannel flattening
-            copies); samples are only *consumed* by
-            :meth:`PrefixSweep.advance_to`, so a caller may hand the whole
-            exemplar up front and still evaluate it incrementally.
+            sweep keeps a time-major copy of the full series; samples are
+            only *consumed* by :meth:`PrefixSweep.advance_to`, so a caller
+            may hand the whole exemplar up front and still evaluate it
+            incrementally.
         """
         arr = _as_query_tensor(queries, self._channels)
         if arr.shape[1] > self.train_length:
@@ -325,7 +407,7 @@ class PrefixDistanceEngine:
         if arr.shape[1] < 1:
             raise ValueError("queries must contain at least one sample")
         flat, _ = _flatten_time_major(arr)
-        return PrefixSweep(self._train_t, flat, self._channels)
+        return PrefixSweep(self._train_t, np.ascontiguousarray(flat.T), self._channels)
 
     def start(self, queries: np.ndarray) -> "PrefixDistanceEngine":
         """Begin a new sweep over a batch of query series (replacing the current one)."""

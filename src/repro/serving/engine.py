@@ -33,10 +33,11 @@ gap would be wrong; the engine therefore *closes* the stream (marking it
 shed and discarding its queued candidates) rather than serve corrupt
 windows, so a shed stream never emits another alarm.  A chunk that
 :func:`~repro.streaming.online.validate_chunk` rejects on an open stream
-leaves the same gap, so it sheds the stream too (and still raises).
-Backpressure is observable via :meth:`metrics` (queue depth, shed counts,
-per-tenant alarm latency); producers re-open shed streams under a fresh
-stream id.
+leaves the same gap, so it sheds the stream the same way -- one bad
+producer degrades its own stream, not the caller -- and also counts as
+rejected, which says why the stream was shed.  Backpressure is observable
+via :meth:`metrics` (queue depth, shed and rejected counts, per-tenant
+alarm latency); producers re-open shed streams under a fresh stream id.
 """
 
 from __future__ import annotations
@@ -180,16 +181,18 @@ class ServingEngine:
 
         A first push under an unseen ``(tenant, stream_id)`` opens the
         stream.  Returns ``0`` when the chunk was shed (or the stream
-        already was); admitted chunks return their sample count.  Alarms are
-        *not* returned here -- candidate evaluation is deferred and batched;
-        call :meth:`flush` to drain.
+        already was) -- including a malformed chunk on an open stream,
+        which sheds the stream and counts as rejected; admitted chunks
+        return their sample count.  Alarms are *not* returned here --
+        candidate evaluation is deferred and batched; call :meth:`flush` to
+        drain.
 
         Raises
         ------
         KeyError
             Unknown tenant.
         ValueError
-            Malformed chunk (which sheds an open stream), or a stream id
+            Malformed first chunk (no stream is opened), or a stream id
             reused after the stream was finalized or evicted -- reuse would
             let two distinct physical streams alias one alarm history, the
             double-counting hazard
@@ -212,9 +215,11 @@ class ServingEngine:
         try:
             chunk = validate_chunk(values, n_channels)
         except ValueError:
-            if ledger is not None:
-                self._shed(ledger)
-            raise
+            if ledger is None:
+                raise
+            counters.chunks_rejected += 1
+            self._shed(ledger)
+            return 0
 
         if ledger is None:
             ledger = _StreamLedger(tenant, stream_id, entry, counters)
@@ -392,6 +397,7 @@ class ServingEngine:
             chunks_ingested=sum(t.chunks_ingested for t in tenants),
             samples_ingested=sum(t.samples_ingested for t in tenants),
             chunks_shed=sum(t.chunks_shed for t in tenants),
+            chunks_rejected=sum(t.chunks_rejected for t in tenants),
             candidates_enqueued=sum(t.candidates_enqueued for t in tenants),
             candidates_pending=sum(t.candidates_pending for t in tenants),
             candidates_evaluated=sum(t.candidates_evaluated for t in tenants),

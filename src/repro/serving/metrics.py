@@ -45,8 +45,11 @@ class TenantMetrics:
     chunks_ingested, samples_ingested:
         Admitted pushes and their total sample count.
     chunks_shed:
-        Chunks dropped by admission control -- incremented exactly once per
-        dropped chunk (the shedding unit tests pin this).
+        Chunks dropped -- by admission control or as malformed -- incremented
+        exactly once per dropped chunk (the shedding unit tests pin this).
+    chunks_rejected:
+        The dropped chunks that ``validate_chunk`` rejected as malformed on
+        an open stream (also counted in ``chunks_shed``).
     candidates_enqueued:
         Completed candidate windows handed to the batching scheduler.
     candidates_pending:
@@ -76,6 +79,7 @@ class TenantMetrics:
     chunks_ingested: int
     samples_ingested: int
     chunks_shed: int
+    chunks_rejected: int
     candidates_enqueued: int
     candidates_pending: int
     candidates_evaluated: int
@@ -109,8 +113,8 @@ class ServingMetrics:
         Registered tenants.
     streams_open, streams_finalized, streams_shed:
         Fleet-wide stream states.
-    chunks_ingested, samples_ingested, chunks_shed:
-        Fleet-wide ingestion and shedding totals.
+    chunks_ingested, samples_ingested, chunks_shed, chunks_rejected:
+        Fleet-wide ingestion, shedding and rejection totals.
     candidates_enqueued, candidates_pending, candidates_evaluated, candidates_discarded:
         Fleet-wide candidate accounting (see :class:`TenantMetrics`).
     alarms_emitted:
@@ -130,6 +134,7 @@ class ServingMetrics:
     chunks_ingested: int
     samples_ingested: int
     chunks_shed: int
+    chunks_rejected: int
     candidates_enqueued: int
     candidates_pending: int
     candidates_evaluated: int
@@ -153,6 +158,7 @@ class TenantCounters:
         "chunks_ingested",
         "samples_ingested",
         "chunks_shed",
+        "chunks_rejected",
         "candidates_enqueued",
         "candidates_pending",
         "candidates_evaluated",
@@ -169,6 +175,7 @@ class TenantCounters:
         self.chunks_ingested = 0
         self.samples_ingested = 0
         self.chunks_shed = 0
+        self.chunks_rejected = 0
         self.candidates_enqueued = 0
         self.candidates_pending = 0
         self.candidates_evaluated = 0
@@ -189,6 +196,7 @@ class TenantCounters:
             chunks_ingested=self.chunks_ingested,
             samples_ingested=self.samples_ingested,
             chunks_shed=self.chunks_shed,
+            chunks_rejected=self.chunks_rejected,
             candidates_enqueued=self.candidates_enqueued,
             candidates_pending=self.candidates_pending,
             candidates_evaluated=self.candidates_evaluated,

@@ -19,7 +19,12 @@ two agree only to ~1e-15, so a confidence or margin landing within that
 sliver of a stopping threshold would legitimately shift one checkpoint.
 If this gate ever trips with a one-checkpoint trigger_length difference and
 a near-threshold confidence, suspect that razor's edge before suspecting
-real drift (ECTS is immune: its kernel is bit-identical to the reference).
+real drift.  ECTS is immune: its reference sweeps one row and the batched
+walk sweeps the whole batch, and a sweep adds the squared terms in time
+order whatever its row count, layout or step size, so their distances are
+bit-identical (``tests/test_classifiers_ects.py`` also pins
+``predict_partial``, which jumps straight to the prefix length, against the
+batched checkpoint).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
+from repro.data.gunpoint import make_gunpoint_dataset
 from repro.data.ucr_like import make_multichannel_cbf_dataset
 
 from oracles.walk import ects_partial_reference
@@ -115,3 +116,26 @@ class TestPredictPartialOracle:
                 distances = np.sqrt(model._engine.open(row[:length]).advance_to(length)[0])
                 want = ects_partial_reference(model, distances, length)
                 assert got == want, length
+
+    def test_predict_partial_equals_the_batched_checkpoint(self):
+        """A one-shot prefix sweep and a sweep advanced ten samples at a time agree exactly.
+
+        ``predict_partial`` advances its one-row sweep straight to the prefix
+        length; the batched walk advances a shared sweep checkpoint by
+        checkpoint.  Both add the squared terms in time order, so every
+        label, readiness and confidence is the same to the last bit.
+        """
+        train, test = make_gunpoint_dataset(seed=7)
+        model = ECTSClassifier(checkpoint_step=10).fit(train.series, train.labels)
+        rows = test.series[:40]
+        checkpoints = model._batch_partial_evaluators(rows)
+        assert len(checkpoints) == 16
+        for checkpoint in checkpoints:
+            for i, row in enumerate(rows):
+                got = model.predict_partial(row[: checkpoint.length])
+                want = checkpoint.partial(i)
+                assert (got.label, got.ready, got.confidence) == (
+                    want.label,
+                    want.ready,
+                    want.confidence,
+                ), (checkpoint.length, i)

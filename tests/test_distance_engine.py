@@ -3,7 +3,8 @@
 The engine's whole value proposition is that it is *numerically the same
 computation* as the naive per-prefix recomputation, just with the redundant
 work removed -- so these tests pin the results to the naive
-:func:`repro.distance.euclidean.euclidean_distance` to within 1e-10.
+:func:`repro.distance.euclidean.euclidean_distance` to within 1e-10, and the
+incremental entry points to the cumulative-sum kernel bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import pytest
 
 from repro.data.gunpoint import make_gunpoint_dataset
 from repro.data.random_walk import smoothed_random_walk
+import repro.distance.engine as engine_module
 from repro.distance.engine import (
     PrefixDistanceEngine,
     batch_prefix_distances,
@@ -337,19 +339,23 @@ KERNELS = {
 }
 
 #: name -> (n_queries, query_length, n_train, train_length, n_channels, lengths).
-#: The block cases cross the sweep's 64-sample accumulation block, in time
-#: steps (univariate) or in flat samples (5 channels x 40 steps).
+#: The long cases advance the sweep by many samples at once, in time steps
+#: (univariate) or in flat samples (5 channels x 40 steps).  A sweep keeps
+#: its running sums train-major when there are more queries than training
+#: rows and row-major otherwise; the specs cover both layouts.
 SPECS = {
     "equal_lengths": (5, 40, 7, 40, 1, [1, 2, 17, 39, 40]),
     "query_shorter_than_train": (4, 25, 6, 40, 1, [1, 12, 25]),
     "single_training_row": (3, 30, 1, 30, 1, [1, 15, 30]),
     "single_sample_series": (3, 1, 4, 1, 1, [1]),
     "crosses_block_boundaries": (3, 150, 4, 150, 1, [1, 63, 64, 65, 128, 129, 150]),
+    "one_query_one_training_row": (1, 90, 1, 90, 1, [1, 2, 33, 90]),
+    "more_queries_than_training_rows": (11, 50, 3, 60, 1, [1, 4, 31, 50]),
     "two_channels": (4, 20, 5, 24, 2, [1, 7, 20]),
     "three_channels": (3, 18, 6, 18, 3, [1, 2, 18]),
     "five_channels_crosses_blocks": (2, 40, 3, 40, 5, [1, 12, 13, 26, 40]),
+    "more_queries_than_training_rows_two_channels": (9, 30, 4, 30, 2, [2, 3, 17, 30]),
 }
-UNIVARIATE_SPECS = sorted(name for name, spec in SPECS.items() if spec[4] == 1)
 MULTICHANNEL_SPECS = sorted(name for name, spec in SPECS.items() if spec[4] > 1)
 
 
@@ -378,19 +384,50 @@ class TestKernelOracleGrid:
 
     @pytest.mark.parametrize("spec", sorted(SPECS))
     def test_single_step_sweep_matches_batch_kernel(self, spec):
-        queries, train, _ = _spec_data(spec)
-        lengths = list(range(1, queries.shape[1] + 1))
-        batched = batch_prefix_distances(queries, train, lengths, squared=True)
-        swept = _stacked_sweep(queries, train, lengths, squared=True)
-        np.testing.assert_allclose(swept, batched, atol=TOLERANCE, rtol=0)
-
-    @pytest.mark.parametrize("spec", UNIVARIATE_SPECS)
-    def test_univariate_single_step_sweep_is_bit_identical(self, spec):
         """One new sample per step adds the cumulative sum's terms in its order."""
         queries, train, _ = _spec_data(spec)
         lengths = list(range(1, queries.shape[1] + 1))
         batched = batch_prefix_distances(queries, train, lengths, squared=True)
         assert np.array_equal(_stacked_sweep(queries, train, lengths, squared=True), batched)
+
+    # The specs' sweeps are narrow; a zero cell bound sends every multi-step
+    # advance down the wide path instead.
+    @pytest.mark.parametrize(
+        "narrow_cells", [0, engine_module._NARROW_CELLS], ids=["wide", "narrow"]
+    )
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize("kernel", ["iter", "pairwise", "sweep"])
+    def test_sparse_lengths_match_batch_kernel_bit_for_bit(
+        self, monkeypatch, kernel, spec, narrow_cells
+    ):
+        """Any step size adds the squared terms one time step after another."""
+        queries, train, lengths = _spec_data(spec)
+        batched = batch_prefix_distances(queries, train, lengths, squared=True)
+        monkeypatch.setattr(engine_module, "_NARROW_CELLS", narrow_cells)
+        assert np.array_equal(KERNELS[kernel](queries, train, lengths, squared=True), batched)
+
+    # Budgets of one, a few and many time steps per block.
+    @pytest.mark.parametrize("block_bytes", [0, 500, 5_000])
+    @pytest.mark.parametrize(
+        "narrow_cells", [0, engine_module._NARROW_CELLS], ids=["wide", "narrow"]
+    )
+    @pytest.mark.parametrize("spec", ["crosses_block_boundaries", "more_queries_than_training_rows"])
+    def test_advance_block_size_is_invisible(self, monkeypatch, spec, narrow_cells, block_bytes):
+        """A multi-step advance gives the same bits whatever its time block."""
+        queries, train, lengths = _spec_data(spec)
+        want = batch_prefix_distances(queries, train, lengths, squared=True)
+        monkeypatch.setattr(engine_module, "_NARROW_CELLS", narrow_cells)
+        monkeypatch.setattr(engine_module, "_ADVANCE_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(_stacked_sweep(queries, train, lengths, squared=True), want)
+
+    def test_narrow_sweep_reads_ahead_then_steps_past_its_block(self, monkeypatch):
+        """One-sample and multi-sample advances mix across read-ahead blocks."""
+        queries, train, _ = _spec_data("crosses_block_boundaries")
+        lengths = [1, 2, 9, 10, 11, 12, 40, 41, 42, 150]
+        want = batch_prefix_distances(queries, train, lengths, squared=True)
+        # Ten time steps per read-ahead block of these 3 x 4 sums.
+        monkeypatch.setattr(engine_module, "_ADVANCE_BLOCK_BYTES", 10 * 8 * 3 * 4)
+        assert np.array_equal(_stacked_sweep(queries, train, lengths, squared=True), want)
 
     @pytest.mark.parametrize("spec", ["crosses_block_boundaries", "five_channels_crosses_blocks"])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))

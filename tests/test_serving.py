@@ -480,8 +480,8 @@ def test_rejected_chunk_sheds_an_open_stream(threshold_classifier, tiny_two_clas
 
     assert engine.push("t", "s", first) == 100
     engine.flush()
-    with pytest.raises(ValueError, match="non-finite"):
-        engine.push("t", "s", rejected)
+    # The bad chunk degrades its own stream without raising to the caller.
+    assert engine.push("t", "s", rejected) == 0
     assert engine.push("t", "s", last) == 0
     engine.flush()
     reference = _session_reference(
@@ -490,7 +490,8 @@ def test_rejected_chunk_sheds_an_open_stream(threshold_classifier, tiny_two_clas
     assert reference
     assert_alarms_equivalent(reference, engine.alarms("t", "s"))
     snapshot = engine.metrics()
-    assert (snapshot.streams_shed, snapshot.chunks_shed) == (1, 2)
+    assert (snapshot.streams_shed, snapshot.chunks_shed, snapshot.chunks_rejected) == (1, 2, 1)
+    assert snapshot.tenants[0].chunks_rejected == 1
     assert snapshot.streams_open == 0
 
 
@@ -638,6 +639,7 @@ def test_unknown_tenant_and_stream_raise(threshold_classifier):
         engine.push("t", "u", np.asarray([1.0, np.nan, 2.0]))
     # A rejected first push opens no stream, and the id stays usable.
     assert engine.metrics().streams_open == 0
+    assert engine.metrics().chunks_rejected == 0
     for stream_id in ("s", "u"):
         with pytest.raises(KeyError, match="no open stream"):
             engine.stream_state("t", stream_id)

@@ -7,7 +7,8 @@ vectorised paths to those references:
 * ECTS MPLs and supports **exactly** (integer MPLs, rational supports),
   across strict/relaxed variants, checkpoint steps, duplicate-exemplar
   tie-break cases and both kernel branches (dense cumulative-sum pass and
-  the copy-free incremental sweep);
+  the incremental sweep, which find the same neighbours at any first
+  checkpoint);
 * EDSC candidate mining (extraction, threshold learning, scoring) and the
   resulting shapelet selection **exactly**, for both threshold estimators,
   under a fixed seed;
@@ -24,6 +25,7 @@ import repro.classifiers.edsc as edsc_module
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
 from repro.classifiers.edsc import EDSCClassifier
 from repro.data.ucr_like import make_multichannel_cbf_dataset
+from repro.distance.engine import PrefixDistanceEngine
 from repro.experiments import table1
 
 from oracles.ects import fit_reference as ects_fit_reference
@@ -110,6 +112,24 @@ class TestECTSFitKernels:
         swept = ECTSClassifier(checkpoint_step=step).fit(data, labels)
         assert np.array_equal(dense.mpl_, swept.mpl_)
         assert np.array_equal(dense.support_, swept.support_)
+
+    def test_long_first_checkpoint_takes_the_dense_pass(self, monkeypatch):
+        # A first checkpoint past 64 samples: the dense pass answers it, and
+        # the forced sweep -- one multi-sample advance to that checkpoint,
+        # then one sample at a time -- finds the same nearest neighbours.
+        data, labels = _labelled_problem(4, length=100)
+        model = ECTSClassifier(min_length=70).fit(data, labels)
+        lengths = model._mpl_lengths(data.shape[1])
+
+        def _no_sweep(*args, **kwargs):
+            raise AssertionError("the dense pass must not open a sweep")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PrefixDistanceEngine, "open", _no_sweep)
+            dense = model._nearest_index_matrix(data, lengths)
+        monkeypatch.setattr(ects_module, "_FIT_BLOCK_BYTES", 0)
+        swept = model._nearest_index_matrix(data, lengths)
+        assert np.array_equal(dense, swept)
 
     def test_support_kernel_matches_reference_on_gunpoint(self, gunpoint_small):
         train, _ = gunpoint_small
