@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-report bench-smoke batch-check fit-check serve-check sweep-check mv-check docs-check quickstart experiments results check-artifacts all
+.PHONY: test bench bench-report bench-smoke batch-check fit-check serve-check sweep-check mv-check docs-check call-probe quickstart experiments results check-artifacts all
 
 ## tier-1 gate: unit/property/integration tests + benchmark harness
 test:
@@ -85,6 +85,13 @@ mv-check:
 ## modules, attributes or files that don't exist
 docs-check:
 	$(PYTHON) tools/docs_check.py
+
+## list the defs under src/repro/ that no entry point enters: runs the
+## experiments (--fast and full scale, --jobs 1), the examples, the serving
+## and sweep CLIs and the perfbench workloads under a profiling hook
+## (about a minute on a 2-CPU machine; not a CI step)
+call-probe:
+	$(PYTHON) tools/call_probe.py
 
 quickstart:
 	$(PYTHON) examples/quickstart.py

@@ -12,7 +12,7 @@ inventory):
   EPG, random walks), plus the UCR-format container and a stream composer.
 * :mod:`repro.classifiers` -- the early-classification algorithms the paper
   critiques (ECTS, RelaxedECTS, EDSC-CHE/KDE, Reliable/LDG, TEASER, a generic
-  probability-threshold model) and plain-classification baselines.
+  probability-threshold model).
 * :mod:`repro.streaming` -- running an early classifier over a stream: the
   online detection engine (completed candidate windows classified in
   batches, batched causal normalisation), alarm/ground-truth matching,

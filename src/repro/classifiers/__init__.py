@@ -19,8 +19,7 @@ critique cannot be reproduced without them.  All of them share the
     its checkpoints from batched kernels, and ``predict_early`` is this walk
     on a batch of one row.
 
-TEASER, ECDIRE, the cost-aware rule, the probability-threshold model and the
-two baselines share one evaluator,
+TEASER and the probability-threshold model share one evaluator,
 :class:`~repro.classifiers.prefix_probability.ProbabilisticEarlyClassifier`,
 and each states only its checkpoints and its stopping rule.
 
@@ -35,17 +34,9 @@ made relative to the original publication):
   :class:`~repro.classifiers.reliable.LDGReliableEarlyClassifier` -- Parrish
   et al., JMLR 2013.
 * :class:`~repro.classifiers.teaser.TEASERClassifier` -- Schäfer & Leser, DMKD 2020.
-* :class:`~repro.classifiers.ecdire.ECDIREClassifier` -- Mori et al., DMKD 2017
-  (per-class safe timestamps + reliability thresholds).
-* :class:`~repro.classifiers.cost_aware.CostAwareEarlyClassifier` -- the
-  non-myopic cost-minimising stopping rule of Dachraoui et al. / Achenchabe
-  et al. (the "cost-aware handful" the paper mentions).
 * :class:`~repro.classifiers.threshold.ProbabilityThresholdClassifier` -- the
   generic "predict when the probability exceeds a user threshold" framing of
   Fig. 3 (right).
-* :class:`~repro.classifiers.full.FullLengthClassifier` and
-  :class:`~repro.classifiers.full.FixedTruncationClassifier` -- the plain
-  classification baselines the paper says ETSC must be compared against.
 """
 
 from repro.classifiers.base import (
@@ -54,22 +45,17 @@ from repro.classifiers.base import (
     PartialPrediction,
     default_checkpoints,
 )
-from repro.classifiers.full import FixedTruncationClassifier, FullLengthClassifier
 from repro.classifiers.threshold import ProbabilityThresholdClassifier
 from repro.classifiers.ects import ECTSClassifier, RelaxedECTSClassifier
 from repro.classifiers.edsc import EDSCClassifier
 from repro.classifiers.reliable import LDGReliableEarlyClassifier, ReliableEarlyClassifier
 from repro.classifiers.teaser import TEASERClassifier
-from repro.classifiers.ecdire import ECDIREClassifier
-from repro.classifiers.cost_aware import CostAwareEarlyClassifier
 
 __all__ = [
     "BaseEarlyClassifier",
     "EarlyPrediction",
     "PartialPrediction",
     "default_checkpoints",
-    "FullLengthClassifier",
-    "FixedTruncationClassifier",
     "ProbabilityThresholdClassifier",
     "ECTSClassifier",
     "RelaxedECTSClassifier",
@@ -77,6 +63,4 @@ __all__ = [
     "ReliableEarlyClassifier",
     "LDGReliableEarlyClassifier",
     "TEASERClassifier",
-    "ECDIREClassifier",
-    "CostAwareEarlyClassifier",
 ]

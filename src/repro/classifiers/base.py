@@ -37,9 +37,7 @@ __all__ = [
 ]
 
 
-def default_checkpoints(
-    series_length: int, n_checkpoints: int = 20, min_length: int | None = None
-) -> list[int]:
+def default_checkpoints(series_length: int, n_checkpoints: int = 20) -> list[int]:
     """Evenly spaced prefix lengths at which an early classifier re-evaluates.
 
     TEASER uses 20 checkpoints (every 5 % of the series); the other
@@ -48,27 +46,22 @@ def default_checkpoints(
     Parameters
     ----------
     series_length:
-        Full exemplar length.
+        Full exemplar length, at least 3.
     n_checkpoints:
         Number of checkpoints to generate.
-    min_length:
-        Smallest prefix length considered (defaults to ``series_length //
-        n_checkpoints``, i.e. the first checkpoint).
 
     Returns
     -------
     list of int
-        Strictly increasing prefix lengths, ending at ``series_length``.
+        Strictly increasing prefix lengths from ``max(3, series_length //
+        n_checkpoints)``, ending at ``series_length``.
     """
-    if series_length < 2:
-        raise ValueError("series_length must be at least 2")
+    if series_length < 3:
+        raise ValueError("series_length must be at least 3")
     if n_checkpoints < 1:
         raise ValueError("n_checkpoints must be >= 1")
-    if min_length is None:
-        min_length = max(3, series_length // n_checkpoints)
-    if not 1 <= min_length <= series_length:
-        raise ValueError("min_length must be in [1, series_length]")
-    raw = np.linspace(min_length, series_length, n_checkpoints)
+    first = max(3, series_length // n_checkpoints)
+    raw = np.linspace(first, series_length, n_checkpoints)
     checkpoints = sorted({int(round(v)) for v in raw})
     if checkpoints[-1] != series_length:
         checkpoints.append(series_length)

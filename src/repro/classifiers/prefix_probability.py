@@ -1,9 +1,8 @@
 """Per-prefix-length probabilistic classification.
 
-Six of the early classifiers (TEASER's slave classifiers, ECDIRE, the
-cost-aware rule, the probability-threshold model of Fig. 3 and the
-full-length and fixed-truncation baselines) need the same primitive: *given
-a prefix of length L, produce class probabilities*.  The published systems
+Two of the early classifiers (TEASER's slave classifiers and the
+probability-threshold model of Fig. 3) need the same primitive: *given a
+prefix of length L, produce class probabilities*.  The published systems
 use a variety of base classifiers for this (1-NN, WEASEL, logistic
 regression); following the UCR-evaluation tradition -- and to keep the
 reproduction dependency-free -- this module uses 1-NN evidence (each
@@ -16,7 +15,7 @@ single global temperature would make early probabilities artificially sharp
 or flat.  Calibrating per length is also what keeps the model honest about
 how little it knows early on.
 
-:class:`ProbabilisticEarlyClassifier` is the common base of those six
+:class:`ProbabilisticEarlyClassifier` is the common base of those two
 classifiers: it evaluates the primitive at their checkpoints, and each of
 them states only its checkpoints and its stopping rule.
 """
@@ -230,10 +229,9 @@ class PrefixProbabilisticClassifier:
         :class:`ProbabilisticEarlyClassifier` checkpoint runs, for a batch
         and for a single prefix alike.
 
-        Distinct from :meth:`predict_proba_prefixes`, which serves *training*
-        sweeps over dense length grids from one incremental engine pass and
-        supports leave-one-out; here the lengths are the handful of inference
-        checkpoints.
+        Distinct from :meth:`predict_proba_prefixes`, which scores the
+        training set itself, leave-one-out, from one incremental engine pass;
+        here the lengths are the handful of inference checkpoints.
 
         Parameters
         ----------
@@ -278,57 +276,42 @@ class PrefixProbabilisticClassifier:
         return results
 
     def predict_proba_prefixes(
-        self,
-        rows: np.ndarray,
-        lengths: Sequence[int],
-        exclude_self: bool = False,
+        self, lengths: Sequence[int]
     ) -> dict[int, list[PrefixProbabilities]]:
-        """Batched probabilities for many series at many prefix lengths.
+        """Leave-one-out probabilities of the training set at many prefix lengths.
 
-        This is the hot path of TEASER's master training / ``v`` selection,
-        ECDIRE's cross-validated safe-timestamp estimation and the cost-aware
-        rule's error estimates: every training exemplar evaluated at every
-        checkpoint.  All distances come
-        from a single incremental sweep of
+        This is the hot path of TEASER's master training and ``v``
+        selection: every training exemplar evaluated at every checkpoint,
+        with exemplar ``i`` left out of its own neighbour search.  That is
+        the honest way to evaluate the model on its own training data:
+        otherwise every exemplar finds itself at distance zero and the
+        evaluation is meaninglessly optimistic.  All distances come from a
+        single incremental sweep of
         :func:`repro.distance.engine.iter_prefix_distances`, so the whole
         table costs one full-length distance matrix instead of one matrix
         *per checkpoint*.
 
         Parameters
         ----------
-        rows:
-            2-D array ``(n_rows, length)`` of query series.
         lengths:
-            Strictly increasing prefix lengths to evaluate.
-        exclude_self:
-            Leave-one-out mode: ``rows`` must be the training set itself
-            (same shape), and row ``i`` ignores training exemplar ``i`` in
-            the neighbour search.  This is the honest way to evaluate the
-            model on its own training data: otherwise every exemplar finds
-            itself at distance zero and the evaluation is meaninglessly
-            optimistic.
+            Prefix lengths to evaluate.
 
         Returns
         -------
         dict
-            Mapping ``length -> [PrefixProbabilities for each row]``.
+            Mapping ``length -> [PrefixProbabilities for each training
+            exemplar]``.
         """
         if self._train is None or self._labels is None:
             raise RuntimeError("classifier must be fitted before use")
-        data = self._validate_rows(rows)
-        if exclude_self and data.shape != self._train.shape:
-            raise ValueError(
-                "exclude_self requires rows to be the training set itself"
-            )
         lengths = sorted({int(v) for v in lengths})
         if lengths and lengths[0] < self.min_length:
             raise ValueError(f"prefixes must have at least {self.min_length} samples")
 
         class_masks = [self._labels == cls for cls in self._classes]
         results: dict[int, list[PrefixProbabilities]] = {}
-        for length, distances in iter_prefix_distances(data, self._train, lengths):
-            if exclude_self:
-                np.fill_diagonal(distances, np.inf)
+        for length, distances in iter_prefix_distances(self._train, self._train, lengths):
+            np.fill_diagonal(distances, np.inf)
             evidence_per_class = [distances[:, mask].min(axis=1) for mask in class_masks]
             results[length] = [
                 self._result_from_evidence(
@@ -338,7 +321,7 @@ class PrefixProbabilisticClassifier:
                     },
                     length,
                 )
-                for row in range(data.shape[0])
+                for row in range(self._train.shape[0])
             ]
         return results
 
@@ -346,8 +329,7 @@ class PrefixProbabilisticClassifier:
 class ProbabilisticEarlyClassifier(BaseEarlyClassifier):
     """An early classifier that commits on :class:`PrefixProbabilisticClassifier` evidence.
 
-    TEASER, ECDIRE, the cost-aware rule, the probability-threshold model and
-    the full-length and fixed-truncation baselines differ only in their
+    TEASER and the probability-threshold model differ only in their
     checkpoints and in when a prediction counts as *ready*.  A subclass fits
     ``self._model`` in :meth:`fit` and writes :meth:`checkpoints` and
     :meth:`_ready`.  Both walks then run one evaluator:

@@ -164,9 +164,7 @@ class TEASERClassifier(ProbabilisticEarlyClassifier):
         # evaluations (one per exemplar per checkpoint); computing the whole
         # table in one incremental prefix-distance sweep is what makes
         # training O(n^2 * L) instead of O(n^2 * L * n_checkpoints).
-        loo = self._model.predict_proba_prefixes(
-            data, self._checkpoints, exclude_self=True
-        )
+        loo = self._model.predict_proba_prefixes(self._checkpoints)
         self._fit_masters(data, label_arr, loo)
         if self.requested_consecutive is not None:
             self.consecutive_required_ = int(self.requested_consecutive)

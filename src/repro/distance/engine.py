@@ -2,9 +2,9 @@
 
 Every experiment in the paper that touches early classification evaluates
 1-NN evidence at *many prefix lengths of the same series*: ECTS computes
-neighbour structures at every length during training, TEASER and ECDIRE
-evaluate their slave classifier at every checkpoint for every training
-exemplar, Fig. 3 and Fig. 9 sweep accuracy over prefix lengths, and ECTS's
+neighbour structures at every length during training, TEASER evaluates
+its slave classifier at every checkpoint for every training exemplar,
+Fig. 3 and Fig. 9 sweep accuracy over prefix lengths, and ECTS's
 prediction walk reads 1-NN distances at every checkpoint of a test batch.
 Recomputing a full Euclidean distance at each length
 costs ``O(t)`` per step and ``O(L^2)`` per series overall; this module

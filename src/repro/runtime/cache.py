@@ -35,8 +35,8 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheStats", "PrepareCache", "UncacheablePar
 #: fitted classifier the serving registry reloads, changes incompatibly).
 #: Version 2: Reliable/LDG class models carry their Cholesky factor.
 #: Version 3: Reliable/LDG class models are diagonal-plus-low-rank.
-#: Version 4: TEASER, ECDIRE and cost-aware hold their prefix model as
-#: ``_model``.  ``tests/test_runtime_cache.py`` pins the layout.
+#: Version 4: TEASER and the probability-threshold model hold their prefix
+#: model as ``_model``.  ``tests/test_runtime_cache.py`` pins the layout.
 CACHE_SCHEMA_VERSION = 4
 
 #: Sentinel distinguishing "cache miss" from a legitimately-``None`` value.

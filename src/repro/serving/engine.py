@@ -35,9 +35,14 @@ windows, so a shed stream never emits another alarm.  A chunk that
 :func:`~repro.streaming.online.validate_chunk` rejects on an open stream
 leaves the same gap, so it sheds the stream the same way -- one bad
 producer degrades its own stream, not the caller -- and also counts as
-rejected, which says why the stream was shed.  Backpressure is observable
-via :meth:`metrics` (queue depth, shed and rejected counts, per-tenant
-alarm latency); producers re-open shed streams under a fresh stream id.
+rejected, which says why the stream was shed.  A model that raises while
+classifying a coalesced batch degrades only that batch's streams the same
+way: they are shed, their windows count as discarded, the exception's
+``repr`` is kept as the tenant's ``last_error``, and the flush still
+returns every other batch's alarms.  Backpressure is observable via
+:meth:`metrics` (queue depth, shed and rejected counts, per-tenant alarm
+latency, last error); producers re-open shed streams under a fresh stream
+id.
 """
 
 from __future__ import annotations
@@ -263,8 +268,10 @@ class ServingEngine:
         and normalisation mode) and confirmed through each stream's
         :class:`~repro.streaming.online.AlarmGate` in FIFO order -- which
         per stream is candidate-start order, the order the gate's refractory
-        and saturation rules require.  Alarms that a :meth:`finalize_stream`
-        confirmed on other streams since the last flush come first.
+        and saturation rules require.  A group whose model raises sheds its
+        streams and discards its candidates (see the module docstring).
+        Alarms that a :meth:`finalize_stream` confirmed on other streams
+        since the last flush come first.
         """
         emitted, self._undelivered = self._undelivered, []
         emitted.extend(self._confirm_queued())
@@ -285,6 +292,11 @@ class ServingEngine:
         emitted: list[ServedAlarm] = []
         for item, outcome in zip(live, outcomes):
             ledger = item.ledger
+            if isinstance(outcome, Exception):
+                ledger.counters.candidates_discarded += 1
+                ledger.counters.last_error = repr(outcome)
+                self._close(ledger)
+                continue
             ledger.counters.candidates_evaluated += 1
             if ledger.saturated or not outcome.triggered:
                 # Only a trigger can alarm, and a stream saturated earlier
@@ -413,15 +425,20 @@ class ServingEngine:
             counters = self._counters[tenant] = TenantCounters(tenant)
         return counters
 
-    @staticmethod
-    def _shed(ledger: _StreamLedger) -> None:
+    @classmethod
+    def _shed(cls, ledger: _StreamLedger) -> None:
         """Drop one chunk of ``ledger``'s stream, closing the stream if open.
 
         A dropped chunk is a gap in the stream's samples, so the stream is
         closed (see the module docstring); each dropped chunk counts once.
         """
+        ledger.counters.chunks_shed += 1
+        cls._close(ledger)
+
+    @staticmethod
+    def _close(ledger: _StreamLedger) -> None:
+        """Shed ``ledger``'s stream, once: it takes no more samples or windows."""
         counters = ledger.counters
-        counters.chunks_shed += 1
         if not ledger.shed:
             counters.streams_shed += 1
             counters.streams_open -= 1

@@ -59,7 +59,8 @@ class TenantMetrics:
     candidates_discarded:
         Enqueued candidates dropped without evaluation: their stream was
         shed or evicted first, or an earlier candidate saturated the
-        stream's alarm gate (after which no later candidate may alarm).
+        stream's alarm gate (after which no later candidate may alarm), or
+        their model raised while classifying their batch.
     alarms_emitted:
         Alarms confirmed across the tenant's streams.
     mean_alarm_latency:
@@ -70,6 +71,9 @@ class TenantMetrics:
         standalone :class:`~repro.streaming.online.StreamingSession` pays,
         since both confirm only once the window is complete.  ``None``
         until the tenant has emitted an alarm.
+    last_error:
+        The ``repr`` of the last exception the tenant's model raised while
+        classifying a batch (whose streams were then shed), or ``None``.
     """
 
     tenant: str
@@ -86,6 +90,7 @@ class TenantMetrics:
     candidates_discarded: int
     alarms_emitted: int
     mean_alarm_latency: float | None
+    last_error: str | None
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,7 @@ class TenantCounters:
         "candidates_discarded",
         "alarms_emitted",
         "alarm_latency_total",
+        "last_error",
     )
 
     def __init__(self, tenant: str) -> None:
@@ -182,6 +188,7 @@ class TenantCounters:
         self.candidates_discarded = 0
         self.alarms_emitted = 0
         self.alarm_latency_total = 0
+        self.last_error: str | None = None
 
     def snapshot(self) -> TenantMetrics:
         if self.alarms_emitted:
@@ -203,4 +210,5 @@ class TenantCounters:
             candidates_discarded=self.candidates_discarded,
             alarms_emitted=self.alarms_emitted,
             mean_alarm_latency=mean_latency,
+            last_error=self.last_error,
         )

@@ -89,16 +89,18 @@ class BatchScheduler:
 
     def evaluate(
         self, items: list[PendingCandidate]
-    ) -> list[EarlyPrediction]:
+    ) -> list[EarlyPrediction | Exception]:
         """Classify every pending window, coalescing across streams/tenants.
 
         Candidates are grouped by ``(classifier identity, normalisation
         mode)`` -- tenants sharing a model and mode land in the same group
         even though their streams are unrelated -- then each group is
-        normalised and classified in one batched call.  Outcomes are
-        returned aligned with ``items`` (original FIFO order).
+        normalised and classified in one batched call.  Each group is
+        evaluated on its own: when its call raises, the exception stands in
+        for each of its outcomes and the other groups are still classified.
+        Outcomes are returned aligned with ``items`` (original FIFO order).
         """
-        outcomes: list[EarlyPrediction | None] = [None] * len(items)
+        outcomes: list = [None] * len(items)
         groups: dict[tuple[int, str], list[int]] = {}
         for index, item in enumerate(items):
             ledger = item.ledger
@@ -109,10 +111,15 @@ class BatchScheduler:
             # (L,) windows stack to (n, L), (L, d) multichannel ones to (n, L, d).
             windows = np.array([items[i].window for i in indices])
             normalized = normalize_windows(windows, first.normalization)
-            predictions = first.classifier.predict_early_batch(
-                normalized, batch_size=self.batch_size
-            )
+            try:
+                predictions = first.classifier.predict_early_batch(
+                    normalized, batch_size=self.batch_size
+                )
+            except Exception as error:
+                # A model is code from outside the engine: its failure costs
+                # its own group, and the engine reports it per tenant.
+                predictions = [error] * len(indices)
             self.n_batch_calls += 1
             for position, index in enumerate(indices):
                 outcomes[index] = predictions[position]
-        return [outcome for outcome in outcomes if outcome is not None]
+        return outcomes

@@ -5,8 +5,9 @@
   exemplar left out of the neighbour search.  Each class's evidence is its
   nearest exemplar's distance, taken by a scan of its own.
   ``PrefixProbabilisticClassifier.predict_proba_batch`` must match it row by
-  row exactly, and ``predict_proba_prefixes(exclude_self=True)`` must give
-  its labels, and its probabilities to round-off, with ``exclude=i``.
+  row exactly, and ``predict_proba_prefixes(lengths)``, which scores the
+  training set leave-one-out, must give for training row ``i`` its labels,
+  and its probabilities to round-off, with ``exclude=i``.
 
 The function takes the model in place of ``self``.
 """

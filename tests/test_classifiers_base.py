@@ -25,9 +25,20 @@ class TestDefaultCheckpoints:
         checkpoints = default_checkpoints(200, 20)
         assert 15 <= len(checkpoints) <= 21
 
-    def test_min_length_respected(self):
-        checkpoints = default_checkpoints(100, 10, min_length=30)
-        assert checkpoints[0] >= 30
+    @pytest.mark.parametrize("n_checkpoints", [1, 2, 5, 20])
+    @pytest.mark.parametrize("series_length", [3, 4, 19, 60, 150, 301])
+    def test_evenly_spaced_from_the_first_checkpoint_to_the_end(
+        self, series_length, n_checkpoints
+    ):
+        checkpoints = default_checkpoints(series_length, n_checkpoints)
+        assert checkpoints[0] == max(3, series_length // n_checkpoints)
+        assert checkpoints[-1] == series_length
+        assert len(checkpoints) <= n_checkpoints
+        # Rounded even spacing: gaps of one or two neighbouring sizes.
+        gaps = np.diff(checkpoints)
+        if gaps.size:
+            assert gaps.min() >= 1
+            assert gaps.max() - gaps.min() <= 1
 
     def test_short_series(self):
         checkpoints = default_checkpoints(10, 20)
@@ -39,7 +50,8 @@ class TestDefaultCheckpoints:
         with pytest.raises(ValueError):
             default_checkpoints(100, 0)
         with pytest.raises(ValueError):
-            default_checkpoints(100, 10, min_length=200)
+            # Too short for the first checkpoint, 3.
+            default_checkpoints(2, 5)
 
 
 class _TriggerAtLength(BaseEarlyClassifier):

@@ -3,9 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.classifiers.cost_aware import CostAwareEarlyClassifier
-from repro.classifiers.ecdire import ECDIREClassifier
-from repro.classifiers.full import FixedTruncationClassifier, FullLengthClassifier
 from repro.classifiers.prefix_probability import (
     PrefixProbabilisticClassifier,
     nearest_checkpoint,
@@ -40,14 +37,12 @@ class TestFit:
         series, labels = tiny_two_class
         with pytest.raises(ValueError, match=rf"{length} samples.*min_length=3"):
             PrefixProbabilisticClassifier().fit(series[:, :length], labels)
-        with pytest.raises(ValueError, match=rf"{length} samples.*min_length=3"):
-            FullLengthClassifier().fit(series[:, :length], labels)
 
     def test_unfitted_query_raises(self):
         with pytest.raises(RuntimeError):
             PrefixProbabilisticClassifier().predict_proba_batch(np.zeros((1, 5)), [5])
         with pytest.raises(RuntimeError):
-            PrefixProbabilisticClassifier().predict_proba_prefixes(np.zeros((1, 5)), [5])
+            PrefixProbabilisticClassifier().predict_proba_prefixes([5])
 
 
 class TestPrediction:
@@ -75,20 +70,40 @@ class TestPrediction:
         results = model.predict_proba_batch(series[1:2], [5, length])
         assert results[length][0].confidence >= results[5][0].confidence - 0.05
 
-    def test_exclude_self_removes_self_match(self, tiny_two_class):
+    def test_leave_one_out_removes_self_match(self, tiny_two_class):
+        # Scored as queries, the training rows each find themselves at
+        # distance zero; the leave-one-out table must not.
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series, labels)
         length = series.shape[1]
-        with_self = model.predict_proba_prefixes(series, [length])[length]
-        without_self = model.predict_proba_prefixes(series, [length], exclude_self=True)[length]
+        with_self = model.predict_proba_batch(series, [length])[length]
+        without_self = model.predict_proba_prefixes([length])[length]
+        assert len(without_self) == series.shape[0]
         for kept, left_out in zip(with_self, without_self):
             assert left_out.confidence <= kept.confidence + 1e-9
 
-    def test_exclude_self_requires_the_training_rows(self, tiny_two_class):
+    def test_leave_one_out_lengths_are_sorted_and_deduplicated(self, tiny_two_class):
         series, labels = tiny_two_class
         model = PrefixProbabilisticClassifier().fit(series, labels)
-        with pytest.raises(ValueError, match="training set"):
-            model.predict_proba_prefixes(series[:3], [10], exclude_self=True)
+        table = model.predict_proba_prefixes([10, 3, 10])
+        assert list(table) == [3, 10]
+        for length, results in table.items():
+            assert [result.prefix_length for result in results] == [length] * len(series)
+
+    def test_leave_one_out_of_a_single_channel_fit_matches_the_2d_fit(self, tiny_two_class):
+        series, labels = tiny_two_class
+        flat = PrefixProbabilisticClassifier().fit(series, labels)
+        channel = PrefixProbabilisticClassifier().fit(series[:, :, None], labels)
+        assert channel.predict_proba_prefixes([5, 40]) == flat.predict_proba_prefixes([5, 40])
+
+    def test_leave_one_out_of_a_class_of_one_goes_to_the_other_class(self, tiny_two_class):
+        # With its only exemplar left out, class "down" has no evidence.
+        series, labels = tiny_two_class
+        model = PrefixProbabilisticClassifier().fit(series[:11], labels[:11])
+        assert labels[10] == "down" and list(labels[:10]) == ["up"] * 10
+        (lone,) = model.predict_proba_prefixes([40])[40][10:]
+        assert lone.label == "up"
+        assert lone.probabilities == {"down": 0.0, "up": 1.0}
 
     def test_prefix_too_short_rejected(self, tiny_two_class):
         series, labels = tiny_two_class
@@ -96,7 +111,7 @@ class TestPrediction:
         with pytest.raises(ValueError, match="at least 5"):
             model.predict_proba_batch(series[:1], [3])
         with pytest.raises(ValueError, match="at least 5"):
-            model.predict_proba_prefixes(series, [3, 10])
+            model.predict_proba_prefixes([3, 10])
 
     def test_prefix_too_long_rejected(self, tiny_two_class):
         series, labels = tiny_two_class
@@ -202,7 +217,7 @@ class TestOracleEquivalence:
     ):
         train, labels, _ = _datasets(gunpoint_small, gunpoint_small_raw)[dataset]
         model = PrefixProbabilisticClassifier().fit(train, labels)
-        swept = model.predict_proba_prefixes(train, ORACLE_LENGTHS, exclude_self=True)
+        swept = model.predict_proba_prefixes(ORACLE_LENGTHS)
         for length in ORACLE_LENGTHS:
             for i, got in enumerate(swept[length]):
                 want = predict_proba_prefix(model, train[i, :length], exclude=i)
@@ -214,17 +229,13 @@ class TestOracleEquivalence:
 
 PROBABILISTIC_CLASSIFIERS = {
     "teaser": lambda: TEASERClassifier(n_checkpoints=6),
-    "ecdire": lambda: ECDIREClassifier(n_checkpoints=6),
-    "cost_aware": lambda: CostAwareEarlyClassifier(n_checkpoints=6),
     "threshold": lambda: ProbabilityThresholdClassifier(min_length=5, checkpoint_step=7),
-    "full_length": FullLengthClassifier,
-    "fixed_truncation": lambda: FixedTruncationClassifier(trigger_length=20),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROBABILISTIC_CLASSIFIERS))
 def test_every_checkpoint_partial_carries_the_oracle_probabilities(name, gunpoint_small):
-    """The six classifiers' shared evaluator reads 1-NN evidence at each checkpoint."""
+    """The two classifiers' shared evaluator reads 1-NN evidence at each checkpoint."""
     train, test = gunpoint_small
     model = PROBABILISTIC_CLASSIFIERS[name]().fit(train.series, train.labels)
     for row in test.series[:4]:

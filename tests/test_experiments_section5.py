@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.classifiers import CostAwareEarlyClassifier, ECDIREClassifier, TEASERClassifier
+from repro.classifiers import ProbabilityThresholdClassifier, TEASERClassifier
 from repro.experiments import run_experiment
 
 
@@ -37,17 +37,18 @@ class TestSection5Padding:
 class TestExtendedAlgorithmFamily:
     def test_table1_accepts_additional_algorithms(self, gunpoint_medium):
         # The Table 1 machinery is reusable for any early classifier; run it
-        # with the extended family (TEASER, ECDIRE, cost-aware) at small scale.
+        # with TEASER and the probability-threshold model at small scale.
         result = run_experiment(
             "table1",
             n_train_per_class=12,
             n_test_per_class=15,
             algorithms={
                 "TEASER": lambda: TEASERClassifier(n_checkpoints=10),
-                "ECDIRE": lambda: ECDIREClassifier(n_checkpoints=10),
-                "Cost-aware": lambda: CostAwareEarlyClassifier(n_checkpoints=10),
+                "Threshold 0.8": lambda: ProbabilityThresholdClassifier(
+                    threshold=0.8, min_length=10, checkpoint_step=5
+                ),
             },
         )
-        assert len(result.audits) == 3
+        assert len(result.audits) == 2
         for audit in result.audits:
             assert 0.0 <= audit.denormalized.accuracy <= audit.normalized.accuracy + 0.2

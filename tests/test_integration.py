@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.classifiers import (
-    CostAwareEarlyClassifier,
-    ECDIREClassifier,
     ECTSClassifier,
     EDSCClassifier,
-    FixedTruncationClassifier,
     ProbabilityThresholdClassifier,
     TEASERClassifier,
 )
@@ -155,12 +152,9 @@ class TestCrossClassifierConsistency:
     def classifiers(self):
         return [
             ProbabilityThresholdClassifier(threshold=0.8, min_length=6, checkpoint_step=2),
-            FixedTruncationClassifier(),
             ECTSClassifier(checkpoint_step=2),
             EDSCClassifier(threshold_method="che"),
             TEASERClassifier(n_checkpoints=8),
-            ECDIREClassifier(n_checkpoints=8),
-            CostAwareEarlyClassifier(n_checkpoints=8),
         ]
 
     def test_predictions_are_known_classes_and_earliness_bounded(

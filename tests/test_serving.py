@@ -495,6 +495,168 @@ def test_rejected_chunk_sheds_an_open_stream(threshold_classifier, tiny_two_clas
     assert snapshot.streams_open == 0
 
 
+class _RaisingThresholdClassifier(ProbabilityThresholdClassifier):
+    """A threshold model whose batched walk fails after ``healthy_calls`` calls."""
+
+    def __init__(self, healthy_calls=0, **params):
+        super().__init__(**params)
+        self.healthy_calls = healthy_calls
+
+    def predict_early_batch(self, series, keep_history=False, batch_size=256):
+        if self.healthy_calls <= 0:
+            raise RuntimeError("model failed")
+        self.healthy_calls -= 1
+        return super().predict_early_batch(series, keep_history, batch_size)
+
+
+def _broken_model(tiny_two_class, healthy_calls=0):
+    series, labels = tiny_two_class
+    model = _RaisingThresholdClassifier(
+        healthy_calls, threshold=0.85, min_length=6, checkpoint_step=2
+    )
+    return model.fit(series, labels)
+
+
+def _tiled_streams(tiny_two_class):
+    """Three 160-sample streams, each one exemplar repeated four times."""
+    series, _ = tiny_two_class
+    return [np.tile(series[row], 4) for row in (0, 10, 1)]
+
+
+def _serve(models, config, streams):
+    """Push every stream to every tenant (in ``models`` order), then flush."""
+    registry = ModelRegistry()
+    for tenant, model in models.items():
+        registry.register(tenant, model, config)
+    engine = ServingEngine(registry)
+    for tenant in models:
+        for stream_id, values in enumerate(streams):
+            engine.push(tenant, stream_id, values)
+    return engine, engine.flush()
+
+
+def _assert_accounting_identity(snapshot):
+    assert snapshot.candidates_enqueued == (
+        snapshot.candidates_pending
+        + snapshot.candidates_evaluated
+        + snapshot.candidates_discarded
+    )
+    for tenant in snapshot.tenants:
+        assert tenant.candidates_enqueued == (
+            tenant.candidates_pending + tenant.candidates_evaluated + tenant.candidates_discarded
+        )
+
+
+@pytest.mark.parametrize("broken_first", [False, True])
+@pytest.mark.parametrize("normalization", ["none", "window", "causal"])
+@pytest.mark.parametrize("model", ["threshold", "ects"])
+def test_a_raising_model_sheds_only_its_own_streams(
+    threshold_classifier, ects_classifier, tiny_two_class, model, normalization, broken_first
+):
+    """One tenant's failing model costs its own streams, not the whole flush.
+
+    The failing group runs first or last; either way the healthy tenant's
+    alarms equal those of an engine that serves it alone.
+    """
+    healthy = {"threshold": threshold_classifier, "ects": ects_classifier}[model]
+    config = TenantConfig(stride=10, normalization=normalization)
+    streams = _tiled_streams(tiny_two_class)
+    models = {"healthy": healthy, "broken": _broken_model(tiny_two_class)}
+    if broken_first:
+        models = dict(reversed(models.items()))
+
+    engine, served = _serve(models, config, streams)
+    alone, served_alone = _serve({"healthy": healthy}, config, streams)
+
+    # 13 windows per stream: starts 0, 10, ..., 120 of 160 samples.
+    assert served_alone
+    assert served == served_alone
+    for stream_id in range(len(streams)):
+        assert engine.alarms("healthy", stream_id) == alone.alarms("healthy", stream_id)
+    snapshot = engine.metrics()
+    assert snapshot.candidates_enqueued == 78
+    _assert_accounting_identity(snapshot)
+    tenants = {tenant.tenant: tenant for tenant in snapshot.tenants}
+    failed = tenants["broken"]
+    assert (failed.candidates_evaluated, failed.candidates_discarded) == (0, 39)
+    assert (failed.streams_shed, failed.streams_open, failed.chunks_shed) == (3, 0, 0)
+    assert failed.last_error == "RuntimeError('model failed')"
+    assert tenants["healthy"].candidates_evaluated == 39
+    assert tenants["healthy"].last_error is None
+    # The failed tenant's streams are shed; the healthy ones keep serving.
+    assert engine.push("broken", 0, streams[0]) == 0
+    assert engine.push("healthy", 0, streams[0]) == streams[0].size
+
+
+def test_tenants_sharing_a_model_are_isolated_from_a_failing_one(
+    threshold_classifier, tiny_two_class
+):
+    """Two tenants coalesced into one healthy group keep their alarms."""
+    config = TenantConfig(stride=10, normalization="window")
+    streams = _tiled_streams(tiny_two_class)
+    broken = _broken_model(tiny_two_class)
+    models = {"a": threshold_classifier, "broken": broken, "b": threshold_classifier}
+    engine, served = _serve(models, config, streams)
+    shared, served_shared = _serve(
+        {"a": threshold_classifier, "b": threshold_classifier}, config, streams
+    )
+    assert served_shared
+    assert served == served_shared
+    snapshot = engine.metrics()
+    assert snapshot.n_batch_calls == shared.metrics().n_batch_calls + 1
+    _assert_accounting_identity(snapshot)
+
+
+def test_a_model_failing_later_keeps_its_earlier_alarms(tiny_two_class):
+    """Alarms confirmed before the failing flush stay with the shed stream."""
+    config = TenantConfig(stride=10, normalization="none")
+    streams = _tiled_streams(tiny_two_class)
+    registry = ModelRegistry()
+    registry.register("t", _broken_model(tiny_two_class, healthy_calls=1), config)
+    engine = ServingEngine(registry)
+    for stream_id, values in enumerate(streams):
+        engine.push("t", stream_id, values[:80])
+    earlier = engine.flush()
+    assert earlier
+    for stream_id, values in enumerate(streams):
+        engine.push("t", stream_id, values[80:])
+    assert engine.flush() == []
+    snapshot = engine.metrics()
+    _assert_accounting_identity(snapshot)
+    (tenant,) = snapshot.tenants
+    assert tenant.streams_shed == 3
+    assert tenant.alarms_emitted == len(earlier)
+    assert tenant.last_error == "RuntimeError('model failed')"
+    for stream_id in range(len(streams)):
+        kept = [served.alarm for served in earlier if served.stream_id == stream_id]
+        assert engine.finalize_stream("t", stream_id) == kept
+
+
+def test_a_model_failing_inside_finalize_stream_is_contained(
+    threshold_classifier, tiny_two_class
+):
+    """finalize_stream's own flush sheds the failing group instead of raising."""
+    config = TenantConfig(stride=10, normalization="none")
+    streams = _tiled_streams(tiny_two_class)
+    registry = ModelRegistry()
+    registry.register("healthy", threshold_classifier, config)
+    registry.register("broken", _broken_model(tiny_two_class), config)
+    engine = ServingEngine(registry)
+    for tenant in ("healthy", "broken"):
+        for stream_id, values in enumerate(streams):
+            engine.push(tenant, stream_id, values)
+
+    assert engine.finalize_stream("broken", 0) == []
+    _, served_alone = _serve({"healthy": threshold_classifier}, config, streams)
+    assert served_alone
+    assert engine.flush() == served_alone
+    snapshot = engine.metrics()
+    _assert_accounting_identity(snapshot)
+    failed = {tenant.tenant: tenant for tenant in snapshot.tenants}["broken"]
+    # The stream was shed by its model's failure before it could finalize.
+    assert (failed.streams_shed, failed.streams_finalized, failed.streams_open) == (3, 0, 0)
+
+
 def test_metrics_snapshot_is_consistent_mid_flight(threshold_classifier):
     """A snapshot taken between pushes satisfies the accounting identity."""
     registry = ModelRegistry()
